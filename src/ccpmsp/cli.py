@@ -26,7 +26,7 @@ from .model import (
     candidate_objective,
     validate_instance,
 )
-from .oracle import OracleLimits, verify_candidate
+from .oracle import verify_candidate
 
 CSV_VERSION = "# ccpmsp-csv v1"
 SOLVE_COLUMNS = (
@@ -173,8 +173,7 @@ def cmd_verify(args) -> int:
         print("solution file carries no candidate", file=sys.stderr)
         return EXIT_VERIFY
     cand = Candidate(x=np.array(sol["x"]), z=np.array(sol["z"]))
-    limits = OracleLimits(max_seq_jobs=max(inst.capacity, 8))
-    problems = verify_candidate(inst, cand, limits)
+    problems = verify_candidate(inst, cand)
     reported = sol.get("objective")
     actual = candidate_objective(inst, cand)
     if reported is not None and abs(actual - reported) > 1e-6:

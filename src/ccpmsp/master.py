@@ -478,7 +478,9 @@ class ExternalBackend:
 
     The command is invoked as ``<cmd> <model.lp> <solution.sol>`` and must
     write the solution as plain "name value" lines ('#'-prefixed comment
-    lines are ignored); absent variables default to 0.
+    lines are ignored); absent variables default to 0.  The solution counts
+    as proven optimal only when the file holds a ``# status optimal``
+    comment line; otherwise it is merely feasible and carries no bound.
     """
 
     supports_callback = False
@@ -516,9 +518,13 @@ class ExternalBackend:
             with open(sol_path) as fh:
                 text = fh.read()
         vals: dict[str, float] = {}
+        proven = False
         for line in text.splitlines():
             line = line.strip()
-            if not line or line.startswith("#"):
+            if line.startswith("#"):
+                proven |= line[1:].split() == ["status", "optimal"]
+                continue
+            if not line:
                 continue
             parts = line.split()
             if len(parts) >= 2:
@@ -539,7 +545,8 @@ class ExternalBackend:
             raise BackendError(f"external solution violates rows: {violated[:5]}")
         objective = float(inst.utilities @ x.sum(axis=1))
         return BackendSolution(
-            status=OPTIMAL, x=x, z=z, objective=objective, bound=objective
+            status=OPTIMAL if proven else FEASIBLE, x=x, z=z,
+            objective=objective, bound=objective if proven else None,
         )
 
 

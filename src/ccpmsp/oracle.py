@@ -1,8 +1,13 @@
-"""Brute-force ground truth, independent of the diagram code paths.
+"""Ground truth independent of the diagram code paths: brute-force
+references plus a Held-Karp checker used for verification.
 
-Everything here enumerates: permutations for sequencing, subsets for IIS,
-assignments for whole-problem optima.  Deliberately naive so it can serve
-as the oracle in tests; hard limits keep it at desk scale.
+The brute-force functions enumerate: permutations for sequencing, subsets
+for IIS, assignments for whole-problem optima.  They are deliberately naive
+so they can serve as the reference in tests; hard limits keep them at desk
+scale.  ``held_karp_min_times`` computes the same minimum sequencing time
+as ``brute_min_time`` with the bitmask dynamic program of Held & Karp
+(1962), written from the problem definition alone, and is cheap enough
+that ``verify_candidate`` runs it at every capacity.
 
 Closing-setup convention: a strict subset of the evaluated universe is
 timed without the final setup back to the dummy job, the full set with it.
@@ -13,6 +18,7 @@ oracle and diagram IIS semantics coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -69,6 +75,79 @@ def brute_min_time(jobs, scenario: Scenario, include_closing: bool,
         if total < best:
             best = total
     return float(best)
+
+
+# Held-Karp working-set bound in float64 cells (256 KB), for the table and
+# for the temporaries alike: scenarios are evaluated in chunks whose table
+# fits (at least one scenario), and each subset-size layer in blocks whose
+# temporaries fit, so verification adds little to a solve's peak memory.
+HK_CHUNK_CELLS = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _hk_plan(k: int) -> tuple:
+    """Index plan of the Held-Karp recursion over k local jobs: for each
+    subset size s = 2..k, every (predecessor, last job) pair such that the
+    predecessor subset has s - 1 jobs and lacks the last one.  Built on
+    first use for each k and shared read-only."""
+    masks = np.arange(1 << k)
+    size = np.zeros_like(masks)
+    for j in range(k):
+        size += (masks >> j) & 1
+    plan = []
+    for s in range(2, k + 1):
+        prev = masks[size == s - 1]
+        lacks = (prev[:, None] >> np.arange(k)) & 1 == 0
+        rows, last = np.nonzero(lacks)
+        pred = prev[rows]
+        pred.setflags(write=False)
+        last.setflags(write=False)
+        plan.append((pred, last))
+    return tuple(plan)
+
+
+def held_karp_min_times(jobs, scenarios, include_closing: bool = True) -> np.ndarray:
+    """Minimum sequencing time of the given 1-based job ids in each scenario.
+
+    Same quantity and closing-setup convention as ``brute_min_time``:
+    t(first) + sum of (setup + exec) over the ordering, plus the closing
+    setup to the dummy job when asked.  ``f[S, j]`` is the cheapest
+    ordering of subset S that ends in j, filled by subset size for a chunk
+    of scenarios at a time with numpy.
+    """
+    idx = np.asarray(sorted(jobs), dtype=np.intp)
+    if np.any(idx[1:] == idx[:-1]):
+        raise StructuralError("duplicate job ids")
+    k = len(idx)
+    out = np.zeros(len(scenarios))
+    if k == 0:
+        return out
+    if idx[0] < 1 or any(idx[-1] > sc.n_jobs for sc in scenarios):
+        raise StructuralError("job id outside the scenario")
+    full = (1 << k) - 1
+    plan = _hk_plan(k)
+    chunk = max(1, HK_CHUNK_CELLS // ((full + 1) * k))
+    for lo in range(0, len(scenarios), chunk):
+        part = scenarios[lo:lo + chunk]
+        # two (block, W, k) temporaries per step
+        block = max(1, HK_CHUNK_CELLS // (2 * len(part) * k))
+        # f[S, w, j]; t[j, w]; d_in[j, w, i] = setup from i to j.  The
+        # predecessor axis i is last, so the min reduces contiguous memory.
+        t = np.stack([sc.exec[idx - 1] for sc in part], axis=-1)
+        d_in = np.stack([sc.setup[np.ix_(idx, idx)].T for sc in part], axis=1)
+        f = np.full((full + 1, len(part), k), np.inf)
+        f[1 << np.arange(k), :, np.arange(k)] = t
+        for pred, last in plan:
+            for a in range(0, len(pred), block):
+                p, j = pred[a:a + block], last[a:a + block]
+                g = f[p]
+                g += d_in[j]
+                f[p | (1 << j), :, j] = g.min(axis=2) + t[j]
+        best = f[full]
+        if include_closing:
+            best = best + np.stack([sc.setup[idx, 0] for sc in part])
+        out[lo:lo + len(part)] = best.min(axis=1)
+    return out
 
 
 def brute_iis(jobs_universe, scenario: Scenario, time_limit: float,
@@ -182,9 +261,11 @@ def brute_optimal(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS):
     return cand, float(best_obj)
 
 
-def verify_candidate(inst: Instance, cand: Candidate,
-                     limits: OracleLimits = DEFAULT_LIMITS) -> list[str]:
-    """Independent feasibility check of a candidate; returns violations."""
+def verify_candidate(inst: Instance, cand: Candidate) -> list[str]:
+    """Independent feasibility check of a candidate; returns violations.
+
+    Every (machine, claimed scenario) sequence is timed with the Held-Karp
+    DP, so the check runs at any capacity."""
     problems = []
     x = cand.x
     if x.shape != (inst.n_jobs, inst.n_machines):
@@ -197,12 +278,14 @@ def verify_candidate(inst: Instance, cand: Candidate,
         problems.append(f"capacity exceeded on machines {over.tolist()}")
     if not chance_satisfied(inst, cand.z):
         problems.append("chance constraint violated")
+    active = np.flatnonzero(cand.z)
+    claimed = [inst.scenarios[w] for w in active]
     for m in range(inst.n_machines):
         jobs = cand.machine_jobs(m)
         if len(jobs) == 0:
             continue
-        for w in np.flatnonzero(cand.z):
-            t = brute_min_time(jobs, inst.scenarios[w], True, limits)
+        times = held_karp_min_times(jobs, claimed)
+        for w, t in zip(active, times):
             if t > inst.time_limit + TOL:
                 problems.append(
                     f"machine {m} infeasible in scenario {w}: "

@@ -57,3 +57,21 @@ def regression_set():
 def regression_optima(regression_set):
     """Oracle optimum objective for every regression instance."""
     return [brute_optimal(inst)[1] for inst in regression_set]
+
+
+# B = 10: above the 8-job limit of the permutation oracle.  Solves in one
+# master iteration; the ten longest jobs of scenario 0 overrun T there.
+B10_CONFIG = GenConfig(dataset_kind="ors", n_jobs=20, n_machines=2,
+                       n_scenarios=6, dif=-2.0, seed=1)
+
+
+def overloaded_b10_x(inst):
+    """Machine 0 holds the ten jobs with the longest execution in scenario
+    0, machine 1 the other ten: within capacity, but machine 0 cannot be
+    sequenced within T in scenario 0."""
+    x = np.zeros((inst.n_jobs, inst.n_machines), dtype=np.int8)
+    longest = np.argsort(inst.scenarios[0].exec)[-inst.capacity:]
+    x[:, 1] = 1
+    x[longest, 0] = 1
+    x[longest, 1] = 0
+    return x

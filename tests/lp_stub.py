@@ -1,6 +1,7 @@
 """Tiny stand-in for an external MILP solver, used to exercise the LP-file
 bridge: parses the LP subset the package writes, enumerates all binary
-vectors, and writes the best feasible one as "name value" lines.
+vectors, and writes the best feasible one as "name value" lines under a
+"# status optimal" comment (the enumeration is exhaustive).
 
 Usage: python lp_stub.py MODEL.lp OUT.sol
 """
@@ -84,6 +85,7 @@ def main():
         raise SystemExit("infeasible model")
     with open(sol_path, "w") as fh:
         fh.write(f"# Objective value = {best_val}\n")
+        fh.write("# status optimal\n")  # exhaustive enumeration proves it
         for v, x in best.items():
             fh.write(f"{v} {x}\n")
 

@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from ccpmsp.cli import main, read_runs
+from ccpmsp.cli import EXIT_OK, EXIT_VERIFY, main, read_runs
 from ccpmsp.model import Instance
+from conftest import B10_CONFIG, overloaded_b10_x
 
 
 def run(args):
@@ -119,6 +120,30 @@ def test_verify_catches_tampering(tmp_path, capsys):
     wrong_obj["objective"] = (sol["objective"] or 0) + 1.0
     (tmp_path / "bad_obj.json").write_text(json.dumps(wrong_obj))
     assert run(["verify", inst_path, "--solution", tmp_path / "bad_obj.json"]) == 1
+
+
+def test_verify_at_capacity_ten(tmp_path, capsys):
+    inst_path = tmp_path / "i.json"
+    sol_path = tmp_path / "s.json"
+    c = B10_CONFIG
+    run(gen_args(inst_path, jobs=c.n_jobs, machines=c.n_machines,
+                 scenarios=c.n_scenarios, dif=c.dif, seed=c.seed,
+                 dataset=c.dataset_kind))
+    inst = Instance.load(inst_path)
+    assert inst.capacity == 10
+    assert run(["solve", inst_path, "--budget", 60, "--solution", sol_path]) == 0
+    assert run(["verify", inst_path, "--solution", sol_path]) == EXIT_OK
+
+    sol = json.loads(sol_path.read_text())
+    assert sum(map(sum, sol["x"])) == inst.n_jobs  # objective stays the same
+    sol["x"] = overloaded_b10_x(inst).tolist()
+    sol["z"] = [1] * inst.n_scenarios
+    bad = tmp_path / "overloaded.json"
+    bad.write_text(json.dumps(sol))
+    capsys.readouterr()
+    assert run(["verify", inst_path, "--solution", bad]) == EXIT_VERIFY
+    err = capsys.readouterr().err
+    assert "machine 0 infeasible in scenario 0" in err
 
 
 def test_external_backend_through_cli(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from ccpmsp import decomposition
 from ccpmsp.decomposition import (
     SolveOptions,
     check_candidate,
@@ -12,6 +15,7 @@ from ccpmsp.diagram import JOBSET, LASTJOB, DiagramCache
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import Candidate, Instance, chance_satisfied
 from ccpmsp.oracle import brute_optimal
+from conftest import B10_CONFIG
 
 
 def uniform_instance(uniform_scenario, machines=1, T=5.0, eps=0.4):
@@ -263,6 +267,42 @@ def test_report_counters_consistent(uniform_scenario):
     assert report.resolution_time_per_callback >= 0.0
     # chance constraint of the answer verified
     assert chance_satisfied(inst, cand.z)
+
+
+def test_check_time_excludes_diagram_builds():
+    # a fresh cache builds the k = 10 diagram inside check_candidate; that
+    # time is creation time only, so the two timers add up to at most the
+    # time the call took
+    inst = make_instance(B10_CONFIG)
+    cache = DiagramCache(max_depth=inst.capacity)
+    counters = decomposition._Counters(
+        check_counts=np.zeros((inst.n_machines, inst.n_scenarios), dtype=np.int64)
+    )
+    x = np.zeros((inst.n_jobs, inst.n_machines), dtype=np.int8)
+    x[:10, 0] = x[10:, 1] = 1
+    cand = Candidate(x=x, z=np.ones(inst.n_scenarios, dtype=np.int8))
+    t0 = time.perf_counter()
+    check_candidate(inst, cand, cache, JOBSET, counters)
+    elapsed = time.perf_counter() - t0
+    assert cache.build_time > 0.0
+    assert 0.0 <= counters.resolution_time
+    assert counters.resolution_time + cache.build_time <= elapsed
+
+
+def test_solve_verifies_above_brute_force_capacity(monkeypatch):
+    calls = []
+    original = decomposition.verify_candidate
+
+    def counting(inst, cand):
+        calls.append(inst.capacity)
+        return original(inst, cand)
+
+    monkeypatch.setattr(decomposition, "verify_candidate", counting)
+    inst = make_instance(B10_CONFIG)
+    cand, report = solve_ccpmsp(inst, SolveOptions(time_budget=60))
+    assert report.optimal and cand is not None
+    assert calls == [10]
+    assert report.verify_time > 0.0
 
 
 def test_parallel_checks_match_serial(regression_set):

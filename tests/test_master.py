@@ -16,6 +16,7 @@ from ccpmsp.master import (
     solve_master,
     write_lp,
 )
+from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
 from ccpmsp.model import Cut, Instance
 from ccpmsp.oracle import brute_optimal
 
@@ -244,6 +245,28 @@ def test_external_backend_interchangeable_with_builtin():
         got = backend.solve(model)
         ref = solve_master(model)
         assert got.objective == pytest.approx(ref.objective, abs=1e-6)
+
+
+def test_external_backend_without_status_line_is_only_feasible(tmp_path):
+    # same stub, minus the "# status optimal" line: nothing proves optimality
+    script = tmp_path / "unproven.py"
+    script.write_text(
+        "import subprocess, sys\n"
+        f"subprocess.run([sys.executable, {STUB!r}, *sys.argv[1:]], check=True)\n"
+        "lines = open(sys.argv[2]).readlines()\n"
+        "with open(sys.argv[2], 'w') as fh:\n"
+        "    fh.writelines(l for l in lines if l.strip() != '# status optimal')\n"
+    )
+    cmd = f"{sys.executable} {script}"
+    inst = small_instance(n_jobs=4, n_machines=2, n_scenarios=3, seed=1,
+                          capacity=2, dif=-2.0)
+    sol = ExternalBackend(cmd).solve(build_master(inst))
+    assert sol.status == master.FEASIBLE and sol.bound is None
+    _, report = solve_ccpmsp(
+        inst, SolveOptions(backend="external", external_cmd=cmd, time_budget=120)
+    )
+    assert report.status == "feasible"
+    assert report.gap == float("inf") and not report.optimal
 
 
 def test_external_backend_error_paths(tmp_path):

@@ -1,16 +1,30 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ccpmsp import oracle
 from ccpmsp.instances import GenConfig, make_instance
-from ccpmsp.model import LimitExceeded, candidate_objective, chance_satisfied
+from ccpmsp.model import (
+    Candidate,
+    LimitExceeded,
+    Scenario,
+    StructuralError,
+    candidate_objective,
+    chance_satisfied,
+)
 from ccpmsp.oracle import (
     OracleLimits,
     brute_iis,
     brute_min_time,
     brute_optimal,
+    held_karp_min_times,
     verify_candidate,
 )
-from conftest import random_scenario
+from conftest import B10_CONFIG, overloaded_b10_x, random_scenario
 
 
 def test_min_time_worked_example(uniform_scenario):
@@ -119,3 +133,74 @@ def test_verify_reports_specific_violations(uniform_scenario):
     )
     assert any("several machines" in p for p in problems)
     assert any("chance constraint" in p for p in problems)
+
+
+@st.composite
+def sequencing_case(draw):
+    """2-3 random scenarios over n <= 9 jobs, with asymmetric setup times so
+    that the direction of every setup matters, and a subset of at most 8 of
+    the jobs (possibly empty)."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scenarios = []
+    for _ in range(draw(st.integers(2, 3))):
+        sym = random_scenario(rng, n)
+        setup = sym.setup + rng.uniform(0.0, 2.0, size=sym.setup.shape)
+        np.fill_diagonal(setup, 0.0)
+        scenarios.append(Scenario(exec=sym.exec, setup=setup))
+    jobs = draw(st.lists(st.integers(1, n), unique=True, max_size=min(n, 8)))
+    return jobs, scenarios
+
+
+@settings(max_examples=60, deadline=None)
+@given(sequencing_case(), st.booleans())
+def test_held_karp_matches_brute_force(case, include_closing):
+    jobs, scenarios = case
+    got = held_karp_min_times(jobs, scenarios, include_closing)
+    want = [brute_min_time(jobs, sc, include_closing) for sc in scenarios]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def test_held_karp_worked_example_and_edges(uniform_scenario):
+    assert held_karp_min_times([1, 2, 3], [uniform_scenario]).tolist() == [14.0]
+    assert held_karp_min_times([3, 1], [uniform_scenario], False).tolist() == [6.0]
+    assert held_karp_min_times([], [uniform_scenario] * 2).tolist() == [0.0, 0.0]
+    assert held_karp_min_times([1, 2], []).shape == (0,)
+    for bad in ([1, 1], [0, 2], [4]):
+        with pytest.raises(StructuralError):
+            held_karp_min_times(bad, [uniform_scenario])
+
+
+def test_held_karp_scenario_chunks_agree():
+    # at k = 10, 30 scenarios span several chunks and the middle layers
+    # several blocks; each scenario's result must not depend on its chunk
+    rng = np.random.default_rng(7)
+    scenarios = [random_scenario(rng, 11) for _ in range(30)]
+    jobs = list(range(2, 12))
+    per_chunk = oracle.HK_CHUNK_CELLS // ((1 << 10) * 10)
+    assert 1 < per_chunk < len(scenarios)
+    widest_layer = max(len(pred) for pred, _ in oracle._hk_plan(10))
+    assert oracle.HK_CHUNK_CELLS // (2 * per_chunk * 10) < widest_layer
+    together = held_karp_min_times(jobs, scenarios)
+    alone = [held_karp_min_times(jobs, [sc])[0] for sc in scenarios]
+    assert together.tolist() == alone
+
+
+def test_held_karp_shares_no_code_with_the_diagrams():
+    tree = ast.parse(inspect.getsource(oracle))
+    package_imports = {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+    }
+    assert package_imports == {"model"}
+    assert "ccpmsp" not in inspect.getsource(oracle)
+
+
+def test_verify_reports_sequencing_violation_at_b10():
+    inst = make_instance(B10_CONFIG)
+    assert inst.capacity == 10
+    cand = Candidate(x=overloaded_b10_x(inst),
+                     z=np.ones(inst.n_scenarios, dtype=np.int8))
+    problems = verify_candidate(inst, cand)
+    assert any(p.startswith("machine 0 infeasible in scenario 0") for p in problems)
+    assert all("infeasible in scenario" in p for p in problems)
