@@ -31,7 +31,8 @@ from .oracle import verify_candidate
 CSV_VERSION = "# ccpmsp-csv v1"
 SOLVE_COLUMNS = (
     "model,cut,total_time,gap,optimal,n_callbacks,n_cuts,"
-    "resol_time,resol_time_per_cb,create_cut_time,create_sp_time"
+    "resol_time,resol_time_per_cb,create_cut_time,create_sp_time,"
+    "master_time,verify_time,status"
 )
 BENCH_COLUMNS = "instance,dataset,jobs,machines,scenarios," + SOLVE_COLUMNS
 
@@ -67,6 +68,9 @@ def solve_row(model_name: str, cut: str, report) -> str:
             f"{report.resolution_time_per_callback:.4f}",
             f"{report.cut_creation_time:.3f}",
             f"{report.subproblem_creation_time:.3f}",
+            f"{report.master_time:.3f}",
+            f"{report.verify_time:.3f}",
+            report.status,
         ]
     )
 
@@ -89,7 +93,6 @@ def _solve_options(args) -> SolveOptions:
         external_cmd=external_cmd,
         mode=args.mode,
         benders_flavor=args.benders_flavor,
-        workers=args.parallel_checks,
     )
 
 
@@ -106,7 +109,6 @@ def _add_solve_flags(sp) -> None:
     sp.add_argument("--benders-flavor", default="mdd", choices=["mdd", "bdd"])
     sp.add_argument("--no-symmetry", action="store_true")
     sp.add_argument("--no-scenario-relaxation", action="store_true")
-    sp.add_argument("--parallel-checks", type=int, default=1)
 
 
 def cmd_generate(args) -> int:
@@ -196,16 +198,14 @@ def _bench_one(task) -> tuple[str, str]:
         f"{name},{inst.dataset_kind},{inst.n_jobs},"
         f"{inst.n_machines},{inst.n_scenarios}"
     )
-    opts = SolveOptions(
-        variant=variant, cut_kind=cut, time_budget=budget, mode=mode, workers=1,
-    )
+    opts = SolveOptions(variant=variant, cut_kind=cut, time_budget=budget, mode=mode)
     try:
         _, report = solve_ccpmsp(inst, opts)
         return f"{prefix},{solve_row(variant, cut, report)}", ""
     except Exception as exc:  # record the failure, keep the batch going
         row = (
             f"{prefix},{variant},{cut},0.000,inf,0,0,0,"
-            f"0.000,0.0000,0.000,0.000"
+            f"0.000,0.0000,0.000,0.000,0.000,0.000,error"
         )
         return row, f"{name} {variant}/{cut}: {exc}"
 

@@ -12,7 +12,6 @@ finish with the same objective.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -57,7 +56,6 @@ class SolveOptions:
     mode: str = "iterative"  # or "callback"
     benders_flavor: str = "mdd"  # "bdd" | "mdd"
     benders_strategy: int = 1  # 0 = basic cut, 1 = layer-strengthened
-    workers: int = 1
     verify_with_oracle: bool = True
 
     def check(self, inst: Instance) -> None:
@@ -87,6 +85,7 @@ class SolveReport:
     cut_creation_time: float = 0.0
     subproblem_creation_time: float = 0.0
     wall_time: float = 0.0
+    master_time: float = 0.0  # inside solve_master, callback hook time excluded
     verify_time: float = 0.0  # post-solve oracle check, after wall_time stops
     check_counts: Optional[np.ndarray] = None  # (n_machines, n_scenarios)
     cuts: Optional[list] = None  # final pool (diagnostics)
@@ -97,6 +96,7 @@ class _Counters:
     n_callbacks: int = 0
     resolution_time: float = 0.0
     cut_time: float = 0.0
+    master_time: float = 0.0
     check_counts: np.ndarray = None
 
 
@@ -133,6 +133,7 @@ def collect_report(objective, bound, status, counters: _Counters,
         cut_creation_time=counters.cut_time,
         subproblem_creation_time=cache.build_time + netflow_build_time,
         wall_time=wall_time,
+        master_time=counters.master_time,
         check_counts=counters.check_counts,
     )
 
@@ -144,8 +145,8 @@ def _min_time(variant: str, diag, t, d) -> float:
 
 
 def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
-                    variant: str, counters: Optional[_Counters] = None,
-                    workers: int = 1) -> list[tuple[int, int, tuple]]:
+                    variant: str, counters: Optional[_Counters] = None
+                    ) -> list[tuple[int, int, tuple]]:
     """Sequencing check of every (machine, scenario) the candidate claims.
 
     Only scenarios with z = 1 are checked (cuts bind through z); machines
@@ -156,7 +157,7 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
     t0 = time.perf_counter()
     build0 = cache.build_time
     active = np.flatnonzero(cand.z)
-    tasks = []
+    failures = []
     for m in range(inst.n_machines):
         jobs = cand.machine_jobs(m)
         if len(jobs) == 0:
@@ -168,25 +169,11 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
         diag = cache.get_or_build(variant, len(jobs))
         remap = canonical_remap(jobs)
         for w in active:
-            tasks.append((m, int(w), jobs, diag, remap))
-
-    def run(task):
-        m, w, jobs, diag, remap = task
-        t, d = sub_times(inst.scenarios[w], remap)
-        return m, w, jobs, _min_time(variant, diag, t, d)
-
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(task) for task in tasks]
-
-    failures = []
-    for m, w, jobs, mt in results:
-        if counters is not None:
-            counters.check_counts[m, w] += 1
-        if mt > inst.time_limit + TOL:
-            failures.append((m, w, tuple(int(j) for j in jobs)))
+            t, d = sub_times(inst.scenarios[w], remap)
+            if counters is not None:
+                counters.check_counts[m, w] += 1
+            if _min_time(variant, diag, t, d) > inst.time_limit + TOL:
+                failures.append((m, int(w), tuple(int(j) for j in jobs)))
     failures.sort(key=lambda f: (f[1], f[0], f[2]))
     if counters is not None:
         counters.resolution_time += (
@@ -284,12 +271,10 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
 
     if opts.mode == "callback" and backend.supports_callback:
 
-        def hook(x, z):
+        def check_and_cut(x, z):
             counters.n_callbacks += 1
             cand = Candidate(x=x, z=z)
-            failures = check_candidate(
-                inst, cand, cache, opts.variant, counters, opts.workers
-            )
+            failures = check_candidate(inst, cand, cache, opts.variant, counters)
             if not failures:
                 return []
             cuts = emit_cuts(
@@ -303,7 +288,17 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
                 fresh = append_cuts(emit_cuts(failures, NOGOOD, inst, cache))
             return fresh
 
+        def hook(x, z):
+            # the hook runs inside solve_master; its time is not master time
+            t0 = time.perf_counter()
+            try:
+                return check_and_cut(x, z)
+            finally:
+                counters.master_time -= time.perf_counter() - t0
+
+        t0 = time.perf_counter()
         sol = solve_master(model, backend, time_budget=remaining(), hook=hook)
+        counters.master_time += time.perf_counter() - t0
         wall = time.perf_counter() - start
         status = sol.status
         objective = sol.objective
@@ -314,8 +309,12 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         bound = None
         cand = None
         status = LIMIT
+        upper_bound = None
         while True:
-            sol = solve_master(model, backend, time_budget=remaining())
+            t0 = time.perf_counter()
+            sol = solve_master(model, backend, time_budget=remaining(),
+                               upper_bound=upper_bound)
+            counters.master_time += time.perf_counter() - t0
             counters.n_callbacks += 1
             if sol.x is None:
                 status = sol.status
@@ -323,13 +322,16 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
                 break
             bound = sol.bound
             failures = check_candidate(
-                inst, sol.candidate, cache, opts.variant, counters, opts.workers
+                inst, sol.candidate, cache, opts.variant, counters
             )
             if not failures:
                 cand = sol.candidate
                 objective = sol.objective
                 status = sol.status
                 break
+            if sol.status == OPTIMAL:
+                # cuts only ever add rows, so this optimum bounds every later one
+                upper_bound = sol.objective
             cuts = emit_cuts(
                 failures, opts.cut_kind, inst, cache, opts, sol.candidate,
                 counters, flow_ctx,

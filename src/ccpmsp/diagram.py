@@ -9,7 +9,6 @@ per-call time arrays obtained through ``canonical_remap``/``sub_times``.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +22,8 @@ JOBSET = "jobset"
 
 @dataclass
 class Diagram:
-    """Immutable after construction; evaluate concurrently at will.
+    """Immutable after construction, so one diagram serves every (machine,
+    scenario, job set) of its size.
 
     Node 0 is the root, node ``terminal`` the single terminal.  Arc arrays
     are parallel and grouped by the tail's layer (``layer_arc_ranges``), so a
@@ -259,12 +259,11 @@ def min_completion_time(diag: Diagram, arc_costs: np.ndarray) -> float:
 
 class DiagramCache:
     """Get-or-build cache keyed by (variant, depth); at most ``max_depth``
-    diagrams per variant ever exist.  Builds are serialized by a lock."""
+    diagrams per variant ever exist."""
 
     def __init__(self, max_depth: int):
         self.max_depth = max_depth
         self._store: dict[tuple[str, int], Diagram] = {}
-        self._lock = threading.Lock()
         self.build_time = 0.0
 
     def get_or_build(self, variant: str, k: int) -> Diagram:
@@ -273,15 +272,14 @@ class DiagramCache:
                 f"requested depth {k} exceeds cache capacity {self.max_depth}"
             )
         key = (variant, k)
-        with self._lock:
-            diag = self._store.get(key)
-            if diag is None:
-                t0 = time.perf_counter()
-                spec = LastJobSpec(k) if variant == LASTJOB else JobSetSpec(k)
-                diag = build_top_down(spec, k)
-                self.build_time += time.perf_counter() - t0
-                self._store[key] = diag
-            return diag
+        diag = self._store.get(key)
+        if diag is None:
+            t0 = time.perf_counter()
+            spec = LastJobSpec(k) if variant == LASTJOB else JobSetSpec(k)
+            diag = build_top_down(spec, k)
+            self.build_time += time.perf_counter() - t0
+            self._store[key] = diag
+        return diag
 
     def __len__(self) -> int:
         return len(self._store)

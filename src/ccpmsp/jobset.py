@@ -64,8 +64,8 @@ def _propagate(diag, memo, t, d, li, a_in, a_out, rows=None):
 def arc_costs(diag: Diagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Cumulative per-arc costs, one batched sweep per layer.
 
-    The scratch buffer is allocated per call, so concurrent evaluations of
-    the same diagram never share state.
+    The scratch buffer is allocated per call, so evaluations of the same
+    diagram never share state.
     """
     if diag.variant != "jobset":
         raise StructuralError("job-set costs requested for a different variant")

@@ -35,6 +35,12 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 LIMIT = "limit"
 
+# Entries of the built-in search's job-set -> failed-scenarios memo before it
+# is emptied.  Instances of 12-22 jobs stay below 1000 entries, but a minute
+# on 30 jobs visits about 500k distinct job sets: unbounded, the memo then
+# held about 130 MB; at this size peak RSS stays below 50 MB.
+FAIL_MEMO_MAX = 1 << 15
+
 
 class BackendError(RuntimeError):
     """External or internal backend failure, with diagnostics attached."""
@@ -235,64 +241,96 @@ def write_lp(model: MasterModel, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _BoundReached(Exception):
+    """Unwinds the search once an incumbent reaches the known upper bound."""
+
+
 class BuiltinBackend:
     """Depth-first search over job-to-machine assignments.
 
     Jobs are branched in index order, machines tried in index order before
     "unassigned", which realizes (job, machine)-lexicographic branching of
     the x variables.  Pruning uses the utility bound (largest remaining
-    utilities that fit the residual capacity) and chance propagation: pool
-    cuts and relaxation rows monotonically force scenario flags to zero as
-    assignments grow, so a partial assignment whose surviving probability
-    mass already misses 1 - epsilon is abandoned.  z is assigned greedily
-    maximal at each leaf, which is optimal since z carries no objective.
+    utilities that fit the residual capacity) and chance propagation: each
+    machine holds its job set as an integer bitmask together with the
+    bitmask of scenarios that pool cuts and relaxation rows force to zero on
+    it, so a partial assignment whose surviving probability mass already
+    misses 1 - epsilon is abandoned.  z is assigned greedily maximal at each
+    leaf, which is optimal since z carries no objective.
+
+    ``upper_bound``, when given, must bound this model's optimum from above,
+    as the optimum of an earlier solve with a subset of its rows does.  The
+    search then stops at the first incumbent that reaches it.  An incumbent
+    is only ever replaced by a strictly better one, so this is the candidate
+    the full search would return.
     """
 
     supports_callback = True
     name = "builtin"
 
     def solve(self, model: MasterModel, time_budget: Optional[float] = None,
-              hook: Optional[Callable] = None) -> BackendSolution:
+              hook: Optional[Callable] = None,
+              upper_bound: Optional[float] = None) -> BackendSolution:
         inst = model.inst
         n, M, B = inst.n_jobs, inst.n_machines, inst.capacity
         n_sc = inst.n_scenarios
-        f = inst.utilities
+        f = inst.utilities.tolist()
         p = inst.scenario_prob
         need = 1.0 - inst.epsilon - 1e-12
         T = inst.time_limit
         deadline = None if time_budget is None else time.monotonic() + time_budget
+        stop_at = None if upper_bound is None else upper_bound - TOL
 
         # suffix utility prefix-sums: top_suffix[j][r] = sum of r largest of f[j:]
         top_suffix = []
         for j in range(n + 1):
-            tail = np.sort(f[j:])[::-1]
-            top_suffix.append(np.concatenate(([0.0], np.cumsum(tail))))
+            tail = np.sort(inst.utilities[j:])[::-1]
+            top_suffix.append(np.concatenate(([0.0], np.cumsum(tail))).tolist())
 
-        mask_cuts = []  # (jobmask, scenario)
         benders_cuts = []  # (scenario, const, coefs)
+        cuts_by_job: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for cut in model.cuts:
             if cut.kind == BENDERS:
                 const, coefs = cut.benders_payload
                 benders_cuts.append((cut.scenario, const, np.asarray(coefs, float)))
             else:
-                mask_cuts.append((cut.job_mask(), cut.scenario))
-        cuts_by_job = [[] for _ in range(n)]
-        for ci, (mask, _) in enumerate(mask_cuts):
-            for j in range(n):
-                if mask >> j & 1:
-                    cuts_by_job[j].append(ci)
+                mask = cut.job_mask()
+                for j in range(n):
+                    if mask >> j & 1:
+                        cuts_by_job[j].append((mask, 1 << cut.scenario))
 
-        relax = model.relax_coef if model.scenario_relaxation else None
+        # one row of optimistic loads per job, so a machine's load is the
+        # sum of its jobs' rows in index order
+        relax = (np.ascontiguousarray(model.relax_coef.T)
+                 if model.scenario_relaxation else None)
+        # job-set mask -> bitmask of the scenarios that set forces to zero;
+        # local to this call, so it is freed on return
+        fail_memo: dict[int, int] = {}
 
-        assign = np.full(n, -1, dtype=np.int64)
+        def jobs_of(mask: int) -> list[int]:
+            return [i for i in range(n) if mask >> i & 1]
+
+        def fail_of(mask: int, j: int, parent: int) -> int:
+            """Forced scenarios of ``mask``, the set whose forced scenarios
+            are ``parent`` plus its highest job j.  A scenario stays forced
+            once forced, as both row families only tighten when jobs join."""
+            bits = parent
+            if relax is not None:
+                over = relax[jobs_of(mask)].sum(axis=0) > T + TOL
+                bits |= int.from_bytes(
+                    np.packbits(over, bitorder="little").tobytes(), "little"
+                )
+            for cmask, wbit in cuts_by_job[j]:
+                if cmask & mask == cmask:
+                    bits |= wbit
+            if len(fail_memo) >= FAIL_MEMO_MAX:
+                fail_memo.clear()
+            fail_memo[mask] = bits
+            return bits
+
+        assign = [-1] * n
         mach_mask = [0] * M
-        mach_count = [0] * M
-        mach_jobs: list[list[int]] = [[] for _ in range(M)]
-        mach_load = np.zeros((M, n_sc))
-        relax_hit = np.zeros((M, n_sc), dtype=bool)
-        cut_hit = np.zeros((max(len(mask_cuts), 1), M), dtype=bool)
-        forced = np.zeros(n_sc, dtype=np.int32)
-        n_ok = n_sc
+        mach_fail = [0] * M
 
         pending: list[tuple[int, int]] = []  # callback-added (jobmask, scenario)
         pending_benders: list[tuple[int, float, np.ndarray]] = []
@@ -300,79 +338,36 @@ class BuiltinBackend:
         best_obj = -np.inf
         best_x = None
         best_z = None
-        state = {"limit": False, "open_bound": -np.inf, "ticks": 0, "n_hook": 0}
+        limit = False
+        open_bound = -np.inf
+        ticks = 0
+        n_hook = 0
 
         def out_of_time() -> bool:
+            nonlocal ticks, limit
             if deadline is None:
                 return False
-            state["ticks"] += 1
-            if state["ticks"] % 64 == 0 and time.monotonic() > deadline:
-                state["limit"] = True
-            return state["limit"]
+            ticks += 1
+            if ticks % 64 == 0 and time.monotonic() > deadline:
+                limit = True
+            return limit
 
-        def bump(w: int, trail: list) -> None:
-            nonlocal n_ok
-            forced[w] += 1
-            if forced[w] == 1:
-                n_ok -= 1
-            trail.append(w)
+        def note_open(j: int, util: float, used: int) -> None:
+            nonlocal open_bound
+            bound = util + top_suffix[j][min(M * B - used, n - j)]
+            open_bound = max(open_bound, bound)
 
-        def do_assign(j: int, m: int) -> list:
-            nonlocal n_ok
-            trail: list = []
-            bit = 1 << j
-            assign[j] = m
-            mach_mask[m] |= bit
-            mach_count[m] += 1
-            mach_jobs[m].append(j)
-            if relax is not None:
-                mach_load[m] += relax[:, j]
-                newly = (mach_load[m] > T + TOL) & ~relax_hit[m]
-                for w in np.flatnonzero(newly):
-                    relax_hit[m, w] = True
-                    bump(int(w), trail)
-                    trail.append(("relax", m, int(w)))
-            for ci in cuts_by_job[j]:
-                mask, w = mask_cuts[ci]
-                if not cut_hit[ci, m] and mask & mach_mask[m] == mask:
-                    cut_hit[ci, m] = True
-                    bump(w, trail)
-                    trail.append(("cut", ci, m))
-            return trail
-
-        def undo_assign(j: int, m: int, trail: list) -> None:
-            nonlocal n_ok
-            for item in reversed(trail):
-                if isinstance(item, tuple):
-                    if item[0] == "relax":
-                        relax_hit[item[1], item[2]] = False
-                    else:
-                        cut_hit[item[1], item[2]] = False
-                else:
-                    forced[item] -= 1
-                    if forced[item] == 0:
-                        n_ok += 1
-            bit = 1 << j
-            assign[j] = -1
-            mach_mask[m] &= ~bit
-            mach_count[m] -= 1
-            mach_jobs[m].pop()
-            if relax is not None:
-                mach_load[m] -= relax[:, j]
-
-        def leaf_z() -> np.ndarray:
-            z = forced == 0
-            if benders_cuts or pending_benders or pending:
-                z = z.copy()
-                for w, const, coefs in benders_cuts + pending_benders:
-                    if z[w]:
-                        for m in range(M):
-                            if mach_jobs[m] and const + coefs[mach_jobs[m]].sum() > T + TOL:
-                                z[w] = False
-                                break
-                for mask, w in pending:
-                    if z[w] and any(mask & mk == mask for mk in mach_mask):
-                        z[w] = False
+        def leaf_z(failed: int) -> np.ndarray:
+            z = np.array([not failed >> w & 1 for w in range(n_sc)])
+            for w, const, coefs in benders_cuts + pending_benders:
+                if z[w]:
+                    for mk in mach_mask:
+                        if mk and const + coefs[jobs_of(mk)].sum() > T + TOL:
+                            z[w] = False
+                            break
+            for mask, w in pending:
+                if z[w] and any(mask & mk == mask for mk in mach_mask):
+                    z[w] = False
             return z
 
         def current_x() -> np.ndarray:
@@ -382,16 +377,16 @@ class BuiltinBackend:
                     x[j, assign[j]] = 1
             return x
 
-        def handle_leaf(util: float) -> None:
-            nonlocal best_obj, best_x, best_z
-            z = leaf_z()
+        def handle_leaf(util: float, failed: int) -> None:
+            nonlocal best_obj, best_x, best_z, n_hook
+            z = leaf_z(failed)
             if z.sum() * p < need:
                 return
             if hook is not None:
                 x = current_x()
                 verified = False
                 for _ in range(n_sc + 2):
-                    state["n_hook"] += 1
+                    n_hook += 1
                     new_cuts = hook(x, z.astype(np.int8))
                     if not new_cuts:
                         verified = True
@@ -404,7 +399,7 @@ class BuiltinBackend:
                             )
                         else:
                             pending.append((cut.job_mask(), cut.scenario))
-                    z = leaf_z()
+                    z = leaf_z(failed)
                     # a returned cut's scenario is a failing one for this x,
                     # so its flag must drop here even if the cut row itself
                     # does not bind at this candidate; z shrinks every round
@@ -418,50 +413,55 @@ class BuiltinBackend:
                 best_obj = util
                 best_x = current_x()
                 best_z = z.astype(np.int8)
+                if stop_at is not None and util >= stop_at:
+                    raise _BoundReached
 
-        def dfs(j: int, util: float) -> None:
+        def dfs(j: int, util: float, used: int, failed: int) -> None:
             if out_of_time():
-                bound = util + top_suffix[j][min(
-                    sum(B - c for c in mach_count), n - j)]
-                state["open_bound"] = max(state["open_bound"], bound)
+                note_open(j, util, used)
                 return
-            if n_ok * p < need:
+            if (n_sc - failed.bit_count()) * p < need:
                 return
-            slots = sum(B - c for c in mach_count)
-            bound = util + top_suffix[j][min(slots, n - j)]
-            if bound <= best_obj + TOL:
+            if util + top_suffix[j][min(M * B - used, n - j)] <= best_obj + TOL:
                 return
             if j == n:
-                handle_leaf(util)
+                handle_leaf(util, failed)
                 return
-            limit_m = min(j + 1, M) if model.symmetry else M
-            for m in range(limit_m):
-                if mach_count[m] >= B:
+            bit = 1 << j
+            for m in range(min(j + 1, M) if model.symmetry else M):
+                mask = mach_mask[m]
+                if mask.bit_count() >= B:
                     continue
-                if model.symmetry and m > 0 and mach_count[m - 1] == 0:
+                if model.symmetry and m > 0 and not mach_mask[m - 1]:
                     continue
-                trail = do_assign(j, m)
-                dfs(j + 1, util + f[j])
-                undo_assign(j, m, trail)
-                if state["limit"]:
-                    bound = util + top_suffix[j][min(
-                        sum(B - c for c in mach_count), n - j)]
-                    state["open_bound"] = max(state["open_bound"], bound)
+                old = mach_fail[m]
+                grown = mask | bit
+                new = fail_memo.get(grown)
+                if new is None:
+                    new = fail_of(grown, j, old)
+                assign[j] = m
+                mach_mask[m], mach_fail[m] = grown, new
+                dfs(j + 1, util + f[j], used + 1, failed | new)
+                mach_mask[m], mach_fail[m] = mask, old
+                assign[j] = -1
+                if limit:
+                    note_open(j, util, used)
                     return
-            dfs(j + 1, util)
+            dfs(j + 1, util, used, failed)
 
-        dfs(0, 0.0)
+        try:
+            dfs(0, 0.0, 0, 0)
+        except _BoundReached:
+            pass
 
-        n_hook = state["n_hook"]
         if best_x is None:
-            if state["limit"]:
+            if limit:
                 return BackendSolution(
-                    status=LIMIT, bound=max(state["open_bound"], 0.0),
-                    n_hook_calls=n_hook,
+                    status=LIMIT, bound=max(open_bound, 0.0), n_hook_calls=n_hook,
                 )
             return BackendSolution(status=INFEASIBLE, n_hook_calls=n_hook)
-        status = LIMIT if state["limit"] else OPTIMAL
-        bound = best_obj if status == OPTIMAL else max(state["open_bound"], best_obj)
+        status = LIMIT if limit else OPTIMAL
+        bound = best_obj if status == OPTIMAL else max(open_bound, best_obj)
         return BackendSolution(
             status=status, x=best_x, z=best_z, objective=float(best_obj),
             bound=float(bound), n_hook_calls=n_hook,
@@ -492,7 +492,9 @@ class ExternalBackend:
         self.cmd = cmd
 
     def solve(self, model: MasterModel, time_budget: Optional[float] = None,
-              hook: Optional[Callable] = None) -> BackendSolution:
+              hook: Optional[Callable] = None,
+              upper_bound: Optional[float] = None) -> BackendSolution:
+        """Solve the whole model; ``upper_bound`` is accepted and unused."""
         if hook is not None:
             raise BackendError("external backend does not support lazy-cut callbacks")
         inst = model.inst
@@ -552,9 +554,12 @@ class ExternalBackend:
 
 def solve_master(model: MasterModel, backend=None,
                  time_budget: Optional[float] = None,
-                 hook: Optional[Callable] = None) -> BackendSolution:
+                 hook: Optional[Callable] = None,
+                 upper_bound: Optional[float] = None) -> BackendSolution:
     """Solve the master to proven optimality (or budget) with the given
-    backend; defaults to the built-in branch and bound."""
+    backend; defaults to the built-in branch and bound.  ``upper_bound`` is
+    a known upper bound on the optimum, which a backend may stop at."""
     if backend is None:
         backend = BuiltinBackend()
-    return backend.solve(model, time_budget=time_budget, hook=hook)
+    return backend.solve(model, time_budget=time_budget, hook=hook,
+                         upper_bound=upper_bound)

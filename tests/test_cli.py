@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from ccpmsp import cli
 from ccpmsp.cli import EXIT_OK, EXIT_VERIFY, main, read_runs
 from ccpmsp.model import Instance
 from conftest import B10_CONFIG, overloaded_b10_x
@@ -213,6 +214,34 @@ def test_bench_records_failures_and_continues(tmp_path, capsys):
     assert by_name["small"]["optimal"] == "1"
 
 
+def test_bench_status_tells_errors_from_limits(tmp_path, monkeypatch):
+    hard = tmp_path / "hard.json"
+    run(gen_args(hard, jobs=12, machines=3, scenarios=10, dif=-6.0,
+                 dataset="vrp", seed=13))
+    small = tmp_path / "small.json"
+    run(gen_args(small, dataset="equal", seed=9))
+    out = tmp_path / "runs.csv"
+
+    def bench(path, budget):
+        assert run(["bench", path, "--variants", "js", "--cuts", "iis",
+                    "--budget", budget, "--out", out]) == 0
+        (row,) = read_runs(out)
+        return row
+
+    row = bench(small, 60)
+    assert row["status"] == "optimal"
+    assert 0.0 <= float(row["master_time"]) <= float(row["total_time"])
+    assert float(row["verify_time"]) >= 0.0
+    assert bench(hard, 0)["status"] == "limit"
+
+    def crash(inst, opts):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(cli, "solve_ccpmsp", crash)
+    row = bench(small, 60)
+    assert row["status"] == "error" and row["gap"] == "inf"
+
+
 def test_bench_parallel_matches_serial(tmp_path):
     paths = []
     for i in range(2):
@@ -225,7 +254,7 @@ def test_bench_parallel_matches_serial(tmp_path):
     assert run(["bench", *paths, "--variants", "js", "--cuts", "iis",
                 "--budget", 60, "--parallel", 2, "--out", parallel]) == 0
     drop = {"total_time", "resol_time", "resol_time_per_cb",
-            "create_cut_time", "create_sp_time"}
+            "create_cut_time", "create_sp_time", "master_time", "verify_time"}
     a = [{k: v for k, v in r.items() if k not in drop} for r in read_runs(serial)]
     b = [{k: v for k, v in r.items() if k not in drop} for r in read_runs(parallel)]
     assert a == b

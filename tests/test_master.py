@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccpmsp import master
 from ccpmsp.instances import GenConfig, make_instance
@@ -16,8 +18,9 @@ from ccpmsp.master import (
     solve_master,
     write_lp,
 )
-from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
-from ccpmsp.model import Cut, Instance
+from ccpmsp.decomposition import SolveOptions, check_candidate, emit_cuts, solve_ccpmsp
+from ccpmsp.diagram import JOBSET, DiagramCache
+from ccpmsp.model import BENDERS, IIS, NOGOOD, Cut, Instance
 from ccpmsp.oracle import brute_optimal
 
 STUB = os.path.join(os.path.dirname(__file__), "lp_stub.py")
@@ -276,3 +279,127 @@ def test_external_backend_error_paths(tmp_path):
         ExternalBackend("false").solve(model)
     with pytest.raises(master.BackendError):
         ExternalBackend(f"{sys.executable} -c pass").solve(model)
+
+
+@st.composite
+def tiny_master(draw):
+    """A random model small enough for the stub to enumerate every binary
+    vector (n * M + S <= 11), with a random NOGOOD/IIS/Benders pool."""
+    machines = draw(st.integers(1, 3))
+    n = draw(st.integers(2, (10 - 1) // machines))
+    n_sc = draw(st.integers(1, 11 - n * machines))
+    inst = make_instance(GenConfig(
+        dataset_kind=draw(st.sampled_from(["ors", "vrp", "equal"])),
+        n_jobs=n, n_machines=machines, n_scenarios=n_sc,
+        dif=draw(st.sampled_from([-4.0, -2.0, 0.0, 2.0])),
+        seed=draw(st.integers(0, 10**6)), capacity=draw(st.integers(1, n)),
+        epsilon=draw(st.sampled_from([0.05, 0.3, 0.5])),
+    ))
+    model = build_master(inst, symmetry=draw(st.booleans()),
+                         scenario_relaxation=draw(st.booleans()))
+    jobs = st.frozensets(st.integers(1, n), min_size=1)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from([NOGOOD, IIS, BENDERS]))
+        w = draw(st.integers(0, n_sc - 1))
+        payload = None
+        if kind == BENDERS:
+            # const <= T and coefficients <= M / B keep the row slack at z = 0
+            unit = st.floats(0.0, 1.0)
+            payload = (
+                draw(unit) * inst.time_limit,
+                np.array([draw(unit) for _ in range(n)])
+                * inst.big_m_max / inst.capacity,
+            )
+        model.cuts.append(Cut(job_set=draw(jobs), scenario=w, kind=kind,
+                              benders_payload=payload))
+    return model
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_master())
+def test_builtin_reaches_exhaustive_optimum(model):
+    ref = ExternalBackend(f"{sys.executable} {STUB}").solve(model)
+    got = BuiltinBackend().solve(model)
+    assert got.status == master.OPTIMAL
+    assert got.objective == pytest.approx(ref.objective, abs=1e-6)
+    assert check_rows(model, got.x, got.z) == []
+    # the cut-free model is a relaxation, so its optimum bounds this one;
+    # stopping there must return exactly what the full search returns
+    relaxed = build_master(model.inst, symmetry=model.symmetry,
+                           scenario_relaxation=model.scenario_relaxation)
+    bound = BuiltinBackend().solve(relaxed).objective
+    early = BuiltinBackend().solve(model, upper_bound=bound)
+    assert early.status == got.status and early.objective == got.objective
+    assert np.array_equal(early.x, got.x) and np.array_equal(early.z, got.z)
+
+
+def test_early_stop_at_previous_optimum_changes_nothing():
+    # drive the cut loop by hand: each round, the previous optimum as the
+    # upper bound must give exactly the answer of an unbounded solve
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=9, n_machines=3,
+                                   n_scenarios=8, dif=-1.0, seed=4))
+    cache = DiagramCache(max_depth=inst.capacity)
+    model = build_master(inst)
+    previous = None
+    for rounds in range(200):
+        full = solve_master(model)
+        early = solve_master(model, upper_bound=previous)
+        assert early.status == full.status == master.OPTIMAL
+        assert early.objective == full.objective and early.bound == full.bound
+        assert np.array_equal(early.x, full.x) and np.array_equal(early.z, full.z)
+        failures = check_candidate(inst, full.candidate, cache, JOBSET)
+        if not failures:
+            break
+        model.cuts.extend(emit_cuts(failures, IIS, inst, cache,
+                                    SolveOptions(variant=JOBSET)))
+        previous = full.objective
+    else:
+        pytest.fail("loop did not terminate")
+    assert rounds >= 5
+
+
+def brute_master(model):
+    """Best objective over every assignment respecting the assignment,
+    capacity and symmetry rows, with z maximal: a scenario drops exactly
+    when one of its rows is violated at z = 1."""
+    from itertools import product
+
+    inst = model.inst
+    n, M = inst.n_jobs, inst.n_machines
+    best = None
+    for choice in product(range(M + 1), repeat=n):
+        x = np.zeros((n, M), dtype=np.int8)
+        for j, c in enumerate(choice):
+            if c:
+                x[j, c - 1] = 1
+        z = np.ones(inst.n_scenarios, dtype=np.int8)
+        violated = check_rows(model, x, z)
+        if any(v.startswith(("cap", "sym")) for v in violated):
+            continue
+        for v in violated:
+            if v.startswith("relax_"):
+                z[int(v.split("_")[1])] = 0
+            elif v.startswith("cut_"):
+                z[model.cuts[int(v.split("_")[1])].scenario] = 0
+        if check_rows(model, x, z):
+            continue
+        obj = float(inst.utilities @ x.sum(axis=1))
+        best = obj if best is None else max(best, obj)
+    return best
+
+
+def test_builtin_beyond_64_scenarios():
+    # failures that only scenarios 64..99 see must still count against the
+    # chance row, so the scenario bitmask cannot be a 64-bit word
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=5, n_machines=2,
+                                   n_scenarios=100, dif=-2.0, seed=3,
+                                   capacity=3, epsilon=0.1))
+    model = build_master(inst)
+    for w in range(64, 100):
+        pair = frozenset({w % 5 + 1, (w + 2) % 5 + 1})
+        model.cuts.append(Cut(job_set=pair, scenario=w, kind=NOGOOD))
+    sol = BuiltinBackend().solve(model)
+    assert sol.status == master.OPTIMAL
+    assert check_rows(model, sol.x, sol.z) == []
+    assert sol.z[64:].sum() < 36  # some high scenario had to drop
+    assert sol.objective == pytest.approx(brute_master(model))
