@@ -75,13 +75,16 @@ def solve_row(model_name: str, cut: str, report) -> str:
     )
 
 
+def _resolve(aliases: dict, name: str, what: str) -> str:
+    resolved = aliases.get(name.lower())
+    if resolved is None:
+        raise ConfigurationError(f"unknown {what} {name!r}")
+    return resolved
+
+
 def _solve_options(args) -> SolveOptions:
-    variant = VARIANT_ALIASES.get(args.variant.lower())
-    if variant is None:
-        raise ConfigurationError(f"unknown variant {args.variant!r}")
-    cut = CUT_ALIASES.get(args.cut.lower())
-    if cut is None:
-        raise ConfigurationError(f"unknown cut kind {args.cut!r}")
+    variant = _resolve(VARIANT_ALIASES, args.variant, "variant")
+    cut = _resolve(CUT_ALIASES, args.cut, "cut kind")
     external_cmd = os.environ.get("CCPMSP_EXTERNAL_SOLVER") or args.solver_cmd
     return SolveOptions(
         variant=variant,
@@ -92,7 +95,6 @@ def _solve_options(args) -> SolveOptions:
         backend=args.backend,
         external_cmd=external_cmd,
         mode=args.mode,
-        benders_flavor=args.benders_flavor,
     )
 
 
@@ -106,7 +108,6 @@ def _add_solve_flags(sp) -> None:
                     help="external solver command; the CCPMSP_EXTERNAL_SOLVER "
                          "environment variable takes precedence")
     sp.add_argument("--mode", default="iterative", choices=["iterative", "callback"])
-    sp.add_argument("--benders-flavor", default="mdd", choices=["mdd", "bdd"])
     sp.add_argument("--no-symmetry", action="store_true")
     sp.add_argument("--no-scenario-relaxation", action="store_true")
 
@@ -211,8 +212,9 @@ def _bench_one(task) -> tuple[str, str]:
 
 
 def cmd_bench(args) -> int:
-    variants = [VARIANT_ALIASES[v.strip().lower()] for v in args.variants.split(",")]
-    cuts = [CUT_ALIASES[c.strip().lower()] for c in args.cuts.split(",")]
+    variants = [_resolve(VARIANT_ALIASES, v.strip(), "variant")
+                for v in args.variants.split(",")]
+    cuts = [_resolve(CUT_ALIASES, c.strip(), "cut kind") for c in args.cuts.split(",")]
     tasks = []
     for path in args.instances:
         try:

@@ -29,6 +29,7 @@ from .master import (
 )
 from .model import (
     BENDERS,
+    CUT_KINDS,
     Candidate,
     ConfigurationError,
     Cut,
@@ -41,7 +42,6 @@ from .model import (
 from .oracle import verify_candidate
 
 VARIANTS = (LASTJOB, JOBSET)
-CUT_KINDS = (NOGOOD, IIS, BENDERS)
 
 
 @dataclass
@@ -54,7 +54,6 @@ class SolveOptions:
     backend: str = "builtin"  # or "external"
     external_cmd: Optional[str] = None
     mode: str = "iterative"  # or "callback"
-    benders_flavor: str = "mdd"  # "bdd" | "mdd"
     benders_strategy: int = 1  # 0 = basic cut, 1 = layer-strengthened
     verify_with_oracle: bool = True
 
@@ -65,10 +64,8 @@ class SolveOptions:
             raise ConfigurationError(f"unknown cut kind {self.cut_kind!r}")
         if self.mode not in ("iterative", "callback"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        if self.benders_flavor not in ("bdd", "mdd"):
-            raise ConfigurationError(f"unknown diagram flavor {self.benders_flavor!r}")
         if self.cut_kind == BENDERS:
-            netflow.check_scale(inst.n_jobs, self.benders_flavor)
+            netflow.check_scale(inst.n_jobs)
 
 
 @dataclass
@@ -247,7 +244,7 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         check_counts=np.zeros((inst.n_machines, inst.n_scenarios), dtype=np.int64)
     )
     flow_ctx = (
-        netflow.FlowContext(inst, opts.benders_flavor, opts.benders_strategy)
+        netflow.FlowContext(inst, opts.benders_strategy)
         if opts.cut_kind == BENDERS
         else None
     )

@@ -288,10 +288,6 @@ class DiagramCache:
         return sum(1 for v, _ in self._store if v == variant)
 
 
-def get_or_build(cache: DiagramCache, variant: str, k: int) -> Diagram:
-    return cache.get_or_build(variant, k)
-
-
 def _fmt_state(diag: Diagram, state) -> str:
     if diag.variant == LASTJOB:
         mask, last = state

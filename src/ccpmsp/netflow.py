@@ -6,17 +6,14 @@ non-assignment arcs only when their whole job set is unassigned, so fixing a
 master column turns feasibility into a plain shortest-path problem.  Duals
 of that flow yield cuts linking the column to the schedule-length budget.
 
-Two flavors exist: a binary diagram with one layer per (job, position)
-decision, and a multivalued one with a single layer per position.  Both are
-experimental and gated to desk scale; the multivalued flavor is the default
-since it stays far smaller.
+The diagram is multivalued, with one decision layer per sequence position.
+It is experimental and gated to desk scale.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -28,26 +25,21 @@ from .model import (
     StructuralError,
 )
 
-UNCAP = 0
 ASSIGN = 1
 NONASSIGN = 2
 
-BDD_MAX_JOBS = 10
 MDD_MAX_JOBS = 12
-FORCED_BOUND_MAX_JOBS = 10
 
 
-def check_scale(n_jobs: int, flavor: str) -> None:
-    limit = BDD_MAX_JOBS if flavor == "bdd" else MDD_MAX_JOBS
-    if n_jobs > limit:
+def check_scale(n_jobs: int) -> None:
+    if n_jobs > MDD_MAX_JOBS:
         raise LimitExceeded(
-            f"{flavor} capacitated diagram supports at most {limit} jobs, got {n_jobs}"
+            f"capacitated diagram supports at most {MDD_MAX_JOBS} jobs, got {n_jobs}"
         )
 
 
 @dataclass
 class CapDiagram:
-    flavor: str
     n_jobs: int
     layers: list[list[int]]
     states: list
@@ -78,14 +70,9 @@ class CapDiagram:
     def terminal(self) -> int:
         return self.layers[-1][0]
 
-    @property
-    def n_decision_layers(self) -> int:
-        return len(self.layers) - 1
-
 
 class _CapBuilder:
-    def __init__(self, flavor: str, n_jobs: int):
-        self.flavor = flavor
+    def __init__(self, n_jobs: int):
         self.n = n_jobs
         self.states = [(0, -1)]
         self.layers: list[list[int]] = []
@@ -110,7 +97,6 @@ class _CapBuilder:
             node_out[t].append(a)
             node_in[h].append(a)
         return CapDiagram(
-            flavor=self.flavor,
             n_jobs=self.n,
             layers=self.layers,
             states=self.states,
@@ -132,8 +118,8 @@ def build_mdd_cap(n_jobs: int) -> CapDiagram:
     or -1 for the jump that ends the schedule and pins the rest unassigned."""
     if n_jobs < 1:
         raise StructuralError("n_jobs must be >= 1")
-    check_scale(n_jobs, "mdd")
-    b = _CapBuilder("mdd", n_jobs)
+    check_scale(n_jobs)
+    b = _CapBuilder(n_jobs)
     full = (1 << n_jobs) - 1
     current = {(0, -1): 0}
     b.layers.append([0])
@@ -163,59 +149,6 @@ def build_mdd_cap(n_jobs: int) -> CapDiagram:
         if p < n_jobs:
             current = nxt
             b.layers.append([nid for _, nid in sorted(nxt.items())])
-    b.layers.append([terminal])
-    return _reorder_terminal_last(b)
-
-
-def build_bdd_cap(n_jobs: int) -> CapDiagram:
-    """One decision layer per (job, position) pair, in position-major order;
-    arc values are the binary place/skip decision."""
-    if n_jobs < 1:
-        raise StructuralError("n_jobs must be >= 1")
-    check_scale(n_jobs, "bdd")
-    b = _CapBuilder("bdd", n_jobs)
-    n = n_jobs
-    full = (1 << n) - 1
-    terminal = len(b.states)
-    b.states.append((full, -2))
-    current = {(0, -1): 0}
-    b.layers.append([0])
-    layer_idx = 0
-    for p in range(1, n + 1):
-        for j in range(1, n + 1):
-            is_last_layer = p == n and j == n
-            nxt: dict[tuple, int] = {}
-
-            def target_of(state):
-                if is_last_layer:
-                    return terminal
-                t = nxt.get(state)
-                if t is None:
-                    t = len(b.states)
-                    b.states.append(state)
-                    nxt[state] = t
-                return t
-
-            for state, nid in sorted(current.items()):
-                mask, last = state
-                placed = bin(mask).count("1")
-                bit = 1 << (j - 1)
-                if placed == p - 1 and not mask & bit:
-                    # place job j at position p
-                    new_state = (mask | bit, j)
-                    b.arc(nid, target_of(new_state), 1, j, last, ASSIGN, bit, layer_idx)
-                if j == n and placed == p - 1:
-                    # position p stays empty: schedule ends, rest unassigned
-                    b.arc(nid, terminal, 0, -1, last, NONASSIGN, full & ~mask, layer_idx)
-                elif is_last_layer:
-                    # full permutation completed earlier in this block
-                    b.arc(nid, terminal, 0, -1, last, NONASSIGN, full & ~mask, layer_idx)
-                else:
-                    b.arc(nid, target_of(state), 0, -1, last, UNCAP, 0, layer_idx)
-            layer_idx += 1
-            if not is_last_layer:
-                current = nxt
-                b.layers.append([nid for _, nid in sorted(nxt.items())])
     b.layers.append([terminal])
     return _reorder_terminal_last(b)
 
@@ -265,39 +198,6 @@ def _enabled(capd: CapDiagram, x_col: np.ndarray) -> np.ndarray:
     return out
 
 
-def capacitated_shortest_path(capd: CapDiagram, x_col: np.ndarray,
-                              t: np.ndarray, d: np.ndarray):
-    """Cheapest enabled root-terminal path for a machine column.
-
-    Returns (cost, arc index path) or None when no enabled path exists
-    (only possible for a malformed column: any 0/1 column admits exactly
-    the paths sequencing its support)."""
-    if len(x_col) != capd.n_jobs:
-        raise StructuralError("column length does not match the diagram")
-    costs = cap_arc_costs(capd, t, d)
-    enabled = _enabled(capd, x_col)
-    dist = np.full(capd.n_nodes, np.inf)
-    parent = np.full(capd.n_nodes, -1, dtype=np.int64)
-    dist[capd.root] = 0.0
-    for a in range(capd.n_arcs):
-        if not enabled[a]:
-            continue
-        tail, head = capd.arc_tail[a], capd.arc_head[a]
-        nd = dist[tail] + costs[a]
-        if nd < dist[head]:
-            dist[head] = nd
-            parent[head] = a
-    if not np.isfinite(dist[capd.terminal]):
-        return None
-    path = []
-    node = capd.terminal
-    while node != capd.root:
-        a = int(parent[node])
-        path.append(a)
-        node = int(capd.arc_tail[a])
-    return float(dist[capd.terminal]), path[::-1]
-
-
 @dataclass
 class DualValues:
     pi: np.ndarray
@@ -305,8 +205,6 @@ class DualValues:
     alpha: np.ndarray  # per arc; nonzero only on assignment arcs
     beta: np.ndarray  # per arc; nonzero only on non-assignment arcs
     enabled: np.ndarray = field(repr=False)
-    gamma: dict = field(default_factory=dict)  # (job, layer) -> strengthened min
-    delta: dict = field(default_factory=dict)  # job -> strengthened min
 
 
 def extract_duals(capd: CapDiagram, x_col: np.ndarray, t: np.ndarray,
@@ -356,8 +254,6 @@ def extract_duals(capd: CapDiagram, x_col: np.ndarray, t: np.ndarray,
     beta = np.zeros(capd.n_arcs)
     for a in range(capd.n_arcs):
         kind = capd.arc_kind[a]
-        if kind == UNCAP:
-            continue
         tail, head = capd.arc_tail[a], capd.arc_head[a]
         if not np.isfinite(fdist[tail]):
             continue
@@ -411,8 +307,6 @@ def strengthen_layers(duals: DualValues, capd: CapDiagram):
                 cur = delta.get(q, 0.0)
                 if duals.beta[a] < cur:
                     delta[q] = duals.beta[a]
-    duals.gamma = gamma
-    duals.delta = delta
     coef = np.zeros(n)
     const = duals.pi_root
     for (q, _), g in gamma.items():
@@ -441,76 +335,13 @@ def benders_cut(duals: DualValues, capd: CapDiagram, scenario: int,
     )
 
 
-def arc_forced_bound(capd: CapDiagram, arc: int, t: np.ndarray, d: np.ndarray,
-                     capacity: int) -> float:
-    """Cheapest path through the arc over all columns with at most
-    ``capacity`` assigned jobs, by direct enumeration (infinite when the
-    arc is never traversable)."""
-    n = capd.n_jobs
-    if n > FORCED_BOUND_MAX_JOBS:
-        raise LimitExceeded(
-            f"forced-bound enumeration supports at most {FORCED_BOUND_MAX_JOBS} jobs"
-        )
-    costs = cap_arc_costs(capd, t, d)
-    tail, head = int(capd.arc_tail[arc]), int(capd.arc_head[arc])
-    best = np.inf
-    for size in range(0, min(capacity, n) + 1):
-        for jobs in combinations(range(n), size):
-            x = np.zeros(n, dtype=np.int8)
-            x[list(jobs)] = 1
-            enabled = _enabled(capd, x)
-            if not enabled[arc]:
-                continue
-            fdist = np.full(capd.n_nodes, np.inf)
-            fdist[capd.root] = 0.0
-            bdist = np.full(capd.n_nodes, np.inf)
-            bdist[capd.terminal] = 0.0
-            for a in range(capd.n_arcs):
-                if enabled[a]:
-                    nd = fdist[capd.arc_tail[a]] + costs[a]
-                    if nd < fdist[capd.arc_head[a]]:
-                        fdist[capd.arc_head[a]] = nd
-            for a in range(capd.n_arcs - 1, -1, -1):
-                if enabled[a]:
-                    nd = bdist[capd.arc_head[a]] + costs[a]
-                    if nd < bdist[capd.arc_tail[a]]:
-                        bdist[capd.arc_tail[a]] = nd
-            val = fdist[tail] + costs[arc] + bdist[head]
-            if val < best:
-                best = val
-    return float(best)
-
-
-def strengthen_bounds(duals: DualValues, l_values: np.ndarray, capd: CapDiagram):
-    """Strategy-2 payload: lift each dual toward zero using the forced-path
-    lower bounds, then layer-minimize as in strategy 1."""
-    lifted = DualValues(
-        pi=duals.pi,
-        pi_root=duals.pi_root,
-        alpha=duals.alpha.copy(),
-        beta=duals.beta.copy(),
-        enabled=duals.enabled,
-    )
-    for a in range(capd.n_arcs):
-        clamp = min(0.0, float(l_values[a]) - duals.pi_root)
-        if capd.arc_kind[a] == ASSIGN:
-            lifted.alpha[a] = max(duals.alpha[a], clamp)
-        elif capd.arc_kind[a] == NONASSIGN:
-            lifted.beta[a] = max(duals.beta[a], clamp)
-    return strengthen_layers(lifted, capd)
-
-
 class FlowContext:
     """Per-instance holder of the capacitated diagram and cut settings."""
 
-    def __init__(self, inst: Instance, flavor: str = "mdd", strategy: int = 1):
+    def __init__(self, inst: Instance, strategy: int = 1):
         t0 = time.perf_counter()
-        check_scale(inst.n_jobs, flavor)
-        self.flavor = flavor
         self.strategy = strategy
-        self.capd = (
-            build_bdd_cap(inst.n_jobs) if flavor == "bdd" else build_mdd_cap(inst.n_jobs)
-        )
+        self.capd = build_mdd_cap(inst.n_jobs)
         self.build_time = time.perf_counter() - t0
 
     def cut_for(self, inst: Instance, x_col: np.ndarray, scenario: int,

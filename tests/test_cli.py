@@ -214,6 +214,20 @@ def test_bench_records_failures_and_continues(tmp_path, capsys):
     assert by_name["small"]["optimal"] == "1"
 
 
+def test_bench_rejects_unknown_names(tmp_path, capsys):
+    # an unknown name is a configuration error (exit 2), not a crash, and
+    # nothing is written
+    inst_path = tmp_path / "i.json"
+    run(gen_args(inst_path))
+    capsys.readouterr()
+    out = tmp_path / "runs.csv"
+    assert run(["bench", inst_path, "--variants", "js,foo", "--out", out]) == 2
+    assert "unknown variant 'foo'" in capsys.readouterr().err
+    assert run(["bench", inst_path, "--cuts", "iis,foo", "--out", out]) == 2
+    assert "unknown cut kind 'foo'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_status_tells_errors_from_limits(tmp_path, monkeypatch):
     hard = tmp_path / "hard.json"
     run(gen_args(hard, jobs=12, machines=3, scenarios=10, dif=-6.0,

@@ -13,7 +13,6 @@ from ccpmsp.diagram import (
     LastJobSpec,
     build_top_down,
     canonical_remap,
-    get_or_build,
     min_completion_time,
     sub_times,
     to_dot,
@@ -144,8 +143,8 @@ def test_remapped_evaluation_matches_direct_subset(seed):
 
 def test_cache_returns_identical_structure():
     cache = DiagramCache(max_depth=6)
-    a = get_or_build(cache, LASTJOB, 5)
-    b = get_or_build(cache, LASTJOB, 5)
+    a = cache.get_or_build(LASTJOB, 5)
+    b = cache.get_or_build(LASTJOB, 5)
     assert a is b
     assert a.fingerprint() == b.fingerprint()
 
@@ -153,13 +152,13 @@ def test_cache_returns_identical_structure():
 def test_cache_depth_guard_and_variant_isolation():
     cache = DiagramCache(max_depth=4)
     with pytest.raises(ConfigurationError):
-        get_or_build(cache, LASTJOB, 5)
-    get_or_build(cache, LASTJOB, 3)
-    get_or_build(cache, JOBSET, 3)
+        cache.get_or_build(LASTJOB, 5)
+    cache.get_or_build(LASTJOB, 3)
+    cache.get_or_build(JOBSET, 3)
     assert cache.count(LASTJOB) == 1 and cache.count(JOBSET) == 1
     for k in range(1, 5):
-        get_or_build(cache, LASTJOB, k)
-        get_or_build(cache, JOBSET, k)
+        cache.get_or_build(LASTJOB, k)
+        cache.get_or_build(JOBSET, k)
     assert cache.count(LASTJOB) == 4 and cache.count(JOBSET) == 4
 
 

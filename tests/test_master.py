@@ -182,6 +182,29 @@ def test_builtin_backend_respects_cut_pool(uniform_scenario):
     assert check_rows(model2, sol2.x, sol2.z) == []
 
 
+def test_callback_drops_flags_of_returned_cuts():
+    # a hook cut names a scenario that fails for this x; even when its row
+    # does not bind at the candidate, the scenario's flag must drop so the
+    # candidate stays in play with fewer claims instead of looping
+    inst = small_instance(n_jobs=3, n_machines=1, n_scenarios=2, dif=30.0,
+                          capacity=3, epsilon=0.5)
+    model = build_master(inst, symmetry=False, scenario_relaxation=False)
+    calls = []
+
+    def hook(x, z):
+        calls.append(z.copy())
+        if z[0] == 1:
+            return [Cut(job_set=frozenset({1}), scenario=0, kind=BENDERS,
+                        benders_payload=(0.0, np.zeros(inst.n_jobs)))]
+        return []
+
+    sol = BuiltinBackend().solve(model, hook=hook)
+    assert sol.status == master.OPTIMAL
+    assert sol.objective == pytest.approx(float(inst.utilities.sum()))
+    assert sol.z.tolist() == [0, 1]
+    assert len(calls) == sol.n_hook_calls == 2
+
+
 def test_builtin_deterministic():
     inst = small_instance()
     model = build_master(inst)

@@ -44,31 +44,9 @@ def enumerate_chance_feasible(inst):
     return out
 
 
-def test_bdd_structure_worked_example():
-    bdd = netflow.build_bdd_cap(3)
-    assert bdd.n_decision_layers == 9
-    # the node ({2}, 2) right before the (job 3, position 2) decision has one
-    # assignment arc requiring job 3 and one jump requiring {1, 3} unassigned
-    layer_32 = bdd.layers[5]  # layers are (j,p) in position-major order
-    node = next(n for n in layer_32 if bdd.states[n] == (0b010, 2))
-    arcs = bdd.node_out[node]
-    kinds = {int(bdd.arc_kind[a]): a for a in arcs}
-    assert set(kinds) == {netflow.ASSIGN, netflow.NONASSIGN}
-    assert int(bdd.arc_cap[kinds[netflow.ASSIGN]]) == 0b100
-    assert int(bdd.arc_cap[kinds[netflow.NONASSIGN]]) == 0b101
-
-
-def test_bdd_single_job():
-    bdd = netflow.build_bdd_cap(1)
-    assert len(bdd.layers) == 2
-    kinds = sorted(int(k) for k in bdd.arc_kind)
-    assert kinds == [netflow.ASSIGN, netflow.NONASSIGN]
-
-
 def test_mdd_structure():
     mdd = netflow.build_mdd_cap(3)
-    bdd = netflow.build_bdd_cap(3)
-    assert mdd.n_nodes < bdd.n_nodes
+    assert [len(layer) for layer in mdd.layers] == [1, 3, 6, 1]
     # root arcs: three assignments plus one non-assignment over all jobs
     root_arcs = mdd.node_out[mdd.root]
     vals = sorted(int(mdd.arc_value[a]) for a in root_arcs)
@@ -77,15 +55,9 @@ def test_mdd_structure():
     assert int(mdd.arc_cap[na]) == 0b111
 
 
-@pytest.mark.parametrize("n", range(2, 7))
-def test_mdd_never_larger_than_bdd(n):
-    assert netflow.build_mdd_cap(n).n_nodes < netflow.build_bdd_cap(n).n_nodes
-
-
 @pytest.mark.parametrize("n", range(1, 6))
-@pytest.mark.parametrize("flavor", ["mdd", "bdd"])
-def test_structural_invariants(n, flavor):
-    capd = netflow.build_mdd_cap(n) if flavor == "mdd" else netflow.build_bdd_cap(n)
+def test_structural_invariants(n):
+    capd = netflow.build_mdd_cap(n)
     # ids follow layer order with the terminal last; arcs point forward and
     # are emitted in topological tail order
     seen = [nid for layer in capd.layers for nid in layer]
@@ -96,31 +68,28 @@ def test_structural_invariants(n, flavor):
         assert order[capd.arc_tail[a]] < order[capd.arc_head[a]]
         if capd.arc_kind[a] == netflow.ASSIGN:
             assert bin(int(capd.arc_cap[a])).count("1") == 1
-        elif capd.arc_kind[a] == netflow.NONASSIGN:
-            assert capd.arc_head[a] == capd.terminal
         else:
-            assert capd.arc_cap[a] == 0 and capd.flavor == "bdd"
+            assert capd.arc_kind[a] == netflow.NONASSIGN
+            assert capd.arc_head[a] == capd.terminal
     for a in range(capd.n_arcs - 1):
         assert order[capd.arc_tail[a]] <= order[capd.arc_tail[a + 1]]
 
 
 def test_scale_guard():
     with pytest.raises(LimitExceeded):
-        netflow.build_bdd_cap(netflow.BDD_MAX_JOBS + 1)
-    with pytest.raises(LimitExceeded):
         netflow.build_mdd_cap(netflow.MDD_MAX_JOBS + 1)
 
 
 def test_shortest_path_worked_example(uniform_scenario):
     t, d = uniform_arrays(uniform_scenario)
-    for capd in (netflow.build_mdd_cap(3), netflow.build_bdd_cap(3)):
-        cost, _ = netflow.capacitated_shortest_path(capd, np.array([1, 1, 1]), t, d)
-        assert cost == pytest.approx(14.0)
-        cost, _ = netflow.capacitated_shortest_path(capd, np.array([0, 1, 0]), t, d)
-        assert cost == pytest.approx(7.0)  # t2 + closing setup
-        cost, path = netflow.capacitated_shortest_path(capd, np.zeros(3), t, d)
-        assert cost == 0.0
-        assert all(capd.arc_kind[a] != netflow.ASSIGN for a in path)
+    capd = netflow.build_mdd_cap(3)
+
+    def cost(x):
+        return netflow.extract_duals(capd, np.array(x), t, d).pi_root
+
+    assert cost([1, 1, 1]) == pytest.approx(14.0)
+    assert cost([0, 1, 0]) == pytest.approx(7.0)  # t2 + closing setup
+    assert cost([0, 0, 0]) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -129,14 +98,13 @@ def test_shortest_path_equals_oracle_all_columns(seed):
     k = int(rng.integers(2, 7))
     sc = random_scenario(rng, k)
     t = np.concatenate(([0.0], sc.exec))
-    for capd in (netflow.build_mdd_cap(k), netflow.build_bdd_cap(k)):
-        for bits in range(2**k):
-            x = np.array([(bits >> j) & 1 for j in range(k)], dtype=np.int8)
-            jobs = [j + 1 for j in range(k) if x[j]]
-            want = oracle.brute_min_time(jobs, sc, True)
-            got = netflow.capacitated_shortest_path(capd, x, t, sc.setup)
-            assert got is not None
-            assert got[0] == pytest.approx(want, abs=1e-9)
+    capd = netflow.build_mdd_cap(k)
+    for bits in range(2**k):
+        x = np.array([(bits >> j) & 1 for j in range(k)], dtype=np.int8)
+        jobs = [j + 1 for j in range(k) if x[j]]
+        want = oracle.brute_min_time(jobs, sc, True)
+        got = netflow.extract_duals(capd, x, t, sc.setup).pi_root
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_duals_zero_on_shortest_path_and_nonpositive(uniform_scenario):
@@ -146,9 +114,17 @@ def test_duals_zero_on_shortest_path_and_nonpositive(uniform_scenario):
     duals = netflow.extract_duals(capd, x, t, d)
     assert duals.pi_root == pytest.approx(14.0)
     assert np.all(duals.alpha <= 0) and np.all(duals.beta <= 0)
-    _, path = netflow.capacitated_shortest_path(capd, x, t, d)
-    for a in path:
+    # follow a cheapest enabled path by the to-terminal distances pi: its
+    # arcs have reduction zero, so their duals must be zero
+    costs = netflow.cap_arc_costs(capd, t, d)
+    node, length = capd.root, 0.0
+    while node != capd.terminal:
+        a = next(a for a in capd.node_out[node] if duals.enabled[a]
+                 and costs[a] + duals.pi[capd.arc_head[a]] == duals.pi[node])
         assert duals.alpha[a] == 0.0 and duals.beta[a] == 0.0
+        length += costs[a]
+        node = capd.arc_head[a]
+    assert length == pytest.approx(duals.pi_root)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -158,7 +134,7 @@ def test_dual_feasibility_rows_on_enabled_arcs(seed):
     sc = random_scenario(rng, k)
     t = np.concatenate(([0.0], sc.exec))
     d = sc.setup
-    capd = netflow.build_mdd_cap(k) if seed % 2 else netflow.build_bdd_cap(k)
+    capd = netflow.build_mdd_cap(k)
     x = (rng.random(k) < 0.5).astype(np.int8)
     duals = netflow.extract_duals(capd, x, t, d)
     costs = netflow.cap_arc_costs(capd, t, d)
@@ -168,7 +144,7 @@ def test_dual_feasibility_rows_on_enabled_arcs(seed):
         lhs = duals.pi[capd.arc_tail[a]] - duals.pi[capd.arc_head[a]]
         if capd.arc_kind[a] == netflow.ASSIGN:
             lhs += duals.alpha[a]
-        elif capd.arc_kind[a] == netflow.NONASSIGN:
+        else:
             lhs += duals.beta[a] * bin(int(capd.arc_cap[a])).count("1")
         assert lhs <= costs[a] + 1e-9
 
@@ -252,78 +228,6 @@ def test_cut_validity_sweep(strategy):
                         cut.scenario, x.tolist(), lhs, inst.time_limit)
 
 
-def test_arc_forced_bound_properties(uniform_scenario):
-    t, d = uniform_arrays(uniform_scenario)
-    capd = netflow.build_mdd_cap(3)
-    costs = netflow.cap_arc_costs(capd, t, d)
-    # assign arc for job 2 out of the root
-    a2 = next(a for a in capd.node_out[capd.root]
-              if capd.arc_kind[a] == netflow.ASSIGN and capd.arc_job[a] == 2)
-    l = netflow.arc_forced_bound(capd, a2, t, d, capacity=3)
-    # the cheapest schedule through "job 2 first" is job 2 alone: 6 + 1
-    assert l == pytest.approx(7.0)
-    # l is a lower bound for the forced path under any specific column
-    x = np.array([1, 1, 0])
-    cost, path = netflow.capacitated_shortest_path(capd, x, t, d)
-    duals = netflow.extract_duals(capd, x, t, d)
-    if a2 in path:
-        assert l <= cost + 1e-9
-
-
-def test_arc_forced_bound_unreachable_is_infinite():
-    capd = netflow.build_mdd_cap(3)
-    t = np.array([0.0, 1.0, 1.0, 1.0])
-    d = np.zeros((4, 4))
-    # an assignment arc in the last layer needs 3 placed jobs; capacity 1
-    # never reaches it
-    deep = next(
-        a for a in range(capd.n_arcs)
-        if capd.arc_kind[a] == netflow.ASSIGN and capd.arc_layer[a] == 2
-    )
-    assert netflow.arc_forced_bound(capd, deep, t, d, capacity=1) == np.inf
-
-
-def test_strategy2_tightens_toward_zero(uniform_scenario):
-    t, d = uniform_arrays(uniform_scenario)
-    capd = netflow.build_mdd_cap(3)
-    x = np.array([1, 0, 1])
-    duals = netflow.extract_duals(capd, x, t, d)
-    l = np.array([
-        netflow.arc_forced_bound(capd, a, t, d, capacity=3)
-        for a in range(capd.n_arcs)
-    ])
-    c1, k1 = netflow.strengthen_layers(duals, capd)
-    c2, k2 = netflow.strengthen_bounds(duals, l, capd)
-    # strategy 2 lifts duals toward zero: per-job coefficients cannot shrink
-    assert np.all(k2 >= k1 - 1e-9)
-
-
-def test_strategy2_validity_sweep():
-    for inst in sweep_instances()[:3]:
-        capd = netflow.build_mdd_cap(inst.n_jobs)
-        cuts = []
-        for w in range(inst.n_scenarios):
-            t, d = netflow.full_times(inst, w)
-            l = np.array([
-                netflow.arc_forced_bound(capd, a, t, d, inst.capacity)
-                for a in range(capd.n_arcs)
-            ])
-            for bits in (1, (1 << inst.n_jobs) - 1):
-                x = np.array([(bits >> j) & 1 for j in range(inst.n_jobs)],
-                             dtype=np.int8)
-                if x.sum() > inst.capacity:
-                    continue
-                duals = netflow.extract_duals(capd, x, t, d)
-                const, coef = netflow.strengthen_bounds(duals, l, capd)
-                cuts.append((w, const, coef))
-        for x, z in enumerate_chance_feasible(inst):
-            for w, const, coef in cuts:
-                if z[w] == 0:
-                    continue
-                for m in range(inst.n_machines):
-                    assert const + coef @ x[:, m] <= inst.time_limit + 1e-6
-
-
 def test_end_to_end_benders_solve_matches_oracle():
     for seed in range(5):
         inst = make_instance(GenConfig(
@@ -331,11 +235,9 @@ def test_end_to_end_benders_solve_matches_oracle():
             dif=-3.0, seed=600 + seed, capacity=3,
         ))
         want = brute_optimal(inst)[1]
-        for flavor in ("mdd", "bdd"):
-            opts = SolveOptions(cut_kind="benders", benders_flavor=flavor,
-                                time_budget=120)
-            cand, report = solve_ccpmsp(inst, opts)
-            assert report.objective == pytest.approx(want, abs=1e-9), (seed, flavor)
+        opts = SolveOptions(cut_kind="benders", time_budget=120)
+        cand, report = solve_ccpmsp(inst, opts)
+        assert report.objective == pytest.approx(want, abs=1e-9), seed
 
 
 def test_benders_callback_mode_matches_oracle():
@@ -346,24 +248,7 @@ def test_benders_callback_mode_matches_oracle():
             dif=-4.0, seed=700 + seed, capacity=3,
         ))
         want = brute_optimal(inst)[1]
-        for flavor in ("mdd", "bdd"):
-            opts = SolveOptions(cut_kind="benders", benders_flavor=flavor,
-                                mode="callback", time_budget=120)
-            cand, report = solve_ccpmsp(inst, opts)
-            assert report.objective == pytest.approx(want, abs=1e-9), (seed, flavor)
+        opts = SolveOptions(cut_kind="benders", mode="callback", time_budget=120)
+        cand, report = solve_ccpmsp(inst, opts)
+        assert report.objective == pytest.approx(want, abs=1e-9), seed
 
-
-def test_benders_callback_keeps_candidates_with_reduced_flags():
-    # a candidate failing some claimed scenario must stay in play with the
-    # failing flags dropped, not be discarded outright: flow cuts from the
-    # binary-diagram flavor are sometimes too weak to bind at the candidate
-    inst = make_instance(GenConfig(
-        dataset_kind="vrp", n_jobs=4, n_machines=2, n_scenarios=7,
-        dif=1.6188082353951998, seed=1212210, capacity=2,
-        epsilon=0.5202114940579671,
-    ))
-    want = brute_optimal(inst)[1]
-    opts = SolveOptions(cut_kind="benders", benders_flavor="bdd",
-                        mode="callback", time_budget=120)
-    cand, report = solve_ccpmsp(inst, opts)
-    assert report.objective == pytest.approx(want, abs=1e-9)
