@@ -64,6 +64,10 @@ class SolveOptions:
             raise ConfigurationError(f"unknown cut kind {self.cut_kind!r}")
         if self.mode not in ("iterative", "callback"):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
+        if self.benders_strategy not in (0, 1):
+            raise ConfigurationError(
+                f"unknown benders strategy {self.benders_strategy!r}"
+            )
         if self.cut_kind == BENDERS:
             netflow.check_scale(inst.n_jobs)
 
@@ -165,12 +169,13 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
             )
         diag = cache.get_or_build(variant, len(jobs))
         remap = canonical_remap(jobs)
+        job_ids = tuple(int(j) for j in jobs)  # one tuple per machine, shared
         for w in active:
             t, d = sub_times(inst.scenarios[w], remap)
             if counters is not None:
                 counters.check_counts[m, w] += 1
             if _min_time(variant, diag, t, d) > inst.time_limit + TOL:
-                failures.append((m, int(w), tuple(int(j) for j in jobs)))
+                failures.append((m, int(w), job_ids))
     failures.sort(key=lambda f: (f[1], f[0], f[2]))
     if counters is not None:
         counters.resolution_time += (
@@ -182,11 +187,19 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
 def emit_cuts(failures, cut_kind: str, inst: Instance, cache: DiagramCache,
               opts: Optional[SolveOptions] = None, cand: Optional[Candidate] = None,
               counters: Optional[_Counters] = None,
-              flow_ctx: Optional["netflow.FlowContext"] = None) -> list[Cut]:
-    """Render the cut batch for a list of failures, deduplicated by key."""
+              flow_ctx: Optional["netflow.FlowContext"] = None,
+              job_sets: Optional[dict] = None) -> list[Cut]:
+    """Render the cut batch for a list of failures, deduplicated by key.
+
+    No-good and flow cuts of one failing job tuple share one frozenset,
+    kept in ``job_sets`` (tuple -> frozenset; pass one dict to every call of
+    a solve to share across batches): a pool keeps every cut, and a
+    machine's set fails in many scenarios and iterations.
+    """
     t0 = time.perf_counter()
     cuts: list[Cut] = []
     seen = set()
+    job_sets = {} if job_sets is None else job_sets
 
     def push(cut: Cut):
         key = cut.key()
@@ -194,9 +207,12 @@ def emit_cuts(failures, cut_kind: str, inst: Instance, cache: DiagramCache,
             seen.add(key)
             cuts.append(cut)
 
+    def job_set(jobs: tuple) -> frozenset:
+        return job_sets.setdefault(jobs, frozenset(jobs))
+
     if cut_kind == NOGOOD:
         for _, w, jobs in failures:
-            push(Cut(job_set=frozenset(jobs), scenario=w, kind=NOGOOD))
+            push(Cut(job_set=job_set(jobs), scenario=w, kind=NOGOOD))
     elif cut_kind == IIS:
         for _, w, jobs in failures:
             diag = cache.get_or_build(
@@ -215,8 +231,7 @@ def emit_cuts(failures, cut_kind: str, inst: Instance, cache: DiagramCache,
         if flow_ctx is None or cand is None:
             raise ConfigurationError("benders cuts need a flow context and candidate")
         for m, w, jobs in failures:
-            cut = flow_ctx.cut_for(inst, cand.x[:, m], w, jobs)
-            push(cut)
+            push(flow_ctx.cut_for(inst, cand.x[:, m], w, job_set(jobs)))
     else:
         raise ConfigurationError(f"unknown cut kind {cut_kind!r}")
     if counters is not None:
@@ -253,6 +268,7 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
     )
     backend = _make_backend(opts)
     pool_keys = set()
+    job_sets: dict[tuple, frozenset] = {}
 
     def remaining() -> float:
         return deadline - time.perf_counter()
@@ -275,14 +291,16 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
             if not failures:
                 return []
             cuts = emit_cuts(
-                failures, opts.cut_kind, inst, cache, opts, cand, counters, flow_ctx
+                failures, opts.cut_kind, inst, cache, opts, cand, counters,
+                flow_ctx, job_sets,
             )
             fresh = append_cuts(cuts)
             if not fresh:
                 # every derived cut was already pooled (possible for weak flow
                 # cuts); a no-good for a freshly failing pair is always new,
                 # so the batch stays nonempty whenever failures exist
-                fresh = append_cuts(emit_cuts(failures, NOGOOD, inst, cache))
+                fresh = append_cuts(emit_cuts(failures, NOGOOD, inst, cache,
+                                              job_sets=job_sets))
             return fresh
 
         def hook(x, z):
@@ -331,13 +349,14 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
                 upper_bound = sol.objective
             cuts = emit_cuts(
                 failures, opts.cut_kind, inst, cache, opts, sol.candidate,
-                counters, flow_ctx,
+                counters, flow_ctx, job_sets,
             )
             fresh = append_cuts(cuts)
             binding = _batch_excludes(inst, model, fresh, sol.candidate)
             if not binding:
                 # degenerate batch (possible for weak flow cuts): force progress
-                fallback = emit_cuts(failures, NOGOOD, inst, cache)
+                fallback = emit_cuts(failures, NOGOOD, inst, cache,
+                                     job_sets=job_sets)
                 if not append_cuts(fallback):
                     raise StructuralError("cut pool failed to exclude a candidate")
             if remaining() <= 0:

@@ -7,12 +7,15 @@ master column turns feasibility into a plain shortest-path problem.  Duals
 of that flow yield cuts linking the column to the schedule-length budget.
 
 The diagram is multivalued, with one decision layer per sequence position.
-It is experimental and gated to desk scale.
+It is experimental and gated to desk scale.  The dual pass and the cut
+payloads run numpy over the arc arrays, one step per decision layer, and
+add their sums in the order a loop over the arcs would.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,21 +45,57 @@ def check_scale(n_jobs: int) -> None:
 class CapDiagram:
     n_jobs: int
     layers: list[list[int]]
-    states: list
-    node_in: list[list[int]]
-    node_out: list[list[int]]
     arc_tail: np.ndarray = field(repr=False)
     arc_head: np.ndarray = field(repr=False)
-    arc_value: np.ndarray = field(repr=False)
     arc_job: np.ndarray = field(repr=False)  # job placed by an assignment arc
     arc_last: np.ndarray = field(repr=False)
     arc_kind: np.ndarray = field(repr=False)
     arc_cap: np.ndarray = field(repr=False)  # bitmask of U_a
     arc_layer: np.ndarray = field(repr=False)  # tail's decision layer
+    # Structure the dual pass reads on every cut, derived once.  Node ids
+    # follow layer order and arcs are sorted by their tail's layer, so a
+    # decision layer is an arc range whose tails form a node-id range.
+    layer_spans: list = field(init=False, repr=False)
+    assign: np.ndarray = field(init=False, repr=False)
+    assign_arcs: np.ndarray = field(init=False, repr=False)
+    lead_setup: tuple = field(init=False, repr=False)
+    closing_setup: tuple = field(init=False, repr=False)
+    ending_setup: tuple = field(init=False, repr=False)
+    na_arcs: np.ndarray = field(init=False, repr=False)
+    na_jobs: np.ndarray = field(init=False, repr=False)  # (n_na, n_jobs) U_a bits
+
+    def __post_init__(self):
+        def where(mask):  # int32 indices: half the memory of the default
+            return np.flatnonzero(mask).astype(np.int32)
+
+        assign = self.arc_kind == ASSIGN
+        nonassign = self.arc_kind == NONASSIGN
+        job, last = self.arc_job, self.arc_last
+        after = last >= 1
+        self.assign = assign
+        self.assign_arcs = where(assign)
+        # (arcs, flat cell of the (n_jobs + 1)-square setup matrix) per setup
+        # term of cap_arc_costs
+        width = self.n_jobs + 1
+        lead = where(assign & after)
+        closing = where(assign & (self.arc_head == self.terminal))
+        ending = where(nonassign & after)
+        self.lead_setup = (lead, last[lead] * width + job[lead])
+        self.closing_setup = (closing, job[closing] * width)
+        self.ending_setup = (ending, last[ending] * width)
+        self.na_arcs = where(nonassign)
+        bits = np.int64(1) << np.arange(self.n_jobs, dtype=np.int64)
+        self.na_jobs = (self.arc_cap[self.na_arcs, None] & bits) != 0
+        bounds = np.searchsorted(self.arc_layer, np.arange(len(self.layers)))
+        # (arc start, arc end, first node, node count) per decision layer
+        self.layer_spans = [
+            (int(bounds[li]), int(bounds[li + 1]), layer[0], len(layer))
+            for li, layer in enumerate(self.layers[:-1])
+        ]
 
     @property
     def n_nodes(self) -> int:
-        return len(self.states)
+        return self.terminal + 1
 
     @property
     def n_arcs(self) -> int:
@@ -74,16 +113,16 @@ class CapDiagram:
 class _CapBuilder:
     def __init__(self, n_jobs: int):
         self.n = n_jobs
-        self.states = [(0, -1)]
+        self.n_nodes = 1  # the root
         self.layers: list[list[int]] = []
-        self.tail, self.head, self.value, self.job = [], [], [], []
-        self.last, self.kind, self.cap, self.layer_of = [], [], [], []
-        self.terminal = None
+        # typed buffers: half the memory of lists, and no int objects
+        self.tail, self.head, self.job = array("i"), array("i"), array("i")
+        self.last, self.layer_of = array("i"), array("i")
+        self.kind, self.cap = array("b"), array("q")
 
-    def arc(self, tail, head, value, job, last, kind, cap, layer):
+    def arc(self, tail, head, job, last, kind, cap, layer):
         self.tail.append(tail)
         self.head.append(head)
-        self.value.append(value)
         self.job.append(job)
         self.last.append(last)
         self.kind.append(kind)
@@ -91,20 +130,15 @@ class _CapBuilder:
         self.layer_of.append(layer)
 
     def finish(self) -> CapDiagram:
-        node_in = [[] for _ in self.states]
-        node_out = [[] for _ in self.states]
-        for a, (t, h) in enumerate(zip(self.tail, self.head)):
-            node_out[t].append(a)
-            node_in[h].append(a)
+        """Renumber nodes so ids follow layer order with the terminal last."""
+        order = [nid for layer in self.layers for nid in layer]
+        new_id = np.empty(len(order), dtype=np.int32)
+        new_id[order] = np.arange(len(order), dtype=np.int32)
         return CapDiagram(
             n_jobs=self.n,
-            layers=self.layers,
-            states=self.states,
-            node_in=node_in,
-            node_out=node_out,
-            arc_tail=np.array(self.tail, dtype=np.int32),
-            arc_head=np.array(self.head, dtype=np.int32),
-            arc_value=np.array(self.value, dtype=np.int32),
+            layers=[new_id[layer].tolist() for layer in self.layers],
+            arc_tail=new_id[np.asarray(self.tail)],
+            arc_head=new_id[np.asarray(self.head)],
             arc_job=np.array(self.job, dtype=np.int32),
             arc_last=np.array(self.last, dtype=np.int32),
             arc_kind=np.array(self.kind, dtype=np.int8),
@@ -114,8 +148,8 @@ class _CapBuilder:
 
 
 def build_mdd_cap(n_jobs: int) -> CapDiagram:
-    """One decision layer per sequence position; arc values are job indices
-    or -1 for the jump that ends the schedule and pins the rest unassigned."""
+    """One decision layer per sequence position; an arc places a job, or
+    (job -1) jumps to the end of the schedule and pins the rest unassigned."""
     if n_jobs < 1:
         raise StructuralError("n_jobs must be >= 1")
     check_scale(n_jobs)
@@ -123,15 +157,15 @@ def build_mdd_cap(n_jobs: int) -> CapDiagram:
     full = (1 << n_jobs) - 1
     current = {(0, -1): 0}
     b.layers.append([0])
-    terminal = len(b.states)
-    b.states.append((full, -2))
+    terminal = b.n_nodes
+    b.n_nodes += 1
 
     for p in range(1, n_jobs + 1):
         nxt: dict[tuple, int] = {}
         for state, nid in sorted(current.items()):
             mask, last = state
             # ending here: everything unplaced must be unassigned
-            b.arc(nid, terminal, -1, -1, last, NONASSIGN, full & ~mask, p - 1)
+            b.arc(nid, terminal, -1, last, NONASSIGN, full & ~mask, p - 1)
             for j in range(1, n_jobs + 1):
                 bit = 1 << (j - 1)
                 if mask & bit:
@@ -142,25 +176,13 @@ def build_mdd_cap(n_jobs: int) -> CapDiagram:
                 else:
                     target = nxt.get(new_state)
                     if target is None:
-                        target = len(b.states)
-                        b.states.append(new_state)
-                        nxt[new_state] = target
-                b.arc(nid, target, j, j, last, ASSIGN, bit, p - 1)
+                        target = nxt[new_state] = b.n_nodes
+                        b.n_nodes += 1
+                b.arc(nid, target, j, last, ASSIGN, bit, p - 1)
         if p < n_jobs:
             current = nxt
             b.layers.append([nid for _, nid in sorted(nxt.items())])
     b.layers.append([terminal])
-    return _reorder_terminal_last(b)
-
-
-def _reorder_terminal_last(b: _CapBuilder) -> CapDiagram:
-    """Renumber nodes so ids follow layer order with the terminal last."""
-    order = [nid for layer in b.layers for nid in layer]
-    new_id = {old: new for new, old in enumerate(order)}
-    b.layers = [[new_id[nid] for nid in layer] for layer in b.layers]
-    b.states = [b.states[old] for old in order]
-    b.tail = [new_id[t] for t in b.tail]
-    b.head = [new_id[h] for h in b.head]
     return b.finish()
 
 
@@ -171,18 +193,16 @@ def full_times(inst: Instance, w: int):
 
 
 def cap_arc_costs(capd: CapDiagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per-arc costs for one scenario: an assignment arc pays its job's time,
+    the setup from the previous job and, into the terminal, the closing
+    setup; a non-assignment arc pays the closing setup of the last job."""
+    setup = np.ravel(d)
     costs = np.zeros(capd.n_arcs)
-    job = capd.arc_job
-    last = capd.arc_last
-    kind = capd.arc_kind
-    assign = kind == ASSIGN
-    costs[assign] = t[job[assign]]
-    lead = assign & (last >= 1)
-    costs[lead] += d[last[lead], job[lead]]
-    closing = assign & (capd.arc_head == capd.terminal)
-    costs[closing] += d[job[closing], 0]
-    nonassign = (kind == NONASSIGN) & (last >= 1)
-    costs[nonassign] = d[last[nonassign], 0]
+    costs[capd.assign_arcs] = t[capd.arc_job[capd.assign_arcs]]
+    for arcs, cells in (capd.lead_setup, capd.closing_setup):
+        costs[arcs] += setup[cells]
+    arcs, cells = capd.ending_setup
+    costs[arcs] = setup[cells]
     return costs
 
 
@@ -190,12 +210,8 @@ def _enabled(capd: CapDiagram, x_col: np.ndarray) -> np.ndarray:
     xmask = 0
     for j in np.flatnonzero(np.asarray(x_col)):
         xmask |= 1 << int(j)
-    out = np.ones(capd.n_arcs, dtype=bool)
-    assign = capd.arc_kind == ASSIGN
-    out[assign] = (capd.arc_cap[assign] & xmask) == capd.arc_cap[assign]
-    nonassign = capd.arc_kind == NONASSIGN
-    out[nonassign] = (capd.arc_cap[nonassign] & xmask) == 0
-    return out
+    held = capd.arc_cap & xmask
+    return np.where(capd.assign, held == capd.arc_cap, held == 0)
 
 
 @dataclass
@@ -216,105 +232,99 @@ def extract_duals(capd: CapDiagram, x_col: np.ndarray, t: np.ndarray,
     dual is the negative part of the reduction the cheapest path forced
     through it would bring: fdist(tail) + cost + pi(head) - pi(root).
     Arcs on the current shortest path, and arcs whose forced path is no
-    better, get zero.
+    better, get zero.  Both passes go one decision layer at a time: an
+    arc's head lies in a later layer than its tail, so the distances a
+    layer reads are final by then, and minima do not depend on order.
     """
     costs = cap_arc_costs(capd, t, d)
     enabled = _enabled(capd, x_col)
+    tail, head = capd.arc_tail, capd.arc_head
 
     fdist = np.full(capd.n_nodes, np.inf)
     fdist[capd.root] = 0.0
-    for a in range(capd.n_arcs):
-        if enabled[a]:
-            tail, head = capd.arc_tail[a], capd.arc_head[a]
-            nd = fdist[tail] + costs[a]
-            if nd < fdist[head]:
-                fdist[head] = nd
+    for start, end, _, _ in capd.layer_spans:
+        on = start + np.flatnonzero(enabled[start:end])
+        np.minimum.at(fdist, head[on], fdist[tail[on]] + costs[on])
 
     pi = np.full(capd.n_nodes, np.inf)
     pi[capd.terminal] = 0.0
-    for n in range(capd.n_nodes - 2, -1, -1):
-        out = capd.node_out[n]
-        if not out:
-            continue
-        best = np.inf
-        for a in out:
-            if enabled[a]:
-                v = costs[a] + pi[capd.arc_head[a]]
-                if v < best:
-                    best = v
-        if not np.isfinite(best):
-            for a in out:
-                v = costs[a] + pi[capd.arc_head[a]]
-                if v < best:
-                    best = v
-        pi[n] = best
+    for start, end, first, count in reversed(capd.layer_spans):
+        via = costs[start:end] + pi[head[start:end]]
+        slot = tail[start:end] - first
+        on = enabled[start:end]
+        best = np.full(count, np.inf)
+        np.minimum.at(best, slot[on], via[on])
+        fallback = np.full(count, np.inf)
+        np.minimum.at(fallback, slot, via)
+        pi[first:first + count] = np.where(np.isfinite(best), best, fallback)
 
     pi_root = float(pi[capd.root])
-    alpha = np.zeros(capd.n_arcs)
-    beta = np.zeros(capd.n_arcs)
-    for a in range(capd.n_arcs):
-        kind = capd.arc_kind[a]
-        tail, head = capd.arc_tail[a], capd.arc_head[a]
-        if not np.isfinite(fdist[tail]):
-            continue
-        r = fdist[tail] + costs[a] + pi[head] - pi_root
-        if r < 0:
-            if kind == ASSIGN:
-                alpha[a] = r
-            else:
-                beta[a] = r
+    # tails the root cannot reach give r = inf and no dual
+    r = fdist[tail] + costs + pi[head] - pi_root
+    neg = r < 0
+    alpha = np.where(neg & capd.assign, r, 0.0)
+    beta = np.where(neg & ~capd.assign, r, 0.0)
     return DualValues(pi=pi, pi_root=pi_root, alpha=alpha, beta=beta, enabled=enabled)
 
 
-def _mask_jobs(mask: int, n: int):
-    return [q for q in range(1, n + 1) if mask >> (q - 1) & 1]
+# Float sums round differently in another order, so the payloads below add
+# their terms one at a time (np.add.at, in index order) in the order a loop
+# over the arcs would: arc order, jobs ascending within a non-assignment arc.
+def _running_sum(start: float, terms: np.ndarray) -> float:
+    """start + terms[0] + terms[1] + ..., left to right."""
+    acc = np.array([start])
+    np.add.at(acc, np.zeros(len(terms), dtype=np.intp), terms)
+    return float(acc[0])
+
+
+def _na_terms(capd: CapDiagram, keep: np.ndarray):
+    """(arc, 0-based job) of every job of U_a of the non-assignment arcs
+    where ``keep`` (per arc) holds, in arc order, jobs ascending."""
+    rows, jobs = np.nonzero(capd.na_jobs & keep[capd.na_arcs, None])
+    return capd.na_arcs[rows], jobs
 
 
 def basic_payload(duals: DualValues, capd: CapDiagram):
-    """(constant, per-job coefficients) of the plain flow cut."""
-    n = capd.n_jobs
-    coef = np.zeros(n)
-    const = duals.pi_root
-    for a in range(capd.n_arcs):
-        kind = capd.arc_kind[a]
-        if kind == ASSIGN:
-            if duals.alpha[a] != 0.0:
-                coef[capd.arc_job[a] - 1] += duals.alpha[a]
-        elif kind == NONASSIGN and duals.beta[a] != 0.0:
-            for q in _mask_jobs(int(capd.arc_cap[a]), n):
-                const += duals.beta[a]
-                coef[q - 1] -= duals.beta[a]
-    return const, coef
+    """(constant, per-job coefficients) of the plain flow cut: each alpha
+    goes on its job; each beta goes on the constant and, negated, on every
+    job of U_a, once per job."""
+    a_arcs = np.flatnonzero(duals.alpha)
+    b_arcs, b_jobs = _na_terms(capd, duals.beta != 0.0)
+    order = np.argsort(np.concatenate((a_arcs, b_arcs)), kind="stable")
+    jobs = np.concatenate((capd.arc_job[a_arcs] - 1, b_jobs))
+    terms = np.concatenate((duals.alpha[a_arcs], -duals.beta[b_arcs]))
+    coef = np.zeros(capd.n_jobs)
+    np.add.at(coef, jobs[order], terms[order])
+    return _running_sum(duals.pi_root, duals.beta[b_arcs]), coef
+
+
+def _first_seen_minima(keys: np.ndarray, values: np.ndarray, size: int):
+    """Distinct keys (all < size) in order of first occurrence, and the
+    minimum value of each."""
+    low = np.full(size, np.inf)
+    np.minimum.at(low, keys, values)
+    first = np.full(size, len(keys))
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    seen = np.flatnonzero(first < len(keys))
+    seen = seen[np.argsort(first[seen])]
+    return seen, low[seen]
 
 
 def strengthen_layers(duals: DualValues, capd: CapDiagram):
     """Strategy-1 payload: every path uses at most one assignment arc per
     decision layer, so per (job, layer) only the best reduction may count;
-    non-assignment arcs all enter the terminal, so one minimum per job."""
+    non-assignment arcs all enter the terminal, so one minimum per job.
+    The minima are added in the order their key first goes negative."""
     n = capd.n_jobs
-    gamma: dict[tuple[int, int], float] = {}
-    delta: dict[int, float] = {}
-    for a in range(capd.n_arcs):
-        kind = capd.arc_kind[a]
-        if kind == ASSIGN:
-            q = int(capd.arc_job[a])
-            key = (q, int(capd.arc_layer[a]))
-            cur = gamma.get(key, 0.0)
-            if duals.alpha[a] < cur:
-                gamma[key] = duals.alpha[a]
-        elif kind == NONASSIGN:
-            for q in _mask_jobs(int(capd.arc_cap[a]), n):
-                cur = delta.get(q, 0.0)
-                if duals.beta[a] < cur:
-                    delta[q] = duals.beta[a]
+    a_arcs = np.flatnonzero(duals.alpha < 0)
+    keys = (capd.arc_job[a_arcs] - 1) * n + capd.arc_layer[a_arcs]
+    gamma_keys, gamma = _first_seen_minima(keys, duals.alpha[a_arcs], n * n)
+    b_arcs, b_jobs = _na_terms(capd, duals.beta < 0)
+    delta_jobs, delta = _first_seen_minima(b_jobs, duals.beta[b_arcs], n)
     coef = np.zeros(n)
-    const = duals.pi_root
-    for (q, _), g in gamma.items():
-        coef[q - 1] += g
-    for q, dl in delta.items():
-        const += dl
-        coef[q - 1] -= dl
-    return const, coef
+    np.add.at(coef, np.concatenate((gamma_keys // n, delta_jobs)),
+              np.concatenate((gamma, -delta)))
+    return _running_sum(duals.pi_root, delta), coef
 
 
 def benders_cut(duals: DualValues, capd: CapDiagram, scenario: int,

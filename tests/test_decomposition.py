@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from ccpmsp import decomposition
+from ccpmsp import decomposition, netflow
 from ccpmsp.decomposition import (
     SolveOptions,
     check_candidate,
@@ -13,7 +13,13 @@ from ccpmsp.decomposition import (
 )
 from ccpmsp.diagram import JOBSET, LASTJOB, DiagramCache
 from ccpmsp.instances import GenConfig, make_instance
-from ccpmsp.model import Candidate, Instance, chance_satisfied
+from ccpmsp.model import (
+    Candidate,
+    ConfigurationError,
+    Cut,
+    Instance,
+    chance_satisfied,
+)
 from ccpmsp.oracle import brute_optimal
 from conftest import B10_CONFIG
 
@@ -74,6 +80,50 @@ def test_emit_cuts_deduplicates_across_machines(uniform_scenario):
     failures = [(0, 0, (1, 2, 3)), (1, 0, (1, 2, 3))]
     cuts = emit_cuts(failures, "iis", inst, cache, opts)
     assert len(cuts) == 2  # {2} and {1,3} once each, not twice
+
+
+def test_emit_cuts_share_one_job_set_per_failing_tuple(uniform_scenario):
+    # one machine's job tuple fails in three scenarios: the failures share
+    # one tuple, and the no-good and flow cuts one frozenset
+    inst = Instance(
+        n_jobs=3, n_machines=1, capacity=3, time_limit=5.0, epsilon=0.4,
+        utilities=np.array([2.0, 6.0, 3.0]), scenarios=[uniform_scenario] * 3,
+    )
+    cache = DiagramCache(max_depth=3)
+    cand = Candidate(x=np.ones((3, 1), dtype=np.int8), z=np.ones(3, dtype=np.int8))
+    failures = check_candidate(inst, cand, cache, JOBSET)
+    assert failures == [(0, w, (1, 2, 3)) for w in range(3)]
+    assert all(f[2] is failures[0][2] for f in failures)
+    flow_ctx = netflow.FlowContext(inst, 1)
+    job_sets = {}  # as solve_ccpmsp passes one dict to every call
+    for kind in ("nogood", "benders"):
+        cuts = emit_cuts(failures, kind, inst, cache, SolveOptions(cut_kind=kind),
+                         cand, flow_ctx=flow_ctx)
+        assert len(cuts) == 3
+        assert all(c.job_set is cuts[0].job_set for c in cuts)
+        again = emit_cuts(failures, kind, inst, cache, SolveOptions(cut_kind=kind),
+                          cand, flow_ctx=flow_ctx, job_sets=job_sets)
+        assert all(c.job_set is job_sets[(1, 2, 3)] for c in again)
+        if kind == "nogood":
+            want = [Cut(job_set={1, 2, 3}, scenario=w, kind=kind) for w in range(3)]
+        else:
+            want = [flow_ctx.cut_for(inst, cand.x[:, 0], w, {1, 2, 3})
+                    for w in range(3)]
+        assert [c.key() for c in cuts] == [c.key() for c in want]
+        assert [c.job_set for c in cuts] == [c.job_set for c in want]
+
+
+@pytest.mark.parametrize("dif", [30.0, -3.0])
+@pytest.mark.parametrize("strategy", [-1, 2, 7])
+def test_unknown_benders_strategy_rejected_up_front(dif, strategy):
+    # at dif 30 no check fails, so no cut would ever reach the strategy
+    inst = make_instance(GenConfig(
+        dataset_kind="equal", n_jobs=5, n_machines=2, n_scenarios=4,
+        dif=dif, seed=600, capacity=3,
+    ))
+    opts = SolveOptions(cut_kind="benders", benders_strategy=strategy)
+    with pytest.raises(ConfigurationError, match="benders strategy"):
+        solve_ccpmsp(inst, opts)
 
 
 def test_solve_trivial_instance_assigns_everything():

@@ -1,4 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,9 +53,8 @@ def test_mdd_structure():
     mdd = netflow.build_mdd_cap(3)
     assert [len(layer) for layer in mdd.layers] == [1, 3, 6, 1]
     # root arcs: three assignments plus one non-assignment over all jobs
-    root_arcs = mdd.node_out[mdd.root]
-    vals = sorted(int(mdd.arc_value[a]) for a in root_arcs)
-    assert vals == [-1, 1, 2, 3]
+    root_arcs = np.flatnonzero(mdd.arc_tail == mdd.root)
+    assert sorted(mdd.arc_job[root_arcs].tolist()) == [-1, 1, 2, 3]
     na = next(a for a in root_arcs if mdd.arc_kind[a] == netflow.NONASSIGN)
     assert int(mdd.arc_cap[na]) == 0b111
 
@@ -73,6 +77,22 @@ def test_structural_invariants(n):
             assert capd.arc_head[a] == capd.terminal
     for a in range(capd.n_arcs - 1):
         assert order[capd.arc_tail[a]] <= order[capd.arc_tail[a + 1]]
+    # the layout the layer-batched dual pass relies on: arcs sorted by
+    # arc_layer; a layer's tails lie in its contiguous node-id range and
+    # its heads in later layers
+    assert np.all(np.diff(capd.arc_layer) >= 0)
+    assert len(capd.layer_spans) == len(capd.layers) - 1 == n
+    for li, (start, end, first, count) in enumerate(capd.layer_spans):
+        assert capd.layers[li] == list(range(first, first + count))
+        assert np.all(capd.arc_layer[start:end] == li)
+        tails = capd.arc_tail[start:end]
+        assert np.all((tails >= first) & (tails < first + count))
+        assert np.all(capd.arc_head[start:end] >= first + count)
+    assert capd.layer_spans[0][0] == 0 and capd.layer_spans[-1][1] == capd.n_arcs
+    na_masks = [sum(1 << int(q) for q in np.flatnonzero(row)) for row in capd.na_jobs]
+    assert na_masks == capd.arc_cap[capd.na_arcs].tolist()
+    for prev, nxt in zip(capd.layer_spans, capd.layer_spans[1:]):
+        assert prev[1] == nxt[0]
 
 
 def test_scale_guard():
@@ -119,7 +139,7 @@ def test_duals_zero_on_shortest_path_and_nonpositive(uniform_scenario):
     costs = netflow.cap_arc_costs(capd, t, d)
     node, length = capd.root, 0.0
     while node != capd.terminal:
-        a = next(a for a in capd.node_out[node] if duals.enabled[a]
+        a = next(a for a in np.flatnonzero(capd.arc_tail == node) if duals.enabled[a]
                  and costs[a] + duals.pi[capd.arc_head[a]] == duals.pi[node])
         assert duals.alpha[a] == 0.0 and duals.beta[a] == 0.0
         length += costs[a]
@@ -252,3 +272,163 @@ def test_benders_callback_mode_matches_oracle():
         cand, report = solve_ccpmsp(inst, opts)
         assert report.objective == pytest.approx(want, abs=1e-9), seed
 
+
+
+def loop_flow_cut(capd, x, t, d):
+    """The dual pass and both payloads as plain loops over the arcs in arc
+    order: the reference the layer-batched numpy pass must match bit for
+    bit.  Returns (pi, pi_root, alpha, beta, basic payload, layer payload)."""
+    n, n_arcs = capd.n_jobs, capd.n_arcs
+    tail, head = capd.arc_tail.tolist(), capd.arc_head.tolist()
+    job, last = capd.arc_job.tolist(), capd.arc_last.tolist()
+    assign = (capd.arc_kind == netflow.ASSIGN).tolist()
+    u = [[q for q in range(1, n + 1) if int(capd.arc_cap[a]) >> (q - 1) & 1]
+         for a in range(n_arcs)]
+    costs = np.zeros(n_arcs)
+    on = []
+    for a in range(n_arcs):
+        if assign[a]:
+            costs[a] = t[job[a]]
+            if last[a] >= 1:
+                costs[a] += d[last[a], job[a]]
+            if head[a] == capd.terminal:
+                costs[a] += d[job[a], 0]
+            on.append(bool(x[job[a] - 1]))
+        else:
+            if last[a] >= 1:
+                costs[a] = d[last[a], 0]
+            on.append(not any(x[q - 1] for q in u[a]))
+    fdist = np.full(capd.n_nodes, np.inf)
+    fdist[capd.root] = 0.0
+    for a in range(n_arcs):
+        if on[a] and fdist[tail[a]] + costs[a] < fdist[head[a]]:
+            fdist[head[a]] = fdist[tail[a]] + costs[a]
+    pi = np.full(capd.n_nodes, np.inf)
+    pi[capd.terminal] = 0.0
+    for node in range(capd.n_nodes - 2, -1, -1):
+        out = [a for a in range(n_arcs) if tail[a] == node]
+        best = min((costs[a] + pi[head[a]] for a in out if on[a]), default=np.inf)
+        if not np.isfinite(best):
+            best = min(costs[a] + pi[head[a]] for a in out)
+        pi[node] = best
+    pi_root = float(pi[capd.root])
+    alpha, beta = np.zeros(n_arcs), np.zeros(n_arcs)
+    for a in range(n_arcs):
+        r = fdist[tail[a]] + costs[a] + pi[head[a]] - pi_root
+        if np.isfinite(fdist[tail[a]]) and r < 0:
+            (alpha if assign[a] else beta)[a] = r
+    const0, coef0 = pi_root, np.zeros(n)
+    gamma, delta = {}, {}
+    for a in range(n_arcs):
+        if assign[a] and alpha[a] != 0.0:
+            coef0[job[a] - 1] += alpha[a]
+            key = (job[a], int(capd.arc_layer[a]))
+            gamma[key] = min(gamma.get(key, 0.0), alpha[a])
+        elif not assign[a] and beta[a] != 0.0:
+            for q in u[a]:
+                const0 += beta[a]
+                coef0[q - 1] -= beta[a]
+                delta[q] = min(delta.get(q, 0.0), beta[a])
+    const1, coef1 = pi_root, np.zeros(n)
+    for (q, _), g in gamma.items():
+        coef1[q - 1] += g
+    for q, dl in delta.items():
+        const1 += dl
+        coef1[q - 1] -= dl
+    return pi, pi_root, alpha, beta, (const0, coef0), (const1, coef1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_vectorised_pass_matches_arc_loops_bitwise(n):
+    rng = np.random.default_rng(2200 + n)
+    capd = netflow.build_mdd_cap(n)
+    for _ in range(6):
+        sc = random_scenario(rng, n)
+        t = np.concatenate(([0.0], sc.exec))
+        x = (rng.random(n) < rng.random()).astype(np.int8)
+        pi, pi_root, alpha, beta, basic, layered = loop_flow_cut(capd, x, t, sc.setup)
+        duals = netflow.extract_duals(capd, x, t, sc.setup)
+        assert duals.pi.tobytes() == pi.tobytes()
+        assert repr(duals.pi_root) == repr(pi_root)
+        assert duals.alpha.tobytes() == alpha.tobytes()
+        assert duals.beta.tobytes() == beta.tobytes()
+        for got, want in ((netflow.basic_payload(duals, capd), basic),
+                          (netflow.strengthen_layers(duals, capd), layered)):
+            assert repr(float(got[0])) == repr(float(want[0]))
+            assert got[1].tobytes() == want[1].tobytes()
+
+
+def sweep_columns(n):
+    for bits in range(2**n):
+        yield np.array([(bits >> j) & 1 for j in range(n)], dtype=np.int8)
+
+
+def pool_bytes(cuts):
+    out = []
+    for cut in cuts:
+        out.append(f"{cut.kind} {cut.scenario} {sorted(cut.job_set)}".encode())
+        if cut.benders_payload is not None:
+            const, coef = cut.benders_payload
+            out += [repr(float(const)).encode(), np.asarray(coef).tobytes()]
+    return out
+
+
+# sha256 of the duals and payloads below, and of the final Benders pools,
+# recorded before the arc loops were vectorised: any one-ulp drift fails
+DUALS_DIGEST = "f74f0fad16aea2b55f673e805ba9e7791ee63367f630b9a69409804561b42dc5"
+POOLS_DIGEST = "6d9f5a84f5c3afd0f12eb4d426c72599d5707a09b02b89931af510e260ba3f9e"
+
+
+def test_flow_duals_and_payloads_bitwise_pinned():
+    h = hashlib.sha256()
+    for inst in sweep_instances():
+        capd = netflow.build_mdd_cap(inst.n_jobs)
+        for w in range(inst.n_scenarios):
+            t, d = netflow.full_times(inst, w)
+            for x in sweep_columns(inst.n_jobs):
+                duals = netflow.extract_duals(capd, x, t, d)
+                for arr in (duals.pi, duals.alpha, duals.beta):
+                    h.update(arr.tobytes())
+                h.update(repr(duals.pi_root).encode())
+                for payload in (netflow.basic_payload, netflow.strengthen_layers):
+                    const, coef = payload(duals, capd)
+                    h.update(repr(float(const)).encode())
+                    h.update(coef.tobytes())
+    assert h.hexdigest() == DUALS_DIGEST
+
+
+def test_benders_pools_bitwise_pinned():
+    h = hashlib.sha256()
+    for strategy in (0, 1):
+        for seed in range(5):
+            inst = make_instance(GenConfig(
+                dataset_kind="equal", n_jobs=5, n_machines=2, n_scenarios=4,
+                dif=-3.0, seed=600 + seed, capacity=3,
+            ))
+            opts = SolveOptions(cut_kind="benders", benders_strategy=strategy,
+                                time_budget=120)
+            _, report = solve_ccpmsp(inst, opts)
+            h.update(repr(report.objective).encode())
+            for chunk in pool_bytes(report.cuts):
+                h.update(chunk)
+    assert h.hexdigest() == POOLS_DIGEST
+
+
+def test_benders_solve_leaves_numpy_ma_unimported():
+    # np.unique and a few other helpers import numpy.ma on first use, about
+    # 1-2 MB of resident memory; the dual pass must not need them
+    code = (
+        "import sys\n"
+        "from ccpmsp.decomposition import SolveOptions, solve_ccpmsp\n"
+        "from ccpmsp.instances import GenConfig, make_instance\n"
+        "inst = make_instance(GenConfig(dataset_kind='equal', n_jobs=5, "
+        "n_machines=2, n_scenarios=4, dif=-3.0, seed=600, capacity=3))\n"
+        "for strategy in (0, 1):\n"
+        "    _, report = solve_ccpmsp(inst, SolveOptions(cut_kind='benders', "
+        "benders_strategy=strategy))\n"
+        "    assert any(c.kind == 'benders' for c in report.cuts)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(netflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
