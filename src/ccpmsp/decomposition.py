@@ -41,7 +41,9 @@ from .model import (
 )
 from .oracle import verify_candidate
 
-VARIANTS = (LASTJOB, JOBSET)
+# The variant modules, called as ``module.min_time``/``module.iis`` so that
+# a function replaced on the module is the one that runs.
+VARIANT_MODULES = {LASTJOB: lastjob, JOBSET: jobset}
 
 
 @dataclass
@@ -58,7 +60,7 @@ class SolveOptions:
     verify_with_oracle: bool = True
 
     def check(self, inst: Instance) -> None:
-        if self.variant not in VARIANTS:
+        if self.variant not in VARIANT_MODULES:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if self.cut_kind not in CUT_KINDS:
             raise ConfigurationError(f"unknown cut kind {self.cut_kind!r}")
@@ -139,12 +141,6 @@ def collect_report(objective, bound, status, counters: _Counters,
     )
 
 
-def _min_time(variant: str, diag, t, d) -> float:
-    if variant == LASTJOB:
-        return lastjob.min_time(diag, t, d)
-    return jobset.min_time(diag, t, d)
-
-
 def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
                     variant: str, counters: Optional[_Counters] = None
                     ) -> list[tuple[int, int, tuple]]:
@@ -158,6 +154,7 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
     t0 = time.perf_counter()
     build0 = cache.build_time
     active = np.flatnonzero(cand.z)
+    mod = VARIANT_MODULES[variant]
     failures = []
     for m in range(inst.n_machines):
         jobs = cand.machine_jobs(m)
@@ -174,7 +171,7 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
             t, d = sub_times(inst.scenarios[w], remap)
             if counters is not None:
                 counters.check_counts[m, w] += 1
-            if _min_time(variant, diag, t, d) > inst.time_limit + TOL:
+            if mod.min_time(diag, t, d) > inst.time_limit + TOL:
                 failures.append((m, int(w), job_ids))
     failures.sort(key=lambda f: (f[1], f[0], f[2]))
     if counters is not None:
@@ -214,17 +211,13 @@ def emit_cuts(failures, cut_kind: str, inst: Instance, cache: DiagramCache,
         for _, w, jobs in failures:
             push(Cut(job_set=job_set(jobs), scenario=w, kind=NOGOOD))
     elif cut_kind == IIS:
+        variant = opts.variant if opts else JOBSET
+        mod = VARIANT_MODULES[variant]
         for _, w, jobs in failures:
-            diag = cache.get_or_build(
-                opts.variant if opts else JOBSET, len(jobs)
-            )
+            diag = cache.get_or_build(variant, len(jobs))
             remap = canonical_remap(jobs)
             t, d = sub_times(inst.scenarios[w], remap)
-            if diag.variant == LASTJOB:
-                sets = lastjob.iis(diag, inst.time_limit, t, d)
-            else:
-                sets = jobset.iis(diag, inst.time_limit, t, d)
-            for s in sets:
+            for s in mod.iis(diag, inst.time_limit, t, d):
                 orig = frozenset(int(remap[c]) for c in s)
                 push(Cut(job_set=orig, scenario=w, kind=IIS))
     elif cut_kind == BENDERS:

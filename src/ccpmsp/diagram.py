@@ -9,12 +9,13 @@ per-call time arrays obtained through ``canonical_remap``/``sub_times``.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ConfigurationError, Scenario, StructuralError
+from .model import TOL, ConfigurationError, Scenario, StructuralError
 
 LASTJOB = "lastjob"
 JOBSET = "jobset"
@@ -23,30 +24,67 @@ JOBSET = "jobset"
 @dataclass
 class Diagram:
     """Immutable after construction, so one diagram serves every (machine,
-    scenario, job set) of its size.
+    scenario, job set) of its size.  Every array is read-only.
 
-    Node 0 is the root, node ``terminal`` the single terminal.  Arc arrays
-    are parallel and grouped by the tail's layer (``layer_arc_ranges``), so a
-    single sweep in index order is a topological pass.  ``arc_last`` carries
-    the tail state's last-job component (-1 when none); it is structural for
-    the last-job variant and unused for the job-set variant.
+    Node ids run layer by layer: ``layers[p]`` is the id range of layer p,
+    node 0 is the root and the last id the single terminal.  ``node_mask``
+    is each node's job set as a bit mask.  Arc arrays are parallel, grouped
+    by the tail's layer (``layer_arc_ranges``) and, within a layer, by tail
+    node, so a single sweep in index order is a topological pass.
+    ``arc_last`` carries the tail state's last job (-1 when none); it is
+    structural for the last-job variant and unused for the job-set variant.
+
+    Job-set diagrams also carry what their cost pass reads, derived once
+    (the lists are empty for the last-job variant, whose costs are per
+    arc).  All nodes of a job-set layer have the same in- and out-degree,
+    and a node's out-arcs are consecutive in its layer's arc range.
+    ``layer_in[p - 1]`` is the (nodes, in-degree) matrix of the arcs
+    entering layer p, row i for node ``layers[p][i]``; ``layer_setup[p - 1]``
+    holds, per node, in-arc and out-arc, the flat index of
+    d[val(in-arc), val(out-arc)] in the (k + 1)-square setup matrix.
     """
 
     variant: str
     depth: int
-    layers: list[list[int]]
-    states: list
-    node_in: list[list[int]]
-    node_out: list[list[int]]
+    layers: list[range]
+    node_mask: np.ndarray = field(repr=False)
     arc_tail: np.ndarray = field(repr=False)
     arc_head: np.ndarray = field(repr=False)
     arc_value: np.ndarray = field(repr=False)
     arc_last: np.ndarray = field(repr=False)
     layer_arc_ranges: list[tuple[int, int]] = field(repr=False)
+    layer_in: list[np.ndarray] = field(init=False, repr=False)
+    layer_setup: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.layer_in, self.layer_setup = [], []
+        if self.variant == JOBSET:
+            self._derive_jobset_plan()
+        for arr in (self.node_mask, self.arc_tail, self.arc_head, self.arc_value,
+                    self.arc_last, *self.layer_in, *self.layer_setup):
+            arr.setflags(write=False)
+
+    def _derive_jobset_plan(self):
+        val, width = self.arc_value, self.depth + 1
+        # numpy widens index arrays on use anyway, so store the narrowest
+        cell_type = np.min_scalar_type(width * width - 1)
+        for p, (start, end) in enumerate(self.layer_arc_ranges, start=1):
+            layer = self.layers[p]
+            a_in = start + np.argsort(self.arc_head[start:end], kind="stable")
+            a_in = a_in.astype(np.int32).reshape(len(layer), -1)
+            rows = np.arange(layer.start, layer.stop)[:, None]
+            if np.any(self.arc_head[a_in] != rows):
+                raise StructuralError("job-set layer is not regular")
+            self.layer_in.append(a_in)
+            if p < self.depth:
+                out_start, out_end = self.layer_arc_ranges[p]
+                vals_out = val[out_start:out_end].reshape(len(layer), -1)
+                cells = val[a_in][:, :, None] * width + vals_out[:, None, :]
+                self.layer_setup.append(cells.astype(cell_type))
 
     @property
     def n_nodes(self) -> int:
-        return len(self.states)
+        return len(self.node_mask)
 
     @property
     def n_arcs(self) -> int:
@@ -58,22 +96,10 @@ class Diagram:
 
     @property
     def terminal(self) -> int:
-        return self.layers[-1][0]
+        return self.layers[-1].start
 
     def layer_sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
-
-    def fingerprint(self) -> int:
-        return hash(
-            (
-                self.variant,
-                self.depth,
-                tuple(self.layer_sizes()),
-                self.arc_tail.tobytes(),
-                self.arc_head.tobytes(),
-                self.arc_value.tobytes(),
-            )
-        )
 
 
 class LastJobSpec:
@@ -141,67 +167,43 @@ def build_top_down(spec, k: int) -> Diagram:
     """
     if k < 1:
         raise ConfigurationError("diagram depth must be >= 1")
-    states = [spec.initial_state]
-    layers = [[0]]
+    labels = [spec.initial_state]  # the state of each node id
+    layers = [range(1)]
     arc_tail, arc_head, arc_value, arc_last = [], [], [], []
     layer_arc_ranges = []
 
-    for layer_idx in range(k - 1):
-        current = layers[layer_idx]
-        # discover and canonically order next-layer states
-        nxt_states = sorted(
-            {
-                spec.transition(states[n], v)
+    for layer_idx in range(k):
+        current = layers[-1]
+        first = len(labels)
+        final = layer_idx == k - 1
+        if final:
+            nxt = [spec.terminal_state]
+        else:  # discover and canonically order next-layer states
+            nxt = sorted({
+                spec.transition(labels[n], v)
                 for n in current
-                for v in spec.domain(states[n])
-            }
-        )
-        index = {}
-        nxt_ids = []
-        for s in nxt_states:
-            nid = len(states)
-            states.append(s)
-            index[s] = nid
-            nxt_ids.append(nid)
+                for v in spec.domain(labels[n])
+            })
+        index = {s: first + i for i, s in enumerate(nxt)}
+        labels.extend(nxt)
         start = len(arc_tail)
         for n in current:
-            s = states[n]
+            s = labels[n]
             last = spec.last_of(s)
             for v in spec.domain(s):
                 arc_tail.append(n)
-                arc_head.append(index[spec.transition(s, v)])
+                arc_head.append(first if final else index[spec.transition(s, v)])
                 arc_value.append(v)
                 arc_last.append(last)
         layer_arc_ranges.append((start, len(arc_tail)))
-        layers.append(nxt_ids)
-
-    terminal = len(states)
-    states.append(spec.terminal_state)
-    start = len(arc_tail)
-    for n in layers[k - 1]:
-        s = states[n]
-        last = spec.last_of(s)
-        for v in spec.domain(s):
-            arc_tail.append(n)
-            arc_head.append(terminal)
-            arc_value.append(v)
-            arc_last.append(last)
-    layer_arc_ranges.append((start, len(arc_tail)))
-    layers.append([terminal])
-
-    node_in = [[] for _ in states]
-    node_out = [[] for _ in states]
-    for a, (t, h) in enumerate(zip(arc_tail, arc_head)):
-        node_out[t].append(a)
-        node_in[h].append(a)
+        layers.append(range(first, len(labels)))
 
     return Diagram(
         variant=spec.variant,
         depth=k,
         layers=layers,
-        states=states,
-        node_in=node_in,
-        node_out=node_out,
+        node_mask=np.fromiter(map(spec.job_mask, labels), dtype=np.int64,
+                              count=len(labels)),
         arc_tail=np.array(arc_tail, dtype=np.int32),
         arc_head=np.array(arc_head, dtype=np.int32),
         arc_value=np.array(arc_value, dtype=np.int32),
@@ -245,16 +247,39 @@ def node_min_times(diag: Diagram, arc_costs: np.ndarray) -> np.ndarray:
     return times
 
 
-def min_completion_time(diag: Diagram, arc_costs: np.ndarray) -> float:
-    """Best schedule length encoded by the diagram under the given costs.
+@functools.lru_cache(maxsize=None)
+def _masks_by_size(k: int) -> tuple[np.ndarray, ...]:
+    """The nonempty masks over k jobs, one ascending array per cardinality."""
+    masks = np.arange(1 << k)
+    size = sum(masks >> j & 1 for j in range(k))
+    by_size = tuple(masks[size == c] for c in range(1, k + 1))
+    for arr in by_size:  # shared by every caller
+        arr.setflags(write=False)
+    return by_size
 
-    For the last-job variant the costs are per-arc and summed along paths;
-    for the job-set variant they are already cumulative, so the answer is
-    the cheapest arc entering the terminal.
+
+def minimal_over_limit(set_times: np.ndarray, time_limit: float) -> list[frozenset]:
+    """Irreducible infeasible job sets from a per-job-set time table.
+
+    ``set_times[mask]`` is the best time of the jobs in ``mask`` (canonical
+    job j is bit j - 1).  A nonempty set is kept iff its time exceeds the
+    limit and it contains no kept set.  Sets are decided in increasing cardinality,
+    where a set contains a kept set iff it is kept or one of its one-smaller
+    subsets contains one.  Returns frozensets in (cardinality, mask) order.
     """
-    if diag.variant == JOBSET:
-        return float(arc_costs[diag.node_in[diag.terminal]].min())
-    return float(node_min_times(diag, arc_costs)[diag.terminal])
+    k = len(set_times).bit_length() - 1
+    over = set_times > time_limit + TOL
+    blocked = np.zeros(len(set_times), dtype=bool)  # kept or above a kept set
+    kept: list[int] = []
+    for masks in _masks_by_size(k):
+        below = np.zeros(len(masks), dtype=bool)
+        for j in range(k):  # masks without bit j read their own False
+            below |= blocked[masks & ~(1 << j)]
+        new = masks[over[masks] & ~below]
+        blocked[masks] = below
+        blocked[new] = True
+        kept.extend(new.tolist())
+    return [frozenset(j + 1 for j in range(k) if m >> j & 1) for m in kept]
 
 
 class DiagramCache:
@@ -281,34 +306,5 @@ class DiagramCache:
             self._store[key] = diag
         return diag
 
-    def __len__(self) -> int:
-        return len(self._store)
-
     def count(self, variant: str) -> int:
         return sum(1 for v, _ in self._store if v == variant)
-
-
-def _fmt_state(diag: Diagram, state) -> str:
-    if diag.variant == LASTJOB:
-        mask, last = state
-    else:
-        mask, last = state, None
-    jobs = [str(j + 1) for j in range(diag.depth) if mask >> j & 1]
-    label = "{" + ",".join(jobs) + "}"
-    if last is not None and last >= 1:
-        label += f"|{last}"
-    return label
-
-
-def to_dot(diag: Diagram) -> str:
-    """Debug export in DOT format (not a stability-guaranteed layout)."""
-    lines = ["digraph dd {", "  rankdir=TB;"]
-    for n, state in enumerate(diag.states):
-        shape = "doublecircle" if n in (diag.root, diag.terminal) else "circle"
-        lines.append(f'  n{n} [label="{_fmt_state(diag, state)}" shape={shape}];')
-    for a in range(diag.n_arcs):
-        lines.append(
-            f'  n{diag.arc_tail[a]} -> n{diag.arc_head[a]} [label="{diag.arc_value[a]}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines)

@@ -1,5 +1,5 @@
 """Last-job diagram variant: composite states, linear arc costs, and IIS
-extraction via the reach-time table.
+extraction via the per-job-set time table.
 
 The arc cost only needs the tail state's last job and the arc's own job, so
 costs are independent per arc.  The closing setup back to the dummy is paid
@@ -12,64 +12,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diagram import Diagram, min_completion_time, node_min_times
-from .model import TOL, StructuralError
+from .diagram import Diagram, minimal_over_limit, node_min_times
+from .model import StructuralError
 
 
 def arc_costs(diag: Diagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Per-arc costs for one scenario's canonical time arrays.
 
     Root-leaving arcs cost t[v]; interior arcs d[last, v] + t[v]; arcs into
-    the terminal additionally pay d[v, 0].
+    the terminal additionally pay d[v, 0].  Interior arcs are those after
+    the root's arc range, closing arcs the last layer's arc range.
     """
     if diag.variant != "lastjob":
         raise StructuralError("last-job costs requested for a different variant")
     val = diag.arc_value
-    last = diag.arc_last
-    costs = t[val].copy()
-    interior = last >= 1
-    costs[interior] += d[last[interior], val[interior]]
-    closing = diag.arc_head == diag.terminal
+    costs = t[val]
+    interior = slice(diag.layer_arc_ranges[0][1], None)
+    closing = slice(*diag.layer_arc_ranges[-1])
+    costs[interior] += d[diag.arc_last[interior], val[interior]]
     costs[closing] += d[val[closing], 0]
     return costs
 
 
 def min_time(diag: Diagram, t: np.ndarray, d: np.ndarray) -> float:
-    return min_completion_time(diag, arc_costs(diag, t, d))
+    return float(node_min_times(diag, arc_costs(diag, t, d))[diag.terminal])
 
 
-def reach_times(diag: Diagram, t: np.ndarray, d: np.ndarray) -> dict[int, float]:
-    """Minimum completion time per job set (keyed by bit mask), taken over
-    all nodes sharing that set.  Entries exist for feasible sets too; the
-    empty set maps to 0 at the root and the full mask to the terminal time.
-    """
-    times = node_min_times(diag, arc_costs(diag, t, d))
-    table: dict[int, float] = {}
-    for n, state in enumerate(diag.states):
-        mask = state[0]
-        cur = table.get(mask, np.inf)
-        if times[n] < cur:
-            table[mask] = float(times[n])
+def set_times(diag: Diagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Minimum completion time per job set (indexed by bit mask), taken
+    over all nodes sharing that set: 0 for the empty set, the terminal time
+    for the full set."""
+    table = np.full(1 << diag.depth, np.inf)
+    np.minimum.at(table, diag.node_mask, node_min_times(diag, arc_costs(diag, t, d)))
     return table
 
 
-def _mask_to_set(mask: int) -> frozenset:
-    return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
-
-
 def iis(diag: Diagram, time_limit: float, t: np.ndarray, d: np.ndarray) -> list[frozenset]:
-    """Irreducible infeasible job sets for one scenario.
-
-    Filters the reach-time table in increasing-cardinality order, keeping a
-    set iff its best time exceeds the limit and no kept set is contained in
-    it.  Subset checks are only sound in that order.
-    """
-    table = reach_times(diag, t, d)
-    kept_masks: list[int] = []
-    for mask in sorted(table, key=lambda m: (bin(m).count("1"), m)):
-        if table[mask] <= time_limit + TOL:
-            continue
-        if any(k & mask == k for k in kept_masks):
-            continue
-        kept_masks.append(mask)
-    return [_mask_to_set(m) for m in kept_masks]
+    """Irreducible infeasible job sets for one scenario."""
+    return minimal_over_limit(set_times(diag, t, d), time_limit)

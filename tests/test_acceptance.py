@@ -75,7 +75,7 @@ def test_criterion_1_worked_example(uniform_scenario):
         # the job-set variant's cumulative costs agree per job set
         costs = jobset.arc_costs(js, t, d)
         js_times = {
-            js.states[n]: costs[js.node_in[n]].min()
+            int(js.node_mask[n]): costs[np.flatnonzero(js.arc_head == n)].min()
             for layer in js.layers[1:] for n in layer
         }
         assert abs(js_times[0b111] - 14.0) <= 1e-9

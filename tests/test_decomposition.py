@@ -1,3 +1,5 @@
+import hashlib
+import json
 import time
 
 import numpy as np
@@ -21,7 +23,7 @@ from ccpmsp.model import (
     chance_satisfied,
 )
 from ccpmsp.oracle import brute_optimal
-from conftest import B10_CONFIG
+from conftest import B10_CONFIG, regression_configs
 
 
 def uniform_instance(uniform_scenario, machines=1, T=5.0, eps=0.4):
@@ -349,3 +351,29 @@ def test_solve_verifies_above_brute_force_capacity(monkeypatch):
     assert report.optimal and cand is not None
     assert calls == [10]
     assert report.verify_time > 0.0
+
+
+# Final IIS pools of regression instances (conftest.regression_configs),
+# reduced to (scenario, sorted job set, kind) rows in pool order: index ->
+# (pool size, sha256 of the rows as JSON).  Both variants yield these pools.
+IIS_POOLS = {
+    1: (8, "2eeecab69ceaf51d98e19e8291484a8d92fb2745c8fe41d6e1d4cb4591d3c5c0"),
+    2: (2, "7dbd6ba779cfe69aa59d0ee3e7901b036cc2643a9a3842911ec762ff1f3f1f61"),
+    4: (8, "37b59127177905a401d74a714ee108189801b6ca5b0c70426e287580edd706e6"),
+    5: (27, "2c15c284adfad021870cacbfe2f9b1a5a1d2f3547ef09a706682534d2da54f72"),
+    7: (37, "d1665a244e18135a7596fb745b16fa72476728cb645a189a2b6095e35a81a59a"),
+    8: (51, "97816d1479967d5d6e19211b5120ff16208befb1f7387a52ac1d405b87a4b1b9"),
+    11: (265, "303a3863873635817b567ca7f8f4524168005326bb563dc180219991ac2abb6d"),
+}
+
+
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_iis_pools_pinned(variant):
+    configs = regression_configs()
+    for index, (size, digest) in IIS_POOLS.items():
+        inst = make_instance(configs[index])
+        opts = SolveOptions(variant=variant, cut_kind="iis", time_budget=120)
+        _, report = solve_ccpmsp(inst, opts)
+        rows = [[c.scenario, sorted(c.job_set), c.kind] for c in report.cuts]
+        assert len(rows) == size, index
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, index

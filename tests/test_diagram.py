@@ -13,9 +13,9 @@ from ccpmsp.diagram import (
     LastJobSpec,
     build_top_down,
     canonical_remap,
-    min_completion_time,
+    minimal_over_limit,
+    node_min_times,
     sub_times,
-    to_dot,
 )
 from ccpmsp.model import ConfigurationError, StructuralError
 from conftest import random_scenario
@@ -57,7 +57,7 @@ def test_paths_are_exactly_the_permutations(k, variant):
         if node == d.terminal:
             paths.append(tuple(seq))
             return
-        for a in d.node_out[node]:
+        for a in np.flatnonzero(d.arc_tail == node):
             walk(int(d.arc_head[a]), seq + [int(d.arc_value[a])])
 
     walk(d.root, [])
@@ -68,15 +68,15 @@ def test_no_duplicate_values_leaving_a_node():
     for spec in (LastJobSpec(5), JobSetSpec(5)):
         d = build_top_down(spec, 5)
         for n in range(d.n_nodes):
-            vals = [int(d.arc_value[a]) for a in d.node_out[n]]
+            vals = [int(d.arc_value[a]) for a in np.flatnonzero(d.arc_tail == n)]
             assert len(vals) == len(set(vals))
 
 
 def test_states_distinct_within_layer():
     d = build_top_down(JobSetSpec(6), 6)
     for layer in d.layers:
-        states = [d.states[n] for n in layer]
-        assert len(states) == len(set(states))
+        masks = [int(d.node_mask[n]) for n in layer]
+        assert len(masks) == len(set(masks))
 
 
 def test_worked_example_min_time(uniform_scenario):
@@ -84,8 +84,10 @@ def test_worked_example_min_time(uniform_scenario):
     t, d = sub_times(uniform_scenario, remap)
     lj = build_top_down(LastJobSpec(3), 3)
     js = build_top_down(JobSetSpec(3), 3)
-    assert min_completion_time(lj, lastjob.arc_costs(lj, t, d)) == pytest.approx(14.0)
-    assert min_completion_time(js, jobset.arc_costs(js, t, d)) == pytest.approx(14.0)
+    lj_times = node_min_times(lj, lastjob.arc_costs(lj, t, d))
+    assert lj_times[lj.terminal] == pytest.approx(14.0)
+    into_terminal = np.flatnonzero(js.arc_head == js.terminal)
+    assert jobset.arc_costs(js, t, d)[into_terminal].min() == pytest.approx(14.0)
 
 
 def test_depth_one_includes_closing_setup():
@@ -146,7 +148,6 @@ def test_cache_returns_identical_structure():
     a = cache.get_or_build(LASTJOB, 5)
     b = cache.get_or_build(LASTJOB, 5)
     assert a is b
-    assert a.fingerprint() == b.fingerprint()
 
 
 def test_cache_depth_guard_and_variant_isolation():
@@ -162,8 +163,26 @@ def test_cache_depth_guard_and_variant_isolation():
     assert cache.count(LASTJOB) == 4 and cache.count(JOBSET) == 4
 
 
-def test_dot_export_mentions_every_node():
-    d = build_top_down(JobSetSpec(3), 3)
-    dot = to_dot(d)
-    assert dot.startswith("digraph")
-    assert dot.count("->") == d.n_arcs
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_arrays_are_read_only_and_layers_are_id_ranges(variant):
+    spec = LastJobSpec(4) if variant == LASTJOB else JobSetSpec(4)
+    d = build_top_down(spec, 4)
+    assert [n for layer in d.layers for n in layer] == list(range(d.n_nodes))
+    for p, layer in enumerate(d.layers):
+        assert all(bin(int(d.node_mask[n])).count("1") == p for n in layer)
+    assert len(d.layer_in) == (4 if variant == JOBSET else 0)
+    for p, a_in in enumerate(d.layer_in, start=1):
+        for row, n in zip(a_in, d.layers[p]):
+            assert sorted(row.tolist()) == np.flatnonzero(d.arc_head == n).tolist()
+    for arr in (d.node_mask, d.arc_tail, d.arc_head, d.arc_value, d.arc_last,
+                *d.layer_in[:1], *d.layer_setup[:1]):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_minimal_over_limit_keeps_minimal_sets_in_size_then_mask_order():
+    # sets over 5: {2}, {1,3}, and every superset of either
+    times = np.array([0, 2, 6, 9, 3, 6, 10, 14], dtype=float)
+    assert minimal_over_limit(times, 5.0) == [frozenset({2}), frozenset({1, 3})]
+    assert minimal_over_limit(times, 14.0) == []
+    assert minimal_over_limit(times, 13.0) == [frozenset({1, 2, 3})]

@@ -3,8 +3,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ccpmsp import lastjob, oracle
-from ccpmsp.diagram import LastJobSpec, build_top_down, canonical_remap, sub_times
+from ccpmsp import jobset, lastjob, oracle
+from ccpmsp.diagram import (
+    JOBSET,
+    LASTJOB,
+    JobSetSpec,
+    LastJobSpec,
+    build_top_down,
+    canonical_remap,
+    sub_times,
+)
 from conftest import random_scenario
 
 
@@ -37,24 +45,26 @@ def test_arc_costs_worked_example(uniform_scenario):
     diag = build_top_down(LastJobSpec(3), 3)
     costs = lastjob.arc_costs(diag, t, d)
     # root arcs carry the execution times
-    root_costs = sorted(costs[diag.node_out[diag.root]])
+    root_costs = sorted(costs[np.flatnonzero(diag.arc_tail == diag.root)])
     assert root_costs == [2.0, 3.0, 6.0]
     # the arc ({1},1) -> ({1,2},2) costs d12 + t2 = 7
     for a in range(diag.n_arcs):
         tail = int(diag.arc_tail[a])
-        if diag.states[tail] == (0b001, 1) and int(diag.arc_value[a]) == 2:
+        state = (diag.node_mask[tail], diag.arc_last[a])
+        if state == (0b001, 1) and int(diag.arc_value[a]) == 2:
             assert costs[a] == pytest.approx(7.0)
     # terminal arcs close the schedule: d + t + d_back
-    for a in diag.node_in[diag.terminal]:
+    for a in np.flatnonzero(diag.arc_head == diag.terminal):
         tail = int(diag.arc_tail[a])
-        if diag.states[tail] == (0b011, 2) and int(diag.arc_value[a]) == 3:
+        state = (diag.node_mask[tail], diag.arc_last[a])
+        if state == (0b011, 2) and int(diag.arc_value[a]) == 3:
             assert costs[a] == pytest.approx(5.0)  # 1 + 3 + 1
 
 
-def test_reach_times_worked_example(uniform_scenario):
+def test_set_times_worked_example(uniform_scenario):
     t, d = example_arrays(uniform_scenario)
     diag = build_top_down(LastJobSpec(3), 3)
-    table = lastjob.reach_times(diag, t, d)
+    table = lastjob.set_times(diag, t, d)
     assert table[0b000] == 0.0
     assert table[0b001] == 2.0 and table[0b010] == 6.0 and table[0b100] == 3.0
     assert table[0b011] == 9.0 and table[0b101] == 6.0 and table[0b110] == 10.0
@@ -64,7 +74,7 @@ def test_reach_times_worked_example(uniform_scenario):
 def test_full_set_time_equals_min_completion(uniform_scenario):
     t, d = example_arrays(uniform_scenario)
     diag = build_top_down(LastJobSpec(3), 3)
-    table = lastjob.reach_times(diag, t, d)
+    table = lastjob.set_times(diag, t, d)
     assert table[0b111] == pytest.approx(lastjob.min_time(diag, t, d))
 
 
@@ -97,8 +107,13 @@ def test_iis_matches_brute_force(seed):
     assert got == want
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_reach_table_equals_partial_sequence_minima(seed):
+VARIANT_SEEDS = [(LASTJOB, s) for s in range(6)] + [(JOBSET, s) for s in range(6)]
+
+
+@pytest.mark.parametrize("variant, seed", VARIANT_SEEDS, ids=[
+    str(s) if v == LASTJOB else f"{v}-{s}" for v, s in VARIANT_SEEDS
+])
+def test_reach_table_equals_partial_sequence_minima(variant, seed):
     # every subset's entry is the cheapest ordering without the closing
     # setup, except the full set which includes it
     rng = np.random.default_rng(700 + seed)
@@ -106,8 +121,10 @@ def test_reach_table_equals_partial_sequence_minima(seed):
     sc = random_scenario(rng, k)
     remap = canonical_remap(range(1, k + 1))
     t, d = sub_times(sc, remap)
-    diag = build_top_down(LastJobSpec(k), k)
-    table = lastjob.reach_times(diag, t, d)
+    if variant == LASTJOB:
+        table = lastjob.set_times(build_top_down(LastJobSpec(k), k), t, d)
+    else:
+        table = jobset.set_times(build_top_down(JobSetSpec(k), k), t, d)
     universe = list(range(1, k + 1))
     assert len(table) == 2**k
     for size in range(0, k + 1):

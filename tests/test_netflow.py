@@ -432,3 +432,14 @@ def test_benders_solve_leaves_numpy_ma_unimported():
     src = str(Path(netflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_contexts_of_one_size_share_a_read_only_diagram():
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=5, n_machines=2,
+                                   n_scenarios=3, seed=1, capacity=3))
+    a, b = netflow.FlowContext(inst), netflow.FlowContext(inst)
+    assert a.capd is b.capd
+    for arr in (a.capd.arc_tail, a.capd.arc_cap, a.capd.assign, a.capd.na_jobs,
+                a.capd.lead_setup[0]):
+        with pytest.raises(ValueError):
+            arr[0] = 0
