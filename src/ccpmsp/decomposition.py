@@ -1,6 +1,12 @@
 """Outer solve loop: propose a master candidate, check every (machine,
 scenario) sequencing subproblem on the cached diagrams, emit cuts, repeat.
 
+A check makes one set-time sweep per machine over all the scenarios the
+candidate claims, in chunks that bound the sweep's memory, with times
+gathered from the instance's scenario-stacked arrays.  Each failure carries
+its scenario's per-job-set time table, from which IIS cuts are read without
+a second sweep.
+
 A candidate becomes the answer only after every scenario it claims (z = 1)
 has been verified feasible on all machines, so the returned objective is
 exact whenever the status says optimal.  Two driving modes exist: the
@@ -18,7 +24,14 @@ from typing import Optional
 import numpy as np
 
 from . import jobset, lastjob, netflow
-from .diagram import JOBSET, LASTJOB, DiagramCache, canonical_remap, sub_times
+from .diagram import (
+    JOBSET,
+    LASTJOB,
+    DiagramCache,
+    canonical_remap,
+    minimal_over_limit,
+    sub_times,
+)
 from .master import (
     BuiltinBackend,
     ExternalBackend,
@@ -41,9 +54,17 @@ from .model import (
 )
 from .oracle import verify_candidate
 
-# The variant modules, called as ``module.min_time``/``module.iis`` so that
+# The variant modules, called as ``module.set_times``/``module.iis`` so that
 # a function replaced on the module is the one that runs.
 VARIANT_MODULES = {LASTJOB: lastjob, JOBSET: jobset}
+
+# Working-set bound of one set-time sweep in float64 cells (512 KB): a
+# machine's claimed scenarios are split into balanced chunks so that no
+# sweep array (``Diagram.sweep_cells`` per scenario) exceeds it.  Per
+# scenario the sweep runs slower on chunks of one or two scenarios than on
+# wider ones, and at k = 11 it is no faster at 2^17 cells than here, while
+# a solve's peak memory grows with the bound.
+SWEEP_CHUNK_CELLS = 1 << 16
 
 
 @dataclass
@@ -86,10 +107,11 @@ class SolveReport:
     subproblem_resolution_time: float = 0.0
     resolution_time_per_callback: float = 0.0
     cut_creation_time: float = 0.0
-    subproblem_creation_time: float = 0.0
+    subproblem_creation_time: float = 0.0  # the netflow context
     wall_time: float = 0.0
     master_time: float = 0.0  # inside solve_master, callback hook time excluded
     verify_time: float = 0.0  # post-solve oracle check, after wall_time stops
+    build_time: float = 0.0  # diagram builds
     check_counts: Optional[np.ndarray] = None  # (n_machines, n_scenarios)
     cuts: Optional[list] = None  # final pool (diagnostics)
 
@@ -134,27 +156,45 @@ def collect_report(objective, bound, status, counters: _Counters,
         subproblem_resolution_time=counters.resolution_time,
         resolution_time_per_callback=per_cb,
         cut_creation_time=counters.cut_time,
-        subproblem_creation_time=cache.build_time + netflow_build_time,
+        subproblem_creation_time=netflow_build_time,
         wall_time=wall_time,
         master_time=counters.master_time,
+        build_time=cache.build_time,
         check_counts=counters.check_counts,
     )
 
 
+class Failure(tuple):
+    """A failing (machine, scenario, jobs) triple, equal to the plain tuple.
+
+    ``times`` is the scenario's per-job-set time table from the check that
+    found the failure (None on a plain triple), so IIS extraction reads it
+    instead of sweeping the diagram again.
+    """
+
+    def __new__(cls, machine: int, scenario: int, jobs: tuple, times=None):
+        failure = super().__new__(cls, (machine, scenario, jobs))
+        failure.times = times
+        return failure
+
+
 def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
                     variant: str, counters: Optional[_Counters] = None
-                    ) -> list[tuple[int, int, tuple]]:
+                    ) -> list[Failure]:
     """Sequencing check of every (machine, scenario) the candidate claims.
 
     Only scenarios with z = 1 are checked (cuts bind through z); machines
-    without jobs are trivially fine.  Returns (machine, scenario, jobs)
-    failures sorted by (scenario, machine).  Diagram builds triggered here
-    count as creation time (``cache.build_time``), not resolution time.
+    without jobs are trivially fine.  Each machine's claimed scenarios go
+    through its diagram in one ``set_times`` call per chunk, and a scenario
+    fails when the full set's time exceeds T.  Returns failures sorted by
+    (scenario, machine).  Diagram builds triggered here count as creation
+    time (``cache.build_time``), not resolution time.
     """
     t0 = time.perf_counter()
     build0 = cache.build_time
     active = np.flatnonzero(cand.z)
     mod = VARIANT_MODULES[variant]
+    exec_all, setup_all = inst.scenario_stack
     failures = []
     for m in range(inst.n_machines):
         jobs = cand.machine_jobs(m)
@@ -164,15 +204,24 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
             raise StructuralError(
                 f"machine {m} holds {len(jobs)} jobs, capacity {inst.capacity}"
             )
+        if len(active) == 0:
+            continue
         diag = cache.get_or_build(variant, len(jobs))
         remap = canonical_remap(jobs)
         job_ids = tuple(int(j) for j in jobs)  # one tuple per machine, shared
-        for w in active:
-            t, d = sub_times(inst.scenarios[w], remap)
-            if counters is not None:
-                counters.check_counts[m, w] += 1
-            if mod.min_time(diag, t, d) > inst.time_limit + TOL:
-                failures.append((m, int(w), job_ids))
+        if counters is not None:
+            counters.check_counts[m, active] += 1
+        n_chunks = min(len(active),
+                       -(-len(active) * diag.sweep_cells // SWEEP_CHUNK_CELLS))
+        bounds = np.arange(n_chunks + 1) * len(active) // n_chunks
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            part = active[lo:hi]
+            t = exec_all[np.ix_(remap, part)]
+            d = setup_all[np.ix_(remap, remap, part)]
+            table = mod.set_times(diag, t, d)
+            over = np.flatnonzero(table[-1] > inst.time_limit + TOL)
+            for w, times in zip(part[over].tolist(), table.T[over]):
+                failures.append(Failure(m, w, job_ids, times))
     failures.sort(key=lambda f: (f[1], f[0], f[2]))
     if counters is not None:
         counters.resolution_time += (
@@ -188,10 +237,12 @@ def emit_cuts(failures, cut_kind: str, inst: Instance, cache: DiagramCache,
               job_sets: Optional[dict] = None) -> list[Cut]:
     """Render the cut batch for a list of failures, deduplicated by key.
 
-    No-good and flow cuts of one failing job tuple share one frozenset,
-    kept in ``job_sets`` (tuple -> frozenset; pass one dict to every call of
-    a solve to share across batches): a pool keeps every cut, and a
-    machine's set fails in many scenarios and iterations.
+    IIS cuts of a ``Failure`` from ``check_candidate`` are read from its
+    time table; a plain (machine, scenario, jobs) triple is timed here.
+    Cuts on equal job sets share one frozenset, kept in ``job_sets``
+    (sorted job tuple -> frozenset; pass one dict to every call of a solve
+    to share across batches): a pool keeps every cut, and a set fails in
+    many scenarios and iterations.
     """
     t0 = time.perf_counter()
     cuts: list[Cut] = []
@@ -213,12 +264,17 @@ def emit_cuts(failures, cut_kind: str, inst: Instance, cache: DiagramCache,
     elif cut_kind == IIS:
         variant = opts.variant if opts else JOBSET
         mod = VARIANT_MODULES[variant]
-        for _, w, jobs in failures:
-            diag = cache.get_or_build(variant, len(jobs))
+        for failure in failures:
+            _, w, jobs = failure
             remap = canonical_remap(jobs)
-            t, d = sub_times(inst.scenarios[w], remap)
-            for s in mod.iis(diag, inst.time_limit, t, d):
-                orig = frozenset(int(remap[c]) for c in s)
+            times = getattr(failure, "times", None)
+            if times is None:
+                diag = cache.get_or_build(variant, len(jobs))
+                sets = mod.iis(diag, inst.time_limit, *sub_times(inst.scenarios[w], remap))
+            else:
+                sets = minimal_over_limit(times, inst.time_limit)
+            for s in sets:
+                orig = job_set(tuple(int(remap[c]) for c in sorted(s)))
                 push(Cut(job_set=orig, scenario=w, kind=IIS))
     elif cut_kind == BENDERS:
         if flow_ctx is None or cand is None:

@@ -5,6 +5,12 @@ layer; every root-to-terminal path spells a permutation of the k jobs.  The
 graph is built once per (variant, k) and reused for every (machine, scenario,
 job set) of that size: arc costs are never stored, they are evaluated against
 per-call time arrays obtained through ``canonical_remap``/``sub_times``.
+
+Both variants are regular, layer by layer, so each diagram derives at build
+the plan its variant's set-time sweep reads (in-arc matrices, the distinct
+job sets per layer, and setup or cost cells).  The sweeps take time arrays
+with a trailing scenario axis, so many scenarios go through one diagram
+together.
 """
 
 from __future__ import annotations
@@ -24,7 +30,8 @@ JOBSET = "jobset"
 @dataclass
 class Diagram:
     """Immutable after construction, so one diagram serves every (machine,
-    scenario, job set) of its size.  Every array is read-only.
+    scenario, job set) of its size.  Every array is read-only and of the
+    narrowest integer dtype that holds its values.
 
     Node ids run layer by layer: ``layers[p]`` is the id range of layer p,
     node 0 is the root and the last id the single terminal.  ``node_mask``
@@ -34,14 +41,33 @@ class Diagram:
     ``arc_last`` carries the tail state's last job (-1 when none); it is
     structural for the last-job variant and unused for the job-set variant.
 
-    Job-set diagrams also carry what their cost pass reads, derived once
-    (the lists are empty for the last-job variant, whose costs are per
-    arc).  All nodes of a job-set layer have the same in- and out-degree,
-    and a node's out-arcs are consecutive in its layer's arc range.
-    ``layer_in[p - 1]`` is the (nodes, in-degree) matrix of the arcs
-    entering layer p, row i for node ``layers[p][i]``; ``layer_setup[p - 1]``
-    holds, per node, in-arc and out-arc, the flat index of
-    d[val(in-arc), val(out-arc)] in the (k + 1)-square setup matrix.
+    The plan of the set-time sweep is derived at build, and the build fails
+    if a layer is not regular: all nodes of a layer have the same in- and
+    out-degree, a node's out-arcs are consecutive in its layer's arc range,
+    and the nodes sharing a job set are consecutive and equally many.  The
+    sweep visits a layer's nodes in *sweep order*: by rank within their job
+    set, then by job set.  For a job-set layer that is node order; in a
+    last-job layer each job set's nodes then lie one set-count apart, so
+    the per-set minimum reduces over the outermost axis.  For p = 1..k:
+
+    * ``layer_masks[p - 1]`` holds the distinct job sets of layer p, sorted,
+      and the node at sweep position r has job set
+      ``layer_masks[p - 1][r % len(layer_masks[p - 1])]``;
+    * ``layer_in[p - 1]`` is the (in-degree, nodes) matrix of layer p's
+      in-arcs, column r for sweep position r.  A job-set entry is the
+      in-arc's offset in the arc range of layer p - 1; a last-job entry is
+      the in-arc's tail, as a sweep position in layer p - 1;
+    * ``layer_cells[p - 1]`` holds the cost cells the sweep reads with it.
+      A job-set layer p < k has, per in-arc, node and out-arc, the flat
+      index of d[val(in-arc), val(out-arc)] in the (k + 1)-square setup
+      matrix.  A last-job layer has, per in-arc and node, the in-arc's
+      ``arc_cell``.
+
+    ``arc_cell`` (last-job only) is each arc's flat index in the
+    (2, k + 1, k + 1) cost table that ``lastjob.cost_table`` builds per
+    call, indexed by (closing, last job or 0 at the root, job).
+    ``sweep_cells`` bounds the arrays a set-time sweep allocates, in cells
+    per scenario: the time table, and one layer's arcs.
     """
 
     variant: str
@@ -53,34 +79,72 @@ class Diagram:
     arc_value: np.ndarray = field(repr=False)
     arc_last: np.ndarray = field(repr=False)
     layer_arc_ranges: list[tuple[int, int]] = field(repr=False)
+    arc_cell: np.ndarray = field(init=False, repr=False)
+    layer_masks: list[np.ndarray] = field(init=False, repr=False)
     layer_in: list[np.ndarray] = field(init=False, repr=False)
-    layer_setup: list[np.ndarray] = field(init=False, repr=False)
+    layer_cells: list[np.ndarray] = field(init=False, repr=False)
+    sweep_cells: int = field(init=False)
 
     def __post_init__(self):
-        self.layer_in, self.layer_setup = [], []
-        if self.variant == JOBSET:
-            self._derive_jobset_plan()
+        width = self.depth + 1
+        self.arc_cell = np.zeros(0, dtype=np.uint8)
+        if self.variant == LASTJOB:
+            cells = np.maximum(self.arc_last, 0).astype(np.int32)  # root's arcs: row 0
+            cells *= width
+            cells += self.arc_value
+            cells[slice(*self.layer_arc_ranges[-1])] += width * width  # closing
+            self.arc_cell = cells.astype(np.min_scalar_type(2 * width * width - 1))
+        self.layer_masks, self.layer_in, self.layer_cells = [], [], []
+        prev_pos = np.zeros(1, dtype=np.int64)  # the root's sweep position
+        for p in range(1, self.depth + 1):
+            prev_pos = self._derive_layer(p, prev_pos)
+        self.sweep_cells = max([1 << self.depth,
+                                *(end - start for start, end in self.layer_arc_ranges)])
         for arr in (self.node_mask, self.arc_tail, self.arc_head, self.arc_value,
-                    self.arc_last, *self.layer_in, *self.layer_setup):
+                    self.arc_last, self.arc_cell, *self.layer_masks,
+                    *self.layer_in, *self.layer_cells):
             arr.setflags(write=False)
 
-    def _derive_jobset_plan(self):
-        val, width = self.arc_value, self.depth + 1
+    def _derive_layer(self, p: int, prev_pos: np.ndarray) -> np.ndarray:
+        """Append layer p's plan; takes and returns each node's sweep
+        position in layers p - 1 and p (indexed by node offset)."""
+        start, end = self.layer_arc_ranges[p - 1]
+        tails, layer = self.layers[p - 1], self.layers[p]
+        masks = self.node_mask[layer.start:layer.stop]
+        n_sets = len(set(masks.tolist()))  # np.unique imports numpy.ma
+        n_arcs = end - start
+        if n_arcs % len(tails) or n_arcs % len(layer) or len(layer) % n_sets:
+            raise StructuralError(f"{self.variant} layer {p} is not regular")
+        # sweep position r holds node offset order[r]
+        order = np.arange(len(layer)).reshape(n_sets, -1).T.ravel()
+        a_in = np.argsort(self.arc_head[start:end], kind="stable")
+        a_in = a_in.reshape(len(layer), -1)[order].T
+        groups = masks.reshape(n_sets, -1)
+        out_tails = self.arc_tail[start:end].reshape(len(tails), -1)
+        if (np.any(self.arc_head[start + a_in] != layer.start + order)
+                or np.any(out_tails != np.arange(tails.start, tails.stop)[:, None])
+                or np.any(groups != groups[:, :1])
+                or np.any(groups[1:, 0] <= groups[:-1, 0])):
+            raise StructuralError(f"{self.variant} layer {p} is not regular")
         # numpy widens index arrays on use anyway, so store the narrowest
-        cell_type = np.min_scalar_type(width * width - 1)
-        for p, (start, end) in enumerate(self.layer_arc_ranges, start=1):
-            layer = self.layers[p]
-            a_in = start + np.argsort(self.arc_head[start:end], kind="stable")
-            a_in = a_in.astype(np.int32).reshape(len(layer), -1)
-            rows = np.arange(layer.start, layer.stop)[:, None]
-            if np.any(self.arc_head[a_in] != rows):
-                raise StructuralError("job-set layer is not regular")
-            self.layer_in.append(a_in)
+        narrow = np.min_scalar_type
+        self.layer_masks.append(np.ascontiguousarray(groups[:, 0]))
+        if self.variant == JOBSET:
+            self.layer_in.append(a_in.astype(narrow(n_arcs - 1)))
             if p < self.depth:
+                width = self.depth + 1
+                vals_in = self.arc_value[start + a_in].astype(np.int32)
                 out_start, out_end = self.layer_arc_ranges[p]
-                vals_out = val[out_start:out_end].reshape(len(layer), -1)
-                cells = val[a_in][:, :, None] * width + vals_out[:, None, :]
-                self.layer_setup.append(cells.astype(cell_type))
+                vals_out = self.arc_value[out_start:out_end].reshape(len(layer), -1)
+                cells = vals_in[:, :, None] * width + vals_out[None, :, :]
+                self.layer_cells.append(cells.astype(narrow(width * width - 1)))
+        else:
+            in_tails = prev_pos[self.arc_tail[start + a_in] - tails.start]
+            self.layer_in.append(in_tails.astype(narrow(len(tails) - 1)))
+            self.layer_cells.append(self.arc_cell[start + a_in])
+        pos = np.empty(len(layer), dtype=np.int64)
+        pos[order] = np.arange(len(layer))
+        return pos
 
     @property
     def n_nodes(self) -> int:
@@ -163,51 +227,56 @@ class JobSetSpec:
 def build_top_down(spec, k: int) -> Diagram:
     """Top-down construction: expand each layer's nodes over their domains,
     merging equal states; the final decision layer's arcs all enter the
-    terminal.  Nodes within a layer sit in canonical state order.
+    terminal.  Nodes within a layer sit in canonical state order.  Only the
+    current layer is held as Python objects; each finished layer becomes
+    arrays, which bounds the build's peak memory.
     """
     if k < 1:
         raise ConfigurationError("diagram depth must be >= 1")
-    labels = [spec.initial_state]  # the state of each node id
+    states = [spec.initial_state]  # the current layer's states, in node order
     layers = [range(1)]
-    arc_tail, arc_head, arc_value, arc_last = [], [], [], []
+    masks = [np.array([spec.job_mask(spec.initial_state)], dtype=np.int64)]
+    arcs: list[np.ndarray] = []  # per layer: (4, arcs) tail, head, value, last
     layer_arc_ranges = []
 
     for layer_idx in range(k):
         current = layers[-1]
-        first = len(labels)
+        first = current.stop
         final = layer_idx == k - 1
         if final:
             nxt = [spec.terminal_state]
         else:  # discover and canonically order next-layer states
             nxt = sorted({
-                spec.transition(labels[n], v)
-                for n in current
-                for v in spec.domain(labels[n])
+                spec.transition(s, v) for s in states for v in spec.domain(s)
             })
         index = {s: first + i for i, s in enumerate(nxt)}
-        labels.extend(nxt)
-        start = len(arc_tail)
-        for n in current:
-            s = labels[n]
-            last = spec.last_of(s)
+        tail, head, value, last = [], [], [], []
+        for n, s in zip(current, states):
             for v in spec.domain(s):
-                arc_tail.append(n)
-                arc_head.append(first if final else index[spec.transition(s, v)])
-                arc_value.append(v)
-                arc_last.append(last)
-        layer_arc_ranges.append((start, len(arc_tail)))
-        layers.append(range(first, len(labels)))
+                tail.append(n)
+                head.append(first if final else index[spec.transition(s, v)])
+                value.append(v)
+                last.append(spec.last_of(s))
+        start = layer_arc_ranges[-1][1] if layer_arc_ranges else 0
+        layer_arc_ranges.append((start, start + len(tail)))
+        arcs.append(np.array([tail, head, value, last], dtype=np.int32))
+        del tail, head, value, last, index
+        masks.append(np.fromiter(map(spec.job_mask, nxt), dtype=np.int64, count=len(nxt)))
+        layers.append(range(first, first + len(nxt)))
+        states = nxt
 
+    tail, head, value, last = np.concatenate(arcs, axis=1)
+    del arcs
+    node_type = np.min_scalar_type(layers[-1].stop - 1)
     return Diagram(
         variant=spec.variant,
         depth=k,
         layers=layers,
-        node_mask=np.fromiter(map(spec.job_mask, labels), dtype=np.int64,
-                              count=len(labels)),
-        arc_tail=np.array(arc_tail, dtype=np.int32),
-        arc_head=np.array(arc_head, dtype=np.int32),
-        arc_value=np.array(arc_value, dtype=np.int32),
-        arc_last=np.array(arc_last, dtype=np.int32),
+        node_mask=np.concatenate(masks).astype(np.min_scalar_type((1 << k) - 1)),
+        arc_tail=tail.astype(node_type),
+        arc_head=head.astype(node_type),
+        arc_value=value.astype(np.min_scalar_type(k)),
+        arc_last=last.astype(np.min_scalar_type(-k - 1)),
         layer_arc_ranges=layer_arc_ranges,
     )
 

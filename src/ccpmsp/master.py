@@ -35,10 +35,11 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 LIMIT = "limit"
 
-# Entries of the built-in search's job-set -> failed-scenarios memo before it
-# is emptied.  Instances of 12-22 jobs stay below 1000 entries, but a minute
-# on 30 jobs visits about 500k distinct job sets: unbounded, the memo then
-# held about 130 MB; at this size peak RSS stays below 50 MB.
+# Entries of each of the built-in search's job-set memos (failed scenarios
+# per solve, relaxation-forced scenarios per model) before it is emptied.
+# Instances of 12-22 jobs stay below 1000 entries, but a minute on 30 jobs
+# visits about 500k distinct job sets: unbounded, a memo then held about
+# 130 MB; at this size peak RSS stays below 50 MB.
 FAIL_MEMO_MAX = 1 << 15
 
 
@@ -53,6 +54,10 @@ class MasterModel:
     scenario_relaxation: bool = False
     cuts: list[Cut] = field(default_factory=list)
     relax_coef: Optional[np.ndarray] = None  # (n_scenarios, n_jobs)
+    # job-set mask -> scenarios the relaxation rows force to zero on the set
+    # or one of its prefixes in job order; rows never change, so the built-in
+    # search keeps this across the solves of one model
+    relax_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
@@ -96,6 +101,7 @@ def add_scenario_relaxation(model: MasterModel) -> MasterModel:
     to the dummy included), a lower bound on any schedule containing it."""
     model.scenario_relaxation = True
     model.relax_coef = optimistic_load_coefficients(model.inst)
+    model.relax_memo.clear()
     return model
 
 
@@ -304,11 +310,29 @@ class BuiltinBackend:
         relax = (np.ascontiguousarray(model.relax_coef.T)
                  if model.scenario_relaxation else None)
         # job-set mask -> bitmask of the scenarios that set forces to zero;
-        # local to this call, so it is freed on return
+        # local to this call, as the pool grows between solves
         fail_memo: dict[int, int] = {}
+        relax_memo = model.relax_memo
 
         def jobs_of(mask: int) -> list[int]:
             return [i for i in range(n) if mask >> i & 1]
+
+        def relax_of(mask: int) -> int:
+            """Scenarios whose relaxation row is violated by ``mask`` or by
+            a prefix of it in job order (the sets the search, adding jobs
+            in index order, passed on its way to ``mask``)."""
+            bits = relax_memo.get(mask)
+            if bits is None:
+                parent = mask ^ (1 << (mask.bit_length() - 1))
+                bits = relax_of(parent) if parent else 0
+                over = relax[jobs_of(mask)].sum(axis=0) > T + TOL
+                bits |= int.from_bytes(
+                    np.packbits(over, bitorder="little").tobytes(), "little"
+                )
+                if len(relax_memo) >= FAIL_MEMO_MAX:
+                    relax_memo.clear()
+                relax_memo[mask] = bits
+            return bits
 
         def fail_of(mask: int, j: int, parent: int) -> int:
             """Forced scenarios of ``mask``, the set whose forced scenarios
@@ -316,10 +340,7 @@ class BuiltinBackend:
             once forced, as both row families only tighten when jobs join."""
             bits = parent
             if relax is not None:
-                over = relax[jobs_of(mask)].sum(axis=0) > T + TOL
-                bits |= int.from_bytes(
-                    np.packbits(over, bitorder="little").tobytes(), "little"
-                )
+                bits |= relax_of(mask)
             for cmask, wbit in cuts_by_job[j]:
                 if cmask & mask == cmask:
                     bits |= wbit
@@ -453,6 +474,11 @@ class BuiltinBackend:
             dfs(0, 0.0, 0, 0)
         except _BoundReached:
             pass
+        finally:
+            # both recursive closures hold themselves through their cells;
+            # unlinking them frees the search state on return instead of in
+            # a later cyclic collection
+            dfs = relax_of = None
 
         if best_x is None:
             if limit:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -105,6 +106,18 @@ class Instance:
     @property
     def big_m_max(self) -> float:
         return float(self.big_m.max())
+
+    @cached_property
+    def scenario_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every scenario's times with the scenario axis last, derived on
+        first use: exec of shape (n + 1, S) with a zero row 0 for the dummy,
+        and setup of shape (n + 1, n + 1, S).  Both read-only."""
+        exec_ = np.zeros((self.n_jobs + 1, self.n_scenarios))
+        exec_[1:] = np.stack([sc.exec for sc in self.scenarios], axis=-1)
+        setup = np.stack([sc.setup for sc in self.scenarios], axis=-1)
+        exec_.setflags(write=False)
+        setup.setflags(write=False)
+        return exec_, setup
 
     def to_dict(self) -> dict:
         return {

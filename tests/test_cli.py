@@ -268,7 +268,8 @@ def test_bench_parallel_matches_serial(tmp_path):
     assert run(["bench", *paths, "--variants", "js", "--cuts", "iis",
                 "--budget", 60, "--parallel", 2, "--out", parallel]) == 0
     drop = {"total_time", "resol_time", "resol_time_per_cb",
-            "create_cut_time", "create_sp_time", "master_time", "verify_time"}
+            "create_cut_time", "create_sp_time", "master_time", "verify_time",
+            "build_time"}
     a = [{k: v for k, v in r.items() if k not in drop} for r in read_runs(serial)]
     b = [{k: v for k, v in r.items() if k not in drop} for r in read_runs(parallel)]
     assert a == b

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ccpmsp import decomposition, netflow
+from ccpmsp import decomposition, jobset, lastjob, netflow
 from ccpmsp.decomposition import (
     SolveOptions,
     check_candidate,
@@ -23,7 +24,7 @@ from ccpmsp.model import (
     chance_satisfied,
 )
 from ccpmsp.oracle import brute_optimal
-from conftest import B10_CONFIG, regression_configs
+from conftest import B10_CONFIG, overloaded_b10_x, regression_configs
 
 
 def uniform_instance(uniform_scenario, machines=1, T=5.0, eps=0.4):
@@ -55,6 +56,118 @@ def test_check_candidate_skips_empty_machines_and_dropped_scenarios(uniform_scen
     assert check_candidate(inst, Candidate(x=x, z=np.array([1])), cache, JOBSET) == []
     x[:, 0] = 1
     assert check_candidate(inst, Candidate(x=x, z=np.array([0])), cache, JOBSET) == []
+
+
+def counting_set_times(monkeypatch):
+    """Record the scenario count of every set_times call of both variants."""
+    widths = []
+    for mod in (jobset, lastjob):
+        def counted(diag, t, d, original=mod.set_times):
+            widths.append(t.shape[1])
+            return original(diag, t, d)
+
+        monkeypatch.setattr(mod, "set_times", counted)
+    return widths
+
+
+def test_check_candidate_sweeps_no_empty_machine_or_dropped_scenario(
+        uniform_scenario, monkeypatch):
+    inst = Instance(
+        n_jobs=3, n_machines=2, capacity=3, time_limit=5.0, epsilon=0.4,
+        utilities=np.array([2.0, 6.0, 3.0]), scenarios=[uniform_scenario] * 3,
+    )
+    cache = DiagramCache(max_depth=3)
+    widths = counting_set_times(monkeypatch)
+    x = np.zeros((3, 2), dtype=np.int8)
+    x[:, 0] = 1
+    assert check_candidate(inst, Candidate(x=x, z=np.zeros(3, dtype=np.int8)),
+                           cache, JOBSET) == []
+    assert widths == []
+    z = np.array([1, 0, 1], dtype=np.int8)
+    failures = check_candidate(inst, Candidate(x=x, z=z), cache, JOBSET)
+    assert failures == [(0, 0, (1, 2, 3)), (0, 2, (1, 2, 3))]
+    assert widths == [2]  # one sweep: machine 0, both claimed scenarios
+
+
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_check_tables_do_not_depend_on_the_chunk_split(monkeypatch, variant):
+    inst = make_instance(B10_CONFIG)
+    x = overloaded_b10_x(inst)
+    cand = Candidate(x=x, z=np.ones(inst.n_scenarios, dtype=np.int8))
+    per_scenario = DiagramCache(max_depth=10).get_or_build(variant, 10).sweep_cells
+    splits = {}
+    for width in (1, 2, inst.n_scenarios):
+        monkeypatch.setattr(decomposition, "SWEEP_CHUNK_CELLS", width * per_scenario)
+        widths = counting_set_times(monkeypatch)
+        cache = DiagramCache(max_depth=inst.capacity)
+        failures = check_candidate(inst, cand, cache, variant)
+        assert widths == [width] * (2 * inst.n_scenarios // width)
+        splits[width] = failures
+    want, *others = splits.values()
+    assert want
+    for failures in others:
+        assert failures == want
+        for got, ref in zip(failures, want):
+            assert got.times.tobytes() == ref.times.tobytes()
+
+
+def test_check_candidate_memory_is_bounded_by_the_chunk_cap():
+    # the hard-tier shape: a full machine of 10 jobs checked against 100
+    # scenarios.  Unchunked, the check peaks at about 4.8 MB (jobset) and
+    # 12.7 MB (lastjob); chunked at 2^16 cells, at about 2.6 MB and 1.6 MB,
+    # failing tables included.
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=20, n_machines=2,
+                                   n_scenarios=100, dif=-2.0, seed=1))
+    assert inst.capacity == 10
+    cache = DiagramCache(max_depth=inst.capacity)
+    x = np.zeros((inst.n_jobs, inst.n_machines), dtype=np.int8)
+    x[:10, 0] = x[10:, 1] = 1
+    cand = Candidate(x=x, z=np.ones(inst.n_scenarios, dtype=np.int8))
+    check_candidate(inst, cand, cache, JOBSET)  # builds the diagram
+    for variant in (JOBSET, LASTJOB):
+        check_candidate(inst, cand, cache, variant)
+        tracemalloc.start()
+        try:
+            failures = check_candidate(inst, cand, cache, variant)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failures
+        assert peak <= 3 * 2**20, variant
+
+
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_a_solve_sweeps_once_per_machine_chunk(monkeypatch, variant):
+    # IIS cuts are read from the check's tables: no second sweep, and no
+    # single-scenario call at all.  A cap of 64 cells splits each check of
+    # this instance into chunks of a few scenarios.
+    monkeypatch.setattr(decomposition, "SWEEP_CHUNK_CELLS", 64)
+    batches = []
+    original_check = decomposition.check_candidate
+
+    def check(inst, cand, cache, variant, counters=None):
+        for m in range(inst.n_machines):
+            k = len(cand.machine_jobs(m))
+            if k and cand.z.any():
+                cells = cache.get_or_build(variant, k).sweep_cells
+                n_claimed = int(cand.z.sum())
+                batches.append(min(n_claimed, -(-n_claimed * cells
+                                                // decomposition.SWEEP_CHUNK_CELLS)))
+        return original_check(inst, cand, cache, variant, counters)
+
+    def refuse(*args):
+        raise AssertionError("single-scenario call in the solve path")
+
+    monkeypatch.setattr(decomposition, "check_candidate", check)
+    widths = counting_set_times(monkeypatch)
+    for mod in (jobset, lastjob):
+        monkeypatch.setattr(mod, "iis", refuse)
+        monkeypatch.setattr(mod, "min_time", refuse)
+    inst = make_instance(regression_configs()[11])
+    _, report = solve_ccpmsp(inst, SolveOptions(variant=variant, cut_kind="iis"))
+    assert report.optimal and report.n_cuts > 0
+    assert len(widths) == sum(batches) > report.n_callbacks
+    assert sum(widths) == report.check_counts.sum()
 
 
 def test_emit_nogood_cut(uniform_scenario):
@@ -113,6 +226,23 @@ def test_emit_cuts_share_one_job_set_per_failing_tuple(uniform_scenario):
                     for w in range(3)]
         assert [c.key() for c in cuts] == [c.key() for c in want]
         assert [c.job_set for c in cuts] == [c.job_set for c in want]
+
+
+def test_iis_cuts_on_equal_job_sets_share_one_frozenset(uniform_scenario):
+    # {2} and {1,3} fail in each of three scenarios: six cuts, two sets
+    inst = Instance(
+        n_jobs=3, n_machines=1, capacity=3, time_limit=5.0, epsilon=0.4,
+        utilities=np.array([2.0, 6.0, 3.0]), scenarios=[uniform_scenario] * 3,
+    )
+    cache = DiagramCache(max_depth=3)
+    cand = Candidate(x=np.ones((3, 1), dtype=np.int8), z=np.ones(3, dtype=np.int8))
+    failures = check_candidate(inst, cand, cache, JOBSET)
+    job_sets = {}
+    cuts = emit_cuts(failures, "iis", inst, cache, SolveOptions(), job_sets=job_sets)
+    assert [(c.scenario, sorted(c.job_set)) for c in cuts] == [
+        (w, s) for w in range(3) for s in ([2], [1, 3])]
+    assert set(job_sets) == {(2,), (1, 3)}
+    assert all(c.job_set is job_sets[tuple(sorted(c.job_set))] for c in cuts)
 
 
 @pytest.mark.parametrize("dif", [30.0, -3.0])
@@ -313,7 +443,8 @@ def test_master_time_overlaps_no_other_phase(mode):
     _, report = solve_ccpmsp(inst, SolveOptions(mode=mode, time_budget=60))
     assert report.optimal and report.master_time > 0.0
     phases = (report.master_time + report.subproblem_resolution_time
-              + report.cut_creation_time + report.subproblem_creation_time)
+              + report.cut_creation_time + report.subproblem_creation_time
+              + report.build_time)
     assert phases <= report.wall_time
 
 

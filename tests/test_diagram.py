@@ -170,14 +170,50 @@ def test_arrays_are_read_only_and_layers_are_id_ranges(variant):
     assert [n for layer in d.layers for n in layer] == list(range(d.n_nodes))
     for p, layer in enumerate(d.layers):
         assert all(bin(int(d.node_mask[n])).count("1") == p for n in layer)
-    assert len(d.layer_in) == (4 if variant == JOBSET else 0)
-    for p, a_in in enumerate(d.layer_in, start=1):
-        for row, n in zip(a_in, d.layers[p]):
-            assert sorted(row.tolist()) == np.flatnonzero(d.arc_head == n).tolist()
+    assert len(d.layer_in) == len(d.layer_masks) == 4
+    assert len(d.layer_cells) == (3 if variant == JOBSET else 4)
+    assert len(d.arc_cell) == (d.n_arcs if variant == LASTJOB else 0)
     for arr in (d.node_mask, d.arc_tail, d.arc_head, d.arc_value, d.arc_last,
-                *d.layer_in[:1], *d.layer_setup[:1]):
-        with pytest.raises(ValueError):
-            arr[0] = 0
+                d.arc_cell, *d.layer_masks, *d.layer_in, *d.layer_cells):
+        assert not arr.flags.writeable
+
+
+def sweep_nodes(d, p):
+    """Node ids of layer p in the diagram's sweep order."""
+    layer = d.layers[p]
+    n_sets = len(d.layer_masks[p - 1]) if p else 1
+    group = len(layer) // n_sets
+    return [layer.start + (r % n_sets) * group + r // n_sets for r in range(len(layer))]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 6])
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_sweep_plan_lists_each_nodes_in_arcs(variant, k):
+    spec = LastJobSpec(k) if variant == LASTJOB else JobSetSpec(k)
+    d = build_top_down(spec, k)
+    for p in range(1, k + 1):
+        start, end = d.layer_arc_ranges[p - 1]
+        masks, a_in = d.layer_masks[p - 1], d.layer_in[p - 1]
+        layer = d.node_mask[d.layers[p].start:d.layers[p].stop]
+        assert masks.tolist() == sorted(set(layer.tolist()))
+        nodes, tails = sweep_nodes(d, p), sweep_nodes(d, p - 1)
+        assert a_in.shape[1] == len(nodes)
+        for r, n in enumerate(nodes):
+            assert d.node_mask[n] == masks[r % len(masks)]
+            arcs = np.flatnonzero(d.arc_head == n)
+            if variant == JOBSET:
+                assert sorted(start + a_in[:, r].astype(int)) == arcs.tolist()
+            else:
+                got = sorted(zip([tails[i] for i in a_in[:, r]],
+                                 d.layer_cells[p - 1][:, r].tolist()))
+                assert got == sorted(zip(d.arc_tail[arcs].tolist(),
+                                         d.arc_cell[arcs].tolist()))
+        if variant == JOBSET and p < k:
+            cells = d.layer_cells[p - 1]
+            out = d.arc_value[slice(*d.layer_arc_ranges[p])].reshape(len(nodes), -1)
+            vals_in = d.arc_value[start + a_in.astype(int)]
+            assert np.array_equal(cells, vals_in[:, :, None] * (k + 1) + out[None])
+    assert d.sweep_cells == max([1 << k, *(a.size for a in d.layer_in)])
 
 
 def test_minimal_over_limit_keeps_minimal_sets_in_size_then_mask_order():

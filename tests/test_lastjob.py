@@ -11,8 +11,10 @@ from ccpmsp.diagram import (
     LastJobSpec,
     build_top_down,
     canonical_remap,
+    node_min_times,
     sub_times,
 )
+from ccpmsp.model import Scenario
 from conftest import random_scenario
 
 
@@ -158,3 +160,65 @@ def test_iis_outputs_are_minimal_and_incomparable(seed):
         for b in sets:
             if a is not b:
                 assert not a <= b
+
+
+def asymmetric_times(rng, k, count):
+    """Canonical (t, d) of ``count`` scenarios whose setups carry random
+    one-way surcharges, so d[i, j] != d[j, i]."""
+    pairs = []
+    for _ in range(count):
+        sc = random_scenario(rng, k)
+        skew = rng.uniform(0.0, 2.0, size=sc.setup.shape)
+        np.fill_diagonal(skew, 0.0)
+        skewed = Scenario(exec=sc.exec, setup=sc.setup + skew)
+        pairs.append(sub_times(skewed, canonical_remap(range(1, k + 1))))
+    return pairs
+
+
+def reference_table(diag, t, d):
+    """The set-time table from per-arc costs and node minima, as a plain
+    loop over arcs would compute it."""
+    if diag.variant == LASTJOB:
+        table = np.full(1 << diag.depth, np.inf)
+        np.minimum.at(table, diag.node_mask,
+                      node_min_times(diag, lastjob.arc_costs(diag, t, d)))
+        return table
+    best = np.full(diag.n_nodes, np.inf)
+    best[diag.root] = 0.0
+    np.minimum.at(best, diag.arc_head, jobset.arc_costs(diag, t, d))
+    table = np.empty(1 << diag.depth)
+    table[diag.node_mask] = best
+    return table
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_batched_set_times_equal_a_per_scenario_loop(variant, k):
+    # bit for bit: each scenario goes through the same float operations
+    # whether alone or stacked with others
+    mod, spec = (lastjob, LastJobSpec) if variant == LASTJOB else (jobset, JobSetSpec)
+    diag = build_top_down(spec(k), k)
+    pairs = asymmetric_times(np.random.default_rng(1200 + k), k, 3)
+    assert any(not np.array_equal(d, d.T) for _, d in pairs)
+    for width in (1, 3):
+        t = np.stack([tw for tw, _ in pairs[:width]], axis=-1)
+        d = np.stack([dw for _, dw in pairs[:width]], axis=-1)
+        table = mod.set_times(diag, t, d)
+        assert table.shape == (1 << k, width)
+        for w, (tw, dw) in enumerate(pairs[:width]):
+            alone = mod.set_times(diag, tw, dw)
+            assert table[:, w].tobytes() == alone.tobytes()
+            assert alone.tobytes() == reference_table(diag, tw, dw).tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_arc_costs_equal_the_per_arc_formula(k):
+    diag = build_top_down(LastJobSpec(k), k)
+    ((t, d),) = asymmetric_times(np.random.default_rng(1300 + k), k, 1)
+    val, last = diag.arc_value, diag.arc_last
+    want = t[val]
+    interior = slice(diag.layer_arc_ranges[0][1], None)
+    closing = slice(*diag.layer_arc_ranges[-1])
+    want[interior] += d[last[interior], val[interior]]
+    want[closing] += d[val[closing], 0]
+    assert lastjob.arc_costs(diag, t, d).tobytes() == want.tobytes()

@@ -381,6 +381,37 @@ def test_early_stop_at_previous_optimum_changes_nothing():
     assert rounds >= 5
 
 
+@pytest.mark.parametrize("memo_max", [master.FAIL_MEMO_MAX, 4])
+def test_reused_model_solves_like_fresh_models(monkeypatch, memo_max):
+    # the relaxation memo outlives a solve of its model: in a hand-driven
+    # cut loop, every solve of the reused model must return exactly what a
+    # fresh model with the same pool returns, also when the memos overflow
+    monkeypatch.setattr(master, "FAIL_MEMO_MAX", memo_max)
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=9, n_machines=3,
+                                   n_scenarios=8, dif=-1.0, seed=4))
+    cache = DiagramCache(max_depth=inst.capacity)
+    model = build_master(inst)
+    previous = None
+    for rounds in range(200):
+        reused = solve_master(model, upper_bound=previous)
+        fresh_model = build_master(inst)
+        fresh_model.cuts.extend(model.cuts)
+        fresh = solve_master(fresh_model, upper_bound=previous)
+        assert reused.status == fresh.status == master.OPTIMAL
+        assert reused.objective == fresh.objective
+        assert np.array_equal(reused.x, fresh.x) and np.array_equal(reused.z, fresh.z)
+        failures = check_candidate(inst, reused.candidate, cache, JOBSET)
+        if not failures:
+            break
+        model.cuts.extend(emit_cuts(failures, IIS, inst, cache,
+                                    SolveOptions(variant=JOBSET)))
+        previous = reused.objective
+    else:
+        pytest.fail("loop did not terminate")
+    assert rounds >= 5
+    assert 0 < len(model.relax_memo) <= memo_max
+
+
 def brute_master(model):
     """Best objective over every assignment respecting the assignment,
     capacity and symmetry rows, with z maximal: a scenario drops exactly
