@@ -32,7 +32,7 @@ CSV_VERSION = "# ccpmsp-csv v1"
 SOLVE_COLUMNS = (
     "model,cut,total_time,gap,optimal,n_callbacks,n_cuts,"
     "resol_time,resol_time_per_cb,create_cut_time,create_sp_time,"
-    "master_time,verify_time,status,build_time"
+    "master_time,verify_time,status,build_time,n_master_solves"
 )
 BENCH_COLUMNS = "instance,dataset,jobs,machines,scenarios," + SOLVE_COLUMNS
 
@@ -72,6 +72,7 @@ def solve_row(model_name: str, cut: str, report) -> str:
             f"{report.verify_time:.3f}",
             report.status,
             f"{report.build_time:.3f}",
+            str(report.n_master_solves),
         ]
     )
 
@@ -108,7 +109,8 @@ def _add_solve_flags(sp) -> None:
     sp.add_argument("--solver-cmd", default=None,
                     help="external solver command; the CCPMSP_EXTERNAL_SOLVER "
                          "environment variable takes precedence")
-    sp.add_argument("--mode", default="iterative", choices=["iterative", "callback"])
+    sp.add_argument("--mode", default=SolveOptions.mode,
+                    choices=["iterative", "callback"])
     sp.add_argument("--no-symmetry", action="store_true")
     sp.add_argument("--no-scenario-relaxation", action="store_true")
 
@@ -207,7 +209,7 @@ def _bench_one(task) -> tuple[str, str]:
     except Exception as exc:  # record the failure, keep the batch going
         row = (
             f"{prefix},{variant},{cut},0.000,inf,0,0,0,"
-            f"0.000,0.0000,0.000,0.000,0.000,0.000,error,0.000"
+            f"0.000,0.0000,0.000,0.000,0.000,0.000,error,0.000,0"
         )
         return row, f"{name} {variant}/{cut}: {exc}"
 
@@ -375,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--variants", default="lj,js")
     b.add_argument("--cuts", default="nogood,iis")
     b.add_argument("--budget", type=float, default=1200.0)
-    b.add_argument("--mode", default="iterative", choices=["iterative", "callback"])
+    b.add_argument("--mode", default=SolveOptions.mode,
+                   choices=["iterative", "callback"])
     b.add_argument("--parallel", type=int, default=1,
                    help="fan whole solves out over N processes")
     b.add_argument("--repetitions", type=int, default=1,

@@ -10,9 +10,10 @@ a second sweep.
 A candidate becomes the answer only after every scenario it claims (z = 1)
 has been verified feasible on all machines, so the returned objective is
 exact whenever the status says optimal.  Two driving modes exist: the
-default iterative loop re-solves the master after each cut batch, and a
-callback mode feeds cuts to the backend's in-search lazy-cut hook; both
-finish with the same objective.
+default callback mode runs one master search whose lazy-cut hook checks each
+candidate and returns cuts that prune the rest of that search, and the
+iterative loop re-solves the master after each cut batch (the only mode of
+a backend without a hook); both finish with the same objective.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class SolveOptions:
     time_budget: float = 1200.0
     backend: str = "builtin"  # or "external"
     external_cmd: Optional[str] = None
-    mode: str = "iterative"  # or "callback"
+    mode: str = "callback"  # or "iterative"
     benders_strategy: int = 1  # 0 = basic cut, 1 = layer-strengthened
     verify_with_oracle: bool = True
 
@@ -102,7 +103,7 @@ class SolveReport:
     gap: float = float("inf")
     optimal: bool = False
     status: str = "unknown"
-    n_callbacks: int = 0
+    n_callbacks: int = 0  # subproblem checks (check_candidate calls)
     n_cuts: int = 0
     subproblem_resolution_time: float = 0.0
     resolution_time_per_callback: float = 0.0
@@ -112,6 +113,7 @@ class SolveReport:
     master_time: float = 0.0  # inside solve_master, callback hook time excluded
     verify_time: float = 0.0  # post-solve oracle check, after wall_time stops
     build_time: float = 0.0  # diagram builds
+    n_master_solves: int = 0  # solve_master calls, 1 in callback mode
     check_counts: Optional[np.ndarray] = None  # (n_machines, n_scenarios)
     cuts: Optional[list] = None  # final pool (diagnostics)
 
@@ -119,6 +121,7 @@ class SolveReport:
 @dataclass
 class _Counters:
     n_callbacks: int = 0
+    n_master_solves: int = 0
     resolution_time: float = 0.0
     cut_time: float = 0.0
     master_time: float = 0.0
@@ -160,6 +163,7 @@ def collect_report(objective, bound, status, counters: _Counters,
         wall_time=wall_time,
         master_time=counters.master_time,
         build_time=cache.build_time,
+        n_master_solves=counters.n_master_solves,
         check_counts=counters.check_counts,
     )
 
@@ -331,38 +335,46 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
                 fresh.append(cut)
         return fresh
 
-    if opts.mode == "callback" and backend.supports_callback:
+    def check(cand: Candidate) -> list[Failure]:
+        counters.n_callbacks += 1
+        return check_candidate(inst, cand, cache, opts.variant, counters)
 
-        def check_and_cut(x, z):
-            counters.n_callbacks += 1
-            cand = Candidate(x=x, z=z)
-            failures = check_candidate(inst, cand, cache, opts.variant, counters)
-            if not failures:
-                return []
-            cuts = emit_cuts(
-                failures, opts.cut_kind, inst, cache, opts, cand, counters,
-                flow_ctx, job_sets,
-            )
-            fresh = append_cuts(cuts)
-            if not fresh:
-                # every derived cut was already pooled (possible for weak flow
-                # cuts); a no-good for a freshly failing pair is always new,
-                # so the batch stays nonempty whenever failures exist
-                fresh = append_cuts(emit_cuts(failures, NOGOOD, inst, cache,
-                                              job_sets=job_sets))
-            return fresh
+    def cut_batch(failures, cand: Candidate) -> list[Cut]:
+        """Pool the cuts of a failing candidate.  When the fresh batch does
+        not exclude the candidate (possible for weak flow cuts), the
+        failures' no-goods join it; one of them is always new."""
+        fresh = append_cuts(emit_cuts(
+            failures, opts.cut_kind, inst, cache, opts, cand, counters,
+            flow_ctx, job_sets,
+        ))
+        if not _batch_excludes(inst, model, fresh, cand):
+            nogoods = append_cuts(emit_cuts(failures, NOGOOD, inst, cache,
+                                            job_sets=job_sets))
+            if not nogoods:
+                raise StructuralError("cut pool failed to exclude a candidate")
+            fresh += nogoods
+        return fresh
+
+    def run_master(**kwargs):
+        t0 = time.perf_counter()
+        sol = solve_master(model, backend, time_budget=remaining(), **kwargs)
+        counters.master_time += time.perf_counter() - t0
+        counters.n_master_solves += 1
+        return sol
+
+    if opts.mode == "callback" and backend.supports_callback:
 
         def hook(x, z):
             # the hook runs inside solve_master; its time is not master time
             t0 = time.perf_counter()
             try:
-                return check_and_cut(x, z)
+                cand = Candidate(x=x, z=z)
+                failures = check(cand)
+                return cut_batch(failures, cand) if failures else []
             finally:
                 counters.master_time -= time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        sol = solve_master(model, backend, time_budget=remaining(), hook=hook)
-        counters.master_time += time.perf_counter() - t0
+        sol = run_master(hook=hook)
         wall = time.perf_counter() - start
         status = sol.status
         objective = sol.objective
@@ -375,19 +387,13 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         status = LIMIT
         upper_bound = None
         while True:
-            t0 = time.perf_counter()
-            sol = solve_master(model, backend, time_budget=remaining(),
-                               upper_bound=upper_bound)
-            counters.master_time += time.perf_counter() - t0
-            counters.n_callbacks += 1
+            sol = run_master(upper_bound=upper_bound)
             if sol.x is None:
                 status = sol.status
                 bound = sol.bound
                 break
             bound = sol.bound
-            failures = check_candidate(
-                inst, sol.candidate, cache, opts.variant, counters
-            )
+            failures = check(sol.candidate)
             if not failures:
                 cand = sol.candidate
                 objective = sol.objective
@@ -396,18 +402,7 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
             if sol.status == OPTIMAL:
                 # cuts only ever add rows, so this optimum bounds every later one
                 upper_bound = sol.objective
-            cuts = emit_cuts(
-                failures, opts.cut_kind, inst, cache, opts, sol.candidate,
-                counters, flow_ctx, job_sets,
-            )
-            fresh = append_cuts(cuts)
-            binding = _batch_excludes(inst, model, fresh, sol.candidate)
-            if not binding:
-                # degenerate batch (possible for weak flow cuts): force progress
-                fallback = emit_cuts(failures, NOGOOD, inst, cache,
-                                     job_sets=job_sets)
-                if not append_cuts(fallback):
-                    raise StructuralError("cut pool failed to exclude a candidate")
+            cut_batch(failures, sol.candidate)
             if remaining() <= 0:
                 status = LIMIT
                 break

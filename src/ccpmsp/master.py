@@ -264,6 +264,12 @@ class BuiltinBackend:
     misses 1 - epsilon is abandoned.  z is assigned greedily maximal at each
     leaf, which is optimal since z carries no objective.
 
+    ``hook``, when given, is called with (x, z) at each leaf that meets the
+    chance row and returns the cuts (x, z) violates, or nothing to accept
+    it.  Its job-set cuts prune interior nodes for the rest of the search;
+    every hook cut is also tested at later leaves, which keeps the search
+    sound whatever the memos hold.
+
     ``upper_bound``, when given, must bound this model's optimum from above,
     as the optimum of an earlier solve with a subset of its rows does.  The
     search then stops at the first incumbent that reaches it.  An incumbent
@@ -353,8 +359,31 @@ class BuiltinBackend:
         mach_mask = [0] * M
         mach_fail = [0] * M
 
-        pending: list[tuple[int, int]] = []  # callback-added (jobmask, scenario)
+        # hook-added cuts in arrival order: (jobmask, scenario) and flow cuts
+        pending: list[tuple[int, int]] = []
         pending_benders: list[tuple[int, float, np.ndarray]] = []
+
+        def add_lazy(new_cuts) -> None:
+            """Hook cuts join the leaf check.  A job-set cut also joins
+            ``cuts_by_job`` and sets its scenario bit on every memo entry and
+            every machine of the current path whose job set covers it, so it
+            prunes from here on; flow cuts stay leaf-only."""
+            for cut in new_cuts:
+                if cut.kind == BENDERS:
+                    const, coefs0 = cut.benders_payload
+                    pending_benders.append(
+                        (cut.scenario, const, np.asarray(coefs0, float))
+                    )
+                    continue
+                cmask, wbit = cut.job_mask(), 1 << cut.scenario
+                pending.append((cmask, cut.scenario))
+                for j in jobs_of(cmask):
+                    cuts_by_job[j].append((cmask, wbit))
+                for mask in [mk for mk in fail_memo if mk & cmask == cmask]:
+                    fail_memo[mask] |= wbit
+                for m, mk in enumerate(mach_mask):
+                    if mk & cmask == cmask:
+                        mach_fail[m] |= wbit
 
         best_obj = -np.inf
         best_x = None
@@ -412,14 +441,7 @@ class BuiltinBackend:
                     if not new_cuts:
                         verified = True
                         break
-                    for cut in new_cuts:
-                        if cut.kind == BENDERS:
-                            const, coefs0 = cut.benders_payload
-                            pending_benders.append(
-                                (cut.scenario, const, np.asarray(coefs0, float))
-                            )
-                        else:
-                            pending.append((cut.job_mask(), cut.scenario))
+                    add_lazy(new_cuts)
                     z = leaf_z(failed)
                     # a returned cut's scenario is a failing one for this x,
                     # so its flag must drop here even if the cut row itself
@@ -449,6 +471,7 @@ class BuiltinBackend:
                 handle_leaf(util, failed)
                 return
             bit = 1 << j
+            seen = len(pending)
             for m in range(min(j + 1, M) if model.symmetry else M):
                 mask = mach_mask[m]
                 if mask.bit_count() >= B:
@@ -463,8 +486,19 @@ class BuiltinBackend:
                 assign[j] = m
                 mach_mask[m], mach_fail[m] = grown, new
                 dfs(j + 1, util + f[j], used + 1, failed | new)
-                mach_mask[m], mach_fail[m] = mask, old
                 assign[j] = -1
+                # hook cuts that arrived in the subtree: ``old`` misses those
+                # ``mask`` covers, and ``failed`` those the path covers
+                arrived = pending[seen:]
+                for cmask, w in arrived:
+                    if cmask & mask == cmask:
+                        old |= 1 << w
+                mach_mask[m], mach_fail[m] = mask, old
+                if arrived:
+                    seen += len(arrived)
+                    failed = 0
+                    for bits in mach_fail:
+                        failed |= bits
                 if limit:
                     note_open(j, util, used)
                     return

@@ -186,7 +186,7 @@ class Candidate:
         return {"x": self.x.tolist(), "z": self.z.tolist()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cut:
     """One cut for the master problem.
 

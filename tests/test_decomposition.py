@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ccpmsp import decomposition, jobset, lastjob, netflow
+from ccpmsp import decomposition, jobset, lastjob, master, netflow
 from ccpmsp.decomposition import (
     SolveOptions,
     check_candidate,
@@ -21,9 +21,10 @@ from ccpmsp.model import (
     ConfigurationError,
     Cut,
     Instance,
+    candidate_objective,
     chance_satisfied,
 )
-from ccpmsp.oracle import brute_optimal
+from ccpmsp.oracle import brute_optimal, verify_candidate
 from conftest import B10_CONFIG, overloaded_b10_x, regression_configs
 
 
@@ -289,10 +290,28 @@ def test_solve_matches_oracle_sample(regression_set, regression_optima, variant,
 
 def test_callback_and_iterative_agree(regression_set, regression_optima):
     for inst, want in list(zip(regression_set, regression_optima))[20:32]:
-        it = solve_ccpmsp(inst, SolveOptions(mode="iterative", time_budget=60))[1]
-        cb = solve_ccpmsp(inst, SolveOptions(mode="callback", time_budget=60))[1]
-        assert it.objective == pytest.approx(cb.objective, abs=1e-9)
-        assert it.objective == pytest.approx(want, abs=1e-9)
+        for variant, cut in ((JOBSET, "iis"), (LASTJOB, "iis"), (JOBSET, "nogood")):
+            opts = dict(variant=variant, cut_kind=cut, time_budget=60)
+            it = solve_ccpmsp(inst, SolveOptions(mode="iterative", **opts))[1]
+            cb = solve_ccpmsp(inst, SolveOptions(mode="callback", **opts))[1]
+            assert it.status == cb.status == "optimal"
+            assert it.objective == pytest.approx(cb.objective, abs=1e-9)
+            assert it.objective == pytest.approx(want, abs=1e-9)
+            assert cb.n_master_solves == 1
+            assert it.n_master_solves == it.n_callbacks
+
+
+def test_callback_mode_finds_an_incumbent_where_one_hook_call_stalled():
+    # unless hook cuts prune interior nodes, callback mode makes one hook
+    # call here and spends the whole budget rejecting leaves at the leaf
+    # check
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=24, n_machines=3,
+                                   n_scenarios=50, dif=-1.0, seed=2))
+    cand, report = solve_ccpmsp(inst, SolveOptions(time_budget=5.0))
+    assert cand is not None and report.n_callbacks > 1
+    assert verify_candidate(inst, cand) == []
+    assert report.objective == pytest.approx(candidate_objective(inst, cand))
+    assert report.bound >= report.objective and report.gap < float("inf")
 
 
 def test_variant_independence(regression_set):
@@ -503,8 +522,43 @@ def test_iis_pools_pinned(variant):
     configs = regression_configs()
     for index, (size, digest) in IIS_POOLS.items():
         inst = make_instance(configs[index])
-        opts = SolveOptions(variant=variant, cut_kind="iis", time_budget=120)
+        opts = SolveOptions(variant=variant, cut_kind="iis", time_budget=120,
+                            mode="iterative")
         _, report = solve_ccpmsp(inst, opts)
+        rows = [[c.scenario, sorted(c.job_set), c.kind] for c in report.cuts]
+        assert len(rows) == size, index
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, index
+
+
+# The same pools from one callback-mode solve each.  Pruning by hook cuts
+# drops only subtrees whose every leaf the leaf check rejects, so the hook
+# sees the same candidates in the same order with or without it, and these
+# pools do not depend on it.
+CALLBACK_IIS_POOLS = {
+    1: (8, "2eeecab69ceaf51d98e19e8291484a8d92fb2745c8fe41d6e1d4cb4591d3c5c0"),
+    2: (2, "7dbd6ba779cfe69aa59d0ee3e7901b036cc2643a9a3842911ec762ff1f3f1f61"),
+    4: (8, "37b59127177905a401d74a714ee108189801b6ca5b0c70426e287580edd706e6"),
+    5: (27, "d1f8342a8679abe542d27ad09fc33994a2043729225a69eb1f816dca4f2820e3"),
+    7: (37, "d1665a244e18135a7596fb745b16fa72476728cb645a189a2b6095e35a81a59a"),
+    8: (55, "8fa330667d03a21e4df4b7f0b2cdf559b7cb7b4b3fecab8b5ebeefae45d792fb"),
+    11: (206, "01ca51e8f24f2005c7a95956c1c0d7fa2ab3f61ab85d7b769e886e0d049a6699"),
+}
+
+
+# with the job-set memo emptied every few entries, the search still sees
+# every hook cut and proposes the same candidates
+@pytest.mark.parametrize("variant, memo_max", [
+    (LASTJOB, master.FAIL_MEMO_MAX), (JOBSET, master.FAIL_MEMO_MAX), (JOBSET, 4),
+])
+def test_iis_pools_pinned_in_callback_mode(monkeypatch, variant, memo_max):
+    monkeypatch.setattr(master, "FAIL_MEMO_MAX", memo_max)
+    configs = regression_configs()
+    for index, (size, digest) in CALLBACK_IIS_POOLS.items():
+        inst = make_instance(configs[index])
+        opts = SolveOptions(variant=variant, cut_kind="iis", time_budget=120,
+                            mode="callback")
+        _, report = solve_ccpmsp(inst, opts)
+        assert report.n_master_solves == 1
         rows = [[c.scenario, sorted(c.job_set), c.kind] for c in report.cuts]
         assert len(rows) == size, index
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, index

@@ -205,6 +205,33 @@ def test_callback_drops_flags_of_returned_cuts():
     assert len(calls) == sol.n_hook_calls == 2
 
 
+@pytest.mark.parametrize("memo_max", [master.FAIL_MEMO_MAX, 4])
+def test_hook_cut_prunes_the_rest_of_the_search(monkeypatch, memo_max):
+    # the first hook call gets every job packed; its cut {1, 2} in scenario 0
+    # must reach the search's bits: no later candidate may put both jobs on
+    # one machine with that flag set, and the subtrees below the failing
+    # leaf go without visiting their (3^20) leaves one by one, also when the
+    # job-set memo is emptied every few entries
+    monkeypatch.setattr(master, "FAIL_MEMO_MAX", memo_max)
+    inst = small_instance(n_jobs=22, n_machines=2, n_scenarios=2, capacity=11)
+    model = build_master(inst, symmetry=False, scenario_relaxation=False)
+    cut = Cut(job_set=frozenset({1, 2}), scenario=0, kind=IIS)
+    calls = []
+
+    def hook(x, z):
+        calls.append((x.copy(), z.copy()))
+        return [cut] if len(calls) == 1 else []
+
+    sol = BuiltinBackend().solve(model, time_budget=5.0, hook=hook)
+    assert sol.status == master.OPTIMAL
+    assert sol.objective == pytest.approx(float(inst.utilities.sum()))
+    assert len(calls) == sol.n_hook_calls >= 2
+    assert (calls[0][0][:2] == 1).all(axis=0).any()
+    for x, z in calls[1:]:
+        covered = (x[:2] == 1).all(axis=0).any()
+        assert not (covered and z[0])
+
+
 def test_builtin_deterministic():
     inst = small_instance()
     model = build_master(inst)

@@ -373,10 +373,15 @@ def pool_bytes(cuts):
     return out
 
 
-# sha256 of the duals and payloads below, and of the final Benders pools,
-# recorded before the arc loops were vectorised: any one-ulp drift fails
+# sha256 of the duals and payloads below, and of the final Benders pools of
+# the iterative loop, recorded before the arc loops were vectorised: any
+# one-ulp drift fails
 DUALS_DIGEST = "f74f0fad16aea2b55f673e805ba9e7791ee63367f630b9a69409804561b42dc5"
 POOLS_DIGEST = "6d9f5a84f5c3afd0f12eb4d426c72599d5707a09b02b89931af510e260ba3f9e"
+# the same pools from one callback-mode solve each
+CALLBACK_POOLS_DIGEST = (
+    "c0264db8134b719d2e449bf669b7584554de083134a764ef64b2bbadc0522e81"
+)
 
 
 def test_flow_duals_and_payloads_bitwise_pinned():
@@ -397,7 +402,7 @@ def test_flow_duals_and_payloads_bitwise_pinned():
     assert h.hexdigest() == DUALS_DIGEST
 
 
-def test_benders_pools_bitwise_pinned():
+def benders_pools_digest(mode):
     h = hashlib.sha256()
     for strategy in (0, 1):
         for seed in range(5):
@@ -406,12 +411,20 @@ def test_benders_pools_bitwise_pinned():
                 dif=-3.0, seed=600 + seed, capacity=3,
             ))
             opts = SolveOptions(cut_kind="benders", benders_strategy=strategy,
-                                time_budget=120)
+                                time_budget=120, mode=mode)
             _, report = solve_ccpmsp(inst, opts)
             h.update(repr(report.objective).encode())
             for chunk in pool_bytes(report.cuts):
                 h.update(chunk)
-    assert h.hexdigest() == POOLS_DIGEST
+    return h.hexdigest()
+
+
+def test_benders_pools_bitwise_pinned():
+    assert benders_pools_digest("iterative") == POOLS_DIGEST
+
+
+def test_benders_pools_bitwise_pinned_in_callback_mode():
+    assert benders_pools_digest("callback") == CALLBACK_POOLS_DIGEST
 
 
 def test_benders_solve_leaves_numpy_ma_unimported():
