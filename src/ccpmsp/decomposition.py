@@ -1,11 +1,15 @@
 """Outer solve loop: propose a master candidate, check every (machine,
 scenario) sequencing subproblem on the cached diagrams, emit cuts, repeat.
 
-A check makes one set-time sweep per machine over all the scenarios the
-candidate claims, in chunks that bound the sweep's memory, with times
-gathered from the instance's scenario-stacked arrays.  Each failure carries
-its scenario's per-job-set time table, from which IIS cuts are read without
-a second sweep.
+A check groups the candidate's machines by job count k and gathers the
+times of every (machine, claimed scenario) pair of a group at once from the
+instance's scenario-stacked arrays.  Where a nearest-neighbour schedule is
+cheaper per pair than the diagram sweep, a pair whose schedule fits T is
+feasible without the sweep; the other pairs go through the size-k diagram
+in set-time sweeps chunked to bound their memory, and the diagram is built
+only then.  Each failure carries its scenario's per-job-set time table,
+from which IIS cuts are read without a second sweep, the tables of one size
+filtered together.
 
 A candidate becomes the answer only after every scenario it claims (z = 1)
 has been verified feasible on all machines, so the returned objective is
@@ -31,7 +35,9 @@ from .diagram import (
     DiagramCache,
     canonical_remap,
     minimal_over_limit,
+    nearest_neighbour_times,
     sub_times,
+    sweep_cells,
 )
 from .master import (
     BuiltinBackend,
@@ -59,12 +65,12 @@ from .oracle import verify_candidate
 # a function replaced on the module is the one that runs.
 VARIANT_MODULES = {LASTJOB: lastjob, JOBSET: jobset}
 
-# Working-set bound of one set-time sweep in float64 cells (512 KB): a
-# machine's claimed scenarios are split into balanced chunks so that no
-# sweep array (``Diagram.sweep_cells`` per scenario) exceeds it.  Per
-# scenario the sweep runs slower on chunks of one or two scenarios than on
-# wider ones, and at k = 11 it is no faster at 2^17 cells than here, while
-# a solve's peak memory grows with the bound.
+# Working-set bound of one set-time sweep in float64 cells (512 KB): the
+# pairs of a size group that no schedule certified are split into balanced
+# chunks so that no sweep array (``sweep_cells`` per pair) exceeds it.  Per
+# pair the sweep runs slower on chunks of one or two pairs than on wider
+# ones, and at k = 11 it is no faster at 2^17 cells than here, while a
+# solve's peak memory grows with the bound.
 SWEEP_CHUNK_CELLS = 1 << 16
 
 
@@ -114,6 +120,7 @@ class SolveReport:
     verify_time: float = 0.0  # post-solve oracle check, after wall_time stops
     build_time: float = 0.0  # diagram builds
     n_master_solves: int = 0  # solve_master calls, 1 in callback mode
+    n_certified: int = 0  # checked pairs a schedule proved, without a sweep
     check_counts: Optional[np.ndarray] = None  # (n_machines, n_scenarios)
     cuts: Optional[list] = None  # final pool (diagnostics)
 
@@ -122,6 +129,7 @@ class SolveReport:
 class _Counters:
     n_callbacks: int = 0
     n_master_solves: int = 0
+    n_certified: int = 0
     resolution_time: float = 0.0
     cut_time: float = 0.0
     master_time: float = 0.0
@@ -164,6 +172,7 @@ def collect_report(objective, bound, status, counters: _Counters,
         master_time=counters.master_time,
         build_time=cache.build_time,
         n_master_solves=counters.n_master_solves,
+        n_certified=counters.n_certified,
         check_counts=counters.check_counts,
     )
 
@@ -188,50 +197,74 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
     """Sequencing check of every (machine, scenario) the candidate claims.
 
     Only scenarios with z = 1 are checked (cuts bind through z); machines
-    without jobs are trivially fine.  Each machine's claimed scenarios go
-    through its diagram in one ``set_times`` call per chunk, and a scenario
-    fails when the full set's time exceeds T.  Returns failures sorted by
-    (scenario, machine).  Diagram builds triggered here count as creation
-    time (``cache.build_time``), not resolution time.
+    without jobs are trivially fine.  Machines of equal job count k form
+    one group, whose (machine, claimed scenario) columns are gathered
+    together.  Where a nearest-neighbour schedule costs less per column
+    than the diagram sweep (``certifies``), a column whose schedule fits T
+    is feasible without the sweep; every other column goes through the
+    size-k diagram in one ``set_times`` call per chunk, and fails when the
+    full set's time exceeds T.  A diagram is built only when some column
+    reaches its sweep.  Returns failures sorted by (scenario, machine).
+    Diagram builds triggered here count as creation time
+    (``cache.build_time``), not resolution time.
     """
     t0 = time.perf_counter()
     build0 = cache.build_time
     active = np.flatnonzero(cand.z)
     mod = VARIANT_MODULES[variant]
     exec_all, setup_all = inst.scenario_stack
-    failures = []
+    groups: dict[int, list[int]] = {}
     for m in range(inst.n_machines):
-        jobs = cand.machine_jobs(m)
-        if len(jobs) == 0:
-            continue
-        if len(jobs) > inst.capacity:
+        n_jobs = np.count_nonzero(cand.x[:, m])
+        if n_jobs > inst.capacity:
             raise StructuralError(
-                f"machine {m} holds {len(jobs)} jobs, capacity {inst.capacity}"
+                f"machine {m} holds {n_jobs} jobs, capacity {inst.capacity}"
             )
-        if len(active) == 0:
-            continue
-        diag = cache.get_or_build(variant, len(jobs))
-        remap = canonical_remap(jobs)
-        job_ids = tuple(int(j) for j in jobs)  # one tuple per machine, shared
+        if n_jobs and len(active):
+            groups.setdefault(n_jobs, []).append(m)
+    failures = []
+    for k, machines in sorted(groups.items()):
+        job_ids = [tuple(int(j) for j in cand.machine_jobs(m)) for m in machines]
+        remaps = np.stack([canonical_remap(jobs) for jobs in job_ids], axis=1)
+        # column c holds the pair (machines[g], active[a]), g, a = divmod(c, A)
+        # for A = len(active)
+        t = exec_all[remaps[:, :, None], active].reshape(k + 1, -1)
+        d = setup_all[remaps[:, None, :, None], remaps[None, :, :, None],
+                      active].reshape(k + 1, k + 1, -1)
+        if certifies(variant, k):
+            # no TOL here: it absorbs the sweep's other summation order, so
+            # a certified pair never has a diagram time above T + TOL
+            sweep = np.flatnonzero(nearest_neighbour_times(t, d) > inst.time_limit)
+        else:
+            sweep = np.arange(t.shape[1])
         if counters is not None:
-            counters.check_counts[m, active] += 1
-        n_chunks = min(len(active),
-                       -(-len(active) * diag.sweep_cells // SWEEP_CHUNK_CELLS))
-        bounds = np.arange(n_chunks + 1) * len(active) // n_chunks
+            counters.check_counts[np.ix_(machines, active)] += 1
+            counters.n_certified += t.shape[1] - len(sweep)
+        if len(sweep) == 0:
+            continue
+        diag = cache.get_or_build(variant, k)
+        n_chunks = min(len(sweep),
+                       -(-len(sweep) * diag.sweep_cells // SWEEP_CHUNK_CELLS))
+        bounds = np.arange(n_chunks + 1) * len(sweep) // n_chunks
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            part = active[lo:hi]
-            t = exec_all[np.ix_(remap, part)]
-            d = setup_all[np.ix_(remap, remap, part)]
-            table = mod.set_times(diag, t, d)
+            part = sweep[lo:hi]
+            table = mod.set_times(diag, t[:, part], d[:, :, part])
             over = np.flatnonzero(table[-1] > inst.time_limit + TOL)
-            for w, times in zip(part[over].tolist(), table.T[over]):
-                failures.append(Failure(m, w, job_ids, times))
+            for c, times in zip(part[over].tolist(), table.T[over]):
+                g, a = divmod(c, len(active))
+                failures.append(Failure(machines[g], int(active[a]), job_ids[g], times))
     failures.sort(key=lambda f: (f[1], f[0], f[2]))
     if counters is not None:
         counters.resolution_time += (
             time.perf_counter() - t0 - (cache.build_time - build0)
         )
     return failures
+
+
+def certifies(variant: str, k: int) -> bool:
+    """Whether a check tries a nearest-neighbour schedule (k^3 cells per
+    column) before the size-k sweep: only where it is the cheaper pass."""
+    return k ** 3 < sweep_cells(variant, k)
 
 
 def emit_cuts(failures, cut_kind: str, inst: Instance, cache: DiagramCache,
@@ -268,15 +301,21 @@ def emit_cuts(failures, cut_kind: str, inst: Instance, cache: DiagramCache,
     elif cut_kind == IIS:
         variant = opts.variant if opts else JOBSET
         mod = VARIANT_MODULES[variant]
-        for failure in failures:
-            _, w, jobs = failure
+        # the tables of equally many jobs go through the filter together
+        tabled: dict[int, list[int]] = {}
+        for i, failure in enumerate(failures):
+            if getattr(failure, "times", None) is not None:
+                tabled.setdefault(len(failure[2]), []).append(i)
+        iis_sets = {}
+        for group in tabled.values():
+            table = np.stack([failures[i].times for i in group], axis=-1)
+            iis_sets.update(zip(group, minimal_over_limit(table, inst.time_limit)))
+        for i, (_, w, jobs) in enumerate(failures):
             remap = canonical_remap(jobs)
-            times = getattr(failure, "times", None)
-            if times is None:
+            sets = iis_sets.get(i)
+            if sets is None:
                 diag = cache.get_or_build(variant, len(jobs))
                 sets = mod.iis(diag, inst.time_limit, *sub_times(inst.scenarios[w], remap))
-            else:
-                sets = minimal_over_limit(times, inst.time_limit)
             for s in sets:
                 orig = job_set(tuple(int(remap[c]) for c in sorted(s)))
                 push(Cut(job_set=orig, scenario=w, kind=IIS))

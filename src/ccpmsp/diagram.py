@@ -16,6 +16,7 @@ together.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -67,7 +68,7 @@ class Diagram:
     (2, k + 1, k + 1) cost table that ``lastjob.cost_table`` builds per
     call, indexed by (closing, last job or 0 at the root, job).
     ``sweep_cells`` bounds the arrays a set-time sweep allocates, in cells
-    per scenario: the time table, and one layer's arcs.
+    per scenario (``sweep_cells(variant, depth)``).
     """
 
     variant: str
@@ -98,8 +99,7 @@ class Diagram:
         prev_pos = np.zeros(1, dtype=np.int64)  # the root's sweep position
         for p in range(1, self.depth + 1):
             prev_pos = self._derive_layer(p, prev_pos)
-        self.sweep_cells = max([1 << self.depth,
-                                *(end - start for start, end in self.layer_arc_ranges)])
+        self.sweep_cells = sweep_cells(self.variant, self.depth)
         for arr in (self.node_mask, self.arc_tail, self.arc_head, self.arc_value,
                     self.arc_last, self.arc_cell, *self.layer_masks,
                     *self.layer_in, *self.layer_cells):
@@ -164,6 +164,26 @@ class Diagram:
 
     def layer_sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
+
+
+def sweep_cells(variant: str, k: int) -> int:
+    """Cells per scenario of the largest array a set-time sweep over a
+    depth-k diagram allocates: the 2^k time table, or one layer's arcs.
+
+    Layer p's arcs leave the nodes of layer p - 1.  In the job-set variant
+    those are the C(k, p - 1) sets of p - 1 jobs with k - p + 1 jobs left
+    each, k C(k - 1, p - 1) arcs.  In the last-job variant the root has k
+    arcs, and a layer q = p - 1 >= 1 has C(k, q) sets, q last jobs and
+    k - q jobs left each, k (k - 1) C(k - 2, q - 1) arcs.  Each binomial is
+    largest at the middle of its row.
+    """
+    if variant == JOBSET:
+        arcs = k * math.comb(k - 1, (k - 1) // 2)
+    elif k < 2:
+        arcs = k
+    else:
+        arcs = k * (k - 1) * math.comb(k - 2, (k - 2) // 2)
+    return max(1 << k, arcs)
 
 
 class LastJobSpec:
@@ -316,39 +336,92 @@ def node_min_times(diag: Diagram, arc_costs: np.ndarray) -> np.ndarray:
     return times
 
 
+def nearest_neighbour_times(t: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Time of the best nearest-neighbour schedule per column, over all
+    start jobs, for time arrays of shape (k + 1, C) and (k + 1, k + 1, C)
+    in the diagrams' convention.
+
+    From each start job the schedule moves to the unvisited job of least
+    setup from the current one (the lowest index on ties).  Like a diagram
+    path it pays no setup before the first job and the closing setup
+    d[v, 0] after the last, so its time bounds the diagrams' full-set time
+    from above, up to summation order.  Every schedule runs all k jobs, so
+    their execution times are added once per column.  Costs about k^3
+    cells per column.
+    """
+    k, n = len(t) - 1, t.shape[1]
+    width = k + 1
+    # one walker per (start, column), start-major; row c * width + u of
+    # ``rows`` is d[u, :, c], and walker i's row in ``rows`` is base[i] +
+    # its current job
+    rows = np.ascontiguousarray(d.transpose(2, 0, 1)).reshape(-1, width)
+    base = np.tile(np.arange(n) * width, k)
+    own = np.arange(k * n) * width  # walker i's row in ``visited``, flat
+    at = base + np.repeat(np.arange(1, width), n)
+    visited = np.zeros((k * n, width))  # inf where a walker may not go
+    visited[:, 0] = np.inf
+    visited.ravel()[own + at - base] = np.inf
+    setups = np.zeros(k * n)
+    for _ in range(k - 1):
+        step = rows[at]
+        step += visited
+        nxt = step.argmin(axis=1)
+        pick = own + nxt
+        setups += step.ravel()[pick]
+        visited.ravel()[pick] = np.inf
+        at = base + nxt
+    setups += rows[at, 0]
+    return t[1:].sum(axis=0) + setups.reshape(k, n).min(axis=0)
+
+
 @functools.lru_cache(maxsize=None)
-def _masks_by_size(k: int) -> tuple[np.ndarray, ...]:
-    """The nonempty masks over k jobs, one ascending array per cardinality."""
+def _masks_by_size(k: int) -> tuple[np.ndarray, tuple]:
+    """The cardinality of every mask over k jobs, and per cardinality
+    c = 1..k the masks with c bits, ascending, with their one-smaller
+    subsets as a (c, masks) array."""
     masks = np.arange(1 << k)
-    size = sum(masks >> j & 1 for j in range(k))
-    by_size = tuple(masks[size == c] for c in range(1, k + 1))
-    for arr in by_size:  # shared by every caller
+    bits = 1 << np.arange(k)
+    has = (masks[:, None] & bits) != 0
+    size = has.sum(axis=1)
+    by_size = []
+    for c in range(1, k + 1):
+        sized = masks[size == c]
+        subsets = (sized[:, None] ^ bits)[has[sized]].reshape(len(sized), c).T
+        by_size.append((sized, np.ascontiguousarray(subsets)))
+    for arr in (size, *(a for pair in by_size for a in pair)):  # shared
         arr.setflags(write=False)
-    return by_size
+    return size, tuple(by_size)
 
 
-def minimal_over_limit(set_times: np.ndarray, time_limit: float) -> list[frozenset]:
+def minimal_over_limit(set_times: np.ndarray, time_limit: float):
     """Irreducible infeasible job sets from a per-job-set time table.
 
     ``set_times[mask]`` is the best time of the jobs in ``mask`` (canonical
-    job j is bit j - 1).  A nonempty set is kept iff its time exceeds the
-    limit and it contains no kept set.  Sets are decided in increasing cardinality,
-    where a set contains a kept set iff it is kept or one of its one-smaller
-    subsets contains one.  Returns frozensets in (cardinality, mask) order.
+    job j is bit j - 1), with an optional trailing axis of columns that are
+    filtered together.  A nonempty set is kept iff its time exceeds the
+    limit and it contains no kept set.  Sets are decided in increasing
+    cardinality, where a set contains a kept set iff it is kept or one of
+    its one-smaller subsets contains one.  Returns frozensets in
+    (cardinality, mask) order, one such list per column for a 2-D table.
     """
     k = len(set_times).bit_length() - 1
-    over = set_times > time_limit + TOL
-    blocked = np.zeros(len(set_times), dtype=bool)  # kept or above a kept set
-    kept: list[int] = []
-    for masks in _masks_by_size(k):
-        below = np.zeros(len(masks), dtype=bool)
-        for j in range(k):  # masks without bit j read their own False
-            below |= blocked[masks & ~(1 << j)]
-        new = masks[over[masks] & ~below]
-        blocked[masks] = below
-        blocked[new] = True
-        kept.extend(new.tolist())
-    return [frozenset(j + 1 for j in range(k) if m >> j & 1) for m in kept]
+    columns = set_times.reshape(len(set_times), -1)
+    over = columns > time_limit + TOL
+    blocked = np.zeros(over.shape, dtype=bool)  # kept or above a kept set
+    kept: list[list[int]] = [[] for _ in range(columns.shape[1])]
+    size, by_size = _masks_by_size(k)
+    over_sizes = size[1:][over[1:].any(axis=1)]
+    # no set is kept below the smallest nonempty set over the limit
+    first = int(over_sizes.min()) if len(over_sizes) else k + 1
+    for masks, subsets in by_size[first - 1:]:
+        below = blocked[subsets].any(axis=0)
+        new = over[masks] & ~below
+        blocked[masks] = below | new
+        for col, at in zip(*np.nonzero(new.T)):
+            kept[col].append(int(masks[at]))
+    sets = [[frozenset(j + 1 for j in range(k) if m >> j & 1) for m in col_kept]
+            for col_kept in kept]
+    return sets if set_times.ndim > 1 else sets[0]
 
 
 class DiagramCache:

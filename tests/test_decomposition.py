@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -14,13 +15,22 @@ from ccpmsp.decomposition import (
     emit_cuts,
     solve_ccpmsp,
 )
-from ccpmsp.diagram import JOBSET, LASTJOB, DiagramCache
+from ccpmsp.diagram import (
+    JOBSET,
+    LASTJOB,
+    DiagramCache,
+    canonical_remap,
+    nearest_neighbour_times,
+    sweep_cells,
+)
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import (
     Candidate,
     ConfigurationError,
     Cut,
     Instance,
+    Scenario,
+    TOL,
     candidate_objective,
     chance_satisfied,
 )
@@ -90,19 +100,43 @@ def test_check_candidate_sweeps_no_empty_machine_or_dropped_scenario(
     assert widths == [2]  # one sweep: machine 0, both claimed scenarios
 
 
+def n_uncertified(inst, cand, variant):
+    """The claimed (machine, scenario) pairs whose nearest-neighbour
+    schedule does not fit T where the check certifies, all of them
+    elsewhere: the pairs that reach a check's sweep."""
+    active = np.flatnonzero(cand.z)
+    count = 0
+    for m in range(inst.n_machines):
+        jobs = cand.machine_jobs(m)
+        if len(jobs) == 0 or len(active) == 0:
+            continue
+        if not decomposition.certifies(variant, len(jobs)):
+            count += len(active)
+            continue
+        remap = canonical_remap(jobs)
+        exec_all, setup_all = inst.scenario_stack
+        t = exec_all[np.ix_(remap, active)]
+        d = setup_all[np.ix_(remap, remap, active)]
+        count += int((nearest_neighbour_times(t, d) > inst.time_limit).sum())
+    return count
+
+
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
 def test_check_tables_do_not_depend_on_the_chunk_split(monkeypatch, variant):
     inst = make_instance(B10_CONFIG)
     x = overloaded_b10_x(inst)
     cand = Candidate(x=x, z=np.ones(inst.n_scenarios, dtype=np.int8))
-    per_scenario = DiagramCache(max_depth=10).get_or_build(variant, 10).sweep_cells
+    swept = n_uncertified(inst, cand, variant)
+    assert 2 <= swept < 2 * inst.n_scenarios  # some certified, some swept
+    per_scenario = sweep_cells(variant, 10)
     splits = {}
     for width in (1, 2, inst.n_scenarios):
         monkeypatch.setattr(decomposition, "SWEEP_CHUNK_CELLS", width * per_scenario)
         widths = counting_set_times(monkeypatch)
         cache = DiagramCache(max_depth=inst.capacity)
         failures = check_candidate(inst, cand, cache, variant)
-        assert widths == [width] * (2 * inst.n_scenarios // width)
+        assert sum(widths) == swept
+        assert len(widths) == -(-swept // width) and max(widths) <= width
         splits[width] = failures
     want, *others = splits.values()
     assert want
@@ -110,6 +144,123 @@ def test_check_tables_do_not_depend_on_the_chunk_split(monkeypatch, variant):
         assert failures == want
         for got, ref in zip(failures, want):
             assert got.times.tobytes() == ref.times.tobytes()
+
+
+def reference_check(inst, cand, variant):
+    """Failures of one unchunked sweep per machine over every claimed
+    scenario, without certificates, as (machine, scenario, jobs, table
+    bytes) sorted like ``check_candidate``'s."""
+    active = np.flatnonzero(cand.z)
+    exec_all, setup_all = inst.scenario_stack
+    mod = decomposition.VARIANT_MODULES[variant]
+    cache = DiagramCache(max_depth=inst.capacity)
+    out = []
+    for m in range(inst.n_machines):
+        jobs = cand.machine_jobs(m)
+        if len(jobs) == 0 or len(active) == 0:
+            continue
+        remap = canonical_remap(jobs)
+        table = mod.set_times(cache.get_or_build(variant, len(jobs)),
+                              exec_all[np.ix_(remap, active)],
+                              setup_all[np.ix_(remap, remap, active)])
+        for col in np.flatnonzero(table[-1] > inst.time_limit + TOL):
+            out.append((m, int(active[col]), tuple(int(j) for j in jobs),
+                        table[:, col].tobytes()))
+    return sorted(out, key=lambda f: (f[1], f[0], f[2]))
+
+
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_check_equals_a_per_machine_sweep_of_every_claimed_scenario(variant):
+    # machines of mixed sizes, sizes shared by several machines, sizes that
+    # certify and sizes that do not, dropped scenarios, and limits from
+    # tight to loose
+    rng = np.random.default_rng(7)
+    n_failures = n_certified = n_passed_sweeps = 0
+    for i in range(12):
+        inst = make_instance(GenConfig(
+            dataset_kind=("ors", "vrp", "equal")[i % 3], n_jobs=30, n_machines=4,
+            n_scenarios=12, dif=-2.0, seed=40 + i, capacity=11))
+        inst = dataclasses.replace(
+            inst, time_limit=inst.time_limit * (0.75, 0.85, 1.0, 1.2)[i % 4])
+        x = np.zeros((inst.n_jobs, inst.n_machines), dtype=np.int8)
+        jobs = rng.permutation(inst.n_jobs)
+        sizes = rng.choice([1, 3, 7, 10, 11], size=inst.n_machines)
+        for m, hi in enumerate(np.cumsum(sizes)):
+            x[jobs[hi - sizes[m]:min(hi, inst.n_jobs)], m] = 1
+        z = (rng.random(inst.n_scenarios) < 0.8).astype(np.int8)
+        cand = Candidate(x=x, z=z)
+        counters = decomposition._Counters(
+            check_counts=np.zeros((inst.n_machines, inst.n_scenarios), dtype=np.int64))
+        cache = DiagramCache(max_depth=inst.capacity)
+        failures = check_candidate(inst, cand, cache, variant, counters)
+        got = [(*f, f.times.tobytes()) for f in failures]
+        assert got == reference_check(inst, cand, variant)
+        claimed = sum(len(cand.machine_jobs(m)) > 0 for m in range(inst.n_machines))
+        assert counters.check_counts.sum() == claimed * z.sum()
+        swept = counters.check_counts.sum() - counters.n_certified
+        assert swept == n_uncertified(inst, cand, variant)
+        n_failures += len(failures)
+        n_certified += counters.n_certified
+        n_passed_sweeps += swept - len(failures)
+    assert min(n_failures, n_certified, n_passed_sweeps) > 0
+
+
+def line_instance(k, time_limit):
+    """One scenario whose k jobs sit at 1..k on a line, with the dummy at
+    0, setups the distances and unit execution times.  The best schedule
+    runs k, k - 1, ..., 1 and takes 2k, and the nearest-neighbour schedule
+    from job k is that one."""
+    pos = np.arange(k + 1, dtype=float)
+    setup = np.abs(pos[:, None] - pos[None, :])
+    return Instance(
+        n_jobs=k, n_machines=2, capacity=k, time_limit=time_limit, epsilon=0.0,
+        utilities=np.ones(k), scenarios=[Scenario(exec=np.ones(k), setup=setup)],
+    )
+
+
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_all_certified_check_builds_no_diagram(monkeypatch, variant):
+    k = 10
+    inst = line_instance(k, time_limit=2.0 * k)  # an exact fit
+    x = np.zeros((k, 2), dtype=np.int8)
+    x[:, 0] = 1
+    cand = Candidate(x=x, z=np.ones(1, dtype=np.int8))
+    counters = decomposition._Counters(check_counts=np.zeros((2, 1), dtype=np.int64))
+    widths = counting_set_times(monkeypatch)
+    cache = DiagramCache(max_depth=k)
+    assert decomposition.certifies(variant, k)
+    assert check_candidate(inst, cand, cache, variant, counters) == []
+    assert widths == [] and cache.count(variant) == 0 and cache.build_time == 0.0
+    assert counters.n_certified == counters.check_counts.sum() == 1
+    # just below the optimum the pair is refuted, through the sweep
+    inst = line_instance(k, time_limit=2.0 * k - 1e-6)
+    failures = check_candidate(inst, cand, cache, variant, counters)
+    assert failures == [(0, 0, tuple(range(1, k + 1)))]
+    assert widths == [1] and cache.count(variant) == 1
+    assert failures[0].times[-1] == 2.0 * k
+    assert counters.n_certified == 1 and counters.check_counts.sum() == 2
+
+
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_single_job_machines_are_certified_or_swept_exactly(monkeypatch, variant):
+    # at k = 1 the certificate is the only schedule, and the check
+    # certifies (1 < sweep_cells); a pair over T still gets its table
+    assert decomposition.certifies(variant, 1)
+    setup = np.array([[0.0, 2.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    scenario = Scenario(exec=np.array([4.0, 2.5]), setup=setup)
+    inst = Instance(n_jobs=2, n_machines=2, capacity=1, time_limit=5.0,
+                    epsilon=0.0, utilities=np.ones(2), scenarios=[scenario])
+    cand = Candidate(x=np.eye(2, dtype=np.int8), z=np.ones(1, dtype=np.int8))
+    widths = counting_set_times(monkeypatch)
+    cache = DiagramCache(max_depth=1)
+    failures = check_candidate(inst, cand, cache, variant)
+    # job 1 takes 4 + 3 = 7 > 5; job 2 takes 2.5 + 1 = 3.5
+    assert failures == [(0, 0, (1,))] and widths == [1]
+    assert failures[0].times.tolist() == [0.0, 7.0]
+    inst = Instance(n_jobs=2, n_machines=2, capacity=1, time_limit=7.0,
+                    epsilon=0.0, utilities=np.ones(2), scenarios=[scenario])
+    assert check_candidate(inst, cand, DiagramCache(max_depth=1), variant) == []
+    assert widths == [1]
 
 
 def test_check_candidate_memory_is_bounded_by_the_chunk_cap():
@@ -169,6 +320,16 @@ def test_a_solve_sweeps_once_per_machine_chunk(monkeypatch, variant):
     assert report.optimal and report.n_cuts > 0
     assert len(widths) == sum(batches) > report.n_callbacks
     assert sum(widths) == report.check_counts.sum()
+
+
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_checked_pairs_not_certified_are_the_swept_ones(monkeypatch, variant):
+    widths = counting_set_times(monkeypatch)
+    inst = make_instance(B10_CONFIG)
+    _, report = solve_ccpmsp(inst, SolveOptions(variant=variant, time_budget=60))
+    assert report.optimal
+    assert 0 < report.n_certified < report.check_counts.sum()
+    assert sum(widths) == report.check_counts.sum() - report.n_certified
 
 
 def test_emit_nogood_cut(uniform_scenario):

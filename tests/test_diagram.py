@@ -14,10 +14,13 @@ from ccpmsp.diagram import (
     build_top_down,
     canonical_remap,
     minimal_over_limit,
+    nearest_neighbour_times,
     node_min_times,
     sub_times,
+    sweep_cells,
 )
-from ccpmsp.model import ConfigurationError, StructuralError
+from ccpmsp.instances import GenConfig, make_instance
+from ccpmsp.model import TOL, ConfigurationError, StructuralError
 from conftest import random_scenario
 
 
@@ -41,6 +44,9 @@ def test_closed_form_layer_sizes(k):
         assert len(lj.layers[p - 1]) == comb(k, p - 1) * max(1, p - 1)
         assert len(js.layers[p - 1]) == comb(k, p - 1)
     assert len(lj.layers[k]) == 1 and len(js.layers[k]) == 1
+    for d in (lj, js):  # the closed form matches the built arrays
+        arcs = [end - start for start, end in d.layer_arc_ranges]
+        assert d.sweep_cells == sweep_cells(d.variant, k) == max([1 << k, *arcs])
     assert js.n_nodes <= lj.n_nodes
     if k >= 3:
         assert js.n_nodes < lj.n_nodes
@@ -222,3 +228,100 @@ def test_minimal_over_limit_keeps_minimal_sets_in_size_then_mask_order():
     assert minimal_over_limit(times, 5.0) == [frozenset({2}), frozenset({1, 3})]
     assert minimal_over_limit(times, 14.0) == []
     assert minimal_over_limit(times, 13.0) == [frozenset({1, 2, 3})]
+
+
+def plain_minimal_over_limit(times, limit):
+    """The filter's definition, one set at a time in (cardinality, mask)
+    order: a set over the limit is kept unless it contains a kept set."""
+    k = len(times).bit_length() - 1
+    kept = []
+    for m in sorted(range(1, 1 << k), key=lambda m: (bin(m).count("1"), m)):
+        if times[m] > limit + TOL and not any(m & s == s for s in kept):
+            kept.append(m)
+    return [frozenset(j + 1 for j in range(k) if m >> j & 1) for m in kept]
+
+
+def test_minimal_over_limit_filters_columns_together():
+    rng = np.random.default_rng(3)
+    for k in (1, 3, 6, 9):
+        mod = jobset if k % 2 else lastjob
+        variant = JOBSET if k % 2 else LASTJOB
+        diag = DiagramCache(max_depth=k).get_or_build(variant, k)
+        scenarios = [random_scenario(rng, k) for _ in range(7)]
+        t = np.stack([sub_times(sc, np.arange(k + 1))[0] for sc in scenarios], axis=-1)
+        d = np.stack([sc.setup for sc in scenarios], axis=-1)
+        table = mod.set_times(diag, t, d)
+        for limit in np.quantile(table[-1], [0.0, 0.3, 0.7]) * 0.8:
+            want = [plain_minimal_over_limit(col, limit) for col in table.T]
+            assert minimal_over_limit(table, limit) == want
+            assert [minimal_over_limit(col.copy(), limit) for col in table.T] == want
+            assert any(want)
+    assert minimal_over_limit(np.zeros((8, 2)), 1.0) == [[], []]
+
+
+def plain_nearest_neighbour(t, d):
+    """Nearest-neighbour schedules of one column, one start job at a time."""
+    k = len(t) - 1
+    best = np.inf
+    for start in range(1, k + 1):
+        seq = [start]
+        while len(seq) < k:
+            seq.append(min((v for v in range(1, k + 1) if v not in seq),
+                           key=lambda v: (d[seq[-1], v], v)))
+        time = sum(t[v] for v in seq) + sum(d[u, v] for u, v in zip(seq, seq[1:]))
+        best = min(best, time + d[seq[-1], 0])
+    return best
+
+
+def test_nearest_neighbour_matches_a_plain_schedule():
+    rng = np.random.default_rng(11)
+    for k in range(1, 7):
+        scenarios = [random_scenario(rng, k) for _ in range(5)]
+        t = np.stack([sub_times(sc, np.arange(k + 1))[0] for sc in scenarios], axis=-1)
+        d = np.stack([sc.setup for sc in scenarios], axis=-1)
+        d[1:, 1:] = np.round(d[1:, 1:], 1)  # ties, broken toward the lower job
+        want = [plain_nearest_neighbour(t[:, c], d[:, :, c]) for c in range(5)]
+        assert np.allclose(nearest_neighbour_times(t, d), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+@pytest.mark.parametrize("kind", ["ors", "vrp", "equal"])
+def test_nearest_neighbour_bounds_the_diagram_time(kind, variant):
+    # a pair the schedule certifies (time <= T) is one the sweep passes
+    # (time <= T + TOL), and the schedule is never faster than the optimum
+    mod = jobset if variant == JOBSET else lastjob
+    cache = DiagramCache(max_depth=10)
+    rng = np.random.default_rng(5)
+    n_certified = n_refuted = 0
+    for seed in range(3):
+        inst = make_instance(GenConfig(dataset_kind=kind, n_jobs=20, n_machines=2,
+                                       n_scenarios=10, dif=-2.0, seed=seed))
+        exec_all, setup_all = inst.scenario_stack
+        for k in range(1, 11):
+            remap = np.concatenate(([0], np.sort(rng.choice(20, k, replace=False)) + 1))
+            t = exec_all[remap]
+            d = setup_all[np.ix_(remap, remap)]
+            greedy = nearest_neighbour_times(t, d)
+            best = mod.set_times(cache.get_or_build(variant, k), t, d)[-1]
+            assert np.all(greedy + TOL >= best)
+            for limit in (inst.time_limit, *greedy):
+                fits = greedy <= limit
+                assert np.all(best[fits] <= limit + TOL)
+                n_certified += fits.sum()
+                n_refuted += (best > limit + TOL).sum()
+            if k == 1:  # the one schedule, summed like the diagrams
+                assert greedy.tobytes() == best.tobytes()
+    assert n_certified and n_refuted
+
+
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_nearest_neighbour_finds_an_optimal_line_schedule(variant):
+    # jobs 1..k at 1..k on a line, dummy at 0: running k down to 1 takes
+    # k executions, k - 1 unit setups and a closing setup of 1
+    mod = jobset if variant == JOBSET else lastjob
+    for k in (2, 7, 10):
+        pos = np.arange(k + 1, dtype=float)
+        t = np.concatenate(([0.0], np.ones(k)))[:, None]
+        d = np.abs(pos[:, None] - pos[None, :])[..., None]
+        best = mod.set_times(DiagramCache(max_depth=k).get_or_build(variant, k), t, d)
+        assert nearest_neighbour_times(t, d).tolist() == best[-1].tolist() == [2.0 * k]
