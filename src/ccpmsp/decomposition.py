@@ -3,13 +3,13 @@ scenario) sequencing subproblem on the cached diagrams, emit cuts, repeat.
 
 A check groups the candidate's machines by job count k and gathers the
 times of every (machine, claimed scenario) pair of a group at once from the
-instance's scenario-stacked arrays.  Where a nearest-neighbour schedule is
-cheaper per pair than the diagram sweep, a pair whose schedule fits T is
-feasible without the sweep; the other pairs go through the size-k diagram
-in set-time sweeps chunked to bound their memory, and the diagram is built
-only then.  Each failure carries its scenario's per-job-set time table,
-from which IIS cuts are read without a second sweep, the tables of one size
-filtered together.
+instance's scenario-stacked arrays.  On machines of at least
+``CERTIFY_MIN_JOBS`` jobs, a pair whose nearest-neighbour schedule fits T
+is feasible without the sweep; the other pairs go through the size-k
+diagram in set-time sweeps chunked to bound their memory, and the diagram
+is built only then.  Each failure carries its scenario's per-job-set time
+table, from which IIS cuts are read without a second sweep, the tables of
+one size filtered together.
 
 A candidate becomes the answer only after every scenario it claims (z = 1)
 has been verified feasible on all machines, so the returned objective is
@@ -35,9 +35,8 @@ from .diagram import (
     DiagramCache,
     canonical_remap,
     minimal_over_limit,
-    nearest_neighbour_times,
+    schedule_fits,
     sub_times,
-    sweep_cells,
 )
 from .master import (
     BuiltinBackend,
@@ -67,11 +66,18 @@ VARIANT_MODULES = {LASTJOB: lastjob, JOBSET: jobset}
 
 # Working-set bound of one set-time sweep in float64 cells (512 KB): the
 # pairs of a size group that no schedule certified are split into balanced
-# chunks so that no sweep array (``sweep_cells`` per pair) exceeds it.  Per
-# pair the sweep runs slower on chunks of one or two pairs than on wider
-# ones, and at k = 11 it is no faster at 2^17 cells than here, while a
-# solve's peak memory grows with the bound.
+# chunks so that no sweep array (``Diagram.sweep_cells`` per pair) exceeds
+# it.  Per pair the sweep runs slower on chunks of one or two pairs than on
+# wider ones, and at k = 11 it is no faster at 2^17 cells than here, while
+# a solve's peak memory grows with the bound.
 SWEEP_CHUNK_CELLS = 1 << 16
+
+# Machines of fewer jobs go straight to the sweep.  Timed per check on the
+# single machines of the benchmark workloads' candidates, in both variants,
+# the nearest-neighbour pass plus the sweep of the pairs it leaves cost
+# 0.7-1.6 times the plain sweep at k = 2-6 (1.3-1.6 at the most frequent
+# sizes, 3 and 4), and 0.04-1.0 times it at k = 7-12.
+CERTIFY_MIN_JOBS = 7
 
 
 @dataclass
@@ -199,12 +205,13 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
     Only scenarios with z = 1 are checked (cuts bind through z); machines
     without jobs are trivially fine.  Machines of equal job count k form
     one group, whose (machine, claimed scenario) columns are gathered
-    together.  Where a nearest-neighbour schedule costs less per column
-    than the diagram sweep (``certifies``), a column whose schedule fits T
-    is feasible without the sweep; every other column goes through the
-    size-k diagram in one ``set_times`` call per chunk, and fails when the
-    full set's time exceeds T.  A diagram is built only when some column
-    reaches its sweep.  Returns failures sorted by (scenario, machine).
+    together.  From ``CERTIFY_MIN_JOBS`` jobs on, a column whose
+    nearest-neighbour schedule proves that the sweep would pass it
+    (``schedule_fits``) is feasible without the sweep; every other column
+    goes through the size-k diagram in one ``set_times`` call per chunk,
+    and fails when the full set's time exceeds T + TOL.  A diagram is built
+    only when some column reaches its sweep.  Returns failures sorted by
+    (scenario, machine).
     Diagram builds triggered here count as creation time
     (``cache.build_time``), not resolution time.
     """
@@ -213,6 +220,7 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
     active = np.flatnonzero(cand.z)
     mod = VARIANT_MODULES[variant]
     exec_all, setup_all = inst.scenario_stack
+    limit = inst.time_limit + TOL
     groups: dict[int, list[int]] = {}
     for m in range(inst.n_machines):
         n_jobs = np.count_nonzero(cand.x[:, m])
@@ -231,10 +239,8 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
         t = exec_all[remaps[:, :, None], active].reshape(k + 1, -1)
         d = setup_all[remaps[:, None, :, None], remaps[None, :, :, None],
                       active].reshape(k + 1, k + 1, -1)
-        if certifies(variant, k):
-            # no TOL here: it absorbs the sweep's other summation order, so
-            # a certified pair never has a diagram time above T + TOL
-            sweep = np.flatnonzero(nearest_neighbour_times(t, d) > inst.time_limit)
+        if k >= CERTIFY_MIN_JOBS:
+            sweep = np.flatnonzero(~schedule_fits(t, d, limit))
         else:
             sweep = np.arange(t.shape[1])
         if counters is not None:
@@ -249,7 +255,7 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             part = sweep[lo:hi]
             table = mod.set_times(diag, t[:, part], d[:, :, part])
-            over = np.flatnonzero(table[-1] > inst.time_limit + TOL)
+            over = np.flatnonzero(table[-1] > limit)
             for c, times in zip(part[over].tolist(), table.T[over]):
                 g, a = divmod(c, len(active))
                 failures.append(Failure(machines[g], int(active[a]), job_ids[g], times))
@@ -259,12 +265,6 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
             time.perf_counter() - t0 - (cache.build_time - build0)
         )
     return failures
-
-
-def certifies(variant: str, k: int) -> bool:
-    """Whether a check tries a nearest-neighbour schedule (k^3 cells per
-    column) before the size-k sweep: only where it is the cheaper pass."""
-    return k ** 3 < sweep_cells(variant, k)
 
 
 def emit_cuts(failures, cut_kind: str, inst: Instance, cache: DiagramCache,

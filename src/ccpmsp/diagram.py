@@ -16,7 +16,6 @@ together.
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -68,7 +67,7 @@ class Diagram:
     (2, k + 1, k + 1) cost table that ``lastjob.cost_table`` builds per
     call, indexed by (closing, last job or 0 at the root, job).
     ``sweep_cells`` bounds the arrays a set-time sweep allocates, in cells
-    per scenario (``sweep_cells(variant, depth)``).
+    per scenario: the time table, and one layer's arcs.
     """
 
     variant: str
@@ -99,7 +98,8 @@ class Diagram:
         prev_pos = np.zeros(1, dtype=np.int64)  # the root's sweep position
         for p in range(1, self.depth + 1):
             prev_pos = self._derive_layer(p, prev_pos)
-        self.sweep_cells = sweep_cells(self.variant, self.depth)
+        self.sweep_cells = max([1 << self.depth,
+                                *(end - start for start, end in self.layer_arc_ranges)])
         for arr in (self.node_mask, self.arc_tail, self.arc_head, self.arc_value,
                     self.arc_last, self.arc_cell, *self.layer_masks,
                     *self.layer_in, *self.layer_cells):
@@ -164,26 +164,6 @@ class Diagram:
 
     def layer_sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
-
-
-def sweep_cells(variant: str, k: int) -> int:
-    """Cells per scenario of the largest array a set-time sweep over a
-    depth-k diagram allocates: the 2^k time table, or one layer's arcs.
-
-    Layer p's arcs leave the nodes of layer p - 1.  In the job-set variant
-    those are the C(k, p - 1) sets of p - 1 jobs with k - p + 1 jobs left
-    each, k C(k - 1, p - 1) arcs.  In the last-job variant the root has k
-    arcs, and a layer q = p - 1 >= 1 has C(k, q) sets, q last jobs and
-    k - q jobs left each, k (k - 1) C(k - 2, q - 1) arcs.  Each binomial is
-    largest at the middle of its row.
-    """
-    if variant == JOBSET:
-        arcs = k * math.comb(k - 1, (k - 1) // 2)
-    elif k < 2:
-        arcs = k
-    else:
-        arcs = k * (k - 1) * math.comb(k - 2, (k - 2) // 2)
-    return max(1 << k, arcs)
 
 
 class LastJobSpec:
@@ -374,6 +354,22 @@ def nearest_neighbour_times(t: np.ndarray, d: np.ndarray) -> np.ndarray:
     return t[1:].sum(axis=0) + setups.reshape(k, n).min(axis=0)
 
 
+def schedule_fits(t: np.ndarray, d: np.ndarray, limit: float) -> np.ndarray:
+    """Per column of ``nearest_neighbour_times``'s arrays, whether its
+    schedule proves that a set-time sweep finds a full-set time <= limit.
+
+    The sweep's time is at most the rounded sum of the schedule's own path.
+    That sum and the schedule time g add the same 2k nonnegative terms in
+    other orders, so each is within a relative gamma = m u / (1 - m u) of
+    their exact sum, for m = 2k - 1 and unit roundoff u = eps / 2.  The
+    sweep's time is then at most g (1 + gamma) / (1 - gamma) =
+    g / (1 - m eps), which a rounded g (1 + 2k eps) <= limit keeps <= limit
+    at any magnitude of the times.
+    """
+    k, eps = len(t) - 1, np.finfo(float).eps
+    return nearest_neighbour_times(t, d) * (1 + 2 * k * eps) <= limit
+
+
 @functools.lru_cache(maxsize=None)
 def _masks_by_size(k: int) -> tuple[np.ndarray, tuple]:
     """The cardinality of every mask over k jobs, and per cardinality
@@ -396,19 +392,18 @@ def _masks_by_size(k: int) -> tuple[np.ndarray, tuple]:
 def minimal_over_limit(set_times: np.ndarray, time_limit: float):
     """Irreducible infeasible job sets from a per-job-set time table.
 
-    ``set_times[mask]`` is the best time of the jobs in ``mask`` (canonical
-    job j is bit j - 1), with an optional trailing axis of columns that are
-    filtered together.  A nonempty set is kept iff its time exceeds the
-    limit and it contains no kept set.  Sets are decided in increasing
-    cardinality, where a set contains a kept set iff it is kept or one of
-    its one-smaller subsets contains one.  Returns frozensets in
-    (cardinality, mask) order, one such list per column for a 2-D table.
+    ``set_times[mask, c]`` is the best time of the jobs in ``mask``
+    (canonical job j is bit j - 1) in column c; the columns are filtered
+    together.  A nonempty set is kept iff its time exceeds the limit and it
+    contains no kept set.  Sets are decided in increasing cardinality,
+    where a set contains a kept set iff it is kept or one of its
+    one-smaller subsets contains one.  Returns one list of frozensets per
+    column, in (cardinality, mask) order.
     """
     k = len(set_times).bit_length() - 1
-    columns = set_times.reshape(len(set_times), -1)
-    over = columns > time_limit + TOL
+    over = set_times > time_limit + TOL
     blocked = np.zeros(over.shape, dtype=bool)  # kept or above a kept set
-    kept: list[list[int]] = [[] for _ in range(columns.shape[1])]
+    kept: list[list[int]] = [[] for _ in range(over.shape[1])]
     size, by_size = _masks_by_size(k)
     over_sizes = size[1:][over[1:].any(axis=1)]
     # no set is kept below the smallest nonempty set over the limit
@@ -419,9 +414,8 @@ def minimal_over_limit(set_times: np.ndarray, time_limit: float):
         blocked[masks] = below | new
         for col, at in zip(*np.nonzero(new.T)):
             kept[col].append(int(masks[at]))
-    sets = [[frozenset(j + 1 for j in range(k) if m >> j & 1) for m in col_kept]
+    return [[frozenset(j + 1 for j in range(k) if m >> j & 1) for m in col_kept]
             for col_kept in kept]
-    return sets if set_times.ndim > 1 else sets[0]
 
 
 class DiagramCache:

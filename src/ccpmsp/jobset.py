@@ -95,4 +95,4 @@ def set_times(diag: Diagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def iis(diag: Diagram, time_limit: float, t: np.ndarray, d: np.ndarray) -> list[frozenset]:
     """Irreducible infeasible job sets for one scenario."""
-    return minimal_over_limit(set_times(diag, t, d), time_limit)
+    return minimal_over_limit(set_times(diag, t, d)[:, None], time_limit)[0]

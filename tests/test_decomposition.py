@@ -20,8 +20,7 @@ from ccpmsp.diagram import (
     LASTJOB,
     DiagramCache,
     canonical_remap,
-    nearest_neighbour_times,
-    sweep_cells,
+    schedule_fits,
 )
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import (
@@ -102,22 +101,22 @@ def test_check_candidate_sweeps_no_empty_machine_or_dropped_scenario(
 
 def n_uncertified(inst, cand, variant):
     """The claimed (machine, scenario) pairs whose nearest-neighbour
-    schedule does not fit T where the check certifies, all of them
-    elsewhere: the pairs that reach a check's sweep."""
+    schedule does not fit T on machines the check certifies, all of them
+    on the others: the pairs that reach a check's sweep."""
     active = np.flatnonzero(cand.z)
     count = 0
     for m in range(inst.n_machines):
         jobs = cand.machine_jobs(m)
         if len(jobs) == 0 or len(active) == 0:
             continue
-        if not decomposition.certifies(variant, len(jobs)):
+        if len(jobs) < decomposition.CERTIFY_MIN_JOBS:
             count += len(active)
             continue
         remap = canonical_remap(jobs)
         exec_all, setup_all = inst.scenario_stack
         t = exec_all[np.ix_(remap, active)]
         d = setup_all[np.ix_(remap, remap, active)]
-        count += int((nearest_neighbour_times(t, d) > inst.time_limit).sum())
+        count += int((~schedule_fits(t, d, inst.time_limit + TOL)).sum())
     return count
 
 
@@ -128,7 +127,7 @@ def test_check_tables_do_not_depend_on_the_chunk_split(monkeypatch, variant):
     cand = Candidate(x=x, z=np.ones(inst.n_scenarios, dtype=np.int8))
     swept = n_uncertified(inst, cand, variant)
     assert 2 <= swept < 2 * inst.n_scenarios  # some certified, some swept
-    per_scenario = sweep_cells(variant, 10)
+    per_scenario = DiagramCache(max_depth=10).get_or_build(variant, 10).sweep_cells
     splits = {}
     for width in (1, 2, inst.n_scenarios):
         monkeypatch.setattr(decomposition, "SWEEP_CHUNK_CELLS", width * per_scenario)
@@ -228,7 +227,7 @@ def test_all_certified_check_builds_no_diagram(monkeypatch, variant):
     counters = decomposition._Counters(check_counts=np.zeros((2, 1), dtype=np.int64))
     widths = counting_set_times(monkeypatch)
     cache = DiagramCache(max_depth=k)
-    assert decomposition.certifies(variant, k)
+    assert k >= decomposition.CERTIFY_MIN_JOBS
     assert check_candidate(inst, cand, cache, variant, counters) == []
     assert widths == [] and cache.count(variant) == 0 and cache.build_time == 0.0
     assert counters.n_certified == counters.check_counts.sum() == 1
@@ -242,10 +241,14 @@ def test_all_certified_check_builds_no_diagram(monkeypatch, variant):
 
 
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
-def test_single_job_machines_are_certified_or_swept_exactly(monkeypatch, variant):
-    # at k = 1 the certificate is the only schedule, and the check
-    # certifies (1 < sweep_cells); a pair over T still gets its table
-    assert decomposition.certifies(variant, 1)
+@pytest.mark.parametrize("certify", [True, False])
+def test_single_job_machines_are_certified_or_swept_exactly(monkeypatch, variant,
+                                                            certify):
+    # at k = 1 the certificate is the only schedule.  The check sweeps
+    # single jobs, and certifying them instead changes only what is swept:
+    # a pair over T still gets its table, and an exact fit passes
+    if certify:
+        monkeypatch.setattr(decomposition, "CERTIFY_MIN_JOBS", 1)
     setup = np.array([[0.0, 2.0, 1.0], [3.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     scenario = Scenario(exec=np.array([4.0, 2.5]), setup=setup)
     inst = Instance(n_jobs=2, n_machines=2, capacity=1, time_limit=5.0,
@@ -255,19 +258,20 @@ def test_single_job_machines_are_certified_or_swept_exactly(monkeypatch, variant
     cache = DiagramCache(max_depth=1)
     failures = check_candidate(inst, cand, cache, variant)
     # job 1 takes 4 + 3 = 7 > 5; job 2 takes 2.5 + 1 = 3.5
-    assert failures == [(0, 0, (1,))] and widths == [1]
+    assert failures == [(0, 0, (1,))] and widths == [1 if certify else 2]
     assert failures[0].times.tolist() == [0.0, 7.0]
     inst = Instance(n_jobs=2, n_machines=2, capacity=1, time_limit=7.0,
                     epsilon=0.0, utilities=np.ones(2), scenarios=[scenario])
     assert check_candidate(inst, cand, DiagramCache(max_depth=1), variant) == []
-    assert widths == [1]
+    assert widths == ([1] if certify else [2, 2])
 
 
-def test_check_candidate_memory_is_bounded_by_the_chunk_cap():
-    # the hard-tier shape: a full machine of 10 jobs checked against 100
-    # scenarios.  Unchunked, the check peaks at about 4.8 MB (jobset) and
-    # 12.7 MB (lastjob); chunked at 2^16 cells, at about 2.6 MB and 1.6 MB,
-    # failing tables included.
+def test_check_candidate_memory_is_bounded_by_the_chunk_cap(monkeypatch):
+    # the hard-tier shape: two full machines of 10 jobs checked against 100
+    # scenarios, first as the check runs (52 pairs reach the sweep), then
+    # with no pair certified, so that all 200 do.  Then the check peaks at
+    # about 7.9 MB (jobset) and 23.5 MB (lastjob) unchunked, and at about
+    # 2.8 MB and 1.8 MB chunked at 2^16 cells, failing tables included.
     inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=20, n_machines=2,
                                    n_scenarios=100, dif=-2.0, seed=1))
     assert inst.capacity == 10
@@ -276,16 +280,23 @@ def test_check_candidate_memory_is_bounded_by_the_chunk_cap():
     x[:10, 0] = x[10:, 1] = 1
     cand = Candidate(x=x, z=np.ones(inst.n_scenarios, dtype=np.int8))
     check_candidate(inst, cand, cache, JOBSET)  # builds the diagram
-    for variant in (JOBSET, LASTJOB):
-        check_candidate(inst, cand, cache, variant)
-        tracemalloc.start()
-        try:
-            failures = check_candidate(inst, cand, cache, variant)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert failures
-        assert peak <= 3 * 2**20, variant
+    for certify in (True, False):
+        if not certify:
+            monkeypatch.setattr(decomposition, "schedule_fits",
+                                lambda t, d, limit: np.zeros(t.shape[1], dtype=bool))
+        for variant in (JOBSET, LASTJOB):
+            check_candidate(inst, cand, cache, variant)
+            counters = decomposition._Counters(
+                check_counts=np.zeros((2, inst.n_scenarios), dtype=np.int64))
+            tracemalloc.start()
+            try:
+                failures = check_candidate(inst, cand, cache, variant, counters)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert failures
+            assert peak <= 3 * 2**20, (variant, certify)
+            assert (counters.n_certified == 0) == (not certify)
 
 
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])

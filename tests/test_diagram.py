@@ -16,8 +16,8 @@ from ccpmsp.diagram import (
     minimal_over_limit,
     nearest_neighbour_times,
     node_min_times,
+    schedule_fits,
     sub_times,
-    sweep_cells,
 )
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import TOL, ConfigurationError, StructuralError
@@ -44,9 +44,6 @@ def test_closed_form_layer_sizes(k):
         assert len(lj.layers[p - 1]) == comb(k, p - 1) * max(1, p - 1)
         assert len(js.layers[p - 1]) == comb(k, p - 1)
     assert len(lj.layers[k]) == 1 and len(js.layers[k]) == 1
-    for d in (lj, js):  # the closed form matches the built arrays
-        arcs = [end - start for start, end in d.layer_arc_ranges]
-        assert d.sweep_cells == sweep_cells(d.variant, k) == max([1 << k, *arcs])
     assert js.n_nodes <= lj.n_nodes
     if k >= 3:
         assert js.n_nodes < lj.n_nodes
@@ -225,9 +222,10 @@ def test_sweep_plan_lists_each_nodes_in_arcs(variant, k):
 def test_minimal_over_limit_keeps_minimal_sets_in_size_then_mask_order():
     # sets over 5: {2}, {1,3}, and every superset of either
     times = np.array([0, 2, 6, 9, 3, 6, 10, 14], dtype=float)
-    assert minimal_over_limit(times, 5.0) == [frozenset({2}), frozenset({1, 3})]
-    assert minimal_over_limit(times, 14.0) == []
-    assert minimal_over_limit(times, 13.0) == [frozenset({1, 2, 3})]
+    times = times[:, None]
+    assert minimal_over_limit(times, 5.0) == [[frozenset({2}), frozenset({1, 3})]]
+    assert minimal_over_limit(times, 14.0) == [[]]
+    assert minimal_over_limit(times, 13.0) == [[frozenset({1, 2, 3})]]
 
 
 def plain_minimal_over_limit(times, limit):
@@ -254,7 +252,7 @@ def test_minimal_over_limit_filters_columns_together():
         for limit in np.quantile(table[-1], [0.0, 0.3, 0.7]) * 0.8:
             want = [plain_minimal_over_limit(col, limit) for col in table.T]
             assert minimal_over_limit(table, limit) == want
-            assert [minimal_over_limit(col.copy(), limit) for col in table.T] == want
+            assert [minimal_over_limit(col[:, None], limit)[0] for col in table.T] == want
             assert any(want)
     assert minimal_over_limit(np.zeros((8, 2)), 1.0) == [[], []]
 
@@ -287,7 +285,7 @@ def test_nearest_neighbour_matches_a_plain_schedule():
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
 @pytest.mark.parametrize("kind", ["ors", "vrp", "equal"])
 def test_nearest_neighbour_bounds_the_diagram_time(kind, variant):
-    # a pair the schedule certifies (time <= T) is one the sweep passes
+    # a pair the schedule certifies at T + TOL is one the sweep passes
     # (time <= T + TOL), and the schedule is never faster than the optimum
     mod = jobset if variant == JOBSET else lastjob
     cache = DiagramCache(max_depth=10)
@@ -305,13 +303,43 @@ def test_nearest_neighbour_bounds_the_diagram_time(kind, variant):
             best = mod.set_times(cache.get_or_build(variant, k), t, d)[-1]
             assert np.all(greedy + TOL >= best)
             for limit in (inst.time_limit, *greedy):
-                fits = greedy <= limit
+                fits = schedule_fits(t, d, limit + TOL)
                 assert np.all(best[fits] <= limit + TOL)
                 n_certified += fits.sum()
                 n_refuted += (best > limit + TOL).sum()
             if k == 1:  # the one schedule, summed like the diagrams
                 assert greedy.tobytes() == best.tobytes()
     assert n_certified and n_refuted
+
+
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_schedule_fits_only_what_the_sweep_passes_at_any_magnitude(variant):
+    # random points on a line, where the nearest-neighbour schedule from
+    # the far end is optimal, so the schedule time and the sweep's time
+    # differ only in summation order.  From times of about 1e6 on that
+    # difference exceeds TOL, so certifying at g <= T would pass pairs the
+    # sweep fails; the test puts limits in the few eps of g where that lies.
+    mod = jobset if variant == JOBSET else lastjob
+    rng = np.random.default_rng(8)
+    cache = DiagramCache(max_depth=10)
+    eps = np.finfo(float).eps
+    n_certified = n_rounding_over = 0
+    for scale in (1.0, 1e6, 1e8, 1e10):
+        for k in (1, 3, 6, 10):
+            pos = np.sort(rng.random((k + 1, 200)) * scale, axis=0)
+            pos[0] = 0.0
+            d = np.abs(pos[:, None] - pos[None, :])
+            t = rng.random((k + 1, 200)) * scale
+            t[0] = 0.0
+            greedy = nearest_neighbour_times(t, d)
+            best = mod.set_times(cache.get_or_build(variant, k), t, d)[-1]
+            n_rounding_over += (best > greedy + TOL).sum()
+            for j in range(0, 4 * k + 2):
+                limit = greedy * (1 + j * eps) + TOL
+                fits = schedule_fits(t, d, limit)
+                assert np.all(best[fits] <= limit[fits])
+                n_certified += fits.sum()
+    assert n_certified and n_rounding_over
 
 
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
