@@ -23,6 +23,7 @@ from .model import (
     ConfigurationError,
     Instance,
     LimitExceeded,
+    StructuralError,
     candidate_objective,
     validate_instance,
 )
@@ -179,11 +180,18 @@ def cmd_verify(args) -> int:
     if "x" not in sol or "z" not in sol:
         print("solution file carries no candidate", file=sys.stderr)
         return EXIT_VERIFY
-    cand = Candidate(x=np.array(sol["x"]), z=np.array(sol["z"]))
+    try:
+        cand = Candidate(x=np.array(sol["x"]), z=np.array(sol["z"]))
+    except (TypeError, ValueError) as exc:
+        print(f"violation: malformed candidate: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     problems = verify_candidate(inst, cand)
     reported = sol.get("objective")
-    actual = candidate_objective(inst, cand)
-    if reported is not None and abs(actual - reported) > 1e-6:
+    try:
+        actual = candidate_objective(inst, cand)
+    except StructuralError:  # a wrong x shape, already among the problems
+        actual = None
+    if None not in (reported, actual) and abs(actual - reported) > 1e-6:
         problems.append(f"objective mismatch: reported {reported}, actual {actual}")
     if problems:
         for p in problems:

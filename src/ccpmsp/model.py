@@ -175,8 +175,12 @@ class Candidate:
     z: np.ndarray
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.int8)
-        self.z = np.asarray(self.z, dtype=np.int8)
+        x, z = np.asarray(self.x), np.asarray(self.z)
+        self.x = x.astype(np.int8, copy=False)
+        self.z = z.astype(np.int8, copy=False)
+        # astype truncates fractions and wraps large integers silently
+        if not (np.array_equal(self.x, x) and np.array_equal(self.z, z)):
+            raise StructuralError("x and z must hold integers within int8 range")
 
     def machine_jobs(self, m: int) -> np.ndarray:
         """Sorted 1-based job ids assigned to machine m."""

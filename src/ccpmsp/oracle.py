@@ -1,13 +1,18 @@
 """Ground truth independent of the diagram code paths: brute-force
-references plus a Held-Karp checker used for verification.
+references, plus witness schedules and a Held-Karp checker used for
+verification.
 
 The brute-force functions enumerate: permutations for sequencing, subsets
 for IIS, assignments for whole-problem optima.  They are deliberately naive
 so they can serve as the reference in tests; hard limits keep them at desk
 scale.  ``held_karp_min_times`` computes the same minimum sequencing time
 as ``brute_min_time`` with the bitmask dynamic program of Held & Karp
-(1962), written from the problem definition alone, and is cheap enough
-that ``verify_candidate`` runs it at every capacity.
+(1962), written from the problem definition alone, and runs at every
+capacity.  ``witness_schedules`` builds one concrete nearest-neighbour
+order per scenario and times it exactly as ``brute_min_time`` times a
+permutation.  ``verify_candidate`` accepts a (machine, scenario) pair on
+such a witness and runs Held-Karp only on the pairs no witness fits.
+Nothing here is shared with the diagrams.
 
 Closing-setup convention: a strict subset of the evaluated universe is
 timed without the final setup back to the dummy job, the full set with it.
@@ -106,6 +111,17 @@ def _hk_plan(k: int) -> tuple:
     return tuple(plan)
 
 
+def _job_ids(jobs, scenarios) -> np.ndarray:
+    """The 1-based job ids sorted into an index array, checked to be
+    distinct and present in every scenario."""
+    idx = np.asarray(sorted(jobs), dtype=np.intp)
+    if np.any(idx[1:] == idx[:-1]):
+        raise StructuralError("duplicate job ids")
+    if len(idx) and (idx[0] < 1 or any(idx[-1] > sc.n_jobs for sc in scenarios)):
+        raise StructuralError("job id outside the scenario")
+    return idx
+
+
 def held_karp_min_times(jobs, scenarios, include_closing: bool = True) -> np.ndarray:
     """Minimum sequencing time of the given 1-based job ids in each scenario.
 
@@ -115,15 +131,11 @@ def held_karp_min_times(jobs, scenarios, include_closing: bool = True) -> np.nda
     ordering of subset S that ends in j, filled by subset size for a chunk
     of scenarios at a time with numpy.
     """
-    idx = np.asarray(sorted(jobs), dtype=np.intp)
-    if np.any(idx[1:] == idx[:-1]):
-        raise StructuralError("duplicate job ids")
+    idx = _job_ids(jobs, scenarios)
     k = len(idx)
     out = np.zeros(len(scenarios))
     if k == 0:
         return out
-    if idx[0] < 1 or any(idx[-1] > sc.n_jobs for sc in scenarios):
-        raise StructuralError("job id outside the scenario")
     full = (1 << k) - 1
     plan = _hk_plan(k)
     chunk = max(1, HK_CHUNK_CELLS // ((full + 1) * k))
@@ -148,6 +160,52 @@ def held_karp_min_times(jobs, scenarios, include_closing: bool = True) -> np.nda
             best = best + np.stack([sc.setup[idx, 0] for sc in part])
         out[lo:lo + len(part)] = best.min(axis=1)
     return out
+
+
+def witness_schedules(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
+    """Best nearest-neighbour order of the given 1-based job ids in each
+    scenario, and its time with the closing setup.
+
+    From every start job the order moves to the unvisited job of least
+    setup from the current one, the lowest job id on ties; per scenario the
+    fastest of these k orders is kept.  Its time is summed exactly as
+    ``brute_min_time`` sums a permutation: t(first), then += setup + exec
+    per step, then the closing setup.  So a witness time is bitwise the
+    brute-force time of a real schedule, and an upper bound on the minimum.
+    Returns (orders, times) of shapes (W, k) and (W,).
+    """
+    idx = _job_ids(jobs, scenarios)
+    k = len(idx)
+    orders = np.zeros((len(scenarios), k), dtype=np.intp)
+    times = np.zeros(len(scenarios))
+    if k == 0:
+        return orders, times
+    # one walker per (start, scenario); its (k, W, k) arrays fit the cap
+    chunk = max(1, HK_CHUNK_CELLS // (k * k))
+    start = np.arange(k)[:, None]
+    for lo in range(0, len(scenarios), chunk):
+        part = scenarios[lo:lo + chunk]
+        w = np.arange(len(part))
+        # t[w, j]; d[w, i, j] = setup from i to j; close[w, j] = to the dummy
+        t = np.stack([sc.exec[idx - 1] for sc in part])
+        d = np.stack([sc.setup[np.ix_(idx, idx)] for sc in part])
+        close = np.stack([sc.setup[idx, 0] for sc in part])
+        cur = np.broadcast_to(start, (k, len(part)))
+        path = np.empty((k, len(part), k), dtype=np.intp)
+        path[:, :, 0] = cur
+        total = t[w, cur]
+        barred = np.zeros((k, len(part), k))  # inf where a walker has been
+        barred[start, w, cur] = np.inf
+        for step in range(1, k):
+            prev, cur = cur, (d[w, cur] + barred).argmin(axis=2)
+            total += d[w, prev, cur] + t[w, cur]
+            barred[start, w, cur] = np.inf
+            path[:, :, step] = cur
+        total += close[w, cur]
+        best = total.argmin(axis=0)
+        orders[lo:lo + len(part)] = idx[path[best, w]]
+        times[lo:lo + len(part)] = total[best, w]
+    return orders, times
 
 
 def brute_iis(jobs_universe, scenario: Scenario, time_limit: float,
@@ -264,29 +322,45 @@ def brute_optimal(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS):
 def verify_candidate(inst: Instance, cand: Candidate) -> list[str]:
     """Independent feasibility check of a candidate; returns violations.
 
-    Every (machine, claimed scenario) sequence is timed with the Held-Karp
-    DP, so the check runs at any capacity."""
+    x must be an n x M and z a length-W array of 0/1 entries; otherwise
+    only those problems are reported.  Every (machine, claimed scenario)
+    pair is first tried on its witness schedule, and a pair whose witness
+    time is <= T + TOL is proven feasible by that schedule.  The pairs left
+    are timed exactly with the Held-Karp DP, and a minimum above T + TOL is
+    a violation.  Both run at any capacity."""
+    x, z = cand.x, cand.z
     problems = []
-    x = cand.x
     if x.shape != (inst.n_jobs, inst.n_machines):
-        return [f"x shape {x.shape} does not match the instance"]
+        problems.append(f"x shape {x.shape} does not match the instance")
+    if z.shape != (inst.n_scenarios,):
+        problems.append(f"z shape {z.shape} does not match the instance")
+    for name, a in (("x", x), ("z", z)):
+        if np.any((a != 0) & (a != 1)):
+            problems.append(f"{name} has entries outside {{0, 1}}")
+    if problems:
+        return problems
     if np.any(x.sum(axis=1) > 1):
         bad = np.flatnonzero(x.sum(axis=1) > 1) + 1
         problems.append(f"jobs assigned to several machines: {bad.tolist()}")
     over = np.flatnonzero(x.sum(axis=0) > inst.capacity)
     if len(over):
         problems.append(f"capacity exceeded on machines {over.tolist()}")
-    if not chance_satisfied(inst, cand.z):
+    if not chance_satisfied(inst, z):
         problems.append("chance constraint violated")
-    active = np.flatnonzero(cand.z)
+    active = np.flatnonzero(z)
     claimed = [inst.scenarios[w] for w in active]
+    limit = inst.time_limit + TOL
     for m in range(inst.n_machines):
         jobs = cand.machine_jobs(m)
         if len(jobs) == 0:
             continue
-        times = held_karp_min_times(jobs, claimed)
-        for w, t in zip(active, times):
-            if t > inst.time_limit + TOL:
+        _, witness = witness_schedules(jobs, claimed)
+        rest = np.flatnonzero(~(witness <= limit))  # NaN goes to Held-Karp
+        if len(rest) == 0:  # the Held-Karp plan alone is 2^k-sized
+            continue
+        times = held_karp_min_times(jobs, [claimed[i] for i in rest])
+        for w, t in zip(active[rest], times):
+            if t > limit:
                 problems.append(
                     f"machine {m} infeasible in scenario {w}: "
                     f"min time {t:.6f} > T = {inst.time_limit}"

@@ -125,6 +125,35 @@ def test_verify_catches_tampering(tmp_path, capsys):
     assert run(["verify", inst_path, "--solution", tmp_path / "bad_obj.json"]) == 1
 
 
+def test_verify_reports_malformed_candidates(tmp_path, capsys):
+    inst_path = tmp_path / "i.json"
+    run(gen_args(inst_path, jobs=10, machines=2, scenarios=10, dif=-1.0,
+                 seed=504))
+    x = [[0, 0] for _ in range(10)]
+    x[0][0] = 1
+    cases = {
+        "z_two": (x, [2] * 5 + [0] * 5, "z has entries outside {0, 1}"),
+        "x_negative": ([[1, 0]] + [[0, -1]] + x[2:], [1] * 10,
+                       "x has entries outside {0, 1}"),
+        "z_short": (x, [1] * 9, "z shape (9,) does not match the instance"),
+        "x_narrow": ([row[:1] for row in x], [1] * 10,
+                     "x shape (10, 1) does not match the instance"),
+        # int8 would truncate 1.5 and wrap 257 to 1
+        "z_fraction": (x, [1.5] * 10, "malformed candidate: x and z must "
+                       "hold integers within int8 range"),
+        "z_wrapping": (x, [257] * 10, "malformed candidate: x and z must "
+                       "hold integers within int8 range"),
+        "x_ragged": ([[1, 0], [0]] + x[2:], [1] * 10, "malformed candidate: "),
+    }
+    for name, (xs, zs, message) in cases.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"x": xs, "z": zs, "objective": 1.0}))
+        capsys.readouterr()
+        assert run(["verify", inst_path, "--solution", path]) == EXIT_VERIFY
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith(f"violation: {message}") for line in err)
+
+
 def test_verify_at_capacity_ten(tmp_path, capsys):
     inst_path = tmp_path / "i.json"
     sol_path = tmp_path / "s.json"

@@ -57,6 +57,15 @@ def test_objective_dimension_mismatch():
         candidate_objective(inst, Candidate(x=np.zeros((2, 2)), z=np.ones(2)))
 
 
+def test_candidate_refuses_a_lossy_cast():
+    cand = Candidate(x=np.ones((2, 2)), z=[2, -1])
+    assert cand.x.dtype == cand.z.dtype == np.int8
+    assert cand.z.tolist() == [2, -1]  # kept for verification to reject
+    for x, z in ((np.full((2, 2), 0.5), [1, 1]), (np.ones((2, 2)), [257, 1])):
+        with pytest.raises(StructuralError):
+            Candidate(x=x, z=z)
+
+
 def test_objective_monotone_under_assignment():
     rng = np.random.default_rng(1)
     inst = tiny_instance(n=5, utilities=rng.uniform(0.5, 9.0, size=5))
