@@ -1,8 +1,10 @@
 """Command-line front end: instance generation, solving, verification,
 batch benchmarks, and CSV aggregation.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 budget exhausted without an incumbent.
+Exit codes: 0 success, 1 verification failure, 2 configuration error
+(an unknown option value, or an instance file that cannot be read or breaks
+an invariant of ``validate_instance``), 3 budget exhausted without an
+incumbent.
 """
 
 from __future__ import annotations
@@ -102,6 +104,19 @@ def _solve_options(args) -> SolveOptions:
     )
 
 
+def _load_instance(path) -> Instance:
+    """Read an instance file and check its invariants; a file that cannot
+    be read or breaks one raises ConfigurationError listing the problems."""
+    try:
+        inst = Instance.load(path)
+        problems = validate_instance(inst)
+    except (OSError, KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigurationError(f"cannot read instance {path}: {exc}") from exc
+    if problems:
+        raise ConfigurationError(f"invalid instance {path}: " + "; ".join(problems))
+    return inst
+
+
 def _add_solve_flags(sp) -> None:
     sp.add_argument("--variant", default="js", help="diagram variant: lj | js")
     sp.add_argument("--cut", default="iis", help="cut kind: nogood | iis | benders")
@@ -141,11 +156,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        inst = Instance.load(args.instance)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"cannot read instance {args.instance}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    inst = _load_instance(args.instance)
     opts = _solve_options(args)
     cand, report = solve_ccpmsp(inst, opts)
     print(CSV_VERSION)
@@ -170,12 +181,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    inst = _load_instance(args.instance)
     try:
-        inst = Instance.load(args.instance)
         with open(args.solution) as fh:
             sol = json.load(fh)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"cannot read inputs: {exc}", file=sys.stderr)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"cannot read solution {args.solution}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if "x" not in sol or "z" not in sol:
         print("solution file carries no candidate", file=sys.stderr)
@@ -229,11 +240,7 @@ def cmd_bench(args) -> int:
     cuts = [_resolve(CUT_ALIASES, c.strip(), "cut kind") for c in args.cuts.split(",")]
     tasks = []
     for path in args.instances:
-        try:
-            Instance.load(path)
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            print(f"skipping {path}: {exc}", file=sys.stderr)
-            continue
+        _load_instance(path)
         for variant in variants:
             for cut in cuts:
                 for _ in range(args.repetitions):

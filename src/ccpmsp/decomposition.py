@@ -36,7 +36,6 @@ from .diagram import (
     canonical_remap,
     minimal_over_limit,
     schedule_fits,
-    sub_times,
 )
 from .master import (
     BuiltinBackend,
@@ -60,8 +59,8 @@ from .model import (
 )
 from .oracle import verify_candidate
 
-# The variant modules, called as ``module.set_times``/``module.iis`` so that
-# a function replaced on the module is the one that runs.
+# The variant modules, called as ``module.set_times`` so that a function
+# replaced on the module is the one that runs.
 VARIANT_MODULES = {LASTJOB: lastjob, JOBSET: jobset}
 
 # Working-set bound of one set-time sweep in float64 cells (512 KB): the
@@ -187,11 +186,11 @@ class Failure(tuple):
     """A failing (machine, scenario, jobs) triple, equal to the plain tuple.
 
     ``times`` is the scenario's per-job-set time table from the check that
-    found the failure (None on a plain triple), so IIS extraction reads it
-    instead of sweeping the diagram again.
+    found the failure, so IIS extraction reads it instead of sweeping the
+    diagram again.
     """
 
-    def __new__(cls, machine: int, scenario: int, jobs: tuple, times=None):
+    def __new__(cls, machine: int, scenario: int, jobs: tuple, times):
         failure = super().__new__(cls, (machine, scenario, jobs))
         failure.times = times
         return failure
@@ -267,19 +266,19 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
     return failures
 
 
-def emit_cuts(failures, cut_kind: str, inst: Instance, cache: DiagramCache,
-              opts: Optional[SolveOptions] = None, cand: Optional[Candidate] = None,
+def emit_cuts(failures, cut_kind: str, inst: Instance,
+              cand: Optional[Candidate] = None,
               counters: Optional[_Counters] = None,
               flow_ctx: Optional["netflow.FlowContext"] = None,
               job_sets: Optional[dict] = None) -> list[Cut]:
     """Render the cut batch for a list of failures, deduplicated by key.
 
-    IIS cuts of a ``Failure`` from ``check_candidate`` are read from its
-    time table; a plain (machine, scenario, jobs) triple is timed here.
-    Cuts on equal job sets share one frozenset, kept in ``job_sets``
-    (sorted job tuple -> frozenset; pass one dict to every call of a solve
-    to share across batches): a pool keeps every cut, and a set fails in
-    many scenarios and iterations.
+    IIS cuts need ``Failure``s from ``check_candidate`` and are read from
+    their time tables; no-goods and flow cuts take any (machine, scenario,
+    jobs) triples.  Cuts on equal job sets share one frozenset, kept in
+    ``job_sets`` (sorted job tuple -> frozenset; pass one dict to every call
+    of a solve to share across batches): a pool keeps every cut, and a set
+    fails in many scenarios and iterations.
     """
     t0 = time.perf_counter()
     cuts: list[Cut] = []
@@ -299,24 +298,17 @@ def emit_cuts(failures, cut_kind: str, inst: Instance, cache: DiagramCache,
         for _, w, jobs in failures:
             push(Cut(job_set=job_set(jobs), scenario=w, kind=NOGOOD))
     elif cut_kind == IIS:
-        variant = opts.variant if opts else JOBSET
-        mod = VARIANT_MODULES[variant]
         # the tables of equally many jobs go through the filter together
         tabled: dict[int, list[int]] = {}
         for i, failure in enumerate(failures):
-            if getattr(failure, "times", None) is not None:
-                tabled.setdefault(len(failure[2]), []).append(i)
+            tabled.setdefault(len(failure[2]), []).append(i)
         iis_sets = {}
         for group in tabled.values():
             table = np.stack([failures[i].times for i in group], axis=-1)
             iis_sets.update(zip(group, minimal_over_limit(table, inst.time_limit)))
         for i, (_, w, jobs) in enumerate(failures):
             remap = canonical_remap(jobs)
-            sets = iis_sets.get(i)
-            if sets is None:
-                diag = cache.get_or_build(variant, len(jobs))
-                sets = mod.iis(diag, inst.time_limit, *sub_times(inst.scenarios[w], remap))
-            for s in sets:
+            for s in iis_sets[i]:
                 orig = job_set(tuple(int(remap[c]) for c in sorted(s)))
                 push(Cut(job_set=orig, scenario=w, kind=IIS))
     elif cut_kind == BENDERS:
@@ -383,11 +375,10 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         not exclude the candidate (possible for weak flow cuts), the
         failures' no-goods join it; one of them is always new."""
         fresh = append_cuts(emit_cuts(
-            failures, opts.cut_kind, inst, cache, opts, cand, counters,
-            flow_ctx, job_sets,
+            failures, opts.cut_kind, inst, cand, counters, flow_ctx, job_sets,
         ))
         if not _batch_excludes(inst, model, fresh, cand):
-            nogoods = append_cuts(emit_cuts(failures, NOGOOD, inst, cache,
+            nogoods = append_cuts(emit_cuts(failures, NOGOOD, inst,
                                             job_sets=job_sets))
             if not nogoods:
                 raise StructuralError("cut pool failed to exclude a candidate")

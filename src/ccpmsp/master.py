@@ -266,9 +266,10 @@ class BuiltinBackend:
 
     ``hook``, when given, is called with (x, z) at each leaf that meets the
     chance row and returns the cuts (x, z) violates, or nothing to accept
-    it.  Its job-set cuts prune interior nodes for the rest of the search;
-    every hook cut is also tested at later leaves, which keeps the search
-    sound whatever the memos hold.
+    it.  Its cuts enter the search as the pool's do: a job-set cut sets its
+    scenario bit on every machine whose job set covers it, from here on,
+    which prunes interior nodes and drops the flag at leaves; flow cuts are
+    tested at the leaves.
 
     ``upper_bound``, when given, must bound this model's optimum from above,
     as the optimum of an earlier solve with a subset of its rows does.  The
@@ -299,18 +300,6 @@ class BuiltinBackend:
             tail = np.sort(inst.utilities[j:])[::-1]
             top_suffix.append(np.concatenate(([0.0], np.cumsum(tail))).tolist())
 
-        benders_cuts = []  # (scenario, const, coefs)
-        cuts_by_job: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for cut in model.cuts:
-            if cut.kind == BENDERS:
-                const, coefs = cut.benders_payload
-                benders_cuts.append((cut.scenario, const, np.asarray(coefs, float)))
-            else:
-                mask = cut.job_mask()
-                for j in range(n):
-                    if mask >> j & 1:
-                        cuts_by_job[j].append((mask, 1 << cut.scenario))
-
         # one row of optimistic loads per job, so a machine's load is the
         # sum of its jobs' rows in index order
         relax = (np.ascontiguousarray(model.relax_coef.T)
@@ -319,6 +308,8 @@ class BuiltinBackend:
         # local to this call, as the pool grows between solves
         fail_memo: dict[int, int] = {}
         relax_memo = model.relax_memo
+        # job j -> {mask of a cut job set holding j: its cuts' scenario bits}
+        cuts_by_job: list[dict[int, int]] = [{} for _ in range(n)]
 
         def jobs_of(mask: int) -> list[int]:
             return [i for i in range(n) if mask >> i & 1]
@@ -347,9 +338,9 @@ class BuiltinBackend:
             bits = parent
             if relax is not None:
                 bits |= relax_of(mask)
-            for cmask, wbit in cuts_by_job[j]:
+            for cmask, wbits in cuts_by_job[j].items():
                 if cmask & mask == cmask:
-                    bits |= wbit
+                    bits |= wbits
             if len(fail_memo) >= FAIL_MEMO_MAX:
                 fail_memo.clear()
             fail_memo[mask] = bits
@@ -359,31 +350,33 @@ class BuiltinBackend:
         mach_mask = [0] * M
         mach_fail = [0] * M
 
-        # hook-added cuts in arrival order: (jobmask, scenario) and flow cuts
-        pending: list[tuple[int, int]] = []
-        pending_benders: list[tuple[int, float, np.ndarray]] = []
+        # job-set cuts in arrival order, (jobmask, scenario), and flow cuts
+        job_cuts: list[tuple[int, int]] = []
+        flow_cuts: list[tuple[int, float, np.ndarray]] = []
 
         def add_lazy(new_cuts) -> None:
-            """Hook cuts join the leaf check.  A job-set cut also joins
-            ``cuts_by_job`` and sets its scenario bit on every memo entry and
-            every machine of the current path whose job set covers it, so it
-            prunes from here on; flow cuts stay leaf-only."""
+            """Enter cuts into the search: the pool before it starts, hook
+            cuts as they come.  A job-set cut joins ``cuts_by_job`` and sets
+            its scenario bit on every machine of the current path whose job
+            set covers it, so the path's bits stay exact; the memo, whose
+            entries predate the cut, is emptied and refills from them.  Flow
+            cuts are tested at the leaves."""
             for cut in new_cuts:
                 if cut.kind == BENDERS:
-                    const, coefs0 = cut.benders_payload
-                    pending_benders.append(
-                        (cut.scenario, const, np.asarray(coefs0, float))
-                    )
+                    const, coefs = cut.benders_payload
+                    flow_cuts.append((cut.scenario, const, np.asarray(coefs, float)))
                     continue
                 cmask, wbit = cut.job_mask(), 1 << cut.scenario
-                pending.append((cmask, cut.scenario))
-                for j in jobs_of(cmask):
-                    cuts_by_job[j].append((cmask, wbit))
-                for mask in [mk for mk in fail_memo if mk & cmask == cmask]:
-                    fail_memo[mask] |= wbit
+                job_cuts.append((cmask, cut.scenario))
+                for j in cut.job_set:
+                    sets = cuts_by_job[j - 1]
+                    sets[cmask] = sets.get(cmask, 0) | wbit
                 for m, mk in enumerate(mach_mask):
                     if mk & cmask == cmask:
                         mach_fail[m] |= wbit
+                fail_memo.clear()
+
+        add_lazy(model.cuts)
 
         best_obj = -np.inf
         best_x = None
@@ -407,17 +400,17 @@ class BuiltinBackend:
             bound = util + top_suffix[j][min(M * B - used, n - j)]
             open_bound = max(open_bound, bound)
 
-        def leaf_z(failed: int) -> np.ndarray:
+        def leaf_z() -> np.ndarray:
+            failed = 0
+            for bits in mach_fail:
+                failed |= bits
             z = np.array([not failed >> w & 1 for w in range(n_sc)])
-            for w, const, coefs in benders_cuts + pending_benders:
+            for w, const, coefs in flow_cuts:
                 if z[w]:
                     for mk in mach_mask:
                         if mk and const + coefs[jobs_of(mk)].sum() > T + TOL:
                             z[w] = False
                             break
-            for mask, w in pending:
-                if z[w] and any(mask & mk == mask for mk in mach_mask):
-                    z[w] = False
             return z
 
         def current_x() -> np.ndarray:
@@ -427,9 +420,9 @@ class BuiltinBackend:
                     x[j, assign[j]] = 1
             return x
 
-        def handle_leaf(util: float, failed: int) -> None:
+        def handle_leaf(util: float) -> None:
             nonlocal best_obj, best_x, best_z, n_hook
-            z = leaf_z(failed)
+            z = leaf_z()
             if z.sum() * p < need:
                 return
             if hook is not None:
@@ -442,7 +435,7 @@ class BuiltinBackend:
                         verified = True
                         break
                     add_lazy(new_cuts)
-                    z = leaf_z(failed)
+                    z = leaf_z()
                     # a returned cut's scenario is a failing one for this x,
                     # so its flag must drop here even if the cut row itself
                     # does not bind at this candidate; z shrinks every round
@@ -468,10 +461,10 @@ class BuiltinBackend:
             if util + top_suffix[j][min(M * B - used, n - j)] <= best_obj + TOL:
                 return
             if j == n:
-                handle_leaf(util, failed)
+                handle_leaf(util)
                 return
             bit = 1 << j
-            seen = len(pending)
+            seen = len(job_cuts)
             for m in range(min(j + 1, M) if model.symmetry else M):
                 mask = mach_mask[m]
                 if mask.bit_count() >= B:
@@ -489,7 +482,7 @@ class BuiltinBackend:
                 assign[j] = -1
                 # hook cuts that arrived in the subtree: ``old`` misses those
                 # ``mask`` covers, and ``failed`` those the path covers
-                arrived = pending[seen:]
+                arrived = job_cuts[seen:]
                 for cmask, w in arrived:
                     if cmask & mask == cmask:
                         old |= 1 << w

@@ -286,7 +286,7 @@ def validate_instance(inst: Instance) -> list[str]:
         v.append(f"non-positive utility for jobs {bad.tolist()}")
     if len(inst.scenarios) < 1:
         v.append("no scenarios")
-    if abs(inst.scenario_prob * inst.n_scenarios - 1.0) > PROB_TOL:
+    elif abs(inst.scenario_prob * inst.n_scenarios - 1.0) > PROB_TOL:
         v.append("scenario probabilities do not sum to 1")
     if len(inst.big_m) != inst.n_scenarios:
         v.append("big_m length != n_scenarios")

@@ -77,6 +77,41 @@ def test_solve_unreadable_instance(tmp_path):
     assert run(["solve", tmp_path / "missing.json"]) == 2
 
 
+# instance files that load but break an invariant, or do not load; the
+# first two once solved "optimal" and the others ended in a traceback
+BAD_INSTANCES = {
+    "epsilon": ({"epsilon": 1.5}, "epsilon outside (0, 1)"),
+    "time_limit": ({"time_limit": -1}, "time_limit <= 0"),
+    "utilities": ({"utilities": [1.0, 2.0]}, "utilities length != n_jobs"),
+    "no_scenarios": ({"scenarios": []}, "no scenarios"),
+    "scenario_count": ({"scenarios": 5}, "cannot read instance"),
+    "flat_setup": ({"scenarios": [{"exec": [1.0] * 6, "setup": [0.0] * 7}] * 5},
+                   "cannot read instance"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+def test_commands_reject_invalid_instance_files(tmp_path, capsys, case):
+    change, message = BAD_INSTANCES[case]
+    good = tmp_path / "good.json"
+    run(gen_args(good))
+    data = json.loads(good.read_text())
+    data.update(change)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"x": [[0, 0]] * 6, "z": [1] * 5}))
+    out = tmp_path / "runs.csv"
+    capsys.readouterr()
+    for args in (["solve", bad, "--budget", 30],
+                 ["verify", bad, "--solution", sol],
+                 ["bench", good, bad, "--budget", 30, "--out", out]):
+        assert run(args) == cli.EXIT_CONFIG, args[0]
+        err = capsys.readouterr().err
+        assert message in err and str(bad) in err, args[0]
+    assert not out.exists()
+
+
 def test_solve_row_deterministic_excluding_times(tmp_path, capsys):
     inst_path = tmp_path / "i.json"
     run(gen_args(inst_path, dataset="vrp", dif=-4.0, seed=31))

@@ -345,8 +345,7 @@ def test_checked_pairs_not_certified_are_the_swept_ones(monkeypatch, variant):
 
 def test_emit_nogood_cut(uniform_scenario):
     inst = uniform_instance(uniform_scenario)
-    cache = DiagramCache(max_depth=3)
-    cuts = emit_cuts([(0, 0, (1, 2, 3))], "nogood", inst, cache)
+    cuts = emit_cuts([(0, 0, (1, 2, 3))], "nogood", inst)
     assert len(cuts) == 1
     assert cuts[0].job_set == frozenset({1, 2, 3})
     assert cuts[0].kind == "nogood" and cuts[0].scenario == 0
@@ -355,18 +354,22 @@ def test_emit_nogood_cut(uniform_scenario):
 def test_emit_iis_cuts_worked_example(uniform_scenario):
     inst = uniform_instance(uniform_scenario)
     cache = DiagramCache(max_depth=3)
-    opts = SolveOptions(variant=LASTJOB, cut_kind="iis")
-    cuts = emit_cuts([(0, 0, (1, 2, 3))], "iis", inst, cache, opts)
+    cand = Candidate(x=np.ones((3, 1), dtype=np.int8), z=np.array([1]))
+    failures = check_candidate(inst, cand, cache, LASTJOB)
+    assert failures == [(0, 0, (1, 2, 3))]
+    cuts = emit_cuts(failures, "iis", inst)
     got = sorted((sorted(c.job_set) for c in cuts))
     assert got == [[1, 3], [2]]
 
 
 def test_emit_cuts_deduplicates_across_machines(uniform_scenario):
+    # both machines hold all three jobs, which fail alike on each
     inst = uniform_instance(uniform_scenario, machines=2)
     cache = DiagramCache(max_depth=3)
-    opts = SolveOptions(variant=JOBSET, cut_kind="iis")
-    failures = [(0, 0, (1, 2, 3)), (1, 0, (1, 2, 3))]
-    cuts = emit_cuts(failures, "iis", inst, cache, opts)
+    cand = Candidate(x=np.ones((3, 2), dtype=np.int8), z=np.array([1]))
+    failures = check_candidate(inst, cand, cache, JOBSET)
+    assert failures == [(0, 0, (1, 2, 3)), (1, 0, (1, 2, 3))]
+    cuts = emit_cuts(failures, "iis", inst)
     assert len(cuts) == 2  # {2} and {1,3} once each, not twice
 
 
@@ -385,12 +388,11 @@ def test_emit_cuts_share_one_job_set_per_failing_tuple(uniform_scenario):
     flow_ctx = netflow.FlowContext(inst, 1)
     job_sets = {}  # as solve_ccpmsp passes one dict to every call
     for kind in ("nogood", "benders"):
-        cuts = emit_cuts(failures, kind, inst, cache, SolveOptions(cut_kind=kind),
-                         cand, flow_ctx=flow_ctx)
+        cuts = emit_cuts(failures, kind, inst, cand, flow_ctx=flow_ctx)
         assert len(cuts) == 3
         assert all(c.job_set is cuts[0].job_set for c in cuts)
-        again = emit_cuts(failures, kind, inst, cache, SolveOptions(cut_kind=kind),
-                          cand, flow_ctx=flow_ctx, job_sets=job_sets)
+        again = emit_cuts(failures, kind, inst, cand, flow_ctx=flow_ctx,
+                          job_sets=job_sets)
         assert all(c.job_set is job_sets[(1, 2, 3)] for c in again)
         if kind == "nogood":
             want = [Cut(job_set={1, 2, 3}, scenario=w, kind=kind) for w in range(3)]
@@ -411,7 +413,7 @@ def test_iis_cuts_on_equal_job_sets_share_one_frozenset(uniform_scenario):
     cand = Candidate(x=np.ones((3, 1), dtype=np.int8), z=np.ones(3, dtype=np.int8))
     failures = check_candidate(inst, cand, cache, JOBSET)
     job_sets = {}
-    cuts = emit_cuts(failures, "iis", inst, cache, SolveOptions(), job_sets=job_sets)
+    cuts = emit_cuts(failures, "iis", inst, job_sets=job_sets)
     assert [(c.scenario, sorted(c.job_set)) for c in cuts] == [
         (w, s) for w in range(3) for s in ([2], [1, 3])]
     assert set(job_sets) == {(2,), (1, 3)}
@@ -499,7 +501,6 @@ def test_iis_sets_contained_in_nogood_sets(regression_set):
 
     for inst in regression_set[44:52]:
         cache = DiagramCache(max_depth=inst.capacity)
-        opts = SolveOptions(variant=JOBSET, cut_kind="iis")
         cand, _ = solve_ccpmsp(inst, SolveOptions(time_budget=60))
         # rebuild the first candidate's failures by claiming everything
         x = cand.x if cand is not None else np.zeros(
@@ -508,8 +509,8 @@ def test_iis_sets_contained_in_nogood_sets(regression_set):
         failures = check_candidate(inst, Candidate(x=x, z=z), cache, JOBSET)
         if not failures:
             continue
-        nogood = emit_cuts(failures, "nogood", inst, cache)
-        iis = emit_cuts(failures, "iis", inst, cache, opts)
+        nogood = emit_cuts(failures, "nogood", inst)
+        iis = emit_cuts(failures, "iis", inst)
         for ic in iis:
             assert any(
                 ic.scenario == nc.scenario and ic.job_set <= nc.job_set
@@ -547,8 +548,7 @@ def test_iterative_loop_never_repeats_a_candidate():
         failures = check_candidate(inst, sol.candidate, cache, JOBSET)
         if not failures:
             break
-        for cut in emit_cuts(failures, "iis", inst, cache,
-                             SolveOptions(variant=JOBSET)):
+        for cut in emit_cuts(failures, "iis", inst):
             model.cuts.append(cut)
     else:
         pytest.fail("loop did not terminate")
@@ -702,10 +702,12 @@ def test_iis_pools_pinned(variant):
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, index
 
 
-# The same pools from one callback-mode solve each.  Pruning by hook cuts
-# drops only subtrees whose every leaf the leaf check rejects, so the hook
-# sees the same candidates in the same order with or without it, and these
-# pools do not depend on it.
+# The same pools from one callback-mode solve each.  A hook cut reaches the
+# search only as bits on the machines whose job sets cover it, which drop a
+# leaf's flag exactly where the cut's row forces it to zero; pruning on them
+# drops only subtrees whose every leaf then misses the chance row.  So the
+# hook sees the candidates a search that re-tested every cut at each leaf
+# would show it, in the same order, and a missed or stale bit moves a pool.
 CALLBACK_IIS_POOLS = {
     1: (8, "2eeecab69ceaf51d98e19e8291484a8d92fb2745c8fe41d6e1d4cb4591d3c5c0"),
     2: (2, "7dbd6ba779cfe69aa59d0ee3e7901b036cc2643a9a3842911ec762ff1f3f1f61"),

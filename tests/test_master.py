@@ -383,6 +383,51 @@ def test_builtin_reaches_exhaustive_optimum(model):
     assert np.array_equal(early.x, got.x) and np.array_equal(early.z, got.z)
 
 
+@settings(max_examples=60, deadline=None)
+@given(tiny_master(), st.data())
+def test_hook_cuts_reach_the_search_bits_exactly(model, data):
+    # some job-set cuts of the pool reach the search only through the hook,
+    # which returns exactly those (x, z) violates.  Job-set cuts have no
+    # leaf check: at every hook call, no cut the search holds may be covered
+    # by a machine of x while its flag is set, also when the job-set memo
+    # is emptied every few entries
+    inst = model.inst
+    for _ in range(data.draw(st.integers(0, 4))):
+        model.cuts.append(Cut(
+            job_set=data.draw(st.frozensets(st.integers(1, inst.n_jobs), min_size=1)),
+            scenario=data.draw(st.integers(0, inst.n_scenarios - 1)), kind=IIS,
+        ))
+    ref = ExternalBackend(f"{sys.executable} {STUB}").solve(model)
+    job_cuts = [c for c in model.cuts if c.kind != BENDERS]
+    hide = data.draw(st.lists(st.booleans(), min_size=len(job_cuts),
+                              max_size=len(job_cuts)))
+    hidden = [c for c, h in zip(job_cuts, hide) if h]
+    shown = [c for c in model.cuts if c.kind == BENDERS or c not in hidden]
+
+    def violated(cuts, x, z):
+        return [c for c in cuts if z[c.scenario]
+                and (x[sorted(j - 1 for j in c.job_set)] == 1).all(axis=0).any()]
+
+    for memo_max in (master.FAIL_MEMO_MAX, 4):
+        partial = build_master(inst, symmetry=model.symmetry,
+                               scenario_relaxation=model.scenario_relaxation)
+        partial.cuts.extend(shown)
+        held = [c for c in shown if c.kind != BENDERS]
+
+        def hook(x, z):
+            assert violated(held, x, z) == []
+            found = violated(hidden, x, z)
+            held.extend(found)
+            return found
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(master, "FAIL_MEMO_MAX", memo_max)
+            got = BuiltinBackend().solve(partial, hook=hook)
+        assert got.status == master.OPTIMAL
+        assert got.objective == pytest.approx(ref.objective, abs=1e-6)
+        assert check_rows(model, got.x, got.z) == []
+
+
 def test_early_stop_at_previous_optimum_changes_nothing():
     # drive the cut loop by hand: each round, the previous optimum as the
     # upper bound must give exactly the answer of an unbounded solve
@@ -400,8 +445,7 @@ def test_early_stop_at_previous_optimum_changes_nothing():
         failures = check_candidate(inst, full.candidate, cache, JOBSET)
         if not failures:
             break
-        model.cuts.extend(emit_cuts(failures, IIS, inst, cache,
-                                    SolveOptions(variant=JOBSET)))
+        model.cuts.extend(emit_cuts(failures, IIS, inst))
         previous = full.objective
     else:
         pytest.fail("loop did not terminate")
@@ -430,8 +474,7 @@ def test_reused_model_solves_like_fresh_models(monkeypatch, memo_max):
         failures = check_candidate(inst, reused.candidate, cache, JOBSET)
         if not failures:
             break
-        model.cuts.extend(emit_cuts(failures, IIS, inst, cache,
-                                    SolveOptions(variant=JOBSET)))
+        model.cuts.extend(emit_cuts(failures, IIS, inst))
         previous = reused.objective
     else:
         pytest.fail("loop did not terminate")
