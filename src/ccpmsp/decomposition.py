@@ -292,7 +292,10 @@ def emit_cuts(failures, cut_kind: str, inst: Instance,
             cuts.append(cut)
 
     def job_set(jobs: tuple) -> frozenset:
-        return job_sets.setdefault(jobs, frozenset(jobs))
+        interned = job_sets.get(jobs)
+        if interned is None:
+            interned = job_sets[jobs] = frozenset(jobs)
+        return interned
 
     if cut_kind == NOGOOD:
         for _, w, jobs in failures:

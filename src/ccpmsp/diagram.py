@@ -1,10 +1,12 @@
 """Layered decision diagrams for sequencing subproblems.
 
 A diagram over k canonical jobs {1..k} has k decision layers plus a terminal
-layer; every root-to-terminal path spells a permutation of the k jobs.  The
-graph is built once per (variant, k) and reused for every (machine, scenario,
-job set) of that size: arc costs are never stored, they are evaluated against
-per-call time arrays obtained through ``canonical_remap``/``sub_times``.
+layer; every root-to-terminal path spells a permutation of the k jobs.  Both
+variants are fixed lattices over the job masks, so ``build_top_down``
+generates a diagram's arrays in closed form, and a ``DiagramCache`` keeps one
+per (variant, k) for every (machine, scenario, job set) of that size in a
+solve.  Arc costs are never stored: they are evaluated against per-call time
+arrays indexed by canonical job (see ``canonical_remap``).
 
 Both variants are regular, layer by layer, so each diagram derives at build
 the plan its variant's set-time sweep reads (in-arc matrices, the distinct
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import TOL, ConfigurationError, Scenario, StructuralError
+from .model import TOL, ConfigurationError, StructuralError
 
 LASTJOB = "lastjob"
 JOBSET = "jobset"
@@ -60,14 +62,18 @@ class Diagram:
     * ``layer_cells[p - 1]`` holds the cost cells the sweep reads with it.
       A job-set layer p < k has, per in-arc, node and out-arc, the flat
       index of d[val(in-arc), val(out-arc)] in the (k + 1)-square setup
-      matrix.  A last-job layer has, per in-arc and node, the in-arc's
+      matrix, which is also its index in either half of the cost table
+      below.  A last-job layer has, per in-arc and node, the in-arc's
       ``arc_cell``.
 
     ``arc_cell`` (last-job only) is each arc's flat index in the
     (2, k + 1, k + 1) cost table that ``lastjob.cost_table`` builds per
     call, indexed by (closing, last job or 0 at the root, job).
     ``sweep_cells`` bounds the arrays a set-time sweep allocates, in cells
-    per scenario: the time table, and one layer's arcs.
+    per scenario: the time table, and one layer's arcs (a job-set step may
+    take several in-arc slots at once, within ``jobset.SLOT_BLOCK_CELLS``
+    cells in all).  ``slot_major_in`` re-indexes ``layer_in`` for the
+    job-set sweep on first use.
     """
 
     variant: str
@@ -146,6 +152,20 @@ class Diagram:
         pos[order] = np.arange(len(layer))
         return pos
 
+    @functools.cached_property
+    def slot_major_in(self) -> list[np.ndarray]:
+        """Job-set only: ``layer_in`` with each in-arc at its position when
+        the tail layer's arc costs are held (out-arc slot, tail node), as
+        the job-set sweep holds them: tail n's out-arc j, offset n * o + j
+        for o out-arcs per tail, sits at j * tails + n."""
+        out = []
+        for p, into in enumerate(self.layer_in):
+            tails, per_tail = len(self.layers[p]), self.depth - p
+            order = np.arange(tails * per_tail).reshape(per_tail, tails).T.ravel()
+            out.append(order.take(into).astype(into.dtype))
+            out[-1].setflags(write=False)
+        return out
+
     @property
     def n_nodes(self) -> int:
         return len(self.node_mask)
@@ -166,117 +186,82 @@ class Diagram:
         return [len(layer) for layer in self.layers]
 
 
-class LastJobSpec:
-    """States (job mask, last job); last is -1 at the root."""
+def build_top_down(variant: str, k: int) -> Diagram:
+    """Generate the diagram of ``variant`` over k jobs in closed form.
 
-    variant = LASTJOB
-
-    def __init__(self, k: int):
-        self.k = k
-        self.initial_state = (0, -1)
-        self.terminal_state = ((1 << k) - 1, -1)
-
-    def domain(self, state):
-        mask = state[0]
-        return [j for j in range(1, self.k + 1) if not mask >> (j - 1) & 1]
-
-    def transition(self, state, j):
-        mask, _ = state
-        bit = 1 << (j - 1)
-        if mask & bit:
-            raise StructuralError(f"job {j} already in state")
-        return (mask | bit, j)
-
-    @staticmethod
-    def last_of(state) -> int:
-        return state[1]
-
-    @staticmethod
-    def job_mask(state) -> int:
-        return state[0]
-
-
-class JobSetSpec:
-    """States are bare job masks; merging collapses orderings."""
-
-    variant = JOBSET
-
-    def __init__(self, k: int):
-        self.k = k
-        self.initial_state = 0
-        self.terminal_state = (1 << k) - 1
-
-    def domain(self, state):
-        return [j for j in range(1, self.k + 1) if not state >> (j - 1) & 1]
-
-    def transition(self, state, j):
-        bit = 1 << (j - 1)
-        if state & bit:
-            raise StructuralError(f"job {j} already in state")
-        return state | bit
-
-    @staticmethod
-    def last_of(state) -> int:
-        return -1
-
-    @staticmethod
-    def job_mask(state) -> int:
-        return state
-
-
-def build_top_down(spec, k: int) -> Diagram:
-    """Top-down construction: expand each layer's nodes over their domains,
-    merging equal states; the final decision layer's arcs all enter the
-    terminal.  Nodes within a layer sit in canonical state order.  Only the
-    current layer is held as Python objects; each finished layer becomes
-    arrays, which bounds the build's peak memory.
+    Both variants are fixed lattices.  Decision layer p (0 < p < k) holds
+    the masks with p bits, ascending; a last-job layer holds (mask, last)
+    for each of them, with ``last`` running over the mask's jobs ascending.
+    The root has mask 0 and the terminal the full mask.  Each node's
+    out-arcs add the jobs outside its mask, ascending, so an arc's head is
+    its layer's start plus the head mask's rank among the masks of its size
+    (times p for last-job, plus the number of the mask's jobs below the
+    added one).  Arrays are written layer by layer into their final dtypes.
     """
     if k < 1:
         raise ConfigurationError("diagram depth must be >= 1")
-    states = [spec.initial_state]  # the current layer's states, in node order
-    layers = [range(1)]
-    masks = [np.array([spec.job_mask(spec.initial_state)], dtype=np.int64)]
-    arcs: list[np.ndarray] = []  # per layer: (4, arcs) tail, head, value, last
-    layer_arc_ranges = []
+    if variant not in (LASTJOB, JOBSET):
+        raise ConfigurationError(f"unknown diagram variant {variant!r}")
+    lastjob = variant == LASTJOB
+    bits = np.zeros(1 << k, dtype=np.int32)  # popcount of every mask
+    for j in range(k):
+        bits[1 << j:2 << j] = bits[:1 << j] + 1
+    by_size = np.argsort(bits, kind="stable").astype(np.int32)  # by (bits, mask)
+    counts = np.bincount(bits)  # C(k, p)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    rank = np.empty(1 << k, dtype=np.int32)  # a mask's rank among its size
+    rank[by_size] = np.arange(1 << k, dtype=np.int32) - offsets[bits[by_size]]
+    # nodes per mask in layer p
+    per_mask = [p if lastjob and 0 < p < k else 1 for p in range(k + 1)]
+    layers, stop = [], 0
+    for p in range(k + 1):
+        layers.append(range(stop, stop + int(counts[p]) * per_mask[p]))
+        stop = layers[-1].stop
+    layer_arc_ranges, stop = [], 0
+    for p in range(k):
+        layer_arc_ranges.append((stop, stop + len(layers[p]) * (k - p)))
+        stop = layer_arc_ranges[-1][1]
 
-    for layer_idx in range(k):
-        current = layers[-1]
-        first = current.stop
-        final = layer_idx == k - 1
-        if final:
-            nxt = [spec.terminal_state]
-        else:  # discover and canonically order next-layer states
-            nxt = sorted({
-                spec.transition(s, v) for s in states for v in spec.domain(s)
-            })
-        index = {s: first + i for i, s in enumerate(nxt)}
-        tail, head, value, last = [], [], [], []
-        for n, s in zip(current, states):
-            for v in spec.domain(s):
-                tail.append(n)
-                head.append(first if final else index[spec.transition(s, v)])
-                value.append(v)
-                last.append(spec.last_of(s))
-        start = layer_arc_ranges[-1][1] if layer_arc_ranges else 0
-        layer_arc_ranges.append((start, start + len(tail)))
-        arcs.append(np.array([tail, head, value, last], dtype=np.int32))
-        del tail, head, value, last, index
-        masks.append(np.fromiter(map(spec.job_mask, nxt), dtype=np.int64, count=len(nxt)))
-        layers.append(range(first, first + len(nxt)))
-        states = nxt
-
-    tail, head, value, last = np.concatenate(arcs, axis=1)
-    del arcs
     node_type = np.min_scalar_type(layers[-1].stop - 1)
+    node_mask = np.empty(layers[-1].stop, dtype=np.min_scalar_type((1 << k) - 1))
+    arc_tail = np.empty(stop, dtype=node_type)
+    arc_head = np.empty(stop, dtype=node_type)
+    arc_value = np.empty(stop, dtype=np.min_scalar_type(k))
+    arc_last = np.empty(stop, dtype=np.min_scalar_type(-k - 1))
+    node_mask[-1] = (1 << k) - 1
+    jobs = np.arange(k, dtype=np.int32)
+    for p in range(k):  # arcs from layer p to layer p + 1
+        masks = by_size[offsets[p]:offsets[p + 1]]
+        node_mask[layers[p].start:layers[p].stop] = np.repeat(masks, per_mask[p])
+        has = (masks[:, None] >> jobs & 1).astype(bool)
+        grid = np.broadcast_to(jobs, has.shape)
+        free = grid[~has].reshape(len(masks), k - p)  # jobs to add, ascending
+        if p + 1 == k:
+            heads = np.full(free.shape, layers[k].start, dtype=np.int32)
+        else:
+            heads = rank[masks[:, None] | 1 << free] * per_mask[p + 1]
+            if lastjob:
+                heads += free - jobs[:k - p]  # the mask's jobs below the added one
+            heads += layers[p + 1].start
+        shape = (len(masks), per_mask[p], k - p)  # (mask, last, added job)
+        seg = slice(*layer_arc_ranges[p])
+        arc_tail[seg].reshape(shape)[...] = np.arange(
+            layers[p].start, layers[p].stop, dtype=np.int32).reshape(shape[:2] + (1,))
+        arc_head[seg].reshape(shape)[...] = heads[:, None, :]
+        arc_value[seg].reshape(shape)[...] = free[:, None, :] + 1
+        if lastjob and p > 0:
+            arc_last[seg].reshape(shape)[...] = (grid[has].reshape(shape[:2]) + 1)[:, :, None]
+        else:
+            arc_last[seg] = -1
     return Diagram(
-        variant=spec.variant,
+        variant=variant,
         depth=k,
         layers=layers,
-        node_mask=np.concatenate(masks).astype(np.min_scalar_type((1 << k) - 1)),
-        arc_tail=tail.astype(node_type),
-        arc_head=head.astype(node_type),
-        arc_value=value.astype(np.min_scalar_type(k)),
-        arc_last=last.astype(np.min_scalar_type(-k - 1)),
+        node_mask=node_mask,
+        arc_tail=arc_tail,
+        arc_head=arc_head,
+        arc_value=arc_value,
+        arc_last=arc_last,
         layer_arc_ranges=layer_arc_ranges,
     )
 
@@ -292,17 +277,6 @@ def canonical_remap(assigned) -> np.ndarray:
     if len(jobs) != len(set(jobs)):
         raise StructuralError("duplicate job ids in assignment")
     return np.array([0] + jobs, dtype=np.int64)
-
-
-def sub_times(scenario: Scenario, remap: np.ndarray):
-    """Canonical time arrays for a job subset.
-
-    Returns (t, d): t[c] is the execution time of canonical job c (t[0]
-    unused), d the (k+1)x(k+1) setup submatrix with the dummy at index 0.
-    """
-    t = np.concatenate(([0.0], scenario.exec[remap[1:] - 1]))
-    d = scenario.setup[np.ix_(remap, remap)]
-    return t, d
 
 
 def node_min_times(diag: Diagram, arc_costs: np.ndarray) -> np.ndarray:
@@ -420,7 +394,9 @@ def minimal_over_limit(set_times: np.ndarray, time_limit: float):
 
 class DiagramCache:
     """Get-or-build cache keyed by (variant, depth); at most ``max_depth``
-    diagrams per variant ever exist."""
+    diagrams per variant ever exist.  A miss calls ``build_top_down``
+    through the module global, which the benchmark's span tracer wraps, and
+    adds its time to ``build_time``."""
 
     def __init__(self, max_depth: int):
         self.max_depth = max_depth
@@ -436,8 +412,7 @@ class DiagramCache:
         diag = self._store.get(key)
         if diag is None:
             t0 = time.perf_counter()
-            spec = LastJobSpec(k) if variant == LASTJOB else JobSetSpec(k)
-            diag = build_top_down(spec, k)
+            diag = build_top_down(variant, k)
             self.build_time += time.perf_counter() - t0
             self._store[key] = diag
         return diag

@@ -8,55 +8,71 @@ the best total time of any sequence realizing its path prefix.
 
 The diagram is regular, so the recursion runs as a batched min-plus
 product per layer over the in-arc matrices and setup cells the diagram
-derives at build, keeping only the previous layer's arc costs.  Time arrays
-may carry a trailing scenario axis (t of shape (k + 1, W), d of shape
-(k + 1, k + 1, W)); every scenario then goes through the same operations,
-in the same order, as it would alone.
+derives at build, keeping only the previous layer's arc costs.  It adds
+cost(b) to the entry of the per-call ``lastjob.cost_table`` (setup plus
+execution time, and the closing setup on the terminal's arcs), as the
+last-job sweep does, so both variants give bitwise-equal set times.  Time
+arrays may carry a trailing scenario axis (t of shape (k + 1, W), d of
+shape (k + 1, k + 1, W)); every scenario then goes through the same
+operations, in the same order, as it would alone.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .diagram import Diagram, minimal_over_limit
+from .lastjob import cost_table
 from .model import StructuralError
+
+# Float64 cells (512 KB) that one step of the in-arc minimum may hold: as
+# many in-arc slots go into a step as fit, and at least one.  The checks
+# chunk their sweeps to the same bound, so a chunk of few scenarios takes
+# a layer's slots in one step.
+SLOT_BLOCK_CELLS = 1 << 16
 
 
 def _sweep(diag: Diagram, t: np.ndarray, d: np.ndarray, visit) -> None:
     """Call ``visit(p, into)`` for p = 1..k, where ``into`` holds the costs
     of the arcs entering layer p as its (in-degree, nodes) matrix.  Only
-    that matrix lives on into the next layer."""
+    that matrix lives on into the next layer.
+
+    A layer's out-arc costs are held (out-arc slot, node), so each in-arc
+    cost broadcasts over whole rows, and are read back through
+    ``Diagram.slot_major_in``.
+    """
     if diag.variant != "jobset" or d.shape[1] != diag.depth + 1:
         raise StructuralError("job-set costs requested for a different variant or size")
     k, scen = diag.depth, t.shape[1:]
-    val, ranges = diag.arc_value, diag.layer_arc_ranges
-    setup = d.reshape(-1, *scen)
-    closing = d[:, 0]
-    base = t.take(val[slice(*ranges[0])], axis=0)
-    if k == 1:  # the root's arcs enter the terminal
-        base += closing.take(val[slice(*ranges[0])], axis=0)
+    scen_size = math.prod(scen)
+    closing = (k + 1) ** 2  # offset of the closing half of ``costs``
+    costs = cost_table(t, d)
+    base = costs[closing if k == 1 else 0:].take(
+        diag.arc_value[slice(*diag.layer_arc_ranges[0])], axis=0)
     for p in range(1, k + 1):
-        into = base.reshape(-1, *scen).take(diag.layer_in[p - 1], axis=0)
+        into = base.take(diag.slot_major_in[p - 1], axis=0)
         del base
         visit(p, into)
         if p == k:
             return
-        start, end = ranges[p]
-        vals_out = val[start:end].reshape(into.shape[1], -1)
-        # min over in-arcs, one in-arc slot at a time: the temporaries stay
-        # the size of the layer's out-arcs
-        for i, cells in enumerate(diag.layer_cells[p - 1]):
-            step = setup.take(cells, axis=0)
-            step += into[i][:, None]
+        table = costs[closing if p == k - 1 else 0:]  # arcs into the terminal close
+        cells = diag.layer_cells[p - 1].transpose(0, 2, 1)  # (in-arc, out-arc, node)
+        # min over in-arcs, as many in-arc slots per step as fit
+        block = max(1, SLOT_BLOCK_CELLS // (cells[0].size * scen_size))
+        for i in range(0, len(cells), block):
+            step = table.take(cells[i:i + block], axis=0)
+            step += into[i:i + block, None]
+            # one slot is its own minimum: no copy where it fills the bound
+            least = step[0] if len(step) == 1 else step.min(axis=0)
             if i == 0:
-                base = step
+                base = least
             else:
-                np.minimum(base, step, out=base)
-            del step
+                np.minimum(base, least, out=base)
+            del step, least
         del into
-        base += t.take(vals_out, axis=0)
-        if p == k - 1:  # arcs into the terminal
-            base += closing.take(vals_out, axis=0)
+        base = base.reshape(-1, *scen)
 
 
 def arc_costs(diag: Diagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:

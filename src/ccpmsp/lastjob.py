@@ -30,9 +30,11 @@ def cost_table(t: np.ndarray, d: np.ndarray) -> np.ndarray:
     the root's arcs (no last job); entry (1, last, v) adds the closing
     setup d[v, 0].  Trailing scenario axes are kept.
     """
-    open_ = d + t[None]
-    open_[0] = t
-    return np.stack((open_, open_ + d[None, :, 0])).reshape(-1, *t.shape[1:])
+    costs = np.empty((2, *d.shape))
+    np.add(d, t[None], out=costs[0])
+    costs[0, 0] = t
+    np.add(costs[0], d[None, :, 0], out=costs[1])
+    return costs.reshape(-1, *t.shape[1:])
 
 
 def arc_costs(diag: Diagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:

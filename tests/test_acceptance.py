@@ -17,15 +17,13 @@ from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
 from ccpmsp.diagram import (
     JOBSET,
     LASTJOB,
-    JobSetSpec,
-    LastJobSpec,
     build_top_down,
     canonical_remap,
-    sub_times,
 )
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.master import build_master, check_rows
 from ccpmsp.model import LimitExceeded
+from diagram_reference import sub_times
 
 
 @contextlib.contextmanager
@@ -56,8 +54,8 @@ def test_criterion_1_worked_example(uniform_scenario):
         t0 = time.perf_counter()
         remap = canonical_remap([1, 2, 3])
         t, d = sub_times(uniform_scenario, remap)
-        lj = build_top_down(LastJobSpec(3), 3)
-        js = build_top_down(JobSetSpec(3), 3)
+        lj = build_top_down(LASTJOB, 3)
+        js = build_top_down(JOBSET, 3)
         assert abs(lastjob.min_time(lj, t, d) - 14.0) <= 1e-9
         assert abs(jobset.min_time(js, t, d) - 14.0) <= 1e-9
         want = {frozenset({2}), frozenset({1, 3})}
@@ -103,8 +101,8 @@ def test_criterion_2_sequencing_oracle_equivalence():
             t, d = sub_times(sc, remap)
             if k not in diagrams:
                 diagrams[k] = (
-                    build_top_down(LastJobSpec(k), k),
-                    build_top_down(JobSetSpec(k), k),
+                    build_top_down(LASTJOB, k),
+                    build_top_down(JOBSET, k),
                 )
             lj, js = diagrams[k]
             want = oracle.brute_min_time(jobs, sc, True)
@@ -128,8 +126,8 @@ def test_criterion_3_iis_oracle_equivalence():
             t, d = sub_times(sc, remap)
             if k not in diagrams:
                 diagrams[k] = (
-                    build_top_down(LastJobSpec(k), k),
-                    build_top_down(JobSetSpec(k), k),
+                    build_top_down(LASTJOB, k),
+                    build_top_down(JOBSET, k),
                 )
             lj, js = diagrams[k]
             full = oracle.brute_min_time(jobs, sc, True)
@@ -156,11 +154,11 @@ def test_criterion_5_structural_counts():
     with criterion(5, "layer sizes match closed forms for depth <= 10"):
         from math import comb
 
-        assert build_top_down(LastJobSpec(3), 3).layer_sizes() == [1, 3, 6, 1]
-        assert build_top_down(JobSetSpec(3), 3).layer_sizes() == [1, 3, 3, 1]
+        assert build_top_down(LASTJOB, 3).layer_sizes() == [1, 3, 6, 1]
+        assert build_top_down(JOBSET, 3).layer_sizes() == [1, 3, 3, 1]
         for k in range(1, 11):
-            lj = build_top_down(LastJobSpec(k), k)
-            js = build_top_down(JobSetSpec(k), k)
+            lj = build_top_down(LASTJOB, k)
+            js = build_top_down(JOBSET, k)
             for p in range(1, k + 1):
                 assert len(lj.layers[p - 1]) == comb(k, p - 1) * max(1, p - 1)
                 assert len(js.layers[p - 1]) == comb(k, p - 1)

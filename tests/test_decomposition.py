@@ -420,6 +420,26 @@ def test_iis_cuts_on_equal_job_sets_share_one_frozenset(uniform_scenario):
     assert all(c.job_set is job_sets[tuple(sorted(c.job_set))] for c in cuts)
 
 
+def test_interned_job_sets_build_no_frozenset(uniform_scenario, monkeypatch):
+    # a job tuple already in ``job_sets`` reuses its frozenset; only a miss
+    # builds one
+    inst = uniform_instance(uniform_scenario)
+    built = []
+
+    def counting(jobs):
+        built.append(tuple(jobs))
+        return frozenset(jobs)
+
+    monkeypatch.setattr(decomposition, "frozenset", counting, raising=False)
+    job_sets = {}
+    emit_cuts([(0, 0, (1, 2, 3))], "nogood", inst, job_sets=job_sets)
+    assert built == [(1, 2, 3)]
+    cuts = emit_cuts([(0, w, (1, 2, 3)) for w in range(3)], "nogood", inst,
+                     job_sets=job_sets)
+    assert built == [(1, 2, 3)]
+    assert all(c.job_set is job_sets[(1, 2, 3)] for c in cuts)
+
+
 @pytest.mark.parametrize("dif", [30.0, -3.0])
 @pytest.mark.parametrize("strategy", [-1, 2, 7])
 def test_unknown_benders_strategy_rejected_up_front(dif, strategy):

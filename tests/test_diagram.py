@@ -9,37 +9,35 @@ from ccpmsp.diagram import (
     JOBSET,
     LASTJOB,
     DiagramCache,
-    JobSetSpec,
-    LastJobSpec,
     build_top_down,
     canonical_remap,
     minimal_over_limit,
     nearest_neighbour_times,
     node_min_times,
     schedule_fits,
-    sub_times,
 )
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import TOL, ConfigurationError, StructuralError
 from conftest import random_scenario
+from diagram_reference import sub_times
 
 
 def test_worked_example_layer_shapes(uniform_scenario):
-    assert build_top_down(LastJobSpec(3), 3).layer_sizes() == [1, 3, 6, 1]
-    assert build_top_down(JobSetSpec(3), 3).layer_sizes() == [1, 3, 3, 1]
+    assert build_top_down(LASTJOB, 3).layer_sizes() == [1, 3, 6, 1]
+    assert build_top_down(JOBSET, 3).layer_sizes() == [1, 3, 3, 1]
 
 
 def test_depth_one_single_arc():
-    for spec in (LastJobSpec(1), JobSetSpec(1)):
-        d = build_top_down(spec, 1)
+    for variant in (LASTJOB, JOBSET):
+        d = build_top_down(variant, 1)
         assert d.layer_sizes() == [1, 1]
         assert d.n_arcs == 1
 
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_closed_form_layer_sizes(k):
-    lj = build_top_down(LastJobSpec(k), k)
-    js = build_top_down(JobSetSpec(k), k)
+    lj = build_top_down(LASTJOB, k)
+    js = build_top_down(JOBSET, k)
     for p in range(1, k + 1):
         assert len(lj.layers[p - 1]) == comb(k, p - 1) * max(1, p - 1)
         assert len(js.layers[p - 1]) == comb(k, p - 1)
@@ -52,8 +50,7 @@ def test_closed_form_layer_sizes(k):
 @pytest.mark.parametrize("k", range(1, 8))
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
 def test_paths_are_exactly_the_permutations(k, variant):
-    spec = LastJobSpec(k) if variant == LASTJOB else JobSetSpec(k)
-    d = build_top_down(spec, k)
+    d = build_top_down(variant, k)
     paths = []
 
     def walk(node, seq):
@@ -68,15 +65,15 @@ def test_paths_are_exactly_the_permutations(k, variant):
 
 
 def test_no_duplicate_values_leaving_a_node():
-    for spec in (LastJobSpec(5), JobSetSpec(5)):
-        d = build_top_down(spec, 5)
+    for variant in (LASTJOB, JOBSET):
+        d = build_top_down(variant, 5)
         for n in range(d.n_nodes):
             vals = [int(d.arc_value[a]) for a in np.flatnonzero(d.arc_tail == n)]
             assert len(vals) == len(set(vals))
 
 
 def test_states_distinct_within_layer():
-    d = build_top_down(JobSetSpec(6), 6)
+    d = build_top_down(JOBSET, 6)
     for layer in d.layers:
         masks = [int(d.node_mask[n]) for n in layer]
         assert len(masks) == len(set(masks))
@@ -85,8 +82,8 @@ def test_states_distinct_within_layer():
 def test_worked_example_min_time(uniform_scenario):
     remap = canonical_remap([1, 2, 3])
     t, d = sub_times(uniform_scenario, remap)
-    lj = build_top_down(LastJobSpec(3), 3)
-    js = build_top_down(JobSetSpec(3), 3)
+    lj = build_top_down(LASTJOB, 3)
+    js = build_top_down(JOBSET, 3)
     lj_times = node_min_times(lj, lastjob.arc_costs(lj, t, d))
     assert lj_times[lj.terminal] == pytest.approx(14.0)
     into_terminal = np.flatnonzero(js.arc_head == js.terminal)
@@ -97,10 +94,10 @@ def test_depth_one_includes_closing_setup():
     sc = random_scenario(np.random.default_rng(0), 1)
     t = np.array([0.0, 4.0])
     d = sc.setup.copy()
-    lj = build_top_down(LastJobSpec(1), 1)
+    lj = build_top_down(LASTJOB, 1)
     expect = 4.0 + d[1, 0]
     assert lastjob.min_time(lj, t, d) == pytest.approx(expect)
-    js = build_top_down(JobSetSpec(1), 1)
+    js = build_top_down(JOBSET, 1)
     assert jobset.min_time(js, t, d) == pytest.approx(expect)
 
 
@@ -112,8 +109,8 @@ def test_min_time_equals_permutation_enumeration(seed):
     remap = canonical_remap(range(1, k + 1))
     t, d = sub_times(sc, remap)
     want = oracle.brute_min_time(range(1, k + 1), sc, True)
-    lj = build_top_down(LastJobSpec(k), k)
-    js = build_top_down(JobSetSpec(k), k)
+    lj = build_top_down(LASTJOB, k)
+    js = build_top_down(JOBSET, k)
     assert lastjob.min_time(lj, t, d) == pytest.approx(want, abs=1e-9)
     assert jobset.min_time(js, t, d) == pytest.approx(want, abs=1e-9)
 
@@ -141,7 +138,7 @@ def test_remapped_evaluation_matches_direct_subset(seed):
     remap = canonical_remap(jobs)
     t, d = sub_times(sc, remap)
     k = len(jobs)
-    lj = build_top_down(LastJobSpec(k), k)
+    lj = build_top_down(LASTJOB, k)
     want = oracle.brute_min_time(jobs, sc, True)
     assert lastjob.min_time(lj, t, d) == pytest.approx(want, abs=1e-9)
 
@@ -168,8 +165,7 @@ def test_cache_depth_guard_and_variant_isolation():
 
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
 def test_arrays_are_read_only_and_layers_are_id_ranges(variant):
-    spec = LastJobSpec(4) if variant == LASTJOB else JobSetSpec(4)
-    d = build_top_down(spec, 4)
+    d = build_top_down(variant, 4)
     assert [n for layer in d.layers for n in layer] == list(range(d.n_nodes))
     for p, layer in enumerate(d.layers):
         assert all(bin(int(d.node_mask[n])).count("1") == p for n in layer)
@@ -192,8 +188,7 @@ def sweep_nodes(d, p):
 @pytest.mark.parametrize("k", [1, 2, 4, 6])
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
 def test_sweep_plan_lists_each_nodes_in_arcs(variant, k):
-    spec = LastJobSpec(k) if variant == LASTJOB else JobSetSpec(k)
-    d = build_top_down(spec, k)
+    d = build_top_down(variant, k)
     for p in range(1, k + 1):
         start, end = d.layer_arc_ranges[p - 1]
         masks, a_in = d.layer_masks[p - 1], d.layer_in[p - 1]

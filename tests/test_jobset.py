@@ -2,29 +2,15 @@ import numpy as np
 import pytest
 
 from ccpmsp import jobset, lastjob, oracle
-from ccpmsp.diagram import (
-    JobSetSpec,
-    LastJobSpec,
-    build_top_down,
-    canonical_remap,
-    sub_times,
-)
+from ccpmsp.diagram import JOBSET, LASTJOB, build_top_down, canonical_remap
 from conftest import random_scenario
-
-
-def test_transition_merges_orderings():
-    spec = JobSetSpec(3)
-    assert spec.transition(0, 2) == 0b010
-    assert spec.transition(0b001, 3) == spec.transition(0b100, 1) == 0b101
-    assert spec.transition(0b011, 3) == 0b111
-    with pytest.raises(Exception):
-        spec.transition(0b010, 2)
+from diagram_reference import sub_times
 
 
 def test_cumulative_costs_worked_example(uniform_scenario):
     remap = canonical_remap([1, 2, 3])
     t, d = sub_times(uniform_scenario, remap)
-    diag = build_top_down(JobSetSpec(3), 3)
+    diag = build_top_down(JOBSET, 3)
     costs = jobset.arc_costs(diag, t, d)
     root_costs = sorted(costs[np.flatnonzero(diag.arc_tail == diag.root)])
     assert root_costs == [2.0, 3.0, 6.0]
@@ -41,14 +27,14 @@ def test_cumulative_costs_worked_example(uniform_scenario):
 def test_min_time_matches_lastjob(uniform_scenario):
     remap = canonical_remap([1, 2, 3])
     t, d = sub_times(uniform_scenario, remap)
-    js = build_top_down(JobSetSpec(3), 3)
+    js = build_top_down(JOBSET, 3)
     assert jobset.min_time(js, t, d) == pytest.approx(14.0)
 
 
 def test_iis_worked_example(uniform_scenario):
     remap = canonical_remap([1, 2, 3])
     t, d = sub_times(uniform_scenario, remap)
-    diag = build_top_down(JobSetSpec(3), 3)
+    diag = build_top_down(JOBSET, 3)
     sets = jobset.iis(diag, 5.0, t, d)
     assert sorted(sets, key=sorted) == [frozenset({1, 3}), frozenset({2})]
     assert jobset.iis(diag, 100.0, t, d) == []
@@ -61,8 +47,8 @@ def test_iis_agrees_with_oracle_and_lastjob(seed):
     sc = random_scenario(rng, k)
     remap = canonical_remap(range(1, k + 1))
     t, d = sub_times(sc, remap)
-    js = build_top_down(JobSetSpec(k), k)
-    lj = build_top_down(LastJobSpec(k), k)
+    js = build_top_down(JOBSET, k)
+    lj = build_top_down(LASTJOB, k)
     full = oracle.brute_min_time(range(1, k + 1), sc, True)
     limit = float(rng.uniform(0.3, 1.0) * full)
     got = set(jobset.iis(js, limit, t, d))
@@ -77,8 +63,8 @@ def test_iis_lists_equal_across_variants(seed):
     k = int(rng.integers(2, 9))
     sc = random_scenario(rng, k)
     t, d = sub_times(sc, canonical_remap(range(1, k + 1)))
-    js = build_top_down(JobSetSpec(k), k)
-    lj = build_top_down(LastJobSpec(k), k)
+    js = build_top_down(JOBSET, k)
+    lj = build_top_down(LASTJOB, k)
     full = oracle.brute_min_time(range(1, k + 1), sc, True)
     for share in (0.2, 0.5, 0.8, 1.1):
         limit = share * full
@@ -91,7 +77,7 @@ def test_terminal_cumulative_equals_min_completion(seed=0):
     sc = random_scenario(rng, k)
     remap = canonical_remap(range(1, k + 1))
     t, d = sub_times(sc, remap)
-    js = build_top_down(JobSetSpec(k), k)
+    js = build_top_down(JOBSET, k)
     want = oracle.brute_min_time(range(1, k + 1), sc, True)
     costs = jobset.arc_costs(js, t, d)
     into_terminal = np.flatnonzero(js.arc_head == js.terminal)

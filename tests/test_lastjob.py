@@ -7,15 +7,13 @@ from ccpmsp import jobset, lastjob, oracle
 from ccpmsp.diagram import (
     JOBSET,
     LASTJOB,
-    JobSetSpec,
-    LastJobSpec,
     build_top_down,
     canonical_remap,
     node_min_times,
-    sub_times,
 )
 from ccpmsp.model import Scenario
 from conftest import random_scenario
+from diagram_reference import sub_times
 
 
 def example_arrays(uniform_scenario):
@@ -23,28 +21,9 @@ def example_arrays(uniform_scenario):
     return sub_times(uniform_scenario, remap)
 
 
-def test_domain_and_transition_walkthrough():
-    spec = LastJobSpec(3)
-    root = spec.initial_state
-    assert root == (0, -1)
-    assert spec.domain(root) == [1, 2, 3]
-    s = spec.transition(root, 2)
-    assert s == (0b010, 2)
-    assert spec.domain(s) == [1, 3]
-    s2 = spec.transition(s, 3)
-    assert s2 == (0b110, 3)
-    assert spec.domain(s2) == [1]
-
-
-def test_transition_rejects_duplicate_job():
-    spec = LastJobSpec(3)
-    with pytest.raises(Exception):
-        spec.transition((0b010, 2), 2)
-
-
 def test_arc_costs_worked_example(uniform_scenario):
     t, d = example_arrays(uniform_scenario)
-    diag = build_top_down(LastJobSpec(3), 3)
+    diag = build_top_down(LASTJOB, 3)
     costs = lastjob.arc_costs(diag, t, d)
     # root arcs carry the execution times
     root_costs = sorted(costs[np.flatnonzero(diag.arc_tail == diag.root)])
@@ -65,7 +44,7 @@ def test_arc_costs_worked_example(uniform_scenario):
 
 def test_set_times_worked_example(uniform_scenario):
     t, d = example_arrays(uniform_scenario)
-    diag = build_top_down(LastJobSpec(3), 3)
+    diag = build_top_down(LASTJOB, 3)
     table = lastjob.set_times(diag, t, d)
     assert table[0b000] == 0.0
     assert table[0b001] == 2.0 and table[0b010] == 6.0 and table[0b100] == 3.0
@@ -75,21 +54,21 @@ def test_set_times_worked_example(uniform_scenario):
 
 def test_full_set_time_equals_min_completion(uniform_scenario):
     t, d = example_arrays(uniform_scenario)
-    diag = build_top_down(LastJobSpec(3), 3)
+    diag = build_top_down(LASTJOB, 3)
     table = lastjob.set_times(diag, t, d)
     assert table[0b111] == pytest.approx(lastjob.min_time(diag, t, d))
 
 
 def test_iis_worked_example(uniform_scenario):
     t, d = example_arrays(uniform_scenario)
-    diag = build_top_down(LastJobSpec(3), 3)
+    diag = build_top_down(LASTJOB, 3)
     sets = lastjob.iis(diag, 5.0, t, d)
     assert sorted(sets, key=sorted) == [frozenset({1, 3}), frozenset({2})]
 
 
 def test_iis_empty_when_limit_generous(uniform_scenario):
     t, d = example_arrays(uniform_scenario)
-    diag = build_top_down(LastJobSpec(3), 3)
+    diag = build_top_down(LASTJOB, 3)
     assert lastjob.iis(diag, 14.0, t, d) == []
     assert lastjob.iis(diag, 100.0, t, d) == []
 
@@ -101,7 +80,7 @@ def test_iis_matches_brute_force(seed):
     sc = random_scenario(rng, k)
     remap = canonical_remap(range(1, k + 1))
     t, d = sub_times(sc, remap)
-    diag = build_top_down(LastJobSpec(k), k)
+    diag = build_top_down(LASTJOB, k)
     full = oracle.brute_min_time(range(1, k + 1), sc, True)
     limit = float(rng.uniform(0.3, 1.0) * full)
     got = set(lastjob.iis(diag, limit, t, d))
@@ -124,9 +103,9 @@ def test_reach_table_equals_partial_sequence_minima(variant, seed):
     remap = canonical_remap(range(1, k + 1))
     t, d = sub_times(sc, remap)
     if variant == LASTJOB:
-        table = lastjob.set_times(build_top_down(LastJobSpec(k), k), t, d)
+        table = lastjob.set_times(build_top_down(LASTJOB, k), t, d)
     else:
-        table = jobset.set_times(build_top_down(JobSetSpec(k), k), t, d)
+        table = jobset.set_times(build_top_down(JOBSET, k), t, d)
     universe = list(range(1, k + 1))
     assert len(table) == 2**k
     for size in range(0, k + 1):
@@ -144,7 +123,7 @@ def test_iis_outputs_are_minimal_and_incomparable(seed):
     sc = random_scenario(rng, k)
     remap = canonical_remap(range(1, k + 1))
     t, d = sub_times(sc, remap)
-    diag = build_top_down(LastJobSpec(k), k)
+    diag = build_top_down(LASTJOB, k)
     full = oracle.brute_min_time(range(1, k + 1), sc, True)
     limit = 0.75 * full
     sets = lastjob.iis(diag, limit, t, d)
@@ -196,8 +175,8 @@ def reference_table(diag, t, d):
 def test_batched_set_times_equal_a_per_scenario_loop(variant, k):
     # bit for bit: each scenario goes through the same float operations
     # whether alone or stacked with others
-    mod, spec = (lastjob, LastJobSpec) if variant == LASTJOB else (jobset, JobSetSpec)
-    diag = build_top_down(spec(k), k)
+    mod = lastjob if variant == LASTJOB else jobset
+    diag = build_top_down(variant, k)
     pairs = asymmetric_times(np.random.default_rng(1200 + k), k, 3)
     assert any(not np.array_equal(d, d.T) for _, d in pairs)
     for width in (1, 3):
@@ -213,7 +192,7 @@ def test_batched_set_times_equal_a_per_scenario_loop(variant, k):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_arc_costs_equal_the_per_arc_formula(k):
-    diag = build_top_down(LastJobSpec(k), k)
+    diag = build_top_down(LASTJOB, k)
     ((t, d),) = asymmetric_times(np.random.default_rng(1300 + k), k, 1)
     val, last = diag.arc_value, diag.arc_last
     want = t[val]
@@ -222,3 +201,18 @@ def test_arc_costs_equal_the_per_arc_formula(k):
     want[interior] += d[last[interior], val[interior]]
     want[closing] += d[val[closing], 0]
     assert lastjob.arc_costs(diag, t, d).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_both_variants_time_every_set_alike(monkeypatch, k):
+    # the job-set sweep adds the last-job cost table's entries in the same
+    # order, so the tables agree bit for bit, however many in-arc slots go
+    # into one step of its minimum
+    pairs = asymmetric_times(np.random.default_rng(1400 + k), k, 3)
+    t = np.stack([tw for tw, _ in pairs], axis=-1)
+    d = np.stack([dw for _, dw in pairs], axis=-1)
+    want = lastjob.set_times(build_top_down(LASTJOB, k), t, d)
+    js = build_top_down(JOBSET, k)
+    for cells in (jobset.SLOT_BLOCK_CELLS, 1):
+        monkeypatch.setattr(jobset, "SLOT_BLOCK_CELLS", cells)
+        assert jobset.set_times(js, t, d).tobytes() == want.tobytes()
