@@ -294,7 +294,9 @@ def emit_cuts(failures, cut_kind: str, inst: Instance,
     def job_set(jobs: tuple) -> frozenset:
         interned = job_sets.get(jobs)
         if interned is None:
-            interned = job_sets[jobs] = frozenset(jobs)
+            # copied from a set, a frozenset's table is sized for its
+            # members; grown from a tuple, 5 to 7 jobs take 728 bytes, not 472
+            interned = job_sets[jobs] = frozenset(set(jobs))
         return interned
 
     if cut_kind == NOGOOD:

@@ -405,10 +405,11 @@ class BuiltinBackend:
             for bits in mach_fail:
                 failed |= bits
             z = np.array([not failed >> w & 1 for w in range(n_sc)])
+            machines = [jobs_of(mk) for mk in mach_mask if mk] if flow_cuts else ()
             for w, const, coefs in flow_cuts:
                 if z[w]:
-                    for mk in mach_mask:
-                        if mk and const + coefs[jobs_of(mk)].sum() > T + TOL:
+                    for jobs in machines:
+                        if const + coefs[jobs].sum() > T + TOL:
                             z[w] = False
                             break
             return z

@@ -7,20 +7,27 @@ master column turns feasibility into a plain shortest-path problem.  Duals
 of that flow yield cuts linking the column to the schedule-length budget.
 
 The diagram is multivalued, with one decision layer per sequence position.
-It is experimental and gated to desk scale.  The dual pass and the cut
-payloads run numpy over the arc arrays, one step per decision layer, and
-add their sums in the order a loop over the arcs would.
+It is experimental and gated to desk scale.  A column with jobs x reaches
+only the states whose job set is a subset of x, and what is left to place
+from any state is a subset of x, so the dual pass is two Held-Karp passes
+over the subsets of x, forward and backward, plus the out-arcs of the
+states x reaches: 2^|x| table rows instead of every arc.  It takes the same
+minima of the same sums as a pass over the arcs, and the cut payloads read
+only the arcs with a nonzero dual and add their terms in the order a loop
+over the arcs would, so every value is bitwise that loop's.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .lastjob import cost_table
 from .model import (
     BENDERS,
     Cut,
@@ -45,7 +52,7 @@ def check_scale(n_jobs: int) -> None:
 @dataclass
 class CapDiagram:
     n_jobs: int
-    layers: list[list[int]]
+    layers: list[range]  # node ids of each layer, the terminal's last
     arc_tail: np.ndarray = field(repr=False)
     arc_head: np.ndarray = field(repr=False)
     arc_job: np.ndarray = field(repr=False)  # job placed by an assignment arc
@@ -53,51 +60,40 @@ class CapDiagram:
     arc_kind: np.ndarray = field(repr=False)
     arc_cap: np.ndarray = field(repr=False)  # bitmask of U_a
     arc_layer: np.ndarray = field(repr=False)  # tail's decision layer
-    # Structure the dual pass reads on every cut, derived once.  Node ids
-    # follow layer order and arcs are sorted by their tail's layer, so a
-    # decision layer is an arc range whose tails form a node-id range.
-    layer_spans: list = field(init=False, repr=False)
-    assign: np.ndarray = field(init=False, repr=False)
-    assign_arcs: np.ndarray = field(init=False, repr=False)
-    lead_setup: tuple = field(init=False, repr=False)
-    closing_setup: tuple = field(init=False, repr=False)
-    ending_setup: tuple = field(init=False, repr=False)
-    na_arcs: np.ndarray = field(init=False, repr=False)
-    na_jobs: np.ndarray = field(init=False, repr=False)  # (n_na, n_jobs) U_a bits
+    # Lookups the dual pass reads on every cut, derived once, all int32.  A
+    # non-terminal node is the state (job mask, last job), last 0 at the
+    # root; the terminal reads (all jobs, 0).  Arcs are sorted by tail.
+    arc_cell: np.ndarray = field(init=False, repr=False)  # lastjob.cost_table cell
+    node_mask: np.ndarray = field(init=False, repr=False)
+    node_last: np.ndarray = field(init=False, repr=False)
+    node_of: np.ndarray = field(init=False, repr=False)  # (mask, last) -> node id
+    # node v's out-arcs are first_out[v]:first_out[v + 1]
+    first_out: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        def where(mask):  # int32 indices: half the memory of the default
-            return np.flatnonzero(mask).astype(np.int32)
-
+        n, width = self.n_jobs, self.n_jobs + 1
         assign = self.arc_kind == ASSIGN
-        nonassign = self.arc_kind == NONASSIGN
-        job, last = self.arc_job, self.arc_last
-        after = last >= 1
-        self.assign = assign
-        self.assign_arcs = where(assign)
-        # (arcs, flat cell of the (n_jobs + 1)-square setup matrix) per setup
-        # term of cap_arc_costs
-        width = self.n_jobs + 1
-        lead = where(assign & after)
-        closing = where(assign & (self.arc_head == self.terminal))
-        ending = where(nonassign & after)
-        self.lead_setup = (lead, last[lead] * width + job[lead])
-        self.closing_setup = (closing, job[closing] * width)
-        self.ending_setup = (ending, last[ending] * width)
-        self.na_arcs = where(nonassign)
-        bits = np.int64(1) << np.arange(self.n_jobs, dtype=np.int64)
-        self.na_jobs = (self.arc_cap[self.na_arcs, None] & bits) != 0
-        bounds = np.searchsorted(self.arc_layer, np.arange(len(self.layers)))
-        # (arc start, arc end, first node, node count) per decision layer
-        self.layer_spans = [
-            (int(bounds[li]), int(bounds[li + 1]), layer[0], len(layer))
-            for li, layer in enumerate(self.layers[:-1])
-        ]
+        last = np.maximum(self.arc_last, 0)
+        closing = assign & (self.arc_head == self.terminal)
+        self.arc_cell = ((closing * width + last) * width
+                         + np.where(assign, self.arc_job, 0)).astype(np.int32)
+        # every non-terminal node has one non-assignment arc, whose U_a is
+        # the jobs its state has not placed
+        na = np.flatnonzero(~assign)
+        full = (1 << n) - 1
+        self.node_mask = np.full(self.n_nodes, full, dtype=np.int32)
+        self.node_mask[self.arc_tail[na]] = full & ~self.arc_cap[na]
+        self.node_last = np.zeros(self.n_nodes, dtype=np.int32)
+        self.node_last[self.arc_tail[na]] = last[na]
+        self.node_of = np.full((1 << n, width), -1, dtype=np.int32)
+        self.node_of[self.node_mask, self.node_last] = np.arange(
+            self.n_nodes, dtype=np.int32)
+        self.first_out = np.searchsorted(
+            self.arc_tail, np.arange(self.n_nodes + 1)).astype(np.int32)
         # one instance is shared by every solve of its size (build_mdd_cap)
         for value in vars(self).values():
-            for arr in value if isinstance(value, tuple) else (value,):
-                if isinstance(arr, np.ndarray):
-                    arr.setflags(write=False)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
     @property
     def n_nodes(self) -> int:
@@ -113,7 +109,7 @@ class CapDiagram:
 
     @property
     def terminal(self) -> int:
-        return self.layers[-1][0]
+        return self.layers[-1].start
 
 
 class _CapBuilder:
@@ -140,9 +136,10 @@ class _CapBuilder:
         order = [nid for layer in self.layers for nid in layer]
         new_id = np.empty(len(order), dtype=np.int32)
         new_id[order] = np.arange(len(order), dtype=np.int32)
+        bounds = list(itertools.accumulate(map(len, self.layers), initial=0))
         return CapDiagram(
             n_jobs=self.n,
-            layers=[new_id[layer].tolist() for layer in self.layers],
+            layers=[range(a, b) for a, b in zip(bounds, bounds[1:])],
             arc_tail=new_id[np.asarray(self.tail)],
             arc_head=new_id[np.asarray(self.head)],
             arc_job=np.array(self.job, dtype=np.int32),
@@ -200,26 +197,28 @@ def full_times(inst: Instance, w: int):
     return np.concatenate(([0.0], sc.exec)), sc.setup
 
 
-def cap_arc_costs(capd: CapDiagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Per-arc costs for one scenario: an assignment arc pays its job's time,
-    the setup from the previous job and, into the terminal, the closing
-    setup; a non-assignment arc pays the closing setup of the last job."""
-    setup = np.ravel(d)
-    costs = np.zeros(capd.n_arcs)
-    costs[capd.assign_arcs] = t[capd.arc_job[capd.assign_arcs]]
-    for arcs, cells in (capd.lead_setup, capd.closing_setup):
-        costs[arcs] += setup[cells]
-    arcs, cells = capd.ending_setup
-    costs[arcs] = setup[cells]
-    return costs
-
-
-def _enabled(capd: CapDiagram, x_col: np.ndarray) -> np.ndarray:
-    xmask = 0
-    for j in np.flatnonzero(np.asarray(x_col)):
-        xmask |= 1 << int(j)
-    held = capd.arc_cap & xmask
-    return np.where(capd.assign, held == capd.arc_cap, held == 0)
+@functools.lru_cache(maxsize=MDD_MAX_JOBS + 1)
+def _subsets(k: int):
+    """The subsets of k items, as read-only int32 bitmasks over their
+    positions: per size s = 1..k, (masks, members, rests), the s-subsets
+    ascending, each one's member positions ascending and the subset without
+    that member; then every (subset, member position) pair in the same
+    order, after (0, k), which stands for the root."""
+    layers, pair_mask, pair_pos = [], [np.zeros(1, np.int32)], [np.full(1, k, np.int32)]
+    for s in range(1, k + 1):
+        members = np.array(list(itertools.combinations(range(k), s)),
+                           dtype=np.int32).reshape(-1, s)
+        bits = np.int32(1) << members
+        masks = bits.sum(axis=1, dtype=np.int32)
+        order = np.argsort(masks)
+        masks, members, bits = masks[order], members[order], bits[order]
+        layers.append((masks, members, masks[:, None] ^ bits))
+        pair_mask.append(np.repeat(masks, s))
+        pair_pos.append(members.ravel())
+    pairs = (np.concatenate(pair_mask), np.concatenate(pair_pos))
+    for arr in (*itertools.chain(*layers), *pairs):
+        arr.setflags(write=False)
+    return tuple(layers), pairs
 
 
 @dataclass
@@ -228,51 +227,86 @@ class DualValues:
     pi_root: float
     alpha: np.ndarray  # per arc; nonzero only on assignment arcs
     beta: np.ndarray  # per arc; nonzero only on non-assignment arcs
-    enabled: np.ndarray = field(repr=False)
+    arcs: np.ndarray = field(repr=False)  # arcs with a nonzero dual, ascending
 
 
 def extract_duals(capd: CapDiagram, x_col: np.ndarray, t: np.ndarray,
                   d: np.ndarray) -> DualValues:
     """Shortest-path duals of the column's flow problem.
 
-    pi is the enabled to-terminal distance (with an any-arc fallback at
-    nodes the column strands, keeping values finite); a capacitated arc's
-    dual is the negative part of the reduction the cheapest path forced
-    through it would bring: fdist(tail) + cost + pi(head) - pi(root).
-    Arcs on the current shortest path, and arcs whose forced path is no
-    better, get zero.  Both passes go one decision layer at a time: an
-    arc's head lies in a later layer than its tail, so the distances a
-    layer reads are final by then, and minima do not depend on order.
+    pi is the enabled to-terminal distance; a capacitated arc's dual is the
+    negative part of the reduction the cheapest path forced through it
+    would bring: fdist(tail) + cost + pi(head) - pi(root).  Arcs on the
+    current shortest path, and arcs whose forced path is no better, get
+    zero.  Arc costs are cells of ``lastjob.cost_table`` (t[0] is the
+    dummy's 0).
+
+    Both passes run over the subsets of the column's jobs x, not the arcs:
+    - an assignment arc is enabled when its job is in x, a non-assignment
+      arc when its state holds all of x.  So the tails the root reaches are
+      the states (S, last) with S a subset of x, fdist there is a
+      Held-Karp over those subsets, and every other arc has r = inf;
+    - every state has an enabled out-arc, and from (mask, last) the enabled
+      paths place exactly x minus mask before ending, so pi(mask, last) is
+      a backward Held-Karp over (subset of x, last), read onto every node.
+      A last job into the terminal pays its closing setup on its own arc
+      instead of on a non-assignment arc, which adds the same two terms.
+    Each distance takes the minimum of the same candidate sums, added in
+    the same order, as a pass over the arcs would, so every value is
+    bitwise that pass's.
     """
-    costs = cap_arc_costs(capd, t, d)
-    enabled = _enabled(capd, x_col)
-    tail, head = capd.arc_tail, capd.arc_head
+    n, width = capd.n_jobs, capd.n_jobs + 1
+    costs = cost_table(t, d)
+    # to_job[j, last]: the cost of placing j after last, not into the terminal
+    to_job = np.ascontiguousarray(costs[:width * width].reshape(width, width).T)
+    jobs = np.flatnonzero(np.asarray(x_col)) + 1
+    k = len(jobs)
+    # tables are indexed by subsets of x over positions in ``jobs``, and by
+    # last job; sub maps such a subset to its job mask
+    sub = np.zeros(1 << k, dtype=np.int64)
+    for i, j in enumerate(jobs.tolist()):
+        sub[1 << i:2 << i] = sub[:1 << i] | 1 << (j - 1)
+    layers, (pair_mask, pair_pos) = _subsets(k)
 
-    fdist = np.full(capd.n_nodes, np.inf)
-    fdist[capd.root] = 0.0
-    for start, end, _, _ in capd.layer_spans:
-        on = start + np.flatnonzero(enabled[start:end])
-        np.minimum.at(fdist, head[on], fdist[tail[on]] + costs[on])
-
-    pi = np.full(capd.n_nodes, np.inf)
+    # fdist[S, last] from the root; togo[R, last]: the cheapest way to
+    # place R after last, then end.  Both build a subset from the subset
+    # without one of its jobs.
+    fdist = np.full((1 << k, width), np.inf)
+    fdist[0, 0] = 0.0
+    togo = np.empty((1 << k, width))
+    togo[0] = to_job[0] + 0.0  # the non-assignment arc into the terminal
+    for s, (masks, members, rests) in enumerate(layers, 1):
+        placed = jobs[members]
+        step = to_job[placed]
+        if s < n:  # x itself is the terminal when it holds every job
+            fdist[masks[:, None], placed] = (fdist[rests] + step).min(axis=2)
+        togo[masks] = (step + togo[rests, placed][..., None]).min(axis=1)
+    by_mask = np.empty((1 << n, width))
+    by_mask[sub] = togo
+    pi = by_mask[sub[-1] & ~capd.node_mask, capd.node_last]
     pi[capd.terminal] = 0.0
-    for start, end, first, count in reversed(capd.layer_spans):
-        via = costs[start:end] + pi[head[start:end]]
-        slot = tail[start:end] - first
-        on = enabled[start:end]
-        best = np.full(count, np.inf)
-        np.minimum.at(best, slot[on], via[on])
-        fallback = np.full(count, np.inf)
-        np.minimum.at(fallback, slot, via)
-        pi[first:first + count] = np.where(np.isfinite(best), best, fallback)
-
     pi_root = float(pi[capd.root])
-    # tails the root cannot reach give r = inf and no dual
-    r = fdist[tail] + costs + pi[head] - pi_root
+
+    # every out-arc of the reached tails, in arc order; the root is the
+    # first pair, and the full job set is the terminal, not a tail
+    if k == n:
+        pair_mask, pair_pos = pair_mask[:-k], pair_pos[:-k]
+    tail_job = np.append(jobs, 0)[pair_pos]
+    tails = capd.node_of[sub[pair_mask], tail_job]
+    first = capd.first_out[tails]
+    count = capd.first_out[tails + 1] - first
+    ends = np.cumsum(count)
+    arcs = np.arange(ends[-1]) + np.repeat(first - (ends - count), count)
+    r = (np.repeat(fdist[pair_mask, tail_job], count)
+         + costs[capd.arc_cell[arcs]] + pi[capd.arc_head[arcs]] - pi_root)
     neg = r < 0
-    alpha = np.where(neg & capd.assign, r, 0.0)
-    beta = np.where(neg & ~capd.assign, r, 0.0)
-    return DualValues(pi=pi, pi_root=pi_root, alpha=alpha, beta=beta, enabled=enabled)
+    arcs, r = arcs[neg], r[neg]
+    on = capd.arc_kind[arcs] == ASSIGN
+    alpha = np.zeros(capd.n_arcs)
+    alpha[arcs[on]] = r[on]
+    beta = np.zeros(capd.n_arcs)
+    beta[arcs[~on]] = r[~on]
+    return DualValues(pi=pi, pi_root=pi_root, alpha=alpha, beta=beta, arcs=arcs)
 
 
 # Float sums round differently in another order, so the payloads below add
@@ -285,19 +319,26 @@ def _running_sum(start: float, terms: np.ndarray) -> float:
     return float(acc[0])
 
 
-def _na_terms(capd: CapDiagram, keep: np.ndarray):
-    """(arc, 0-based job) of every job of U_a of the non-assignment arcs
-    where ``keep`` (per arc) holds, in arc order, jobs ascending."""
-    rows, jobs = np.nonzero(capd.na_jobs & keep[capd.na_arcs, None])
-    return capd.na_arcs[rows], jobs
+def _na_terms(capd: CapDiagram, arcs: np.ndarray):
+    """(arc, 0-based job) of every job of U_a of the non-assignment
+    ``arcs`` (ascending), in arc order, jobs ascending."""
+    bits = np.int64(1) << np.arange(capd.n_jobs, dtype=np.int64)
+    rows, jobs = np.nonzero((capd.arc_cap[arcs, None] & bits) != 0)
+    return arcs[rows], jobs
+
+
+def _split(duals: DualValues, capd: CapDiagram):
+    """The assignment and the non-assignment arcs with a nonzero dual."""
+    on = capd.arc_kind[duals.arcs] == ASSIGN
+    return duals.arcs[on], duals.arcs[~on]
 
 
 def basic_payload(duals: DualValues, capd: CapDiagram):
     """(constant, per-job coefficients) of the plain flow cut: each alpha
     goes on its job; each beta goes on the constant and, negated, on every
     job of U_a, once per job."""
-    a_arcs = np.flatnonzero(duals.alpha)
-    b_arcs, b_jobs = _na_terms(capd, duals.beta != 0.0)
+    a_arcs, b_arcs = _split(duals, capd)
+    b_arcs, b_jobs = _na_terms(capd, b_arcs)
     order = np.argsort(np.concatenate((a_arcs, b_arcs)), kind="stable")
     jobs = np.concatenate((capd.arc_job[a_arcs] - 1, b_jobs))
     terms = np.concatenate((duals.alpha[a_arcs], -duals.beta[b_arcs]))
@@ -324,10 +365,10 @@ def strengthen_layers(duals: DualValues, capd: CapDiagram):
     non-assignment arcs all enter the terminal, so one minimum per job.
     The minima are added in the order their key first goes negative."""
     n = capd.n_jobs
-    a_arcs = np.flatnonzero(duals.alpha < 0)
+    a_arcs, b_arcs = _split(duals, capd)
     keys = (capd.arc_job[a_arcs] - 1) * n + capd.arc_layer[a_arcs]
     gamma_keys, gamma = _first_seen_minima(keys, duals.alpha[a_arcs], n * n)
-    b_arcs, b_jobs = _na_terms(capd, duals.beta < 0)
+    b_arcs, b_jobs = _na_terms(capd, b_arcs)
     delta_jobs, delta = _first_seen_minima(b_jobs, duals.beta[b_arcs], n)
     coef = np.zeros(n)
     np.add.at(coef, np.concatenate((gamma_keys // n, delta_jobs)),

@@ -14,6 +14,7 @@ from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import LimitExceeded
 from ccpmsp.oracle import brute_optimal
 from conftest import random_scenario
+import netflow_reference
 
 UNIFORM_T = np.array([0.0, 2.0, 6.0, 3.0])
 
@@ -77,21 +78,50 @@ def test_structural_invariants(n):
             assert capd.arc_head[a] == capd.terminal
     for a in range(capd.n_arcs - 1):
         assert order[capd.arc_tail[a]] <= order[capd.arc_tail[a + 1]]
-    # the layout the layer-batched dual pass relies on: arcs sorted by
+    # the layout the column-subset dual pass relies on: a node's out-arcs
+    # are one range of first_out; node_of inverts (node_mask, node_last);
+    # an arc's cost_table cell is (into the terminal, last, job)
+    full, width = (1 << n) - 1, n + 1
+    assert capd.first_out.tolist() == [
+        int(np.searchsorted(capd.arc_tail, v)) for v in range(capd.n_nodes + 1)]
+    assert capd.first_out[0] == 0 and capd.first_out[-1] == capd.n_arcs
+    assert capd.node_mask[capd.root] == 0 and capd.node_last[capd.root] == 0
+    assert capd.node_mask[capd.terminal] == full
+    assert capd.node_last[capd.terminal] == 0
+    assert np.count_nonzero(capd.node_of >= 0) == capd.n_nodes
+    for v in range(capd.n_nodes):
+        assert capd.node_of[capd.node_mask[v], capd.node_last[v]] == v
+        assert bin(int(capd.node_mask[v])).count("1") == (
+            n if v == capd.terminal else order[v])
+    for a in range(capd.n_arcs):
+        tail, head = capd.arc_tail[a], capd.arc_head[a]
+        assert capd.node_last[tail] == max(capd.arc_last[a], 0)
+        into_terminal = head == capd.terminal
+        if capd.arc_kind[a] == netflow.ASSIGN:
+            job = capd.arc_job[a]
+            assert capd.node_mask[head] == capd.node_mask[tail] | capd.arc_cap[a]
+            assert capd.node_last[head] == (0 if into_terminal else job)
+        else:
+            job = 0
+            assert capd.arc_cap[a] == full & ~capd.node_mask[tail]
+        last = capd.node_last[tail]
+        assert capd.arc_cell[a] == (into_terminal * (job > 0) * width + last) * width + job
+    # the layout the layered reference pass relies on: arcs sorted by
     # arc_layer; a layer's tails lie in its contiguous node-id range and
     # its heads in later layers
+    ref = netflow_reference.layered(capd)
     assert np.all(np.diff(capd.arc_layer) >= 0)
-    assert len(capd.layer_spans) == len(capd.layers) - 1 == n
-    for li, (start, end, first, count) in enumerate(capd.layer_spans):
-        assert capd.layers[li] == list(range(first, first + count))
+    assert len(ref.layer_spans) == len(capd.layers) - 1 == n
+    for li, (start, end, first, count) in enumerate(ref.layer_spans):
+        assert capd.layers[li] == range(first, first + count)
         assert np.all(capd.arc_layer[start:end] == li)
         tails = capd.arc_tail[start:end]
         assert np.all((tails >= first) & (tails < first + count))
         assert np.all(capd.arc_head[start:end] >= first + count)
-    assert capd.layer_spans[0][0] == 0 and capd.layer_spans[-1][1] == capd.n_arcs
-    na_masks = [sum(1 << int(q) for q in np.flatnonzero(row)) for row in capd.na_jobs]
-    assert na_masks == capd.arc_cap[capd.na_arcs].tolist()
-    for prev, nxt in zip(capd.layer_spans, capd.layer_spans[1:]):
+    assert ref.layer_spans[0][0] == 0 and ref.layer_spans[-1][1] == capd.n_arcs
+    na_masks = [sum(1 << int(q) for q in np.flatnonzero(row)) for row in ref.na_jobs]
+    assert na_masks == capd.arc_cap[ref.na_arcs].tolist()
+    for prev, nxt in zip(ref.layer_spans, ref.layer_spans[1:]):
         assert prev[1] == nxt[0]
 
 
@@ -136,10 +166,11 @@ def test_duals_zero_on_shortest_path_and_nonpositive(uniform_scenario):
     assert np.all(duals.alpha <= 0) and np.all(duals.beta <= 0)
     # follow a cheapest enabled path by the to-terminal distances pi: its
     # arcs have reduction zero, so their duals must be zero
-    costs = netflow.cap_arc_costs(capd, t, d)
+    costs = netflow_reference.cap_arc_costs(capd, t, d)
+    enabled = netflow_reference._enabled(capd, x)
     node, length = capd.root, 0.0
     while node != capd.terminal:
-        a = next(a for a in np.flatnonzero(capd.arc_tail == node) if duals.enabled[a]
+        a = next(a for a in np.flatnonzero(capd.arc_tail == node) if enabled[a]
                  and costs[a] + duals.pi[capd.arc_head[a]] == duals.pi[node])
         assert duals.alpha[a] == 0.0 and duals.beta[a] == 0.0
         length += costs[a]
@@ -157,9 +188,10 @@ def test_dual_feasibility_rows_on_enabled_arcs(seed):
     capd = netflow.build_mdd_cap(k)
     x = (rng.random(k) < 0.5).astype(np.int8)
     duals = netflow.extract_duals(capd, x, t, d)
-    costs = netflow.cap_arc_costs(capd, t, d)
+    costs = netflow_reference.cap_arc_costs(capd, t, d)
+    enabled = netflow_reference._enabled(capd, x)
     for a in range(capd.n_arcs):
-        if not duals.enabled[a]:
+        if not enabled[a]:
             continue
         lhs = duals.pi[capd.arc_tail[a]] - duals.pi[capd.arc_head[a]]
         if capd.arc_kind[a] == netflow.ASSIGN:
@@ -342,10 +374,12 @@ def loop_flow_cut(capd, x, t, d):
 def test_vectorised_pass_matches_arc_loops_bitwise(n):
     rng = np.random.default_rng(2200 + n)
     capd = netflow.build_mdd_cap(n)
-    for _ in range(6):
+    # six random columns, then no job and every job: with every job, the
+    # full set is the terminal rather than a tail
+    for edge in [None] * 6 + [np.zeros(n, np.int8), np.ones(n, np.int8)]:
         sc = random_scenario(rng, n)
         t = np.concatenate(([0.0], sc.exec))
-        x = (rng.random(n) < rng.random()).astype(np.int8)
+        x = (rng.random(n) < rng.random()).astype(np.int8) if edge is None else edge
         pi, pi_root, alpha, beta, basic, layered = loop_flow_cut(capd, x, t, sc.setup)
         duals = netflow.extract_duals(capd, x, t, sc.setup)
         assert duals.pi.tobytes() == pi.tobytes()
@@ -452,7 +486,12 @@ def test_contexts_of_one_size_share_a_read_only_diagram():
                                    n_scenarios=3, seed=1, capacity=3))
     a, b = netflow.FlowContext(inst), netflow.FlowContext(inst)
     assert a.capd is b.capd
-    for arr in (a.capd.arc_tail, a.capd.arc_cap, a.capd.assign, a.capd.na_jobs,
-                a.capd.lead_setup[0]):
+    derived = (a.capd.arc_cell, a.capd.node_mask, a.capd.node_last,
+               a.capd.node_of, a.capd.first_out)
+    layers, pairs = netflow._subsets(3)
+    subsets = [arr for layer in layers for arr in layer] + list(pairs)
+    for arr in derived + tuple(subsets):
+        assert arr.dtype == np.int32
+    for arr in (a.capd.arc_tail, a.capd.arc_cap) + derived + tuple(subsets):
         with pytest.raises(ValueError):
             arr[0] = 0
