@@ -100,7 +100,6 @@ def _solve_options(args) -> SolveOptions:
         time_budget=args.budget,
         backend=args.backend,
         external_cmd=external_cmd,
-        mode=args.mode,
     )
 
 
@@ -126,8 +125,6 @@ def _add_solve_flags(sp) -> None:
     sp.add_argument("--solver-cmd", default=None,
                     help="external solver command; the CCPMSP_EXTERNAL_SOLVER "
                          "environment variable takes precedence")
-    sp.add_argument("--mode", default=SolveOptions.mode,
-                    choices=["iterative", "callback"])
     sp.add_argument("--no-symmetry", action="store_true")
     sp.add_argument("--no-scenario-relaxation", action="store_true")
 
@@ -215,14 +212,14 @@ def cmd_verify(args) -> int:
 def _bench_one(task) -> tuple[str, str]:
     """One bench run; module-level so worker processes can receive it.
     Returns (row, warning-or-empty)."""
-    path, variant, cut, budget, mode = task
+    path, variant, cut, budget = task
     inst = Instance.load(path)
     name = os.path.splitext(os.path.basename(path))[0]
     prefix = (
         f"{name},{inst.dataset_kind},{inst.n_jobs},"
         f"{inst.n_machines},{inst.n_scenarios}"
     )
-    opts = SolveOptions(variant=variant, cut_kind=cut, time_budget=budget, mode=mode)
+    opts = SolveOptions(variant=variant, cut_kind=cut, time_budget=budget)
     try:
         _, report = solve_ccpmsp(inst, opts)
         return f"{prefix},{solve_row(variant, cut, report)}", ""
@@ -244,7 +241,7 @@ def cmd_bench(args) -> int:
         for variant in variants:
             for cut in cuts:
                 for _ in range(args.repetitions):
-                    tasks.append((path, variant, cut, args.budget, args.mode))
+                    tasks.append((path, variant, cut, args.budget))
     if args.parallel > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -393,8 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--variants", default="lj,js")
     b.add_argument("--cuts", default="nogood,iis")
     b.add_argument("--budget", type=float, default=1200.0)
-    b.add_argument("--mode", default=SolveOptions.mode,
-                   choices=["iterative", "callback"])
     b.add_argument("--parallel", type=int, default=1,
                    help="fan whole solves out over N processes")
     b.add_argument("--repetitions", type=int, default=1,

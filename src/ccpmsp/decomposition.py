@@ -13,11 +13,11 @@ one size filtered together.
 
 A candidate becomes the answer only after every scenario it claims (z = 1)
 has been verified feasible on all machines, so the returned objective is
-exact whenever the status says optimal.  Two driving modes exist: the
-default callback mode runs one master search whose lazy-cut hook checks each
-candidate and returns cuts that prune the rest of that search, and the
-iterative loop re-solves the master after each cut batch (the only mode of
-a backend without a hook); both finish with the same objective.
+exact whenever the status says optimal.  A backend with a lazy-cut hook
+(the built-in one) runs one master search, whose hook checks each candidate
+and returns cuts that prune the rest of that search; a backend without one
+(the external bridge) is re-solved after each cut batch.  Both finish with
+the same objective.
 """
 
 from __future__ import annotations
@@ -88,17 +88,13 @@ class SolveOptions:
     time_budget: float = 1200.0
     backend: str = "builtin"  # or "external"
     external_cmd: Optional[str] = None
-    mode: str = "callback"  # or "iterative"
     benders_strategy: int = 1  # 0 = basic cut, 1 = layer-strengthened
-    verify_with_oracle: bool = True
 
     def check(self, inst: Instance) -> None:
         if self.variant not in VARIANT_MODULES:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if self.cut_kind not in CUT_KINDS:
             raise ConfigurationError(f"unknown cut kind {self.cut_kind!r}")
-        if self.mode not in ("iterative", "callback"):
-            raise ConfigurationError(f"unknown mode {self.mode!r}")
         if self.benders_strategy not in (0, 1):
             raise ConfigurationError(
                 f"unknown benders strategy {self.benders_strategy!r}"
@@ -124,7 +120,8 @@ class SolveReport:
     master_time: float = 0.0  # inside solve_master, callback hook time excluded
     verify_time: float = 0.0  # post-solve oracle check, after wall_time stops
     build_time: float = 0.0  # diagram builds
-    n_master_solves: int = 0  # solve_master calls, 1 in callback mode
+    # solve_master calls: 1 with a hook, one per cut batch without
+    n_master_solves: int = 0
     n_certified: int = 0  # checked pairs a schedule proved, without a sweep
     check_counts: Optional[np.ndarray] = None  # (n_machines, n_scenarios)
     cuts: Optional[list] = None  # final pool (diagnostics)
@@ -390,14 +387,14 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
             fresh += nogoods
         return fresh
 
-    def run_master(**kwargs):
+    def run_master(hook=None):
         t0 = time.perf_counter()
-        sol = solve_master(model, backend, time_budget=remaining(), **kwargs)
+        sol = solve_master(model, backend, time_budget=remaining(), hook=hook)
         counters.master_time += time.perf_counter() - t0
         counters.n_master_solves += 1
         return sol
 
-    if opts.mode == "callback" and backend.supports_callback:
+    if backend.supports_callback:
 
         def hook(x, z):
             # the hook runs inside solve_master; its time is not master time
@@ -420,9 +417,8 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         bound = None
         cand = None
         status = LIMIT
-        upper_bound = None
         while True:
-            sol = run_master(upper_bound=upper_bound)
+            sol = run_master()
             if sol.x is None:
                 status = sol.status
                 bound = sol.bound
@@ -434,9 +430,6 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
                 objective = sol.objective
                 status = sol.status
                 break
-            if sol.status == OPTIMAL:
-                # cuts only ever add rows, so this optimum bounds every later one
-                upper_bound = sol.objective
             cut_batch(failures, sol.candidate)
             if remaining() <= 0:
                 status = LIMIT
@@ -444,7 +437,7 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         wall = time.perf_counter() - start
 
     verify_time = 0.0
-    if cand is not None and opts.verify_with_oracle:
+    if cand is not None:
         t0 = time.perf_counter()
         problems = verify_candidate(inst, cand)
         verify_time = time.perf_counter() - t0

@@ -35,8 +35,8 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 LIMIT = "limit"
 
-# Entries of each of the built-in search's job-set memos (failed scenarios
-# per solve, relaxation-forced scenarios per model) before it is emptied.
+# Entries of each of the built-in search's job-set memos (failed scenarios,
+# relaxation-forced scenarios; both local to one solve) before it is emptied.
 # Instances of 12-22 jobs stay below 1000 entries, but a minute on 30 jobs
 # visits about 500k distinct job sets: unbounded, a memo then held about
 # 130 MB; at this size peak RSS stays below 50 MB.
@@ -54,10 +54,6 @@ class MasterModel:
     scenario_relaxation: bool = False
     cuts: list[Cut] = field(default_factory=list)
     relax_coef: Optional[np.ndarray] = None  # (n_scenarios, n_jobs)
-    # job-set mask -> scenarios the relaxation rows force to zero on the set
-    # or one of its prefixes in job order; rows never change, so the built-in
-    # search keeps this across the solves of one model
-    relax_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_vars(self) -> int:
@@ -71,7 +67,6 @@ class BackendSolution:
     z: Optional[np.ndarray] = None
     objective: Optional[float] = None
     bound: Optional[float] = None
-    n_hook_calls: int = 0
 
     @property
     def candidate(self) -> Candidate:
@@ -101,7 +96,6 @@ def add_scenario_relaxation(model: MasterModel) -> MasterModel:
     to the dummy included), a lower bound on any schedule containing it."""
     model.scenario_relaxation = True
     model.relax_coef = optimistic_load_coefficients(model.inst)
-    model.relax_memo.clear()
     return model
 
 
@@ -247,10 +241,6 @@ def write_lp(model: MasterModel, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _BoundReached(Exception):
-    """Unwinds the search once an incumbent reaches the known upper bound."""
-
-
 class BuiltinBackend:
     """Depth-first search over job-to-machine assignments.
 
@@ -270,20 +260,13 @@ class BuiltinBackend:
     scenario bit on every machine whose job set covers it, from here on,
     which prunes interior nodes and drops the flag at leaves; flow cuts are
     tested at the leaves.
-
-    ``upper_bound``, when given, must bound this model's optimum from above,
-    as the optimum of an earlier solve with a subset of its rows does.  The
-    search then stops at the first incumbent that reaches it.  An incumbent
-    is only ever replaced by a strictly better one, so this is the candidate
-    the full search would return.
     """
 
     supports_callback = True
     name = "builtin"
 
     def solve(self, model: MasterModel, time_budget: Optional[float] = None,
-              hook: Optional[Callable] = None,
-              upper_bound: Optional[float] = None) -> BackendSolution:
+              hook: Optional[Callable] = None) -> BackendSolution:
         inst = model.inst
         n, M, B = inst.n_jobs, inst.n_machines, inst.capacity
         n_sc = inst.n_scenarios
@@ -292,7 +275,6 @@ class BuiltinBackend:
         need = 1.0 - inst.epsilon - 1e-12
         T = inst.time_limit
         deadline = None if time_budget is None else time.monotonic() + time_budget
-        stop_at = None if upper_bound is None else upper_bound - TOL
 
         # suffix utility prefix-sums: top_suffix[j][r] = sum of r largest of f[j:]
         top_suffix = []
@@ -304,10 +286,11 @@ class BuiltinBackend:
         # sum of its jobs' rows in index order
         relax = (np.ascontiguousarray(model.relax_coef.T)
                  if model.scenario_relaxation else None)
-        # job-set mask -> bitmask of the scenarios that set forces to zero;
-        # local to this call, as the pool grows between solves
+        # job-set mask -> bitmask of the scenarios that set forces to zero
         fail_memo: dict[int, int] = {}
-        relax_memo = model.relax_memo
+        # job-set mask -> scenarios the relaxation rows force to zero on the
+        # set or one of its prefixes in job order
+        relax_memo: dict[int, int] = {}
         # job j -> {mask of a cut job set holding j: its cuts' scenario bits}
         cuts_by_job: list[dict[int, int]] = [{} for _ in range(n)]
 
@@ -384,7 +367,6 @@ class BuiltinBackend:
         limit = False
         open_bound = -np.inf
         ticks = 0
-        n_hook = 0
 
         def out_of_time() -> bool:
             nonlocal ticks, limit
@@ -422,7 +404,7 @@ class BuiltinBackend:
             return x
 
         def handle_leaf(util: float) -> None:
-            nonlocal best_obj, best_x, best_z, n_hook
+            nonlocal best_obj, best_x, best_z
             z = leaf_z()
             if z.sum() * p < need:
                 return
@@ -430,7 +412,6 @@ class BuiltinBackend:
                 x = current_x()
                 verified = False
                 for _ in range(n_sc + 2):
-                    n_hook += 1
                     new_cuts = hook(x, z.astype(np.int8))
                     if not new_cuts:
                         verified = True
@@ -450,8 +431,6 @@ class BuiltinBackend:
                 best_obj = util
                 best_x = current_x()
                 best_z = z.astype(np.int8)
-                if stop_at is not None and util >= stop_at:
-                    raise _BoundReached
 
         def dfs(j: int, util: float, used: int, failed: int) -> None:
             if out_of_time():
@@ -500,8 +479,6 @@ class BuiltinBackend:
 
         try:
             dfs(0, 0.0, 0, 0)
-        except _BoundReached:
-            pass
         finally:
             # both recursive closures hold themselves through their cells;
             # unlinking them frees the search state on return instead of in
@@ -510,15 +487,13 @@ class BuiltinBackend:
 
         if best_x is None:
             if limit:
-                return BackendSolution(
-                    status=LIMIT, bound=max(open_bound, 0.0), n_hook_calls=n_hook,
-                )
-            return BackendSolution(status=INFEASIBLE, n_hook_calls=n_hook)
+                return BackendSolution(status=LIMIT, bound=max(open_bound, 0.0))
+            return BackendSolution(status=INFEASIBLE)
         status = LIMIT if limit else OPTIMAL
         bound = best_obj if status == OPTIMAL else max(open_bound, best_obj)
         return BackendSolution(
             status=status, x=best_x, z=best_z, objective=float(best_obj),
-            bound=float(bound), n_hook_calls=n_hook,
+            bound=float(bound),
         )
 
 
@@ -546,9 +521,7 @@ class ExternalBackend:
         self.cmd = cmd
 
     def solve(self, model: MasterModel, time_budget: Optional[float] = None,
-              hook: Optional[Callable] = None,
-              upper_bound: Optional[float] = None) -> BackendSolution:
-        """Solve the whole model; ``upper_bound`` is accepted and unused."""
+              hook: Optional[Callable] = None) -> BackendSolution:
         if hook is not None:
             raise BackendError("external backend does not support lazy-cut callbacks")
         inst = model.inst
@@ -608,12 +581,9 @@ class ExternalBackend:
 
 def solve_master(model: MasterModel, backend=None,
                  time_budget: Optional[float] = None,
-                 hook: Optional[Callable] = None,
-                 upper_bound: Optional[float] = None) -> BackendSolution:
+                 hook: Optional[Callable] = None) -> BackendSolution:
     """Solve the master to proven optimality (or budget) with the given
-    backend; defaults to the built-in branch and bound.  ``upper_bound`` is
-    a known upper bound on the optimum, which a backend may stop at."""
+    backend; defaults to the built-in branch and bound."""
     if backend is None:
         backend = BuiltinBackend()
-    return backend.solve(model, time_budget=time_budget, hook=hook,
-                         upper_bound=upper_bound)
+    return backend.solve(model, time_budget=time_budget, hook=hook)

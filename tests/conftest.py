@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from ccpmsp import decomposition
+from ccpmsp.decomposition import solve_ccpmsp
 from ccpmsp.instances import GenConfig, make_instance
+from ccpmsp.master import BuiltinBackend
 from ccpmsp.model import Scenario
 from ccpmsp.oracle import brute_optimal
 
@@ -75,3 +78,19 @@ def overloaded_b10_x(inst):
     x[longest, 0] = 1
     x[longest, 1] = 0
     return x
+
+
+class NoHookBackend(BuiltinBackend):
+    """The built-in search offered without its lazy-cut hook, so that
+    ``solve_ccpmsp`` drives it through the re-solve loop that a backend
+    without a hook (the external bridge) runs."""
+
+    supports_callback = False
+
+
+def solve_iteratively(inst, opts):
+    """``solve_ccpmsp`` on ``NoHookBackend``: one built-in master solve per
+    cut batch."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomposition, "_make_backend", lambda _: NoHookBackend())
+        return solve_ccpmsp(inst, opts)

@@ -34,7 +34,12 @@ from ccpmsp.model import (
     chance_satisfied,
 )
 from ccpmsp.oracle import brute_optimal, verify_candidate
-from conftest import B10_CONFIG, overloaded_b10_x, regression_configs
+from conftest import (
+    B10_CONFIG,
+    overloaded_b10_x,
+    regression_configs,
+    solve_iteratively,
+)
 
 
 def uniform_instance(uniform_scenario, machines=1, T=5.0, eps=0.4):
@@ -486,8 +491,8 @@ def test_callback_and_iterative_agree(regression_set, regression_optima):
     for inst, want in list(zip(regression_set, regression_optima))[20:32]:
         for variant, cut in ((JOBSET, "iis"), (LASTJOB, "iis"), (JOBSET, "nogood")):
             opts = dict(variant=variant, cut_kind=cut, time_budget=60)
-            it = solve_ccpmsp(inst, SolveOptions(mode="iterative", **opts))[1]
-            cb = solve_ccpmsp(inst, SolveOptions(mode="callback", **opts))[1]
+            it = solve_iteratively(inst, SolveOptions(**opts))[1]
+            cb = solve_ccpmsp(inst, SolveOptions(**opts))[1]
             assert it.status == cb.status == "optimal"
             assert it.objective == pytest.approx(cb.objective, abs=1e-9)
             assert it.objective == pytest.approx(want, abs=1e-9)
@@ -644,14 +649,15 @@ def test_report_counters_consistent(uniform_scenario):
     assert chance_satisfied(inst, cand.z)
 
 
-@pytest.mark.parametrize("mode", ["iterative", "callback"])
-def test_master_time_overlaps_no_other_phase(mode):
-    # in callback mode the hook's checks and cuts run inside solve_master;
+@pytest.mark.parametrize("solve", [solve_iteratively, solve_ccpmsp],
+                         ids=["iterative", "callback"])
+def test_master_time_overlaps_no_other_phase(solve):
+    # with the hook, its checks and cuts run inside solve_master;
     # master_time leaves them out, so the phase timers add up to at most
     # the wall time
     inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=9, n_machines=3,
                                    n_scenarios=8, dif=-1.0, seed=4))
-    _, report = solve_ccpmsp(inst, SolveOptions(mode=mode, time_budget=60))
+    _, report = solve(inst, SolveOptions(time_budget=60))
     assert report.optimal and report.master_time > 0.0
     phases = (report.master_time + report.subproblem_resolution_time
               + report.cut_creation_time + report.subproblem_creation_time
@@ -696,7 +702,7 @@ def test_solve_verifies_above_brute_force_capacity(monkeypatch):
 
 
 # Final IIS pools of regression instances (conftest.regression_configs),
-# reduced to (scenario, sorted job set, kind) rows in pool order: index ->
+# with the built-in master re-solved after each cut batch, reduced to (scenario, sorted job set, kind) rows in pool order: index ->
 # (pool size, sha256 of the rows as JSON).  Both variants yield these pools.
 IIS_POOLS = {
     1: (8, "2eeecab69ceaf51d98e19e8291484a8d92fb2745c8fe41d6e1d4cb4591d3c5c0"),
@@ -714,15 +720,14 @@ def test_iis_pools_pinned(variant):
     configs = regression_configs()
     for index, (size, digest) in IIS_POOLS.items():
         inst = make_instance(configs[index])
-        opts = SolveOptions(variant=variant, cut_kind="iis", time_budget=120,
-                            mode="iterative")
-        _, report = solve_ccpmsp(inst, opts)
+        opts = SolveOptions(variant=variant, cut_kind="iis", time_budget=120)
+        _, report = solve_iteratively(inst, opts)
         rows = [[c.scenario, sorted(c.job_set), c.kind] for c in report.cuts]
         assert len(rows) == size, index
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, index
 
 
-# The same pools from one callback-mode solve each.  A hook cut reaches the
+# The same pools from one hooked master search each.  A hook cut reaches the
 # search only as bits on the machines whose job sets cover it, which drop a
 # leaf's flag exactly where the cut's row forces it to zero; pruning on them
 # drops only subtrees whose every leaf then misses the chance row.  So the
@@ -749,8 +754,7 @@ def test_iis_pools_pinned_in_callback_mode(monkeypatch, variant, memo_max):
     configs = regression_configs()
     for index, (size, digest) in CALLBACK_IIS_POOLS.items():
         inst = make_instance(configs[index])
-        opts = SolveOptions(variant=variant, cut_kind="iis", time_budget=120,
-                            mode="callback")
+        opts = SolveOptions(variant=variant, cut_kind="iis", time_budget=120)
         _, report = solve_ccpmsp(inst, opts)
         assert report.n_master_solves == 1
         rows = [[c.scenario, sorted(c.job_set), c.kind] for c in report.cuts]

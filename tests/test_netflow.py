@@ -13,7 +13,7 @@ from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import LimitExceeded
 from ccpmsp.oracle import brute_optimal
-from conftest import random_scenario
+from conftest import random_scenario, solve_iteratively
 import netflow_reference
 
 UNIFORM_T = np.array([0.0, 2.0, 6.0, 3.0])
@@ -300,7 +300,7 @@ def test_benders_callback_mode_matches_oracle():
             dif=-4.0, seed=700 + seed, capacity=3,
         ))
         want = brute_optimal(inst)[1]
-        opts = SolveOptions(cut_kind="benders", mode="callback", time_budget=120)
+        opts = SolveOptions(cut_kind="benders", time_budget=120)
         cand, report = solve_ccpmsp(inst, opts)
         assert report.objective == pytest.approx(want, abs=1e-9), seed
 
@@ -408,11 +408,11 @@ def pool_bytes(cuts):
 
 
 # sha256 of the duals and payloads below, and of the final Benders pools of
-# the iterative loop, recorded before the arc loops were vectorised: any
+# the re-solve loop, recorded before the arc loops were vectorised: any
 # one-ulp drift fails
 DUALS_DIGEST = "f74f0fad16aea2b55f673e805ba9e7791ee63367f630b9a69409804561b42dc5"
 POOLS_DIGEST = "6d9f5a84f5c3afd0f12eb4d426c72599d5707a09b02b89931af510e260ba3f9e"
-# the same pools from one callback-mode solve each
+# the same pools from one hooked master search each
 CALLBACK_POOLS_DIGEST = (
     "c0264db8134b719d2e449bf669b7584554de083134a764ef64b2bbadc0522e81"
 )
@@ -436,7 +436,7 @@ def test_flow_duals_and_payloads_bitwise_pinned():
     assert h.hexdigest() == DUALS_DIGEST
 
 
-def benders_pools_digest(mode):
+def benders_pools_digest(solve):
     h = hashlib.sha256()
     for strategy in (0, 1):
         for seed in range(5):
@@ -445,8 +445,8 @@ def benders_pools_digest(mode):
                 dif=-3.0, seed=600 + seed, capacity=3,
             ))
             opts = SolveOptions(cut_kind="benders", benders_strategy=strategy,
-                                time_budget=120, mode=mode)
-            _, report = solve_ccpmsp(inst, opts)
+                                time_budget=120)
+            _, report = solve(inst, opts)
             h.update(repr(report.objective).encode())
             for chunk in pool_bytes(report.cuts):
                 h.update(chunk)
@@ -454,11 +454,11 @@ def benders_pools_digest(mode):
 
 
 def test_benders_pools_bitwise_pinned():
-    assert benders_pools_digest("iterative") == POOLS_DIGEST
+    assert benders_pools_digest(solve_iteratively) == POOLS_DIGEST
 
 
 def test_benders_pools_bitwise_pinned_in_callback_mode():
-    assert benders_pools_digest("callback") == CALLBACK_POOLS_DIGEST
+    assert benders_pools_digest(solve_ccpmsp) == CALLBACK_POOLS_DIGEST
 
 
 def test_benders_solve_leaves_numpy_ma_unimported():

@@ -323,7 +323,8 @@ def test_verify_skips_held_karp_when_every_witness_fits(held_karp_spy):
 
     inst = make_instance(GenConfig(dataset_kind="equal", n_jobs=24, n_machines=2,
                                    n_scenarios=20, dif=-3.5, seed=516))
-    cand, report = solve_ccpmsp(inst, SolveOptions(verify_with_oracle=False))
+    cand, report = solve_ccpmsp(inst)
+    held_karp_spy.clear()
     assert report.objective == 139
     assert all(len(cand.machine_jobs(m)) == 12 for m in range(2))
     assert verify_candidate(inst, cand) == []
