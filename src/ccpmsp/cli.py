@@ -35,7 +35,8 @@ CSV_VERSION = "# ccpmsp-csv v1"
 SOLVE_COLUMNS = (
     "model,cut,total_time,gap,optimal,n_callbacks,n_cuts,"
     "resol_time,resol_time_per_cb,create_cut_time,create_sp_time,"
-    "master_time,verify_time,status,build_time,n_master_solves,n_certified"
+    "master_time,verify_time,status,build_time,n_master_solves,n_certified,"
+    "n_master_nodes"
 )
 BENCH_COLUMNS = "instance,dataset,jobs,machines,scenarios," + SOLVE_COLUMNS
 
@@ -77,6 +78,7 @@ def solve_row(model_name: str, cut: str, report) -> str:
             f"{report.build_time:.3f}",
             str(report.n_master_solves),
             str(report.n_certified),
+            str(report.n_master_nodes),
         ]
     )
 
@@ -226,7 +228,7 @@ def _bench_one(task) -> tuple[str, str]:
     except Exception as exc:  # record the failure, keep the batch going
         row = (
             f"{prefix},{variant},{cut},0.000,inf,0,0,0,"
-            f"0.000,0.0000,0.000,0.000,0.000,0.000,error,0.000,0,0"
+            f"0.000,0.0000,0.000,0.000,0.000,0.000,error,0.000,0,0,0"
         )
         return row, f"{name} {variant}/{cut}: {exc}"
 

@@ -122,6 +122,8 @@ class SolveReport:
     build_time: float = 0.0  # diagram builds
     # solve_master calls: 1 with a hook, one per cut batch without
     n_master_solves: int = 0
+    # nodes the built-in search entered over those calls; 0 when external
+    n_master_nodes: int = 0
     n_certified: int = 0  # checked pairs a schedule proved, without a sweep
     check_counts: Optional[np.ndarray] = None  # (n_machines, n_scenarios)
     cuts: Optional[list] = None  # final pool (diagnostics)
@@ -131,6 +133,7 @@ class SolveReport:
 class _Counters:
     n_callbacks: int = 0
     n_master_solves: int = 0
+    n_master_nodes: int = 0
     n_certified: int = 0
     resolution_time: float = 0.0
     cut_time: float = 0.0
@@ -174,6 +177,7 @@ def collect_report(objective, bound, status, counters: _Counters,
         master_time=counters.master_time,
         build_time=cache.build_time,
         n_master_solves=counters.n_master_solves,
+        n_master_nodes=counters.n_master_nodes,
         n_certified=counters.n_certified,
         check_counts=counters.check_counts,
     )
@@ -392,6 +396,7 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         sol = solve_master(model, backend, time_budget=remaining(), hook=hook)
         counters.master_time += time.perf_counter() - t0
         counters.n_master_solves += 1
+        counters.n_master_nodes += sol.n_nodes
         return sol
 
     if backend.supports_callback:

@@ -67,6 +67,7 @@ class BackendSolution:
     z: Optional[np.ndarray] = None
     objective: Optional[float] = None
     bound: Optional[float] = None
+    n_nodes: int = 0  # search nodes entered; 0 from the external backend
 
     @property
     def candidate(self) -> Candidate:
@@ -251,8 +252,11 @@ class BuiltinBackend:
     machine holds its job set as an integer bitmask together with the
     bitmask of scenarios that pool cuts and relaxation rows force to zero on
     it, so a partial assignment whose surviving probability mass already
-    misses 1 - epsilon is abandoned.  z is assigned greedily maximal at each
-    leaf, which is optimal since z carries no objective.
+    misses 1 - epsilon is abandoned.  A parent makes both tests on each
+    child before it descends, so the search enters (and its time budget
+    counts) only the nodes that pass them; ``BackendSolution.n_nodes`` is
+    their number.  z is assigned greedily maximal at each leaf, which is
+    optimal since z carries no objective.
 
     ``hook``, when given, is called with (x, z) at each leaf that meets the
     chance row and returns the cuts (x, z) violates, or nothing to accept
@@ -276,11 +280,20 @@ class BuiltinBackend:
         T = inst.time_limit
         deadline = None if time_budget is None else time.monotonic() + time_budget
 
-        # suffix utility prefix-sums: top_suffix[j][r] = sum of r largest of f[j:]
-        top_suffix = []
+        # bounds[j][used]: the largest utility the jobs from j on can still
+        # add, i.e. the sum of the min(M*B - used, n - j) largest of f[j:]
+        bounds = []
         for j in range(n + 1):
             tail = np.sort(inst.utilities[j:])[::-1]
-            top_suffix.append(np.concatenate(([0.0], np.cumsum(tail))).tolist())
+            top = np.concatenate(([0.0], np.cumsum(tail))).tolist()
+            bounds.append([top[min(M * B - used, n - j)]
+                           for used in range(min(j, M * B) + 1)])
+        # the chance row as a count: a path meets it while at most max_fail
+        # scenarios are forced to zero, by the row's own float test
+        max_fail = -1
+        while max_fail < n_sc and (n_sc - max_fail - 1) * p >= need:
+            max_fail += 1
+        symmetry = model.symmetry
 
         # one row of optimistic loads per job, so a machine's load is the
         # sum of its jobs' rows in index order
@@ -366,21 +379,11 @@ class BuiltinBackend:
         best_z = None
         limit = False
         open_bound = -np.inf
-        ticks = 0
-
-        def out_of_time() -> bool:
-            nonlocal ticks, limit
-            if deadline is None:
-                return False
-            ticks += 1
-            if ticks % 64 == 0 and time.monotonic() > deadline:
-                limit = True
-            return limit
+        n_nodes = 0
 
         def note_open(j: int, util: float, used: int) -> None:
             nonlocal open_bound
-            bound = util + top_suffix[j][min(M * B - used, n - j)]
-            open_bound = max(open_bound, bound)
+            open_bound = max(open_bound, util + bounds[j][used])
 
         def leaf_z() -> np.ndarray:
             failed = 0
@@ -406,7 +409,7 @@ class BuiltinBackend:
         def handle_leaf(util: float) -> None:
             nonlocal best_obj, best_x, best_z
             z = leaf_z()
-            if z.sum() * p < need:
+            if n_sc - z.sum() > max_fail:
                 return
             if hook is not None:
                 x = current_x()
@@ -423,7 +426,7 @@ class BuiltinBackend:
                     # does not bind at this candidate; z shrinks every round
                     for cut in new_cuts:
                         z[cut.scenario] = False
-                    if z.sum() * p < need:
+                    if n_sc - z.sum() > max_fail:
                         return
                 if not verified:
                     return
@@ -433,52 +436,63 @@ class BuiltinBackend:
                 best_z = z.astype(np.int8)
 
         def dfs(j: int, util: float, used: int, failed: int) -> None:
-            if out_of_time():
+            """Enter a node its parent has tested: ``failed`` meets the
+            chance row and the utility bound beats the incumbent."""
+            nonlocal n_nodes, limit
+            n_nodes += 1
+            if (deadline is not None and not n_nodes % 64
+                    and time.monotonic() > deadline):
+                limit = True
                 note_open(j, util, used)
-                return
-            if (n_sc - failed.bit_count()) * p < need:
-                return
-            if util + top_suffix[j][min(M * B - used, n - j)] <= best_obj + TOL:
                 return
             if j == n:
                 handle_leaf(util)
                 return
             bit = 1 << j
             seen = len(job_cuts)
-            for m in range(min(j + 1, M) if model.symmetry else M):
+            grown_util = util + f[j]
+            child_bounds = bounds[j + 1]
+            for m in range(min(j + 1, M) if symmetry else M):
                 mask = mach_mask[m]
                 if mask.bit_count() >= B:
                     continue
-                if model.symmetry and m > 0 and not mach_mask[m - 1]:
+                if symmetry and m > 0 and not mach_mask[m - 1]:
                     continue
                 old = mach_fail[m]
                 grown = mask | bit
                 new = fail_memo.get(grown)
                 if new is None:
                     new = fail_of(grown, j, old)
+                path = failed | new
+                if (path.bit_count() > max_fail
+                        or grown_util + child_bounds[used + 1] <= best_obj + TOL):
+                    continue
                 assign[j] = m
                 mach_mask[m], mach_fail[m] = grown, new
-                dfs(j + 1, util + f[j], used + 1, failed | new)
+                dfs(j + 1, grown_util, used + 1, path)
                 assign[j] = -1
-                # hook cuts that arrived in the subtree: ``old`` misses those
-                # ``mask`` covers, and ``failed`` those the path covers
-                arrived = job_cuts[seen:]
-                for cmask, w in arrived:
-                    if cmask & mask == cmask:
-                        old |= 1 << w
                 mach_mask[m], mach_fail[m] = mask, old
-                if arrived:
-                    seen += len(arrived)
+                if len(job_cuts) > seen:
+                    # hook cuts that arrived in the subtree: the restored
+                    # bits miss those ``mask`` covers, and ``failed`` those
+                    # the path covers
+                    for cmask, w in job_cuts[seen:]:
+                        if cmask & mask == cmask:
+                            mach_fail[m] |= 1 << w
+                    seen = len(job_cuts)
                     failed = 0
                     for bits in mach_fail:
                         failed |= bits
                 if limit:
                     note_open(j, util, used)
                     return
-            dfs(j + 1, util, used, failed)
+            if (failed.bit_count() <= max_fail
+                    and util + child_bounds[used] > best_obj + TOL):
+                dfs(j + 1, util, used, failed)
 
         try:
-            dfs(0, 0.0, 0, 0)
+            if max_fail >= 0:
+                dfs(0, 0.0, 0, 0)
         finally:
             # both recursive closures hold themselves through their cells;
             # unlinking them frees the search state on return instead of in
@@ -487,13 +501,14 @@ class BuiltinBackend:
 
         if best_x is None:
             if limit:
-                return BackendSolution(status=LIMIT, bound=max(open_bound, 0.0))
-            return BackendSolution(status=INFEASIBLE)
+                return BackendSolution(status=LIMIT, bound=max(open_bound, 0.0),
+                                       n_nodes=n_nodes)
+            return BackendSolution(status=INFEASIBLE, n_nodes=n_nodes)
         status = LIMIT if limit else OPTIMAL
         bound = best_obj if status == OPTIMAL else max(open_bound, best_obj)
         return BackendSolution(
             status=status, x=best_x, z=best_z, objective=float(best_obj),
-            bound=float(bound),
+            bound=float(bound), n_nodes=n_nodes,
         )
 
 

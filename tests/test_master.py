@@ -1,3 +1,4 @@
+import hashlib
 import os
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccpmsp import master
+from ccpmsp import decomposition, master
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.master import (
     BuiltinBackend,
@@ -272,6 +273,67 @@ def test_budget_limit_reports_bound():
     assert sol.bound >= (sol.objective or 0.0)
 
 
+def test_budget_bound_never_understates_the_optimum():
+    # a zero budget stops the search at its first deadline check, the 64th
+    # node it enters; what it reports must hold against the exhaustive
+    # optimum.  7 jobs on 2 machines of capacity 3, no scenario may fail and
+    # ten random pair cuts: full searches of 56, 68 and 96 nodes, so at
+    # least one of them stops
+    limited = 0
+    for seed in (0, 2, 6):
+        inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=7,
+                                       n_machines=2, n_scenarios=4, dif=-2.0,
+                                       seed=seed, capacity=3, epsilon=0.05))
+        model = build_master(inst)
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            pair = rng.choice(np.arange(1, 8), size=2, replace=False)
+            model.cuts.append(Cut(job_set=frozenset(int(j) for j in pair),
+                                  scenario=int(rng.integers(4)), kind=IIS))
+        best = brute_master(model)
+        sol = BuiltinBackend().solve(model, time_budget=0.0)
+        if sol.status == master.OPTIMAL:
+            assert sol.objective == pytest.approx(best)
+        else:
+            assert sol.status == master.LIMIT
+            assert sol.bound >= best - 1e-6
+            assert sol.objective is None or sol.objective <= best + 1e-6
+            limited += 1
+    assert limited
+
+
+# The benchmark's master workload (ors 12x3x12 dif -1, seeds 11-13), solved
+# with the default options: per instance, the sha256 of the (x, z) bytes the
+# hook receives, in order, and the nodes the search enters.  A search that
+# reaches other leaves, or the same ones in another order, changes a digest.
+MASTER_LEAVES = {
+    11: ("56af2e9de4ea946130e0b4b12dacc081462670c3fc6c335ffc856815bf81bf2c", 9010),
+    12: ("605444c16c479eb5f97082f8c1edfff73b47e5684b76049e9020f0f4b9084c3c", 6543),
+    13: ("683d667ffef129c5e4a54f816b68a334d5448eebf0b25ab52173485357093e56", 4496),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MASTER_LEAVES))
+def test_hook_receives_the_pinned_leaves(monkeypatch, seed):
+    digest = hashlib.sha256()
+
+    class Recording(BuiltinBackend):
+        def solve(self, model, time_budget=None, hook=None):
+            def recorded(x, z):
+                digest.update(x.tobytes())
+                digest.update(z.tobytes())
+                return hook(x, z)
+
+            return super().solve(model, time_budget, recorded)
+
+    monkeypatch.setattr(decomposition, "_make_backend", lambda _: Recording())
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=12, n_machines=3,
+                                   n_scenarios=12, dif=-1.0, seed=seed))
+    _, report = solve_ccpmsp(inst, SolveOptions())
+    assert report.n_master_solves == 1
+    assert (digest.hexdigest(), report.n_master_nodes) == MASTER_LEAVES[seed]
+
+
 def test_lp_writer_round_trips_through_stub(tmp_path):
     inst = small_instance(n_jobs=4, n_machines=2, n_scenarios=3, capacity=2)
     model = build_master(inst)
@@ -319,6 +381,7 @@ def test_external_backend_without_status_line_is_only_feasible(tmp_path):
     )
     assert report.status == "feasible"
     assert report.gap == float("inf") and not report.optimal
+    assert report.n_master_nodes == 0
 
 
 def test_external_backend_error_paths(tmp_path):
