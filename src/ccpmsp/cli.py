@@ -2,9 +2,9 @@
 batch benchmarks, and CSV aggregation.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error
-(an unknown option value, or an instance file that cannot be read or breaks
-an invariant of ``validate_instance``), 3 budget exhausted without an
-incumbent.
+(an unknown option value, a negative or NaN budget, or an instance file that
+cannot be read or breaks an invariant of ``validate_instance``), 3 budget
+exhausted without an incumbent.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .decomposition import SolveOptions, solve_ccpmsp
+from .decomposition import SolveOptions, SolveReport, solve_ccpmsp
 from .instances import GenConfig, make_instance
 from .master import BackendError
 from .model import (
@@ -226,17 +226,15 @@ def _bench_one(task) -> tuple[str, str]:
         _, report = solve_ccpmsp(inst, opts)
         return f"{prefix},{solve_row(variant, cut, report)}", ""
     except Exception as exc:  # record the failure, keep the batch going
-        row = (
-            f"{prefix},{variant},{cut},0.000,inf,0,0,0,"
-            f"0.000,0.0000,0.000,0.000,0.000,0.000,error,0.000,0,0,0"
-        )
-        return row, f"{name} {variant}/{cut}: {exc}"
+        row = solve_row(variant, cut, SolveReport(status="error"))
+        return f"{prefix},{row}", f"{name} {variant}/{cut}: {exc}"
 
 
 def cmd_bench(args) -> int:
     variants = [_resolve(VARIANT_ALIASES, v.strip(), "variant")
                 for v in args.variants.split(",")]
     cuts = [_resolve(CUT_ALIASES, c.strip(), "cut kind") for c in args.cuts.split(",")]
+    SolveOptions(time_budget=args.budget).check()
     tasks = []
     for path in args.instances:
         _load_instance(path)

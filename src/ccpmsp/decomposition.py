@@ -90,7 +90,13 @@ class SolveOptions:
     external_cmd: Optional[str] = None
     benders_strategy: int = 1  # 0 = basic cut, 1 = layer-strengthened
 
-    def check(self, inst: Instance) -> None:
+    def check(self, inst: Optional[Instance] = None) -> None:
+        """Raise ConfigurationError on an option no solve accepts and, given
+        an instance, on one that this instance rejects."""
+        if not self.time_budget >= 0.0:  # NaN included
+            raise ConfigurationError(
+                f"time budget must be a number >= 0, got {self.time_budget!r}"
+            )
         if self.variant not in VARIANT_MODULES:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if self.cut_kind not in CUT_KINDS:
@@ -99,21 +105,21 @@ class SolveOptions:
             raise ConfigurationError(
                 f"unknown benders strategy {self.benders_strategy!r}"
             )
-        if self.cut_kind == BENDERS:
+        if inst is not None and self.cut_kind == BENDERS:
             netflow.check_scale(inst.n_jobs)
 
 
 @dataclass
 class SolveReport:
+    """A solve's outcome and counters; ``check_candidate`` and
+    ``emit_cuts`` add to the counters of the report they are given."""
+
     objective: Optional[float] = None
     bound: Optional[float] = None
-    gap: float = float("inf")
-    optimal: bool = False
     status: str = "unknown"
     n_callbacks: int = 0  # subproblem checks (check_candidate calls)
     n_cuts: int = 0
     subproblem_resolution_time: float = 0.0
-    resolution_time_per_callback: float = 0.0
     cut_creation_time: float = 0.0
     subproblem_creation_time: float = 0.0  # the netflow context
     wall_time: float = 0.0
@@ -128,17 +134,19 @@ class SolveReport:
     check_counts: Optional[np.ndarray] = None  # (n_machines, n_scenarios)
     cuts: Optional[list] = None  # final pool (diagnostics)
 
+    @property
+    def gap(self) -> float:
+        return compute_gap(self.objective, self.bound)
 
-@dataclass
-class _Counters:
-    n_callbacks: int = 0
-    n_master_solves: int = 0
-    n_master_nodes: int = 0
-    n_certified: int = 0
-    resolution_time: float = 0.0
-    cut_time: float = 0.0
-    master_time: float = 0.0
-    check_counts: np.ndarray = None
+    @property
+    def optimal(self) -> bool:
+        return self.status == OPTIMAL and self.gap == 0.0
+
+    @property
+    def resolution_time_per_callback(self) -> float:
+        if not self.n_callbacks:
+            return 0.0
+        return self.subproblem_resolution_time / self.n_callbacks
 
 
 def compute_gap(objective: Optional[float], bound: Optional[float]) -> float:
@@ -151,36 +159,6 @@ def compute_gap(objective: Optional[float], bound: Optional[float]) -> float:
     if objective <= TOL:
         return float("inf")
     return diff / objective
-
-
-def collect_report(objective, bound, status, counters: _Counters,
-                   cache: DiagramCache, netflow_build_time: float,
-                   wall_time: float, n_cuts: int) -> SolveReport:
-    per_cb = (
-        counters.resolution_time / counters.n_callbacks
-        if counters.n_callbacks else 0.0
-    )
-    gap = compute_gap(objective, bound)
-    return SolveReport(
-        objective=objective,
-        bound=bound,
-        gap=gap,
-        optimal=status == OPTIMAL and gap == 0.0,
-        status=status,
-        n_callbacks=counters.n_callbacks,
-        n_cuts=n_cuts,
-        subproblem_resolution_time=counters.resolution_time,
-        resolution_time_per_callback=per_cb,
-        cut_creation_time=counters.cut_time,
-        subproblem_creation_time=netflow_build_time,
-        wall_time=wall_time,
-        master_time=counters.master_time,
-        build_time=cache.build_time,
-        n_master_solves=counters.n_master_solves,
-        n_master_nodes=counters.n_master_nodes,
-        n_certified=counters.n_certified,
-        check_counts=counters.check_counts,
-    )
 
 
 class Failure(tuple):
@@ -198,7 +176,7 @@ class Failure(tuple):
 
 
 def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
-                    variant: str, counters: Optional[_Counters] = None
+                    variant: str, report: Optional[SolveReport] = None
                     ) -> list[Failure]:
     """Sequencing check of every (machine, scenario) the candidate claims.
 
@@ -243,9 +221,9 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
             sweep = np.flatnonzero(~schedule_fits(t, d, limit))
         else:
             sweep = np.arange(t.shape[1])
-        if counters is not None:
-            counters.check_counts[np.ix_(machines, active)] += 1
-            counters.n_certified += t.shape[1] - len(sweep)
+        if report is not None:
+            report.check_counts[np.ix_(machines, active)] += 1
+            report.n_certified += t.shape[1] - len(sweep)
         if len(sweep) == 0:
             continue
         diag = cache.get_or_build(variant, k)
@@ -260,8 +238,8 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
                 g, a = divmod(c, len(active))
                 failures.append(Failure(machines[g], int(active[a]), job_ids[g], times))
     failures.sort(key=lambda f: (f[1], f[0], f[2]))
-    if counters is not None:
-        counters.resolution_time += (
+    if report is not None:
+        report.subproblem_resolution_time += (
             time.perf_counter() - t0 - (cache.build_time - build0)
         )
     return failures
@@ -269,7 +247,7 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
 
 def emit_cuts(failures, cut_kind: str, inst: Instance,
               cand: Optional[Candidate] = None,
-              counters: Optional[_Counters] = None,
+              report: Optional[SolveReport] = None,
               flow_ctx: Optional["netflow.FlowContext"] = None,
               job_sets: Optional[dict] = None) -> list[Cut]:
     """Render the cut batch for a list of failures, deduplicated by key.
@@ -324,8 +302,8 @@ def emit_cuts(failures, cut_kind: str, inst: Instance,
             push(flow_ctx.cut_for(inst, cand.x[:, m], w, job_set(jobs)))
     else:
         raise ConfigurationError(f"unknown cut kind {cut_kind!r}")
-    if counters is not None:
-        counters.cut_time += time.perf_counter() - t0
+    if report is not None:
+        report.cut_creation_time += time.perf_counter() - t0
     return cuts
 
 
@@ -345,7 +323,7 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
     deadline = start + opts.time_budget
 
     cache = DiagramCache(max_depth=inst.capacity)
-    counters = _Counters(
+    report = SolveReport(
         check_counts=np.zeros((inst.n_machines, inst.n_scenarios), dtype=np.int64)
     )
     flow_ctx = (
@@ -373,15 +351,15 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         return fresh
 
     def check(cand: Candidate) -> list[Failure]:
-        counters.n_callbacks += 1
-        return check_candidate(inst, cand, cache, opts.variant, counters)
+        report.n_callbacks += 1
+        return check_candidate(inst, cand, cache, opts.variant, report)
 
     def cut_batch(failures, cand: Candidate) -> list[Cut]:
         """Pool the cuts of a failing candidate.  When the fresh batch does
         not exclude the candidate (possible for weak flow cuts), the
         failures' no-goods join it; one of them is always new."""
         fresh = append_cuts(emit_cuts(
-            failures, opts.cut_kind, inst, cand, counters, flow_ctx, job_sets,
+            failures, opts.cut_kind, inst, cand, report, flow_ctx, job_sets,
         ))
         if not _batch_excludes(inst, model, fresh, cand):
             nogoods = append_cuts(emit_cuts(failures, NOGOOD, inst,
@@ -394,9 +372,9 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
     def run_master(hook=None):
         t0 = time.perf_counter()
         sol = solve_master(model, backend, time_budget=remaining(), hook=hook)
-        counters.master_time += time.perf_counter() - t0
-        counters.n_master_solves += 1
-        counters.n_master_nodes += sol.n_nodes
+        report.master_time += time.perf_counter() - t0
+        report.n_master_solves += 1
+        report.n_master_nodes += sol.n_nodes
         return sol
 
     if backend.supports_callback:
@@ -409,55 +387,44 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
                 failures = check(cand)
                 return cut_batch(failures, cand) if failures else []
             finally:
-                counters.master_time -= time.perf_counter() - t0
+                report.master_time -= time.perf_counter() - t0
 
         sol = run_master(hook=hook)
-        wall = time.perf_counter() - start
-        status = sol.status
-        objective = sol.objective
-        bound = sol.bound
+        report.status, report.objective, report.bound = (
+            sol.status, sol.objective, sol.bound
+        )
         cand = sol.candidate if sol.x is not None else None
     else:
-        objective = None
-        bound = None
         cand = None
-        status = LIMIT
+        report.status = LIMIT
         while True:
             sol = run_master()
+            report.bound = sol.bound
             if sol.x is None:
-                status = sol.status
-                bound = sol.bound
+                report.status = sol.status
                 break
-            bound = sol.bound
             failures = check(sol.candidate)
             if not failures:
                 cand = sol.candidate
-                objective = sol.objective
-                status = sol.status
+                report.status, report.objective = sol.status, sol.objective
                 break
             cut_batch(failures, sol.candidate)
             if remaining() <= 0:
-                status = LIMIT
-                break
-        wall = time.perf_counter() - start
+                break  # status stays LIMIT
+    report.wall_time = time.perf_counter() - start
+    report.n_cuts = len(model.cuts)
+    report.build_time = cache.build_time
+    report.subproblem_creation_time = flow_ctx.build_time if flow_ctx else 0.0
+    report.cuts = list(model.cuts)
 
-    verify_time = 0.0
     if cand is not None:
         t0 = time.perf_counter()
         problems = verify_candidate(inst, cand)
-        verify_time = time.perf_counter() - t0
+        report.verify_time = time.perf_counter() - t0
         if problems:
             raise StructuralError(
                 f"solver produced an infeasible candidate: {problems[:3]}"
             )
-
-    report = collect_report(
-        objective, bound, status, counters, cache,
-        flow_ctx.build_time if flow_ctx else 0.0,
-        wall, len(model.cuts),
-    )
-    report.verify_time = verify_time
-    report.cuts = list(model.cuts)
     return cand, report
 
 

@@ -35,11 +35,13 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 LIMIT = "limit"
 
-# Entries of each of the built-in search's job-set memos (failed scenarios,
-# relaxation-forced scenarios; both local to one solve) before it is emptied.
-# Instances of 12-22 jobs stay below 1000 entries, but a minute on 30 jobs
-# visits about 500k distinct job sets: unbounded, a memo then held about
-# 130 MB; at this size peak RSS stays below 50 MB.
+# Entries of each of the built-in search's job-set memos before it is
+# emptied: the fail memo (the scenarios a set forces to zero, its prefixes'
+# rows included) and the relaxation memo (the scenarios whose relaxation row
+# the set violates on its own), both local to one solve.  Instances of 12-22
+# jobs stay below 1000 entries, but a minute on 30 jobs visits about 500k
+# distinct job sets: unbounded, a memo then held about 130 MB; at this size
+# peak RSS stays below 50 MB.
 FAIL_MEMO_MAX = 1 << 15
 
 
@@ -50,10 +52,19 @@ class BackendError(RuntimeError):
 @dataclass
 class MasterModel:
     inst: Instance
+    # lexicographic machine order: job j may only use machines m <= j, and
+    # machine m+1 only once machine m already holds a lower-indexed job
     symmetry: bool = False
-    scenario_relaxation: bool = False
     cuts: list[Cut] = field(default_factory=list)
+    # optimistic load rows, one per (machine, scenario), or None without
+    # them: each assigned job contributes its execution time plus its
+    # cheapest outgoing setup (closing to the dummy included), a lower bound
+    # on any schedule containing it
     relax_coef: Optional[np.ndarray] = None  # (n_scenarios, n_jobs)
+
+    @property
+    def scenario_relaxation(self) -> bool:
+        return self.relax_coef is not None
 
     @property
     def n_vars(self) -> int:
@@ -76,28 +87,8 @@ class BackendSolution:
 
 def build_master(inst: Instance, symmetry: bool = True,
                  scenario_relaxation: bool = True) -> MasterModel:
-    model = MasterModel(inst=inst)
-    if symmetry:
-        add_symmetry_constraints(model)
-    if scenario_relaxation:
-        add_scenario_relaxation(model)
-    return model
-
-
-def add_symmetry_constraints(model: MasterModel) -> MasterModel:
-    """Lexicographic machine order: job j may only use machines m <= j, and
-    machine m+1 only once machine m already holds a lower-indexed job."""
-    model.symmetry = True
-    return model
-
-
-def add_scenario_relaxation(model: MasterModel) -> MasterModel:
-    """Optimistic load rows, one per (machine, scenario): each assigned job
-    contributes its execution time plus its cheapest outgoing setup (closing
-    to the dummy included), a lower bound on any schedule containing it."""
-    model.scenario_relaxation = True
-    model.relax_coef = optimistic_load_coefficients(model.inst)
-    return model
+    relax_coef = optimistic_load_coefficients(inst) if scenario_relaxation else None
+    return MasterModel(inst=inst, symmetry=symmetry, relax_coef=relax_coef)
 
 
 def optimistic_load_coefficients(inst: Instance) -> np.ndarray:
@@ -252,11 +243,15 @@ class BuiltinBackend:
     machine holds its job set as an integer bitmask together with the
     bitmask of scenarios that pool cuts and relaxation rows force to zero on
     it, so a partial assignment whose surviving probability mass already
-    misses 1 - epsilon is abandoned.  A parent makes both tests on each
-    child before it descends, so the search enters (and its time budget
-    counts) only the nodes that pass them; ``BackendSolution.n_nodes`` is
-    their number.  z is assigned greedily maximal at each leaf, which is
-    optimal since z carries no objective.
+    misses 1 - epsilon is abandoned.  A job joining a machine adds to the
+    machine's bits only its new set's own relaxation rows and the job-set
+    cuts whose highest job it is (each cut is indexed under that job alone),
+    as the bits already hold every row the set covered before.  The machine
+    masks are also the assignment that x is read from.  A parent makes both
+    tests on each child before it descends, so the search enters (and its
+    time budget counts) only the nodes that pass them;
+    ``BackendSolution.n_nodes`` is their number.  z is assigned greedily
+    maximal at each leaf, which is optimal since z carries no objective.
 
     ``hook``, when given, is called with (x, z) at each leaf that meets the
     chance row and returns the cuts (x, z) violates, or nothing to accept
@@ -301,40 +296,34 @@ class BuiltinBackend:
                  if model.scenario_relaxation else None)
         # job-set mask -> bitmask of the scenarios that set forces to zero
         fail_memo: dict[int, int] = {}
-        # job-set mask -> scenarios the relaxation rows force to zero on the
-        # set or one of its prefixes in job order
+        # job-set mask -> scenarios whose relaxation row the set violates
         relax_memo: dict[int, int] = {}
-        # job j -> {mask of a cut job set holding j: its cuts' scenario bits}
-        cuts_by_job: list[dict[int, int]] = [{} for _ in range(n)]
+        # job j -> {mask of a cut job set whose highest job is j: its cuts'
+        # scenario bits}
+        cuts_by_last: list[dict[int, int]] = [{} for _ in range(n)]
 
         def jobs_of(mask: int) -> list[int]:
             return [i for i in range(n) if mask >> i & 1]
 
-        def relax_of(mask: int) -> int:
-            """Scenarios whose relaxation row is violated by ``mask`` or by
-            a prefix of it in job order (the sets the search, adding jobs
-            in index order, passed on its way to ``mask``)."""
-            bits = relax_memo.get(mask)
-            if bits is None:
-                parent = mask ^ (1 << (mask.bit_length() - 1))
-                bits = relax_of(parent) if parent else 0
-                over = relax[jobs_of(mask)].sum(axis=0) > T + TOL
-                bits |= int.from_bytes(
-                    np.packbits(over, bitorder="little").tobytes(), "little"
-                )
-                if len(relax_memo) >= FAIL_MEMO_MAX:
-                    relax_memo.clear()
-                relax_memo[mask] = bits
-            return bits
-
         def fail_of(mask: int, j: int, parent: int) -> int:
-            """Forced scenarios of ``mask``, the set whose forced scenarios
-            are ``parent`` plus its highest job j.  A scenario stays forced
-            once forced, as both row families only tighten when jobs join."""
+            """Forced scenarios of ``mask``, whose highest job is j.
+            ``parent``, the bits of ``mask`` without j, holds every row that
+            set covers, so only ``mask``'s own relaxation rows and the cuts
+            whose highest job is j remain.  A scenario stays forced once
+            forced, as both row families only tighten when jobs join."""
             bits = parent
             if relax is not None:
-                bits |= relax_of(mask)
-            for cmask, wbits in cuts_by_job[j].items():
+                own = relax_memo.get(mask)
+                if own is None:
+                    over = relax[jobs_of(mask)].sum(axis=0) > T + TOL
+                    own = int.from_bytes(
+                        np.packbits(over, bitorder="little").tobytes(), "little"
+                    )
+                    if len(relax_memo) >= FAIL_MEMO_MAX:
+                        relax_memo.clear()
+                    relax_memo[mask] = own
+                bits |= own
+            for cmask, wbits in cuts_by_last[j].items():
                 if cmask & mask == cmask:
                     bits |= wbits
             if len(fail_memo) >= FAIL_MEMO_MAX:
@@ -342,7 +331,6 @@ class BuiltinBackend:
             fail_memo[mask] = bits
             return bits
 
-        assign = [-1] * n
         mach_mask = [0] * M
         mach_fail = [0] * M
 
@@ -352,11 +340,12 @@ class BuiltinBackend:
 
         def add_lazy(new_cuts) -> None:
             """Enter cuts into the search: the pool before it starts, hook
-            cuts as they come.  A job-set cut joins ``cuts_by_job`` and sets
-            its scenario bit on every machine of the current path whose job
-            set covers it, so the path's bits stay exact; the memo, whose
-            entries predate the cut, is emptied and refills from them.  Flow
-            cuts are tested at the leaves."""
+            cuts as they come.  A job-set cut joins ``cuts_by_last`` under
+            its highest job and sets its scenario bit on every machine of
+            the current path whose job set covers it, so the path's bits
+            stay exact; the fail memo, whose entries predate the cut, is
+            emptied and refills from them.  Flow cuts are tested at the
+            leaves."""
             for cut in new_cuts:
                 if cut.kind == BENDERS:
                     const, coefs = cut.benders_payload
@@ -364,9 +353,8 @@ class BuiltinBackend:
                     continue
                 cmask, wbit = cut.job_mask(), 1 << cut.scenario
                 job_cuts.append((cmask, cut.scenario))
-                for j in cut.job_set:
-                    sets = cuts_by_job[j - 1]
-                    sets[cmask] = sets.get(cmask, 0) | wbit
+                sets = cuts_by_last[cmask.bit_length() - 1]
+                sets[cmask] = sets.get(cmask, 0) | wbit
                 for m, mk in enumerate(mach_mask):
                     if mk & cmask == cmask:
                         mach_fail[m] |= wbit
@@ -401,9 +389,8 @@ class BuiltinBackend:
 
         def current_x() -> np.ndarray:
             x = np.zeros((n, M), dtype=np.int8)
-            for j in range(n):
-                if assign[j] >= 0:
-                    x[j, assign[j]] = 1
+            for m, mk in enumerate(mach_mask):
+                x[jobs_of(mk), m] = 1
             return x
 
         def handle_leaf(util: float) -> None:
@@ -467,10 +454,8 @@ class BuiltinBackend:
                 if (path.bit_count() > max_fail
                         or grown_util + child_bounds[used + 1] <= best_obj + TOL):
                     continue
-                assign[j] = m
                 mach_mask[m], mach_fail[m] = grown, new
                 dfs(j + 1, grown_util, used + 1, path)
-                assign[j] = -1
                 mach_mask[m], mach_fail[m] = mask, old
                 if len(job_cuts) > seen:
                     # hook cuts that arrived in the subtree: the restored
@@ -494,10 +479,10 @@ class BuiltinBackend:
             if max_fail >= 0:
                 dfs(0, 0.0, 0, 0)
         finally:
-            # both recursive closures hold themselves through their cells;
-            # unlinking them frees the search state on return instead of in
-            # a later cyclic collection
-            dfs = relax_of = None
+            # the recursive closure holds itself through its cell; unlinking
+            # it frees the search state on return instead of in a later
+            # cyclic collection
+            dfs = None
 
         if best_x is None:
             if limit:

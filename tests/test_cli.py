@@ -139,6 +139,21 @@ def test_solve_budget_exhaustion_exit_code(tmp_path, capsys):
     assert row[3] == "inf" and row[4] == "0"
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_invalid_budget_is_a_configuration_error(tmp_path, capsys, budget):
+    # a NaN deadline never passes, so a NaN budget would be ignored; both
+    # it and a negative budget exit 2, and bench writes nothing
+    inst_path = tmp_path / "i.json"
+    run(gen_args(inst_path))
+    out = tmp_path / "runs.csv"
+    capsys.readouterr()
+    for args in (["solve", inst_path, "--budget", budget],
+                 ["bench", inst_path, "--budget", budget, "--out", out]):
+        assert run(args) == cli.EXIT_CONFIG, args[0]
+        assert "time budget" in capsys.readouterr().err, args[0]
+    assert not out.exists()
+
+
 def test_verify_catches_tampering(tmp_path, capsys):
     inst_path = tmp_path / "i.json"
     sol_path = tmp_path / "s.json"

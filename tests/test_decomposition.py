@@ -10,6 +10,7 @@ import pytest
 from ccpmsp import decomposition, jobset, lastjob, master, netflow
 from ccpmsp.decomposition import (
     SolveOptions,
+    SolveReport,
     check_candidate,
     compute_gap,
     emit_cuts,
@@ -193,18 +194,18 @@ def test_check_equals_a_per_machine_sweep_of_every_claimed_scenario(variant):
             x[jobs[hi - sizes[m]:min(hi, inst.n_jobs)], m] = 1
         z = (rng.random(inst.n_scenarios) < 0.8).astype(np.int8)
         cand = Candidate(x=x, z=z)
-        counters = decomposition._Counters(
+        report = SolveReport(
             check_counts=np.zeros((inst.n_machines, inst.n_scenarios), dtype=np.int64))
         cache = DiagramCache(max_depth=inst.capacity)
-        failures = check_candidate(inst, cand, cache, variant, counters)
+        failures = check_candidate(inst, cand, cache, variant, report)
         got = [(*f, f.times.tobytes()) for f in failures]
         assert got == reference_check(inst, cand, variant)
         claimed = sum(len(cand.machine_jobs(m)) > 0 for m in range(inst.n_machines))
-        assert counters.check_counts.sum() == claimed * z.sum()
-        swept = counters.check_counts.sum() - counters.n_certified
+        assert report.check_counts.sum() == claimed * z.sum()
+        swept = report.check_counts.sum() - report.n_certified
         assert swept == n_uncertified(inst, cand, variant)
         n_failures += len(failures)
-        n_certified += counters.n_certified
+        n_certified += report.n_certified
         n_passed_sweeps += swept - len(failures)
     assert min(n_failures, n_certified, n_passed_sweeps) > 0
 
@@ -229,20 +230,20 @@ def test_all_certified_check_builds_no_diagram(monkeypatch, variant):
     x = np.zeros((k, 2), dtype=np.int8)
     x[:, 0] = 1
     cand = Candidate(x=x, z=np.ones(1, dtype=np.int8))
-    counters = decomposition._Counters(check_counts=np.zeros((2, 1), dtype=np.int64))
+    report = SolveReport(check_counts=np.zeros((2, 1), dtype=np.int64))
     widths = counting_set_times(monkeypatch)
     cache = DiagramCache(max_depth=k)
     assert k >= decomposition.CERTIFY_MIN_JOBS
-    assert check_candidate(inst, cand, cache, variant, counters) == []
+    assert check_candidate(inst, cand, cache, variant, report) == []
     assert widths == [] and cache.count(variant) == 0 and cache.build_time == 0.0
-    assert counters.n_certified == counters.check_counts.sum() == 1
+    assert report.n_certified == report.check_counts.sum() == 1
     # just below the optimum the pair is refuted, through the sweep
     inst = line_instance(k, time_limit=2.0 * k - 1e-6)
-    failures = check_candidate(inst, cand, cache, variant, counters)
+    failures = check_candidate(inst, cand, cache, variant, report)
     assert failures == [(0, 0, tuple(range(1, k + 1)))]
     assert widths == [1] and cache.count(variant) == 1
     assert failures[0].times[-1] == 2.0 * k
-    assert counters.n_certified == 1 and counters.check_counts.sum() == 2
+    assert report.n_certified == 1 and report.check_counts.sum() == 2
 
 
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
@@ -291,17 +292,17 @@ def test_check_candidate_memory_is_bounded_by_the_chunk_cap(monkeypatch):
                                 lambda t, d, limit: np.zeros(t.shape[1], dtype=bool))
         for variant in (JOBSET, LASTJOB):
             check_candidate(inst, cand, cache, variant)
-            counters = decomposition._Counters(
+            report = SolveReport(
                 check_counts=np.zeros((2, inst.n_scenarios), dtype=np.int64))
             tracemalloc.start()
             try:
-                failures = check_candidate(inst, cand, cache, variant, counters)
+                failures = check_candidate(inst, cand, cache, variant, report)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert failures
             assert peak <= 3 * 2**20, (variant, certify)
-            assert (counters.n_certified == 0) == (not certify)
+            assert (report.n_certified == 0) == (not certify)
 
 
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
@@ -313,7 +314,7 @@ def test_a_solve_sweeps_once_per_machine_chunk(monkeypatch, variant):
     batches = []
     original_check = decomposition.check_candidate
 
-    def check(inst, cand, cache, variant, counters=None):
+    def check(inst, cand, cache, variant, report=None):
         for m in range(inst.n_machines):
             k = len(cand.machine_jobs(m))
             if k and cand.z.any():
@@ -321,7 +322,7 @@ def test_a_solve_sweeps_once_per_machine_chunk(monkeypatch, variant):
                 n_claimed = int(cand.z.sum())
                 batches.append(min(n_claimed, -(-n_claimed * cells
                                                 // decomposition.SWEEP_CHUNK_CELLS)))
-        return original_check(inst, cand, cache, variant, counters)
+        return original_check(inst, cand, cache, variant, report)
 
     def refuse(*args):
         raise AssertionError("single-scenario call in the solve path")
@@ -671,18 +672,18 @@ def test_check_time_excludes_diagram_builds():
     # time the call took
     inst = make_instance(B10_CONFIG)
     cache = DiagramCache(max_depth=inst.capacity)
-    counters = decomposition._Counters(
+    report = SolveReport(
         check_counts=np.zeros((inst.n_machines, inst.n_scenarios), dtype=np.int64)
     )
     x = np.zeros((inst.n_jobs, inst.n_machines), dtype=np.int8)
     x[:10, 0] = x[10:, 1] = 1
     cand = Candidate(x=x, z=np.ones(inst.n_scenarios, dtype=np.int8))
     t0 = time.perf_counter()
-    check_candidate(inst, cand, cache, JOBSET, counters)
+    check_candidate(inst, cand, cache, JOBSET, report)
     elapsed = time.perf_counter() - t0
     assert cache.build_time > 0.0
-    assert 0.0 <= counters.resolution_time
-    assert counters.resolution_time + cache.build_time <= elapsed
+    assert 0.0 <= report.subproblem_resolution_time
+    assert report.subproblem_resolution_time + cache.build_time <= elapsed
 
 
 def test_solve_verifies_above_brute_force_capacity(monkeypatch):

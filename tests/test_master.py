@@ -443,8 +443,10 @@ def test_hook_cuts_reach_the_search_bits_exactly(model, data):
     # some job-set cuts of the pool reach the search only through the hook,
     # which returns exactly those (x, z) violates.  Job-set cuts have no
     # leaf check: at every hook call, no cut the search holds may be covered
-    # by a machine of x while its flag is set, also when the job-set memo
-    # is emptied every few entries
+    # by a machine of x while its flag is set, and z must be the maximal z
+    # of the rows the search holds (relaxation rows, the pool, the hidden
+    # cuts returned so far), also when the job-set memos are emptied every
+    # few entries
     inst = model.inst
     for _ in range(data.draw(st.integers(0, 4))):
         model.cuts.append(Cut(
@@ -467,11 +469,16 @@ def test_hook_cuts_reach_the_search_bits_exactly(model, data):
                                scenario_relaxation=model.scenario_relaxation)
         partial.cuts.extend(shown)
         held = [c for c in shown if c.kind != BENDERS]
+        rows = build_master(inst, symmetry=model.symmetry,
+                            scenario_relaxation=model.scenario_relaxation)
+        rows.cuts.extend(shown)
 
         def hook(x, z):
             assert violated(held, x, z) == []
+            assert z.tolist() == maximal_z(rows, x)[0].tolist()
             found = violated(hidden, x, z)
             held.extend(found)
+            rows.cuts.extend(found)
             return found
 
         with pytest.MonkeyPatch.context() as mp:
@@ -482,10 +489,23 @@ def test_hook_cuts_reach_the_search_bits_exactly(model, data):
         assert check_rows(model, got.x, got.z) == []
 
 
+def maximal_z(model, x):
+    """The maximal z for x, by substitution: a scenario drops exactly when
+    one of its relaxation or cut rows is violated at z = 1.  Also returns
+    the rows violated at z = 1."""
+    z = np.ones(model.inst.n_scenarios, dtype=np.int8)
+    violated = check_rows(model, x, z)
+    for v in violated:
+        if v.startswith("relax_"):
+            z[int(v.split("_")[1])] = 0
+        elif v.startswith("cut_"):
+            z[model.cuts[int(v.split("_")[1])].scenario] = 0
+    return z, violated
+
+
 def brute_master(model):
     """Best objective over every assignment respecting the assignment,
-    capacity and symmetry rows, with z maximal: a scenario drops exactly
-    when one of its rows is violated at z = 1."""
+    capacity and symmetry rows, with z maximal."""
     from itertools import product
 
     inst = model.inst
@@ -496,15 +516,9 @@ def brute_master(model):
         for j, c in enumerate(choice):
             if c:
                 x[j, c - 1] = 1
-        z = np.ones(inst.n_scenarios, dtype=np.int8)
-        violated = check_rows(model, x, z)
+        z, violated = maximal_z(model, x)
         if any(v.startswith(("cap", "sym")) for v in violated):
             continue
-        for v in violated:
-            if v.startswith("relax_"):
-                z[int(v.split("_")[1])] = 0
-            elif v.startswith("cut_"):
-                z[model.cuts[int(v.split("_")[1])].scenario] = 0
         if check_rows(model, x, z):
             continue
         obj = float(inst.utilities @ x.sum(axis=1))
