@@ -36,7 +36,7 @@ SOLVE_COLUMNS = (
     "model,cut,total_time,gap,optimal,n_callbacks,n_cuts,"
     "resol_time,resol_time_per_cb,create_cut_time,create_sp_time,"
     "master_time,verify_time,status,build_time,n_master_solves,n_certified,"
-    "n_master_nodes"
+    "n_master_nodes,n_fallbacks"
 )
 BENCH_COLUMNS = "instance,dataset,jobs,machines,scenarios," + SOLVE_COLUMNS
 
@@ -79,6 +79,7 @@ def solve_row(model_name: str, cut: str, report) -> str:
             str(report.n_master_solves),
             str(report.n_certified),
             str(report.n_master_nodes),
+            str(report.n_fallbacks),
         ]
     )
 

@@ -43,6 +43,8 @@ from .master import (
     LIMIT,
     OPTIMAL,
     build_master,
+    flow_block,
+    flow_lhs,
     solve_master,
 )
 from .model import (
@@ -119,6 +121,9 @@ class SolveReport:
     status: str = "unknown"
     n_callbacks: int = 0  # subproblem checks (check_candidate calls)
     n_cuts: int = 0
+    # cut batches whose own cuts did not exclude their candidate, so that
+    # the failures' no-goods joined them
+    n_fallbacks: int = 0
     subproblem_resolution_time: float = 0.0
     cut_creation_time: float = 0.0
     subproblem_creation_time: float = 0.0  # the netflow context
@@ -361,7 +366,8 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         fresh = append_cuts(emit_cuts(
             failures, opts.cut_kind, inst, cand, report, flow_ctx, job_sets,
         ))
-        if not _batch_excludes(inst, model, fresh, cand):
+        if not _batch_excludes(inst, fresh, cand):
+            report.n_fallbacks += 1
             nogoods = append_cuts(emit_cuts(failures, NOGOOD, inst,
                                             job_sets=job_sets))
             if not nogoods:
@@ -428,21 +434,26 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
     return cand, report
 
 
-def _batch_excludes(inst: Instance, model, fresh_cuts, cand: Candidate) -> bool:
-    """True if some fresh cut row is violated by the candidate as-is."""
+def _batch_excludes(inst: Instance, fresh_cuts, cand: Candidate) -> bool:
+    """True if some fresh cut row is violated by the candidate as-is.  Flow
+    rows are tested as the built-in search's leaves test them, through
+    ``flow_lhs`` on each machine that holds jobs."""
+    flows = []
     for cut in fresh_cuts:
-        w = cut.scenario
-        if cand.z[w] == 0:
+        if cand.z[cut.scenario] == 0:
             continue
         if cut.kind == BENDERS:
-            const, coefs = cut.benders_payload
-            coefs = np.asarray(coefs, float)
-            for m in range(inst.n_machines):
-                if const + float(coefs @ cand.x[:, m]) > inst.time_limit + TOL:
-                    return True
-        else:
-            mask_jobs = np.array(sorted(cut.job_set)) - 1
-            for m in range(inst.n_machines):
-                if cand.x[mask_jobs, m].sum() >= len(cut.job_set):
-                    return True
+            flows.append(cut)
+            continue
+        mask_jobs = np.array(sorted(cut.job_set)) - 1
+        for m in range(inst.n_machines):
+            if cand.x[mask_jobs, m].sum() >= len(cut.job_set):
+                return True
+    if flows:
+        _, const, coef = flow_block(flows, inst.n_jobs)
+        for m in range(inst.n_machines):
+            jobs = np.flatnonzero(cand.x[:, m])
+            if len(jobs) and np.any(
+                    flow_lhs(const, coef, jobs) > inst.time_limit + TOL):
+                return True
     return False

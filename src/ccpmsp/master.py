@@ -228,6 +228,38 @@ def write_lp(model: MasterModel, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def flow_block(cuts, n_jobs: int):
+    """Flow cuts, in order, as one block: their scenario indices, constants
+    and (rows, n_jobs) coefficient matrix."""
+    scenarios = np.array([cut.scenario for cut in cuts], dtype=np.intp)
+    const = np.array([cut.benders_payload[0] for cut in cuts], dtype=float)
+    coef = np.array([cut.benders_payload[1] for cut in cuts],
+                    dtype=float).reshape(len(cuts), n_jobs)
+    return scenarios, const, coef
+
+
+def flow_lhs(const: np.ndarray, coef: np.ndarray, jobs) -> np.ndarray:
+    """Left-hand side of every flow row of a block on a machine holding
+    ``jobs`` (0-based, ascending, at most 15): const + the jobs'
+    coefficients.  A row is violated where it exceeds T + TOL; the leaf
+    test and the cut batch's exclusion test both read it from here.
+
+    Each value is bitwise ``const[i] + coef[i, jobs].sum()``.  numpy adds
+    up to 7 terms one at a time in any layout, but 8 to 15 terms of one
+    array as a tree over the first eight, then the rest one at a time,
+    onto the identity 0.0, while a row reduction of a 2-D array adds them
+    all one at a time."""
+    part = coef[:, jobs]
+    if len(jobs) < 8:
+        return const + part.sum(axis=1)
+    pairs = part[:, 0:8:2] + part[:, 1:8:2]
+    quads = pairs[:, 0::2] + pairs[:, 1::2]
+    total = quads[:, 0] + quads[:, 1]
+    for c in range(8, len(jobs)):
+        total += part[:, c]
+    return const + (0.0 + total)
+
+
 # ---------------------------------------------------------------------------
 # built-in branch and bound
 # ---------------------------------------------------------------------------
@@ -257,8 +289,9 @@ class BuiltinBackend:
     chance row and returns the cuts (x, z) violates, or nothing to accept
     it.  Its cuts enter the search as the pool's do: a job-set cut sets its
     scenario bit on every machine whose job set covers it, from here on,
-    which prunes interior nodes and drops the flag at leaves; flow cuts are
-    tested at the leaves.
+    which prunes interior nodes and drops the flag at leaves; flow cuts
+    join one block of rows, which each leaf tests with one gather and row
+    sum per machine that holds jobs (``flow_lhs``).
     """
 
     supports_callback = True
@@ -334,9 +367,10 @@ class BuiltinBackend:
         mach_mask = [0] * M
         mach_fail = [0] * M
 
-        # job-set cuts in arrival order, (jobmask, scenario), and flow cuts
+        # job-set cuts in arrival order, (jobmask, scenario), and the flow
+        # rows as one block (``flow_block``)
         job_cuts: list[tuple[int, int]] = []
-        flow_cuts: list[tuple[int, float, np.ndarray]] = []
+        flow_w, flow_const, flow_coef = flow_block((), n)
 
         def add_lazy(new_cuts) -> None:
             """Enter cuts into the search: the pool before it starts, hook
@@ -344,12 +378,13 @@ class BuiltinBackend:
             its highest job and sets its scenario bit on every machine of
             the current path whose job set covers it, so the path's bits
             stay exact; the fail memo, whose entries predate the cut, is
-            emptied and refills from them.  Flow cuts are tested at the
-            leaves."""
+            emptied and refills from them.  Flow cuts extend the block of
+            rows the leaves test."""
+            nonlocal flow_w, flow_const, flow_coef
+            flows = []
             for cut in new_cuts:
                 if cut.kind == BENDERS:
-                    const, coefs = cut.benders_payload
-                    flow_cuts.append((cut.scenario, const, np.asarray(coefs, float)))
+                    flows.append(cut)
                     continue
                 cmask, wbit = cut.job_mask(), 1 << cut.scenario
                 job_cuts.append((cmask, cut.scenario))
@@ -359,6 +394,11 @@ class BuiltinBackend:
                     if mk & cmask == cmask:
                         mach_fail[m] |= wbit
                 fail_memo.clear()
+            if flows:
+                w, const, coef = flow_block(flows, n)
+                flow_w = np.concatenate((flow_w, w))
+                flow_const = np.concatenate((flow_const, const))
+                flow_coef = np.concatenate((flow_coef, coef))
 
         add_lazy(model.cuts)
 
@@ -378,13 +418,13 @@ class BuiltinBackend:
             for bits in mach_fail:
                 failed |= bits
             z = np.array([not failed >> w & 1 for w in range(n_sc)])
-            machines = [jobs_of(mk) for mk in mach_mask if mk] if flow_cuts else ()
-            for w, const, coefs in flow_cuts:
-                if z[w]:
-                    for jobs in machines:
-                        if const + coefs[jobs].sum() > T + TOL:
-                            z[w] = False
-                            break
+            if len(flow_w):
+                # a flow row drops its scenario when some machine violates it
+                over = np.zeros(len(flow_w), dtype=bool)
+                for mk in mach_mask:
+                    if mk:
+                        over |= flow_lhs(flow_const, flow_coef, jobs_of(mk)) > T + TOL
+                z[flow_w[over]] = False
             return z
 
         def current_x() -> np.ndarray:

@@ -12,9 +12,12 @@ only the states whose job set is a subset of x, and what is left to place
 from any state is a subset of x, so the dual pass is two Held-Karp passes
 over the subsets of x, forward and backward, plus the out-arcs of the
 states x reaches: 2^|x| table rows instead of every arc.  It takes the same
-minima of the same sums as a pass over the arcs, and the cut payloads read
-only the arcs with a nonzero dual and add their terms in the order a loop
-over the arcs would, so every value is bitwise that loop's.
+minima of the same sums as a pass over the arcs.  It returns the duals
+compactly: pi at the root, and the reached arcs with a negative reduction
+with their duals, reading pi only at those arcs' heads; no per-node or
+per-arc array is allocated.  The cut payloads read only those arcs and add
+their terms in the order a loop over the arcs would, so every value is
+bitwise that loop's.
 """
 
 from __future__ import annotations
@@ -223,11 +226,12 @@ def _subsets(k: int):
 
 @dataclass
 class DualValues:
-    pi: np.ndarray
     pi_root: float
-    alpha: np.ndarray  # per arc; nonzero only on assignment arcs
-    beta: np.ndarray  # per arc; nonzero only on non-assignment arcs
-    arcs: np.ndarray = field(repr=False)  # arcs with a nonzero dual, ascending
+    # the reached arcs with a negative reduction, ascending, and their duals
+    # r: alpha on an assignment arc, beta on a non-assignment arc; every
+    # other arc's dual is 0
+    arcs: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False)
 
 
 def extract_duals(capd: CapDiagram, x_col: np.ndarray, t: np.ndarray,
@@ -239,7 +243,7 @@ def extract_duals(capd: CapDiagram, x_col: np.ndarray, t: np.ndarray,
     would bring: fdist(tail) + cost + pi(head) - pi(root).  Arcs on the
     current shortest path, and arcs whose forced path is no better, get
     zero.  Arc costs are cells of ``lastjob.cost_table`` (t[0] is the
-    dummy's 0).
+    dummy's 0).  Only pi(root) and the nonzero duals are returned.
 
     Both passes run over the subsets of the column's jobs x, not the arcs:
     - an assignment arc is enabled when its job is in x, a non-assignment
@@ -248,9 +252,10 @@ def extract_duals(capd: CapDiagram, x_col: np.ndarray, t: np.ndarray,
       Held-Karp over those subsets, and every other arc has r = inf;
     - every state has an enabled out-arc, and from (mask, last) the enabled
       paths place exactly x minus mask before ending, so pi(mask, last) is
-      a backward Held-Karp over (subset of x, last), read onto every node.
-      A last job into the terminal pays its closing setup on its own arc
-      instead of on a non-assignment arc, which adds the same two terms.
+      a backward Held-Karp over (subset of x, last), read at the heads of
+      the reached arcs.  A last job into the terminal pays its closing
+      setup on its own arc instead of on a non-assignment arc, which adds
+      the same two terms.
     Each distance takes the minimum of the same candidate sums, added in
     the same order, as a pass over the arcs would, so every value is
     bitwise that pass's.
@@ -262,10 +267,13 @@ def extract_duals(capd: CapDiagram, x_col: np.ndarray, t: np.ndarray,
     jobs = np.flatnonzero(np.asarray(x_col)) + 1
     k = len(jobs)
     # tables are indexed by subsets of x over positions in ``jobs``, and by
-    # last job; sub maps such a subset to its job mask
+    # last job; sub maps such a subset to its job mask, pos_bit a job to
+    # its position's bit (0 for a job outside x and for the dummy)
     sub = np.zeros(1 << k, dtype=np.int64)
     for i, j in enumerate(jobs.tolist()):
         sub[1 << i:2 << i] = sub[:1 << i] | 1 << (j - 1)
+    pos_bit = np.zeros(width, dtype=np.int32)
+    pos_bit[jobs] = np.int32(1) << np.arange(k, dtype=np.int32)
     layers, (pair_mask, pair_pos) = _subsets(k)
 
     # fdist[S, last] from the root; togo[R, last]: the cheapest way to
@@ -281,11 +289,8 @@ def extract_duals(capd: CapDiagram, x_col: np.ndarray, t: np.ndarray,
         if s < n:  # x itself is the terminal when it holds every job
             fdist[masks[:, None], placed] = (fdist[rests] + step).min(axis=2)
         togo[masks] = (step + togo[rests, placed][..., None]).min(axis=1)
-    by_mask = np.empty((1 << n, width))
-    by_mask[sub] = togo
-    pi = by_mask[sub[-1] & ~capd.node_mask, capd.node_last]
-    pi[capd.terminal] = 0.0
-    pi_root = float(pi[capd.root])
+    everything = (1 << k) - 1
+    pi_root = float(togo[everything, 0])
 
     # every out-arc of the reached tails, in arc order; the root is the
     # first pair, and the full job set is the terminal, not a tail
@@ -297,16 +302,17 @@ def extract_duals(capd: CapDiagram, x_col: np.ndarray, t: np.ndarray,
     count = capd.first_out[tails + 1] - first
     ends = np.cumsum(count)
     arcs = np.arange(ends[-1]) + np.repeat(first - (ends - count), count)
-    r = (np.repeat(fdist[pair_mask, tail_job], count)
-         + costs[capd.arc_cell[arcs]] + pi[capd.arc_head[arcs]] - pi_root)
+    pair = np.repeat(np.arange(len(tails)), count)  # each arc's tail
+    # a non-terminal head holds the tail's subset plus the arc's job, which
+    # is its last job; pi there places the rest of x
+    head = capd.arc_head[arcs]
+    head_last = capd.node_last[head]
+    rest = everything ^ (pair_mask[pair] | pos_bit[head_last])
+    pi_head = np.where(head == capd.terminal, 0.0, togo[rest, head_last])
+    r = (fdist[pair_mask, tail_job][pair] + costs[capd.arc_cell[arcs]]
+         + pi_head - pi_root)
     neg = r < 0
-    arcs, r = arcs[neg], r[neg]
-    on = capd.arc_kind[arcs] == ASSIGN
-    alpha = np.zeros(capd.n_arcs)
-    alpha[arcs[on]] = r[on]
-    beta = np.zeros(capd.n_arcs)
-    beta[arcs[~on]] = r[~on]
-    return DualValues(pi=pi, pi_root=pi_root, alpha=alpha, beta=beta, arcs=arcs)
+    return DualValues(pi_root=pi_root, arcs=arcs[neg], r=r[neg])
 
 
 # Float sums round differently in another order, so the payloads below add
@@ -319,32 +325,33 @@ def _running_sum(start: float, terms: np.ndarray) -> float:
     return float(acc[0])
 
 
-def _na_terms(capd: CapDiagram, arcs: np.ndarray):
-    """(arc, 0-based job) of every job of U_a of the non-assignment
-    ``arcs`` (ascending), in arc order, jobs ascending."""
+def _na_terms(capd: CapDiagram, arcs: np.ndarray, r: np.ndarray):
+    """(arc, dual, 0-based job) of every job of U_a of the non-assignment
+    ``arcs`` (ascending) with duals ``r``, in arc order, jobs ascending."""
     bits = np.int64(1) << np.arange(capd.n_jobs, dtype=np.int64)
     rows, jobs = np.nonzero((capd.arc_cap[arcs, None] & bits) != 0)
-    return arcs[rows], jobs
+    return arcs[rows], r[rows], jobs
 
 
 def _split(duals: DualValues, capd: CapDiagram):
-    """The assignment and the non-assignment arcs with a nonzero dual."""
+    """(arcs, alpha) of the assignment arcs and (arcs, beta) of the
+    non-assignment arcs with a nonzero dual."""
     on = capd.arc_kind[duals.arcs] == ASSIGN
-    return duals.arcs[on], duals.arcs[~on]
+    return ((duals.arcs[on], duals.r[on]), (duals.arcs[~on], duals.r[~on]))
 
 
 def basic_payload(duals: DualValues, capd: CapDiagram):
     """(constant, per-job coefficients) of the plain flow cut: each alpha
     goes on its job; each beta goes on the constant and, negated, on every
     job of U_a, once per job."""
-    a_arcs, b_arcs = _split(duals, capd)
-    b_arcs, b_jobs = _na_terms(capd, b_arcs)
+    (a_arcs, alpha), (b_arcs, beta) = _split(duals, capd)
+    b_arcs, beta, b_jobs = _na_terms(capd, b_arcs, beta)
     order = np.argsort(np.concatenate((a_arcs, b_arcs)), kind="stable")
     jobs = np.concatenate((capd.arc_job[a_arcs] - 1, b_jobs))
-    terms = np.concatenate((duals.alpha[a_arcs], -duals.beta[b_arcs]))
+    terms = np.concatenate((alpha, -beta))
     coef = np.zeros(capd.n_jobs)
     np.add.at(coef, jobs[order], terms[order])
-    return _running_sum(duals.pi_root, duals.beta[b_arcs]), coef
+    return _running_sum(duals.pi_root, beta), coef
 
 
 def _first_seen_minima(keys: np.ndarray, values: np.ndarray, size: int):
@@ -365,11 +372,11 @@ def strengthen_layers(duals: DualValues, capd: CapDiagram):
     non-assignment arcs all enter the terminal, so one minimum per job.
     The minima are added in the order their key first goes negative."""
     n = capd.n_jobs
-    a_arcs, b_arcs = _split(duals, capd)
+    (a_arcs, alpha), (b_arcs, beta) = _split(duals, capd)
     keys = (capd.arc_job[a_arcs] - 1) * n + capd.arc_layer[a_arcs]
-    gamma_keys, gamma = _first_seen_minima(keys, duals.alpha[a_arcs], n * n)
-    b_arcs, b_jobs = _na_terms(capd, b_arcs)
-    delta_jobs, delta = _first_seen_minima(b_jobs, duals.beta[b_arcs], n)
+    gamma_keys, gamma = _first_seen_minima(keys, alpha, n * n)
+    _, beta, b_jobs = _na_terms(capd, b_arcs, beta)
+    delta_jobs, delta = _first_seen_minima(b_jobs, beta, n)
     coef = np.zeros(n)
     np.add.at(coef, np.concatenate((gamma_keys // n, delta_jobs)),
               np.concatenate((gamma, -delta)))

@@ -1,6 +1,8 @@
 """The layered flow-dual pass and per-arc costs that
 ``ccpmsp.netflow.extract_duals`` replaced, kept as its bitwise reference,
-with the payloads that read every non-assignment arc.
+with the payloads that read every non-assignment arc, and ``full_arrays``,
+which rebuilds the per-node and per-arc dual arrays that the compact duals
+of ``extract_duals`` leave out.
 
 ``extract_duals`` runs over the whole capacitated diagram, one decision
 layer at a time: a forward pass over the arcs the column enables, then a
@@ -187,3 +189,16 @@ def strengthen_layers(duals: DualValues, capd):
     np.add.at(coef, np.concatenate((gamma_keys // n, delta_jobs)),
               np.concatenate((gamma, -delta)))
     return _running_sum(duals.pi_root, delta), coef
+
+
+def full_arrays(capd, duals, x_col: np.ndarray, t: np.ndarray, d: np.ndarray):
+    """(pi, alpha, beta) over every node and arc for the compact ``duals``
+    that ``ccpmsp.netflow.extract_duals`` returned for this column: pi from
+    the layered pass, alpha and beta expanded from (arcs, r), 0 elsewhere."""
+    pi = extract_duals(capd, x_col, t, d).pi
+    on = capd.arc_kind[duals.arcs] == ASSIGN
+    alpha = np.zeros(capd.n_arcs)
+    alpha[duals.arcs[on]] = duals.r[on]
+    beta = np.zeros(capd.n_arcs)
+    beta[duals.arcs[~on]] = duals.r[~on]
+    return pi, alpha, beta

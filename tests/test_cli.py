@@ -55,7 +55,9 @@ def test_solve_and_verify_round_trip(tmp_path, capsys):
     row = out[2].split(",")
     assert row[0] == "jobset" and row[1] == "iis"
     assert row[3] == "0" and row[4] == "1"  # gap 0, optimal
-    assert out[1].endswith(",n_master_solves,n_certified,n_master_nodes")
+    assert out[1].endswith(
+        ",n_master_solves,n_certified,n_master_nodes,n_fallbacks")
+    assert row[-1] == "0"  # IIS cuts always exclude their candidate
     assert len(row) == len(out[1].split(","))
     assert run(["verify", inst_path, "--solution", sol_path]) == 0
 
@@ -336,7 +338,7 @@ def test_bench_status_tells_errors_from_limits(tmp_path, monkeypatch):
     row = bench(small, 60)
     assert row["status"] == "error" and row["gap"] == "inf"
     assert row["n_master_solves"] == row["n_certified"] == "0"
-    assert row["n_master_nodes"] == "0"
+    assert row["n_master_nodes"] == row["n_fallbacks"] == "0"
 
 
 def test_bench_parallel_matches_serial(tmp_path):

@@ -652,6 +652,22 @@ def test_report_counters_consistent(uniform_scenario):
 
 @pytest.mark.parametrize("solve", [solve_iteratively, solve_ccpmsp],
                          ids=["iterative", "callback"])
+def test_fallbacks_count_the_batches_their_own_cuts_did_not_exclude(solve):
+    # the Benders benchmark instance: IIS cuts always exclude their
+    # candidate; flow cuts there never do, so every batch falls back on the
+    # failures' no-goods (one batch per failing check)
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=10, n_machines=2,
+                                   n_scenarios=10, dif=-1.0, seed=504))
+    _, iis = solve(inst, SolveOptions(cut_kind="iis", time_budget=60))
+    assert iis.optimal and iis.n_fallbacks == 0
+    _, flow = solve(inst, SolveOptions(cut_kind="benders", time_budget=60))
+    assert flow.optimal
+    assert 0 < flow.n_fallbacks <= flow.n_callbacks
+    assert sum(c.kind == "nogood" for c in flow.cuts) >= flow.n_fallbacks
+
+
+@pytest.mark.parametrize("solve", [solve_iteratively, solve_ccpmsp],
+                         ids=["iterative", "callback"])
 def test_master_time_overlaps_no_other_phase(solve):
     # with the hook, its checks and cuts run inside solve_master;
     # master_time leaves them out, so the phase timers add up to at most

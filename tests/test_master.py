@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccpmsp import decomposition, master
+from ccpmsp import decomposition, master, netflow
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.master import (
     BuiltinBackend,
@@ -524,6 +524,45 @@ def brute_master(model):
         obj = float(inst.utilities @ x.sum(axis=1))
         best = obj if best is None else max(best, obj)
     return best
+
+
+@pytest.mark.parametrize("size", range(1, netflow.MDD_MAX_JOBS + 1))
+def test_flow_lhs_is_bitwise_the_per_row_sum(size):
+    # numpy adds 8 or more terms of one array in another order than a row
+    # reduction of a 2-D array; the block must give each row's own sum
+    rng = np.random.default_rng(7000 + size)
+    n = netflow.MDD_MAX_JOBS
+    for _ in range(40):
+        rows = int(rng.integers(1, 40))
+        coef = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-3, 4, (rows, n))
+        coef[rng.random((rows, n)) < 0.3] = 0.0
+        const = rng.standard_normal(rows) * 100.0
+        jobs = np.sort(rng.choice(n, size, replace=False)).tolist()
+        want = np.array([const[i] + coef[i][jobs].sum() for i in range(rows)])
+        assert master.flow_lhs(const, coef, jobs).tobytes() == want.tobytes()
+
+
+def test_builtin_with_a_pool_of_flow_rows_matches_brute_force():
+    # 32 flow cuts of failing columns and no relaxation rows, on one machine
+    # that can take all 9 jobs: the flow rows reject leaves of 8 and 9 jobs
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=9, n_machines=1,
+                                   n_scenarios=4, dif=-20.0, seed=5, capacity=9,
+                                   epsilon=0.05))
+    model = build_master(inst, scenario_relaxation=False)
+    ctx = netflow.FlowContext(inst)
+    rng = np.random.default_rng(17)
+    while len(model.cuts) < 32:
+        x = (rng.random(inst.n_jobs) < 0.9).astype(np.int8)
+        w = int(rng.integers(inst.n_scenarios))
+        t, d = netflow.full_times(inst, w)
+        if netflow.extract_duals(ctx.capd, x, t, d).pi_root > inst.time_limit:
+            jobs = frozenset(int(j) + 1 for j in np.flatnonzero(x))
+            model.cuts.append(ctx.cut_for(inst, x, w, jobs))
+    sol = BuiltinBackend().solve(model)
+    assert sol.status == master.OPTIMAL
+    assert sol.objective < inst.utilities.sum()
+    assert sol.objective == pytest.approx(brute_master(model))
+    assert check_rows(model, sol.x, sol.z) == []
 
 
 def test_builtin_beyond_64_scenarios():

@@ -162,8 +162,9 @@ def test_duals_zero_on_shortest_path_and_nonpositive(uniform_scenario):
     capd = netflow.build_mdd_cap(3)
     x = np.array([1, 1, 1])
     duals = netflow.extract_duals(capd, x, t, d)
+    pi, alpha, beta = netflow_reference.full_arrays(capd, duals, x, t, d)
     assert duals.pi_root == pytest.approx(14.0)
-    assert np.all(duals.alpha <= 0) and np.all(duals.beta <= 0)
+    assert np.all(alpha <= 0) and np.all(beta <= 0)
     # follow a cheapest enabled path by the to-terminal distances pi: its
     # arcs have reduction zero, so their duals must be zero
     costs = netflow_reference.cap_arc_costs(capd, t, d)
@@ -171,8 +172,8 @@ def test_duals_zero_on_shortest_path_and_nonpositive(uniform_scenario):
     node, length = capd.root, 0.0
     while node != capd.terminal:
         a = next(a for a in np.flatnonzero(capd.arc_tail == node) if enabled[a]
-                 and costs[a] + duals.pi[capd.arc_head[a]] == duals.pi[node])
-        assert duals.alpha[a] == 0.0 and duals.beta[a] == 0.0
+                 and costs[a] + pi[capd.arc_head[a]] == pi[node])
+        assert alpha[a] == 0.0 and beta[a] == 0.0
         length += costs[a]
         node = capd.arc_head[a]
     assert length == pytest.approx(duals.pi_root)
@@ -188,16 +189,17 @@ def test_dual_feasibility_rows_on_enabled_arcs(seed):
     capd = netflow.build_mdd_cap(k)
     x = (rng.random(k) < 0.5).astype(np.int8)
     duals = netflow.extract_duals(capd, x, t, d)
+    pi, alpha, beta = netflow_reference.full_arrays(capd, duals, x, t, d)
     costs = netflow_reference.cap_arc_costs(capd, t, d)
     enabled = netflow_reference._enabled(capd, x)
     for a in range(capd.n_arcs):
         if not enabled[a]:
             continue
-        lhs = duals.pi[capd.arc_tail[a]] - duals.pi[capd.arc_head[a]]
+        lhs = pi[capd.arc_tail[a]] - pi[capd.arc_head[a]]
         if capd.arc_kind[a] == netflow.ASSIGN:
-            lhs += duals.alpha[a]
+            lhs += alpha[a]
         else:
-            lhs += duals.beta[a] * bin(int(capd.arc_cap[a])).count("1")
+            lhs += beta[a] * bin(int(capd.arc_cap[a])).count("1")
         assert lhs <= costs[a] + 1e-9
 
 
@@ -382,10 +384,11 @@ def test_vectorised_pass_matches_arc_loops_bitwise(n):
         x = (rng.random(n) < rng.random()).astype(np.int8) if edge is None else edge
         pi, pi_root, alpha, beta, basic, layered = loop_flow_cut(capd, x, t, sc.setup)
         duals = netflow.extract_duals(capd, x, t, sc.setup)
-        assert duals.pi.tobytes() == pi.tobytes()
+        full = netflow_reference.full_arrays(capd, duals, x, t, sc.setup)
+        assert full[0].tobytes() == pi.tobytes()
         assert repr(duals.pi_root) == repr(pi_root)
-        assert duals.alpha.tobytes() == alpha.tobytes()
-        assert duals.beta.tobytes() == beta.tobytes()
+        assert full[1].tobytes() == alpha.tobytes()
+        assert full[2].tobytes() == beta.tobytes()
         for got, want in ((netflow.basic_payload(duals, capd), basic),
                           (netflow.strengthen_layers(duals, capd), layered)):
             assert repr(float(got[0])) == repr(float(want[0]))
@@ -426,7 +429,7 @@ def test_flow_duals_and_payloads_bitwise_pinned():
             t, d = netflow.full_times(inst, w)
             for x in sweep_columns(inst.n_jobs):
                 duals = netflow.extract_duals(capd, x, t, d)
-                for arr in (duals.pi, duals.alpha, duals.beta):
+                for arr in netflow_reference.full_arrays(capd, duals, x, t, d):
                     h.update(arr.tobytes())
                 h.update(repr(duals.pi_root).encode())
                 for payload in (netflow.basic_payload, netflow.strengthen_layers):
