@@ -555,7 +555,7 @@ def test_builtin_with_a_pool_of_flow_rows_matches_brute_force():
         x = (rng.random(inst.n_jobs) < 0.9).astype(np.int8)
         w = int(rng.integers(inst.n_scenarios))
         t, d = netflow.full_times(inst, w)
-        if netflow.extract_duals(ctx.capd, x, t, d).pi_root > inst.time_limit:
+        if netflow.extract_duals(x, t, d).pi_root > inst.time_limit:
             jobs = frozenset(int(j) + 1 for j in np.flatnonzero(x))
             model.cuts.append(ctx.cut_for(inst, x, w, jobs))
     sol = BuiltinBackend().solve(model)

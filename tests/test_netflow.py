@@ -51,18 +51,18 @@ def enumerate_chance_feasible(inst):
 
 
 def test_mdd_structure():
-    mdd = netflow.build_mdd_cap(3)
+    mdd = netflow_reference.build_mdd_cap(3)
     assert [len(layer) for layer in mdd.layers] == [1, 3, 6, 1]
     # root arcs: three assignments plus one non-assignment over all jobs
     root_arcs = np.flatnonzero(mdd.arc_tail == mdd.root)
     assert sorted(mdd.arc_job[root_arcs].tolist()) == [-1, 1, 2, 3]
-    na = next(a for a in root_arcs if mdd.arc_kind[a] == netflow.NONASSIGN)
+    na = next(a for a in root_arcs if mdd.arc_kind[a] == netflow_reference.NONASSIGN)
     assert int(mdd.arc_cap[na]) == 0b111
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_structural_invariants(n):
-    capd = netflow.build_mdd_cap(n)
+    capd = netflow_reference.build_mdd_cap(n)
     # ids follow layer order with the terminal last; arcs point forward and
     # are emitted in topological tail order
     seen = [nid for layer in capd.layers for nid in layer]
@@ -71,41 +71,13 @@ def test_structural_invariants(n):
     order = {nid: li for li, layer in enumerate(capd.layers) for nid in layer}
     for a in range(capd.n_arcs):
         assert order[capd.arc_tail[a]] < order[capd.arc_head[a]]
-        if capd.arc_kind[a] == netflow.ASSIGN:
+        if capd.arc_kind[a] == netflow_reference.ASSIGN:
             assert bin(int(capd.arc_cap[a])).count("1") == 1
         else:
-            assert capd.arc_kind[a] == netflow.NONASSIGN
+            assert capd.arc_kind[a] == netflow_reference.NONASSIGN
             assert capd.arc_head[a] == capd.terminal
     for a in range(capd.n_arcs - 1):
         assert order[capd.arc_tail[a]] <= order[capd.arc_tail[a + 1]]
-    # the layout the column-subset dual pass relies on: a node's out-arcs
-    # are one range of first_out; node_of inverts (node_mask, node_last);
-    # an arc's cost_table cell is (into the terminal, last, job)
-    full, width = (1 << n) - 1, n + 1
-    assert capd.first_out.tolist() == [
-        int(np.searchsorted(capd.arc_tail, v)) for v in range(capd.n_nodes + 1)]
-    assert capd.first_out[0] == 0 and capd.first_out[-1] == capd.n_arcs
-    assert capd.node_mask[capd.root] == 0 and capd.node_last[capd.root] == 0
-    assert capd.node_mask[capd.terminal] == full
-    assert capd.node_last[capd.terminal] == 0
-    assert np.count_nonzero(capd.node_of >= 0) == capd.n_nodes
-    for v in range(capd.n_nodes):
-        assert capd.node_of[capd.node_mask[v], capd.node_last[v]] == v
-        assert bin(int(capd.node_mask[v])).count("1") == (
-            n if v == capd.terminal else order[v])
-    for a in range(capd.n_arcs):
-        tail, head = capd.arc_tail[a], capd.arc_head[a]
-        assert capd.node_last[tail] == max(capd.arc_last[a], 0)
-        into_terminal = head == capd.terminal
-        if capd.arc_kind[a] == netflow.ASSIGN:
-            job = capd.arc_job[a]
-            assert capd.node_mask[head] == capd.node_mask[tail] | capd.arc_cap[a]
-            assert capd.node_last[head] == (0 if into_terminal else job)
-        else:
-            job = 0
-            assert capd.arc_cap[a] == full & ~capd.node_mask[tail]
-        last = capd.node_last[tail]
-        assert capd.arc_cell[a] == (into_terminal * (job > 0) * width + last) * width + job
     # the layout the layered reference pass relies on: arcs sorted by
     # arc_layer; a layer's tails lie in its contiguous node-id range and
     # its heads in later layers
@@ -125,17 +97,52 @@ def test_structural_invariants(n):
         assert prev[1] == nxt[0]
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_out_arcs_list_the_reference_diagram_arc_by_arc(n):
+    # with every job in the column every state is reached: the (subset,
+    # last job) pairs of _subsets(n) but the full set, which is the
+    # terminal, in the order extract_duals lists them; their out-arcs must
+    # be the reference diagram's arcs in arc order
+    capd = netflow_reference.build_mdd_cap(n)
+    _, (sets, pos, sizes) = netflow._subsets(n)
+    sets, pos, sizes = sets[:-n], pos[:-n], sizes[:-n]
+    lasts = np.append(np.arange(1, n + 1), 0)[pos]
+    state, job, into_terminal, cell = netflow.out_arcs(n, sets, lasts, sizes)
+    assert len(job) == capd.n_arcs
+    assert capd.node_of[sets, lasts][state].tolist() == capd.arc_tail.tolist()
+    assert ((job > 0) == (capd.arc_kind == netflow_reference.ASSIGN)).all()
+    assert np.where(job > 0, job, -1).tolist() == capd.arc_job.tolist()
+    # U_a: an assignment arc's job, a non-assignment arc's jobs outside S
+    u = np.where(job > 0, 1 << np.maximum(job - 1, 0), ((1 << n) - 1) & ~sets[state])
+    assert u.tolist() == capd.arc_cap.tolist()
+    assert sizes[state].tolist() == capd.arc_layer.tolist()
+    assert into_terminal.tolist() == (capd.arc_head == capd.terminal).tolist()
+    assert cell.tolist() == capd.arc_cell.tolist()
+    # arc_ids, which full_arrays reads, maps each listed arc to its id
+    arcs = netflow.DualValues(
+        n_jobs=n, pi_root=0.0, tail_set=sets[state], tail_last=lasts[state],
+        job=job, layer=sizes[state], r=np.zeros(len(job)))
+    assert netflow_reference.arc_ids(capd, arcs).tolist() == list(range(capd.n_arcs))
+
+
 def test_scale_guard():
     with pytest.raises(LimitExceeded):
-        netflow.build_mdd_cap(netflow.MDD_MAX_JOBS + 1)
+        netflow.check_scale(netflow.MDD_MAX_JOBS + 1)
+    netflow.check_scale(netflow.MDD_MAX_JOBS)
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=netflow.MDD_MAX_JOBS + 1,
+                                   n_machines=2, n_scenarios=2, seed=1, capacity=7))
+    with pytest.raises(LimitExceeded):
+        netflow.FlowContext(inst)
+    with pytest.raises(LimitExceeded):
+        SolveOptions(cut_kind="benders").check(inst)
+    SolveOptions().check(inst)  # only flow cuts are gated
 
 
 def test_shortest_path_worked_example(uniform_scenario):
     t, d = uniform_arrays(uniform_scenario)
-    capd = netflow.build_mdd_cap(3)
 
     def cost(x):
-        return netflow.extract_duals(capd, np.array(x), t, d).pi_root
+        return netflow.extract_duals(np.array(x), t, d).pi_root
 
     assert cost([1, 1, 1]) == pytest.approx(14.0)
     assert cost([0, 1, 0]) == pytest.approx(7.0)  # t2 + closing setup
@@ -148,20 +155,19 @@ def test_shortest_path_equals_oracle_all_columns(seed):
     k = int(rng.integers(2, 7))
     sc = random_scenario(rng, k)
     t = np.concatenate(([0.0], sc.exec))
-    capd = netflow.build_mdd_cap(k)
     for bits in range(2**k):
         x = np.array([(bits >> j) & 1 for j in range(k)], dtype=np.int8)
         jobs = [j + 1 for j in range(k) if x[j]]
         want = oracle.brute_min_time(jobs, sc, True)
-        got = netflow.extract_duals(capd, x, t, sc.setup).pi_root
+        got = netflow.extract_duals(x, t, sc.setup).pi_root
         assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_duals_zero_on_shortest_path_and_nonpositive(uniform_scenario):
     t, d = uniform_arrays(uniform_scenario)
-    capd = netflow.build_mdd_cap(3)
+    capd = netflow_reference.build_mdd_cap(3)
     x = np.array([1, 1, 1])
-    duals = netflow.extract_duals(capd, x, t, d)
+    duals = netflow.extract_duals(x, t, d)
     pi, alpha, beta = netflow_reference.full_arrays(capd, duals, x, t, d)
     assert duals.pi_root == pytest.approx(14.0)
     assert np.all(alpha <= 0) and np.all(beta <= 0)
@@ -186,9 +192,9 @@ def test_dual_feasibility_rows_on_enabled_arcs(seed):
     sc = random_scenario(rng, k)
     t = np.concatenate(([0.0], sc.exec))
     d = sc.setup
-    capd = netflow.build_mdd_cap(k)
+    capd = netflow_reference.build_mdd_cap(k)
     x = (rng.random(k) < 0.5).astype(np.int8)
-    duals = netflow.extract_duals(capd, x, t, d)
+    duals = netflow.extract_duals(x, t, d)
     pi, alpha, beta = netflow_reference.full_arrays(capd, duals, x, t, d)
     costs = netflow_reference.cap_arc_costs(capd, t, d)
     enabled = netflow_reference._enabled(capd, x)
@@ -196,7 +202,7 @@ def test_dual_feasibility_rows_on_enabled_arcs(seed):
         if not enabled[a]:
             continue
         lhs = pi[capd.arc_tail[a]] - pi[capd.arc_head[a]]
-        if capd.arc_kind[a] == netflow.ASSIGN:
+        if capd.arc_kind[a] == netflow_reference.ASSIGN:
             lhs += alpha[a]
         else:
             lhs += beta[a] * bin(int(capd.arc_cap[a])).count("1")
@@ -205,10 +211,9 @@ def test_dual_feasibility_rows_on_enabled_arcs(seed):
 
 def test_cut_forces_scenario_off_at_incumbent(uniform_scenario):
     t, d = uniform_arrays(uniform_scenario)
-    capd = netflow.build_mdd_cap(3)
     x = np.array([1, 1, 1])
-    duals = netflow.extract_duals(capd, x, t, d)
-    cut = netflow.benders_cut(duals, capd, 0, {1, 2, 3}, strategy=0)
+    duals = netflow.extract_duals(x, t, d)
+    cut = netflow.benders_cut(duals, 0, {1, 2, 3}, strategy=0)
     const, coef = cut.benders_payload
     # alpha/beta terms vanish at the incumbent: lhs reduces to pi_root = 14
     lhs = const + coef @ x
@@ -222,11 +227,10 @@ def test_strategy1_dominates_basic(uniform_scenario):
         k = int(rng.integers(2, 6))
         sc = random_scenario(rng, k)
         t = np.concatenate(([0.0], sc.exec))
-        capd = netflow.build_mdd_cap(k)
         x = (rng.random(k) < 0.5).astype(np.int8)
-        duals = netflow.extract_duals(capd, x, t, sc.setup)
-        c0, k0 = netflow.basic_payload(duals, capd)
-        c1, k1 = netflow.strengthen_layers(duals, capd)
+        duals = netflow.extract_duals(x, t, sc.setup)
+        c0, k0 = netflow.basic_payload(duals)
+        c1, k1 = netflow.strengthen_layers(duals)
         # pointwise: the strengthened row's lhs is >= the basic row's lhs
         for bits in range(2**k):
             xe = np.array([(bits >> j) & 1 for j in range(k)])
@@ -234,11 +238,10 @@ def test_strategy1_dominates_basic(uniform_scenario):
 
 
 def test_single_layer_strategy1_equals_basic():
-    capd = netflow.build_mdd_cap(1)
     t = np.array([0.0, 4.0])
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    duals = netflow.extract_duals(capd, np.array([1]), t, d)
-    assert netflow.strengthen_layers(duals, capd) == netflow.basic_payload(duals, capd)
+    duals = netflow.extract_duals(np.array([1]), t, d)
+    assert netflow.strengthen_layers(duals) == netflow.basic_payload(duals)
 
 
 def sweep_instances():
@@ -259,7 +262,6 @@ def sweep_instances():
 def test_cut_validity_sweep(strategy):
     # no chance-feasible (x, z) may violate any emitted flow cut
     for inst in sweep_instances():
-        capd = netflow.build_mdd_cap(inst.n_jobs)
         cuts = []
         for w in range(inst.n_scenarios):
             t, d = netflow.full_times(inst, w)
@@ -268,9 +270,9 @@ def test_cut_validity_sweep(strategy):
                              dtype=np.int8)
                 if x.sum() > inst.capacity:
                     continue
-                duals = netflow.extract_duals(capd, x, t, d)
+                duals = netflow.extract_duals(x, t, d)
                 cuts.append(netflow.benders_cut(
-                    duals, capd, w, {1}, strategy=strategy))
+                    duals, w, {1}, strategy=strategy))
         for x, z in enumerate_chance_feasible(inst):
             for cut in cuts:
                 if z[cut.scenario] == 0:
@@ -315,7 +317,7 @@ def loop_flow_cut(capd, x, t, d):
     n, n_arcs = capd.n_jobs, capd.n_arcs
     tail, head = capd.arc_tail.tolist(), capd.arc_head.tolist()
     job, last = capd.arc_job.tolist(), capd.arc_last.tolist()
-    assign = (capd.arc_kind == netflow.ASSIGN).tolist()
+    assign = (capd.arc_kind == netflow_reference.ASSIGN).tolist()
     u = [[q for q in range(1, n + 1) if int(capd.arc_cap[a]) >> (q - 1) & 1]
          for a in range(n_arcs)]
     costs = np.zeros(n_arcs)
@@ -375,7 +377,7 @@ def loop_flow_cut(capd, x, t, d):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_vectorised_pass_matches_arc_loops_bitwise(n):
     rng = np.random.default_rng(2200 + n)
-    capd = netflow.build_mdd_cap(n)
+    capd = netflow_reference.build_mdd_cap(n)
     # six random columns, then no job and every job: with every job, the
     # full set is the terminal rather than a tail
     for edge in [None] * 6 + [np.zeros(n, np.int8), np.ones(n, np.int8)]:
@@ -383,14 +385,14 @@ def test_vectorised_pass_matches_arc_loops_bitwise(n):
         t = np.concatenate(([0.0], sc.exec))
         x = (rng.random(n) < rng.random()).astype(np.int8) if edge is None else edge
         pi, pi_root, alpha, beta, basic, layered = loop_flow_cut(capd, x, t, sc.setup)
-        duals = netflow.extract_duals(capd, x, t, sc.setup)
+        duals = netflow.extract_duals(x, t, sc.setup)
         full = netflow_reference.full_arrays(capd, duals, x, t, sc.setup)
         assert full[0].tobytes() == pi.tobytes()
         assert repr(duals.pi_root) == repr(pi_root)
         assert full[1].tobytes() == alpha.tobytes()
         assert full[2].tobytes() == beta.tobytes()
-        for got, want in ((netflow.basic_payload(duals, capd), basic),
-                          (netflow.strengthen_layers(duals, capd), layered)):
+        for got, want in ((netflow.basic_payload(duals), basic),
+                          (netflow.strengthen_layers(duals), layered)):
             assert repr(float(got[0])) == repr(float(want[0]))
             assert got[1].tobytes() == want[1].tobytes()
 
@@ -424,16 +426,16 @@ CALLBACK_POOLS_DIGEST = (
 def test_flow_duals_and_payloads_bitwise_pinned():
     h = hashlib.sha256()
     for inst in sweep_instances():
-        capd = netflow.build_mdd_cap(inst.n_jobs)
+        capd = netflow_reference.build_mdd_cap(inst.n_jobs)
         for w in range(inst.n_scenarios):
             t, d = netflow.full_times(inst, w)
             for x in sweep_columns(inst.n_jobs):
-                duals = netflow.extract_duals(capd, x, t, d)
+                duals = netflow.extract_duals(x, t, d)
                 for arr in netflow_reference.full_arrays(capd, duals, x, t, d):
                     h.update(arr.tobytes())
                 h.update(repr(duals.pi_root).encode())
                 for payload in (netflow.basic_payload, netflow.strengthen_layers):
-                    const, coef = payload(duals, capd)
+                    const, coef = payload(duals)
                     h.update(repr(float(const)).encode())
                     h.update(coef.tobytes())
     assert h.hexdigest() == DUALS_DIGEST
@@ -484,17 +486,11 @@ def test_benders_solve_leaves_numpy_ma_unimported():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_contexts_of_one_size_share_a_read_only_diagram():
-    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=5, n_machines=2,
-                                   n_scenarios=3, seed=1, capacity=3))
-    a, b = netflow.FlowContext(inst), netflow.FlowContext(inst)
-    assert a.capd is b.capd
-    derived = (a.capd.arc_cell, a.capd.node_mask, a.capd.node_last,
-               a.capd.node_of, a.capd.first_out)
+def test_cached_subset_tables_are_read_only_int32():
+    # _subsets keeps one table per size for the whole process, so no
+    # caller may write to it
     layers, pairs = netflow._subsets(3)
-    subsets = [arr for layer in layers for arr in layer] + list(pairs)
-    for arr in derived + tuple(subsets):
+    for arr in [arr for layer in layers for arr in layer] + list(pairs):
         assert arr.dtype == np.int32
-    for arr in (a.capd.arc_tail, a.capd.arc_cap) + derived + tuple(subsets):
         with pytest.raises(ValueError):
             arr[0] = 0
