@@ -3,23 +3,24 @@ extraction via the per-job-set time table.
 
 The arc cost only needs the tail state's last job and the arc's own job, so
 costs are independent per arc: each is one entry of a small per-call cost
-table, read through the flat cells the diagram stores at build.  The closing
-setup back to the dummy is paid exclusively on terminal-entering arcs;
-partial job sets are therefore timed without it, which makes a partial
-set's infeasibility a valid certificate for every extension.
+table, read through the flat cells of the diagram's sweep plan.  The
+closing setup back to the dummy is paid exclusively on terminal-entering
+arcs; partial job sets are therefore timed without it, which makes a
+partial set's infeasibility a valid certificate for every extension.
 
-The set-time sweep runs layer by layer over the in-arc tails and cost
-cells the diagram derives at build, keeping only the previous layer's node
-times.  Time arrays may carry a trailing scenario axis (t of shape
-(k + 1, W), d of shape (k + 1, k + 1, W)); every scenario then goes through
-the same operations, in the same order, as it would alone.
+The set-time sweep runs layer by layer over the plan's in-arc tails and
+cost cells, keeping only the previous layer's node times, and a job set's
+time is the least over its nodes.  Time arrays may carry a trailing
+scenario axis (t of shape (k + 1, W), d of shape (k + 1, k + 1, W)); every
+scenario then goes through the same operations, in the same order, as it
+would alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .diagram import Diagram, minimal_over_limit, node_min_times
+from .diagram import LASTJOB, Diagram, minimal_over_limit
 from .model import StructuralError
 
 
@@ -37,26 +38,11 @@ def cost_table(t: np.ndarray, d: np.ndarray) -> np.ndarray:
     return costs.reshape(-1, *t.shape[1:])
 
 
-def arc_costs(diag: Diagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Per-arc costs for one scenario's canonical time arrays.
-
-    Root-leaving arcs cost t[v]; interior arcs d[last, v] + t[v]; arcs into
-    the terminal additionally pay d[v, 0].
-    """
-    if diag.variant != "lastjob":
-        raise StructuralError("last-job costs requested for a different variant")
-    return cost_table(t, d).take(diag.arc_cell)
-
-
-def min_time(diag: Diagram, t: np.ndarray, d: np.ndarray) -> float:
-    return float(node_min_times(diag, arc_costs(diag, t, d))[diag.terminal])
-
-
 def set_times(diag: Diagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Minimum completion time per job set (indexed by bit mask, scenarios
     along the trailing axis), taken over all nodes sharing that set: 0 for
     the empty set, the terminal time for the full set."""
-    if diag.variant != "lastjob":
+    if diag.variant != LASTJOB:
         raise StructuralError("last-job costs requested for a different variant")
     costs = cost_table(t, d)
     table = np.empty((1 << diag.depth, *t.shape[1:]))
@@ -68,6 +54,11 @@ def set_times(diag: Diagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:
         times = heads.min(axis=0)
         table[masks] = times.reshape(-1, len(masks), *t.shape[1:]).min(axis=0)
     return table
+
+
+def min_time(diag: Diagram, t: np.ndarray, d: np.ndarray) -> float:
+    """The full set's time: its entry of ``set_times``."""
+    return float(set_times(diag, t, d)[-1])
 
 
 def iis(diag: Diagram, time_limit: float, t: np.ndarray, d: np.ndarray) -> list[frozenset]:

@@ -32,11 +32,11 @@ loop's.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .diagram import subset_lattice
 from .lastjob import cost_table
 from .model import (
     BENDERS,
@@ -68,28 +68,23 @@ def full_times(inst: Instance, w: int):
 @functools.lru_cache(maxsize=MDD_MAX_JOBS + 1)
 def _subsets(k: int):
     """The subsets of k items, as read-only int32 bitmasks over their
-    positions: per size s = 1..k, (masks, members, rests), the s-subsets
-    ascending, each one's member positions ascending and the subset without
-    that member; then every (subset, member position, size) triple in the
-    same order, after (0, k, 0), which stands for the root."""
-    layers = []
+    positions, read off ``diagram.subset_lattice(k)``: per size s = 1..k,
+    (masks, members, rests), the s-subsets ascending, each one's member
+    positions ascending and the subset without that member; then every
+    (subset, member position, size) triple in the same order, after
+    (0, k, 0), which stands for the root."""
+    lattice = subset_lattice(k)
+    layers = tuple(zip(lattice.masks[1:], lattice.members[1:], lattice.rests[1:]))
     pair_mask, pair_pos = [np.zeros(1, np.int32)], [np.full(1, k, np.int32)]
     pair_size = [np.zeros(1, np.int32)]
-    for s in range(1, k + 1):
-        members = np.array(list(itertools.combinations(range(k), s)),
-                           dtype=np.int32).reshape(-1, s)
-        bits = np.int32(1) << members
-        masks = bits.sum(axis=1, dtype=np.int32)
-        order = np.argsort(masks)
-        masks, members, bits = masks[order], members[order], bits[order]
-        layers.append((masks, members, masks[:, None] ^ bits))
+    for s, (masks, members, _) in enumerate(layers, 1):
         pair_mask.append(np.repeat(masks, s))
         pair_pos.append(members.ravel())
         pair_size.append(np.full(members.size, s, np.int32))
     pairs = tuple(map(np.concatenate, (pair_mask, pair_pos, pair_size)))
-    for arr in (*itertools.chain(*layers), *pairs):
+    for arr in pairs:
         arr.setflags(write=False)
-    return tuple(layers), pairs
+    return layers, pairs
 
 
 def out_arcs(n: int, sets: np.ndarray, lasts: np.ndarray, sizes: np.ndarray):

@@ -23,7 +23,13 @@ from ccpmsp.diagram import (
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.master import build_master, check_rows
 from ccpmsp.model import LimitExceeded
-from diagram_reference import sub_times
+from diagram_reference import (
+    jobset_arc_costs,
+    lastjob_arc_costs,
+    node_min_times,
+    reference_diagram,
+    sub_times,
+)
 
 
 @contextlib.contextmanager
@@ -61,20 +67,28 @@ def test_criterion_1_worked_example(uniform_scenario):
         want = {frozenset({2}), frozenset({1, 3})}
         assert set(lastjob.iis(lj, 5.0, t, d)) == want
         assert set(jobset.iis(js, 5.0, t, d)) == want
-        # narrated per-layer accumulations (order-free per layer)
-        from ccpmsp.diagram import node_min_times
-
-        node_times = node_min_times(lj, lastjob.arc_costs(lj, t, d))
-        layer1 = sorted(node_times[n] for n in lj.layers[1])
-        layer2 = sorted(node_times[n] for n in lj.layers[2])
+        # narrated per-layer accumulations (order-free per layer), on the
+        # reference's arc-level last-job diagram
+        ref_lj = reference_diagram(LASTJOB, 3)
+        node_times = node_min_times(ref_lj, lastjob_arc_costs(ref_lj, t, d))
+        layer1 = sorted(node_times[n] for n in ref_lj.layers[1])
+        layer2 = sorted(node_times[n] for n in ref_lj.layers[2])
         assert np.allclose(layer1, [2.0, 3.0, 6.0], atol=1e-9)
         assert np.allclose(layer2, [6.0, 6.0, 9.0, 9.0, 10.0, 10.0], atol=1e-9)
-        assert abs(node_times[lj.terminal] - 14.0) <= 1e-9
+        assert abs(node_times[ref_lj.terminal] - 14.0) <= 1e-9
+        # the same per-set minima on the sweeps the solver runs
+        for mod, diag in ((lastjob, lj), (jobset, js)):
+            table = mod.set_times(diag, t, d)
+            for size, want in ((1, [2.0, 3.0, 6.0]), (2, [6.0, 9.0, 10.0])):
+                sized = [table[m] for m in range(8) if bin(m).count("1") == size]
+                assert np.allclose(sorted(sized), want, atol=1e-9)
+            assert abs(table[0b111] - 14.0) <= 1e-9
         # the job-set variant's cumulative costs agree per job set
-        costs = jobset.arc_costs(js, t, d)
+        ref_js = reference_diagram(JOBSET, 3)
+        costs = jobset_arc_costs(ref_js, t, d)
         js_times = {
-            int(js.node_mask[n]): costs[np.flatnonzero(js.arc_head == n)].min()
-            for layer in js.layers[1:] for n in layer
+            int(ref_js.node_mask[n]): costs[np.flatnonzero(ref_js.arc_head == n)].min()
+            for layer in ref_js.layers[1:] for n in layer
         }
         assert abs(js_times[0b111] - 14.0) <= 1e-9
         assert sorted(np.round(

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import permutations
 from math import comb
 
@@ -8,18 +9,25 @@ from ccpmsp import jobset, lastjob, oracle
 from ccpmsp.diagram import (
     JOBSET,
     LASTJOB,
+    Diagram,
     DiagramCache,
     build_top_down,
     canonical_remap,
     minimal_over_limit,
     nearest_neighbour_times,
-    node_min_times,
     schedule_fits,
+    subset_lattice,
 )
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import TOL, ConfigurationError, StructuralError
 from conftest import random_scenario
-from diagram_reference import sub_times
+from diagram_reference import (
+    jobset_arc_costs,
+    lastjob_arc_costs,
+    node_min_times,
+    reference_diagram,
+    sub_times,
+)
 
 
 def test_worked_example_layer_shapes(uniform_scenario):
@@ -31,7 +39,7 @@ def test_depth_one_single_arc():
     for variant in (LASTJOB, JOBSET):
         d = build_top_down(variant, 1)
         assert d.layer_sizes() == [1, 1]
-        assert d.n_arcs == 1
+        assert d.layer_in[0].shape == (1, 1)  # the terminal's one in-arc
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -42,15 +50,15 @@ def test_closed_form_layer_sizes(k):
         assert len(lj.layers[p - 1]) == comb(k, p - 1) * max(1, p - 1)
         assert len(js.layers[p - 1]) == comb(k, p - 1)
     assert len(lj.layers[k]) == 1 and len(js.layers[k]) == 1
-    assert js.n_nodes <= lj.n_nodes
+    assert sum(js.layer_sizes()) <= sum(lj.layer_sizes())
     if k >= 3:
-        assert js.n_nodes < lj.n_nodes
+        assert sum(js.layer_sizes()) < sum(lj.layer_sizes())
 
 
 @pytest.mark.parametrize("k", range(1, 8))
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
 def test_paths_are_exactly_the_permutations(k, variant):
-    d = build_top_down(variant, k)
+    d = reference_diagram(variant, k)
     paths = []
 
     def walk(node, seq):
@@ -66,14 +74,14 @@ def test_paths_are_exactly_the_permutations(k, variant):
 
 def test_no_duplicate_values_leaving_a_node():
     for variant in (LASTJOB, JOBSET):
-        d = build_top_down(variant, 5)
+        d = reference_diagram(variant, 5)
         for n in range(d.n_nodes):
             vals = [int(d.arc_value[a]) for a in np.flatnonzero(d.arc_tail == n)]
             assert len(vals) == len(set(vals))
 
 
 def test_states_distinct_within_layer():
-    d = build_top_down(JOBSET, 6)
+    d = reference_diagram(JOBSET, 6)
     for layer in d.layers:
         masks = [int(d.node_mask[n]) for n in layer]
         assert len(masks) == len(set(masks))
@@ -82,12 +90,14 @@ def test_states_distinct_within_layer():
 def test_worked_example_min_time(uniform_scenario):
     remap = canonical_remap([1, 2, 3])
     t, d = sub_times(uniform_scenario, remap)
-    lj = build_top_down(LASTJOB, 3)
-    js = build_top_down(JOBSET, 3)
-    lj_times = node_min_times(lj, lastjob.arc_costs(lj, t, d))
+    lj = reference_diagram(LASTJOB, 3)
+    js = reference_diagram(JOBSET, 3)
+    lj_times = node_min_times(lj, lastjob_arc_costs(lj, t, d))
     assert lj_times[lj.terminal] == pytest.approx(14.0)
     into_terminal = np.flatnonzero(js.arc_head == js.terminal)
-    assert jobset.arc_costs(js, t, d)[into_terminal].min() == pytest.approx(14.0)
+    assert jobset_arc_costs(js, t, d)[into_terminal].min() == pytest.approx(14.0)
+    assert lastjob.min_time(build_top_down(LASTJOB, 3), t, d) == pytest.approx(14.0)
+    assert jobset.min_time(build_top_down(JOBSET, 3), t, d) == pytest.approx(14.0)
 
 
 def test_depth_one_includes_closing_setup():
@@ -166,15 +176,36 @@ def test_cache_depth_guard_and_variant_isolation():
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
 def test_arrays_are_read_only_and_layers_are_id_ranges(variant):
     d = build_top_down(variant, 4)
-    assert [n for layer in d.layers for n in layer] == list(range(d.n_nodes))
-    for p, layer in enumerate(d.layers):
-        assert all(bin(int(d.node_mask[n])).count("1") == p for n in layer)
+    assert [f.name for f in dataclasses.fields(Diagram)] == [
+        "variant", "depth", "layers", "layer_masks", "layer_in", "layer_cells",
+        "sweep_cells"]
+    assert [n for layer in d.layers for n in layer] == list(range(sum(d.layer_sizes())))
+    for p, masks in enumerate(d.layer_masks, 1):
+        assert all(bin(int(m)).count("1") == p for m in masks)
     assert len(d.layer_in) == len(d.layer_masks) == 4
     assert len(d.layer_cells) == (3 if variant == JOBSET else 4)
-    assert len(d.arc_cell) == (d.n_arcs if variant == LASTJOB else 0)
-    for arr in (d.node_mask, d.arc_tail, d.arc_head, d.arc_value, d.arc_last,
-                d.arc_cell, *d.layer_masks, *d.layer_in, *d.layer_cells):
+    for arr in (*d.layer_masks, *d.layer_in, *d.layer_cells, *d.slot_major_in):
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("k", range(11))
+def test_subset_lattice_lists_every_mask_by_size(k):
+    lattice = subset_lattice(k)
+    by_size = [sorted(m for m in range(1 << k) if bin(m).count("1") == s)
+               for s in range(k + 1)]
+    assert lattice.size.tolist() == [bin(m).count("1") for m in range(1 << k)]
+    assert [m.tolist() for m in lattice.masks] == by_size
+    for s, masks in enumerate(by_size):
+        assert [int(lattice.rank[m]) for m in masks] == list(range(len(masks)))
+        assert lattice.members[s].shape == (len(masks), s)
+        assert lattice.members[s].tolist() == [
+            [j for j in range(k) if m >> j & 1] for m in masks]
+        assert lattice.rests[s].tolist() == [
+            [m & ~(1 << j) for j in range(k) if m >> j & 1] for m in masks]
+    for arr in (lattice.size, lattice.rank, *lattice.masks, *lattice.members,
+                *lattice.rests):
+        assert arr.dtype == np.int32 and not arr.flags.writeable
+    assert subset_lattice(k) is lattice
 
 
 def sweep_nodes(d, p):
@@ -188,28 +219,30 @@ def sweep_nodes(d, p):
 @pytest.mark.parametrize("k", [1, 2, 4, 6])
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
 def test_sweep_plan_lists_each_nodes_in_arcs(variant, k):
-    d = build_top_down(variant, k)
+    # the closed-form plan, node by node, against the reference's arcs
+    d, ref = build_top_down(variant, k), reference_diagram(variant, k)
+    assert d.layers == ref.layers
     for p in range(1, k + 1):
-        start, end = d.layer_arc_ranges[p - 1]
+        start, end = ref.layer_arc_ranges[p - 1]
         masks, a_in = d.layer_masks[p - 1], d.layer_in[p - 1]
-        layer = d.node_mask[d.layers[p].start:d.layers[p].stop]
+        layer = ref.node_mask[ref.layers[p].start:ref.layers[p].stop]
         assert masks.tolist() == sorted(set(layer.tolist()))
         nodes, tails = sweep_nodes(d, p), sweep_nodes(d, p - 1)
         assert a_in.shape[1] == len(nodes)
         for r, n in enumerate(nodes):
-            assert d.node_mask[n] == masks[r % len(masks)]
-            arcs = np.flatnonzero(d.arc_head == n)
+            assert ref.node_mask[n] == masks[r % len(masks)]
+            arcs = np.flatnonzero(ref.arc_head == n)
             if variant == JOBSET:
                 assert sorted(start + a_in[:, r].astype(int)) == arcs.tolist()
             else:
                 got = sorted(zip([tails[i] for i in a_in[:, r]],
                                  d.layer_cells[p - 1][:, r].tolist()))
-                assert got == sorted(zip(d.arc_tail[arcs].tolist(),
-                                         d.arc_cell[arcs].tolist()))
+                assert got == sorted(zip(ref.arc_tail[arcs].tolist(),
+                                         ref.arc_cell[arcs].tolist()))
         if variant == JOBSET and p < k:
             cells = d.layer_cells[p - 1]
-            out = d.arc_value[slice(*d.layer_arc_ranges[p])].reshape(len(nodes), -1)
-            vals_in = d.arc_value[start + a_in.astype(int)]
+            out = ref.arc_value[slice(*ref.layer_arc_ranges[p])].reshape(len(nodes), -1)
+            vals_in = ref.arc_value[start + a_in.astype(int)]
             assert np.array_equal(cells, vals_in[:, :, None] * (k + 1) + out[None])
     assert d.sweep_cells == max([1 << k, *(a.size for a in d.layer_in)])
 

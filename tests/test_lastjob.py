@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from ccpmsp import jobset, lastjob, oracle
-from ccpmsp.diagram import (
-    JOBSET,
-    LASTJOB,
-    build_top_down,
-    canonical_remap,
-    node_min_times,
-)
+from ccpmsp.diagram import JOBSET, LASTJOB, build_top_down, canonical_remap
 from ccpmsp.model import Scenario
 from conftest import random_scenario
-from diagram_reference import sub_times
+from diagram_reference import (
+    jobset_arc_costs,
+    lastjob_arc_costs,
+    node_min_times,
+    reference_diagram,
+    sub_times,
+)
 
 
 def example_arrays(uniform_scenario):
@@ -23,8 +23,8 @@ def example_arrays(uniform_scenario):
 
 def test_arc_costs_worked_example(uniform_scenario):
     t, d = example_arrays(uniform_scenario)
-    diag = build_top_down(LASTJOB, 3)
-    costs = lastjob.arc_costs(diag, t, d)
+    diag = reference_diagram(LASTJOB, 3)
+    costs = lastjob_arc_costs(diag, t, d)
     # root arcs carry the execution times
     root_costs = sorted(costs[np.flatnonzero(diag.arc_tail == diag.root)])
     assert root_costs == [2.0, 3.0, 6.0]
@@ -155,16 +155,16 @@ def asymmetric_times(rng, k, count):
 
 
 def reference_table(diag, t, d):
-    """The set-time table from per-arc costs and node minima, as a plain
-    loop over arcs would compute it."""
+    """The set-time table from the reference diagram's per-arc costs and
+    node minima, as a plain loop over arcs would compute it."""
     if diag.variant == LASTJOB:
         table = np.full(1 << diag.depth, np.inf)
         np.minimum.at(table, diag.node_mask,
-                      node_min_times(diag, lastjob.arc_costs(diag, t, d)))
+                      node_min_times(diag, lastjob_arc_costs(diag, t, d)))
         return table
     best = np.full(diag.n_nodes, np.inf)
     best[diag.root] = 0.0
-    np.minimum.at(best, diag.arc_head, jobset.arc_costs(diag, t, d))
+    np.minimum.at(best, diag.arc_head, jobset_arc_costs(diag, t, d))
     table = np.empty(1 << diag.depth)
     table[diag.node_mask] = best
     return table
@@ -176,7 +176,7 @@ def test_batched_set_times_equal_a_per_scenario_loop(variant, k):
     # bit for bit: each scenario goes through the same float operations
     # whether alone or stacked with others
     mod = lastjob if variant == LASTJOB else jobset
-    diag = build_top_down(variant, k)
+    diag, ref = build_top_down(variant, k), reference_diagram(variant, k)
     pairs = asymmetric_times(np.random.default_rng(1200 + k), k, 3)
     assert any(not np.array_equal(d, d.T) for _, d in pairs)
     for width in (1, 3):
@@ -187,12 +187,12 @@ def test_batched_set_times_equal_a_per_scenario_loop(variant, k):
         for w, (tw, dw) in enumerate(pairs[:width]):
             alone = mod.set_times(diag, tw, dw)
             assert table[:, w].tobytes() == alone.tobytes()
-            assert alone.tobytes() == reference_table(diag, tw, dw).tobytes()
+            assert alone.tobytes() == reference_table(ref, tw, dw).tobytes()
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_arc_costs_equal_the_per_arc_formula(k):
-    diag = build_top_down(LASTJOB, k)
+    diag = reference_diagram(LASTJOB, k)
     ((t, d),) = asymmetric_times(np.random.default_rng(1300 + k), k, 1)
     val, last = diag.arc_value, diag.arc_last
     want = t[val]
@@ -200,7 +200,7 @@ def test_arc_costs_equal_the_per_arc_formula(k):
     closing = slice(*diag.layer_arc_ranges[-1])
     want[interior] += d[last[interior], val[interior]]
     want[closing] += d[val[closing], 0]
-    assert lastjob.arc_costs(diag, t, d).tobytes() == want.tobytes()
+    assert lastjob_arc_costs(diag, t, d).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k", range(1, 12))
