@@ -58,6 +58,7 @@ from .model import (
     NOGOOD,
     StructuralError,
     TOL,
+    jobs_mask,
 )
 from .oracle import verify_candidate
 
@@ -94,7 +95,7 @@ class SolveOptions:
 
     def check(self, inst: Optional[Instance] = None) -> None:
         """Raise ConfigurationError on an option no solve accepts and, given
-        an instance, on one that this instance rejects."""
+        an instance, on its ``broken_triangles`` or an option it rejects."""
         if not self.time_budget >= 0.0:  # NaN included
             raise ConfigurationError(
                 f"time budget must be a number >= 0, got {self.time_budget!r}"
@@ -107,6 +108,10 @@ class SolveOptions:
             raise ConfigurationError(
                 f"unknown benders strategy {self.benders_strategy!r}"
             )
+        if inst is not None and len(inst.broken_triangles):
+            raise ConfigurationError(
+                "setups break the triangle inequality, which job-set cuts need,"
+                f" at (scenario, i, k) = {tuple(inst.broken_triangles[0].tolist())}")
         if inst is not None and self.cut_kind == BENDERS:
             netflow.check_scale(inst.n_jobs)
 
@@ -253,21 +258,17 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
 def emit_cuts(failures, cut_kind: str, inst: Instance,
               cand: Optional[Candidate] = None,
               report: Optional[SolveReport] = None,
-              flow_ctx: Optional["netflow.FlowContext"] = None,
-              job_sets: Optional[dict] = None) -> list[Cut]:
+              flow_ctx: Optional["netflow.FlowContext"] = None) -> list[Cut]:
     """Render the cut batch for a list of failures, deduplicated by key.
 
     IIS cuts need ``Failure``s from ``check_candidate`` and are read from
-    their time tables; no-goods and flow cuts take any (machine, scenario,
-    jobs) triples.  Cuts on equal job sets share one frozenset, kept in
-    ``job_sets`` (sorted job tuple -> frozenset; pass one dict to every call
-    of a solve to share across batches): a pool keeps every cut, and a set
-    fails in many scenarios and iterations.
+    their time tables: canonical bit i of an IIS mask is the failing
+    machine's i-th smallest job.  No-goods and flow cuts take any (machine,
+    scenario, jobs) triples.
     """
     t0 = time.perf_counter()
     cuts: list[Cut] = []
     seen = set()
-    job_sets = {} if job_sets is None else job_sets
 
     def push(cut: Cut):
         key = cut.key()
@@ -275,17 +276,9 @@ def emit_cuts(failures, cut_kind: str, inst: Instance,
             seen.add(key)
             cuts.append(cut)
 
-    def job_set(jobs: tuple) -> frozenset:
-        interned = job_sets.get(jobs)
-        if interned is None:
-            # copied from a set, a frozenset's table is sized for its
-            # members; grown from a tuple, 5 to 7 jobs take 728 bytes, not 472
-            interned = job_sets[jobs] = frozenset(set(jobs))
-        return interned
-
     if cut_kind == NOGOOD:
         for _, w, jobs in failures:
-            push(Cut(job_set=job_set(jobs), scenario=w, kind=NOGOOD))
+            push(Cut(jobs=jobs_mask(jobs), scenario=w, kind=NOGOOD))
     elif cut_kind == IIS:
         # the tables of equally many jobs go through the filter together
         tabled: dict[int, list[int]] = {}
@@ -296,15 +289,15 @@ def emit_cuts(failures, cut_kind: str, inst: Instance,
             table = np.stack([failures[i].times for i in group], axis=-1)
             iis_sets.update(zip(group, minimal_over_limit(table, inst.time_limit)))
         for i, (_, w, jobs) in enumerate(failures):
-            remap = canonical_remap(jobs)
+            bits = [1 << (j - 1) for j in jobs]  # a failure's jobs ascend
             for s in iis_sets[i]:
-                orig = job_set(tuple(int(remap[c]) for c in sorted(s)))
-                push(Cut(job_set=orig, scenario=w, kind=IIS))
+                push(Cut(jobs=sum(b for c, b in enumerate(bits) if s >> c & 1),
+                         scenario=w, kind=IIS))
     elif cut_kind == BENDERS:
         if flow_ctx is None or cand is None:
             raise ConfigurationError("benders cuts need a flow context and candidate")
         for m, w, jobs in failures:
-            push(flow_ctx.cut_for(inst, cand.x[:, m], w, job_set(jobs)))
+            push(flow_ctx.cut_for(inst, cand.x[:, m], w, jobs_mask(jobs)))
     else:
         raise ConfigurationError(f"unknown cut kind {cut_kind!r}")
     if report is not None:
@@ -343,7 +336,6 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
     )
     backend = _make_backend(opts)
     pool_keys = set()
-    job_sets: dict[tuple, frozenset] = {}
 
     def remaining() -> float:
         return deadline - time.perf_counter()
@@ -366,12 +358,11 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         not exclude the candidate (possible for weak flow cuts), the
         failures' no-goods join it; one of them is always new."""
         fresh = append_cuts(emit_cuts(
-            failures, opts.cut_kind, inst, cand, report, flow_ctx, job_sets,
+            failures, opts.cut_kind, inst, cand, report, flow_ctx,
         ))
         if not _batch_excludes(inst, fresh, cand):
             report.n_fallbacks += 1
-            nogoods = append_cuts(emit_cuts(failures, NOGOOD, inst,
-                                            job_sets=job_sets))
+            nogoods = append_cuts(emit_cuts(failures, NOGOOD, inst))
             if not nogoods:
                 raise StructuralError("cut pool failed to exclude a candidate")
             fresh += nogoods
@@ -436,24 +427,22 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
 
 
 def _batch_excludes(inst: Instance, fresh_cuts, cand: Candidate) -> bool:
-    """True if some fresh cut row is violated by the candidate as-is.  Flow
-    rows are tested as the built-in search's leaves test them, through
-    ``flow_lhs`` on each machine that holds jobs."""
+    """True if some fresh cut row is violated by the candidate as-is: a
+    job-set row where a machine's mask covers the cut's, a flow row as the
+    search's leaves test it (``flow_lhs`` on each machine that holds jobs)."""
+    held = [np.flatnonzero(cand.x[:, m]) for m in range(inst.n_machines)]
+    masks = [jobs_mask(jobs + 1) for jobs in held]
     flows = []
     for cut in fresh_cuts:
         if cand.z[cut.scenario] == 0:
             continue
         if cut.kind == BENDERS:
             flows.append(cut)
-            continue
-        mask_jobs = np.array(sorted(cut.job_set)) - 1
-        for m in range(inst.n_machines):
-            if cand.x[mask_jobs, m].sum() >= len(cut.job_set):
-                return True
+        elif any(mask & cut.jobs == cut.jobs for mask in masks):
+            return True
     if flows:
         _, const, coef = flow_block(flows, inst.n_jobs)
-        for m in range(inst.n_machines):
-            jobs = np.flatnonzero(cand.x[:, m])
+        for jobs in held:
             if len(jobs) and np.any(
                     flow_lhs(const, coef, jobs) > inst.time_limit + TOL):
                 return True

@@ -285,8 +285,8 @@ def minimal_over_limit(set_times: np.ndarray, time_limit: float):
     together.  A nonempty set is kept iff its time exceeds the limit and it
     contains no kept set.  Sets are decided in increasing cardinality,
     where a set contains a kept set iff it is kept or one of its
-    one-smaller subsets contains one.  Returns one list of frozensets per
-    column, in (cardinality, mask) order.
+    one-smaller subsets contains one.  Returns one list of canonical masks
+    per column, in (cardinality, mask) order.
     """
     k = len(set_times).bit_length() - 1
     over = set_times > time_limit + TOL
@@ -302,8 +302,7 @@ def minimal_over_limit(set_times: np.ndarray, time_limit: float):
         blocked[masks] = below | new
         for col, at in zip(*np.nonzero(new.T)):
             kept[col].append(int(masks[at]))
-    return [[frozenset(j + 1 for j in range(k) if m >> j & 1) for m in col_kept]
-            for col_kept in kept]
+    return kept
 
 
 class DiagramCache:

@@ -83,6 +83,6 @@ def min_time(diag: Diagram, t: np.ndarray, d: np.ndarray) -> float:
     return float(set_times(diag, t, d)[-1])
 
 
-def iis(diag: Diagram, time_limit: float, t: np.ndarray, d: np.ndarray) -> list[frozenset]:
-    """Irreducible infeasible job sets for one scenario."""
+def iis(diag: Diagram, time_limit: float, t: np.ndarray, d: np.ndarray) -> list[int]:
+    """Irreducible infeasible job sets for one scenario, as canonical masks."""
     return minimal_over_limit(set_times(diag, t, d)[:, None], time_limit)[0]

@@ -163,10 +163,11 @@ def iter_rows(model: MasterModel):
                 yield (f"cut_{ci}_{m + 1}", coefs, "<=",
                        inst.time_limit + mm - const)
         else:
+            jobs = [j for j in range(1, n + 1) if cut.jobs >> (j - 1) & 1]
             for m in range(M):
-                coefs = {xname(j, m): 1.0 for j in sorted(cut.job_set)}
+                coefs = {xname(j, m): 1.0 for j in jobs}
                 coefs[zname(cut.scenario)] = 1.0
-                yield (f"cut_{ci}_{m + 1}", coefs, "<=", float(len(cut.job_set)))
+                yield (f"cut_{ci}_{m + 1}", coefs, "<=", float(len(jobs)))
 
 
 def solution_values(inst: Instance, x: np.ndarray, z: np.ndarray) -> dict[str, float]:
@@ -386,7 +387,7 @@ class BuiltinBackend:
                 if cut.kind == BENDERS:
                     flows.append(cut)
                     continue
-                cmask, wbit = cut.job_mask(), 1 << cut.scenario
+                cmask, wbit = cut.jobs, 1 << cut.scenario
                 job_cuts.append((cmask, cut.scenario))
                 sets = cuts_by_last[cmask.bit_length() - 1]
                 sets[cmask] = sets.get(cmask, 0) | wbit

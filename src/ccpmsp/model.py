@@ -13,12 +13,15 @@ Index conventions
   from job j to job k and ``setup[j][0]`` closes a schedule.
 * Execution times are stored in a length-n vector where entry ``j - 1``
   belongs to job j.
+* A set of jobs is an int bit mask where bit ``j - 1`` stands for job j
+  (``jobs_mask``), as a cut holds it and the built-in master reads it.
 * Scenarios and machines are 0-based.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -119,6 +122,21 @@ class Instance:
         setup.setflags(write=False)
         return exec_, setup
 
+    @cached_property
+    def broken_triangles(self) -> np.ndarray:
+        """Every (scenario, i, k), ascending, with d[i, k] > d[i, j] + d[j, k]
+        + TOL for some j; derived on first use, read-only.  A job-set cut is
+        valid only if adding a job never shortens a schedule, so the solver
+        and ``validate_instance`` refuse such an instance.  The loop over j
+        keeps temporaries at (n + 1)^2 S cells."""
+        setup = self.scenario_stack[1]
+        through = np.full(setup.shape, np.inf)
+        for j in range(len(setup)):
+            np.minimum(through, setup[:, j, None] + setup[None, j], out=through)
+        breaks = np.argwhere((setup > through + TOL).transpose(2, 0, 1))
+        breaks.setflags(write=False)
+        return breaks
+
     def to_dict(self) -> dict:
         return {
             "n_jobs": self.n_jobs,
@@ -194,22 +212,22 @@ class Candidate:
 class Cut:
     """One cut for the master problem.
 
-    ``job_set`` holds 1-based job ids; the rendered row is quantified over
-    all machines (machines are homogeneous).  ``benders_payload`` is a pair
-    (constant, per-job coefficient vector) present only for flow cuts, where
-    the row for machine m reads
+    ``jobs`` is the cut's job set as a bit mask (bit j - 1 for job j); the
+    rendered row is quantified over all machines (machines are homogeneous).
+    ``benders_payload`` is a pair (constant, per-job coefficient vector)
+    present only for flow cuts, where the row for machine m reads
         M * z_w + sum_j coef[j-1] * x[j][m] <= T + M - constant.
     """
 
-    job_set: frozenset
+    jobs: int
     scenario: int
     kind: str
     benders_payload: Optional[tuple] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "job_set", frozenset(self.job_set))
-        if not self.job_set:
-            raise StructuralError("cut with empty job set")
+        object.__setattr__(self, "jobs", operator.index(self.jobs))
+        if self.jobs <= 0:
+            raise StructuralError(f"cut job mask must be positive, got {self.jobs}")
         if self.kind not in CUT_KINDS:
             raise StructuralError(f"unknown cut kind {self.kind!r}")
         if self.kind != BENDERS and self.benders_payload is not None:
@@ -217,17 +235,16 @@ class Cut:
         if self.scenario < 0:
             raise StructuralError("cut scenario index out of range")
 
-    def job_mask(self) -> int:
-        mask = 0
-        for j in self.job_set:
-            mask |= 1 << (j - 1)
-        return mask
-
     def key(self):
         if self.kind == BENDERS:
             const, coefs = self.benders_payload
             return (self.kind, self.scenario, round(const, 12), tuple(np.round(coefs, 12)))
-        return (self.kind, self.scenario, self.job_set)
+        return (self.kind, self.scenario, self.jobs)
+
+
+def jobs_mask(jobs) -> int:
+    """The bit mask of 1-based job ids: bit j - 1 for job j."""
+    return sum(1 << (j - 1) for j in set(map(int, jobs)))
 
 
 def candidate_objective(inst: Instance, cand: Candidate) -> float:
@@ -290,6 +307,7 @@ def validate_instance(inst: Instance) -> list[str]:
         v.append("scenario probabilities do not sum to 1")
     if len(inst.big_m) != inst.n_scenarios:
         v.append("big_m length != n_scenarios")
+    sound = 0  # scenarios the triangle test, which stacks them all, can read
     for w, sc in enumerate(inst.scenarios):
         if len(sc.exec) != inst.n_jobs:
             v.append(f"scenario {w}: exec length != n_jobs")
@@ -302,17 +320,12 @@ def validate_instance(inst: Instance) -> list[str]:
         if not np.all(np.isfinite(sc.setup)) or np.any(sc.setup < 0):
             v.append(f"scenario {w}: setup times must be finite and >= 0")
             continue
-        diag = np.flatnonzero(np.diagonal(sc.setup))
-        for j in diag:
+        for j in np.flatnonzero(np.diagonal(sc.setup)):
             v.append(f"scenario {w}: setup[{j}][{j}] = {sc.setup[j, j]} (nonzero diagonal)")
-        d = sc.setup
-        # min over j of d[i,j] + d[j,k], vectorized per scenario
-        through = (d[:, :, None] + d[None, :, :]).min(axis=1)
-        bad = np.argwhere(d > through + TOL)
-        for i, k in bad:
-            j = int(np.argmin(d[i, :] + d[:, k]))
-            v.append(
-                f"scenario {w}: triangle inequality broken at (i={i}, j={j}, k={k}): "
-                f"{d[i, k]} > {d[i, j]} + {d[j, k]}"
-            )
+        sound += 1
+    for w, i, k in inst.broken_triangles if sound == inst.n_scenarios > 0 else ():
+        d = inst.scenarios[w].setup
+        j = int(np.argmin(d[i, :] + d[:, k]))
+        v.append(f"scenario {w}: triangle inequality broken at (i={i}, j={j}, "
+                 f"k={k}): {d[i, k]} > {d[i, j]} + {d[j, k]}")
     return v

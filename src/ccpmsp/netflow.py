@@ -262,22 +262,18 @@ def strengthen_layers(duals: DualValues):
     return _running_sum(duals.pi_root, delta), coef
 
 
-def benders_cut(duals: DualValues, scenario: int, job_set,
+def benders_cut(duals: DualValues, scenario: int, jobs: int,
                 strategy: int = 0) -> Cut:
-    """Render the flow cut for a scenario as a master Cut (quantified over
-    all machines; machines are homogeneous)."""
+    """Render the flow cut for a scenario as a master Cut on the job mask
+    ``jobs`` (quantified over all machines; machines are homogeneous)."""
     if strategy == 0:
         const, coef = basic_payload(duals)
     elif strategy == 1:
         const, coef = strengthen_layers(duals)
     else:
         raise StructuralError(f"unknown strengthening strategy {strategy}")
-    return Cut(
-        job_set=frozenset(job_set),
-        scenario=scenario,
-        kind=BENDERS,
-        benders_payload=(float(const), np.asarray(coef, float)),
-    )
+    return Cut(jobs=jobs, scenario=scenario, kind=BENDERS,
+               benders_payload=(float(const), np.asarray(coef, float)))
 
 
 class FlowContext:
@@ -290,7 +286,7 @@ class FlowContext:
         self.strategy = strategy
 
     def cut_for(self, inst: Instance, x_col: np.ndarray, scenario: int,
-                job_set) -> Cut:
+                jobs: int) -> Cut:
         t, d = full_times(inst, scenario)
         duals = extract_duals(x_col, t, d)
-        return benders_cut(duals, scenario, job_set, self.strategy)
+        return benders_cut(duals, scenario, jobs, self.strategy)

@@ -19,6 +19,12 @@ def uniform_scenario():
     return Scenario(exec=np.array([2.0, 6.0, 3.0]), setup=setup)
 
 
+def mask_jobs(mask: int) -> frozenset:
+    """The 1-based job ids of a job mask (bit j - 1 for job j), the form in
+    which cuts and the IIS filter hold job sets."""
+    return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
 def random_scenario(rng, n):
     """Euclidean setup times (triangle inequality holds) and positive
     execution times."""

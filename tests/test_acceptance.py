@@ -22,7 +22,8 @@ from ccpmsp.diagram import (
 )
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.master import build_master, check_rows
-from ccpmsp.model import LimitExceeded
+from ccpmsp.model import LimitExceeded, jobs_mask
+from conftest import mask_jobs
 from diagram_reference import (
     jobset_arc_costs,
     lastjob_arc_costs,
@@ -64,7 +65,7 @@ def test_criterion_1_worked_example(uniform_scenario):
         js = build_top_down(JOBSET, 3)
         assert abs(lastjob.min_time(lj, t, d) - 14.0) <= 1e-9
         assert abs(jobset.min_time(js, t, d) - 14.0) <= 1e-9
-        want = {frozenset({2}), frozenset({1, 3})}
+        want = {jobs_mask({2}), jobs_mask({1, 3})}
         assert set(lastjob.iis(lj, 5.0, t, d)) == want
         assert set(jobset.iis(js, 5.0, t, d)) == want
         # narrated per-layer accumulations (order-free per layer), on the
@@ -146,7 +147,7 @@ def test_criterion_3_iis_oracle_equivalence():
             lj, js = diagrams[k]
             full = oracle.brute_min_time(jobs, sc, True)
             limit = float(rng.uniform(0.3, 1.05)) * full
-            want = set(oracle.brute_iis(jobs, sc, limit))
+            want = {jobs_mask(s) for s in oracle.brute_iis(jobs, sc, limit)}
             assert set(lastjob.iis(lj, limit, t, d)) == want
             assert set(jobset.iis(js, limit, t, d)) == want
         assert time.perf_counter() - t0 < 60.0
@@ -252,12 +253,12 @@ def test_criterion_6_cut_validity_sweep():
                                     inst.time_limit + 1e-6
                                 ), (inst.seed, cut.kind, w)
                 else:
-                    jobs = np.array(sorted(cut.job_set)) - 1
+                    jobs = np.array(sorted(mask_jobs(cut.jobs))) - 1
                     size = len(jobs)
                     for x, z in pairs:
                         if z[w]:
                             assert int(x[jobs].sum(axis=0).max()) <= size - 1, (
-                                inst.seed, cut.kind, sorted(cut.job_set), w)
+                                inst.seed, cut.kind, sorted(mask_jobs(cut.jobs)), w)
         assert time.perf_counter() - t0 < 300.0
 
 

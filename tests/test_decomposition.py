@@ -27,17 +27,20 @@ from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import (
     Candidate,
     ConfigurationError,
-    Cut,
     Instance,
     Scenario,
     TOL,
     candidate_objective,
     chance_satisfied,
+    jobs_mask,
+    validate_instance,
 )
-from ccpmsp.oracle import brute_optimal, verify_candidate
+from ccpmsp.oracle import brute_iis, brute_min_time, brute_optimal, verify_candidate
 from conftest import (
     B10_CONFIG,
+    mask_jobs,
     overloaded_b10_x,
+    random_scenario,
     regression_configs,
     solve_iteratively,
 )
@@ -353,7 +356,7 @@ def test_emit_nogood_cut(uniform_scenario):
     inst = uniform_instance(uniform_scenario)
     cuts = emit_cuts([(0, 0, (1, 2, 3))], "nogood", inst)
     assert len(cuts) == 1
-    assert cuts[0].job_set == frozenset({1, 2, 3})
+    assert cuts[0].jobs == 0b111
     assert cuts[0].kind == "nogood" and cuts[0].scenario == 0
 
 
@@ -364,8 +367,7 @@ def test_emit_iis_cuts_worked_example(uniform_scenario):
     failures = check_candidate(inst, cand, cache, LASTJOB)
     assert failures == [(0, 0, (1, 2, 3))]
     cuts = emit_cuts(failures, "iis", inst)
-    got = sorted((sorted(c.job_set) for c in cuts))
-    assert got == [[1, 3], [2]]
+    assert [sorted(mask_jobs(c.jobs)) for c in cuts] == [[2], [1, 3]]
 
 
 def test_emit_cuts_deduplicates_across_machines(uniform_scenario):
@@ -379,9 +381,9 @@ def test_emit_cuts_deduplicates_across_machines(uniform_scenario):
     assert len(cuts) == 2  # {2} and {1,3} once each, not twice
 
 
-def test_emit_cuts_share_one_job_set_per_failing_tuple(uniform_scenario):
-    # one machine's job tuple fails in three scenarios: the failures share
-    # one tuple, and the no-good and flow cuts one frozenset
+def test_emit_cuts_keep_failure_order_per_kind(uniform_scenario):
+    # one machine's job tuple fails in three scenarios: each kind's cuts
+    # follow the failures, and a failure's IIS cuts run in (size, mask) order
     inst = Instance(
         n_jobs=3, n_machines=1, capacity=3, time_limit=5.0, epsilon=0.4,
         utilities=np.array([2.0, 6.0, 3.0]), scenarios=[uniform_scenario] * 3,
@@ -390,60 +392,61 @@ def test_emit_cuts_share_one_job_set_per_failing_tuple(uniform_scenario):
     cand = Candidate(x=np.ones((3, 1), dtype=np.int8), z=np.ones(3, dtype=np.int8))
     failures = check_candidate(inst, cand, cache, JOBSET)
     assert failures == [(0, w, (1, 2, 3)) for w in range(3)]
-    assert all(f[2] is failures[0][2] for f in failures)
+    cuts = emit_cuts(failures, "nogood", inst)
+    assert [c.key() for c in cuts] == [("nogood", w, 0b111) for w in range(3)]
     flow_ctx = netflow.FlowContext(inst, 1)
-    job_sets = {}  # as solve_ccpmsp passes one dict to every call
-    for kind in ("nogood", "benders"):
-        cuts = emit_cuts(failures, kind, inst, cand, flow_ctx=flow_ctx)
-        assert len(cuts) == 3
-        assert all(c.job_set is cuts[0].job_set for c in cuts)
-        again = emit_cuts(failures, kind, inst, cand, flow_ctx=flow_ctx,
-                          job_sets=job_sets)
-        assert all(c.job_set is job_sets[(1, 2, 3)] for c in again)
-        if kind == "nogood":
-            want = [Cut(job_set={1, 2, 3}, scenario=w, kind=kind) for w in range(3)]
-        else:
-            want = [flow_ctx.cut_for(inst, cand.x[:, 0], w, {1, 2, 3})
-                    for w in range(3)]
-        assert [c.key() for c in cuts] == [c.key() for c in want]
-        assert [c.job_set for c in cuts] == [c.job_set for c in want]
+    cuts = emit_cuts(failures, "benders", inst, cand, flow_ctx=flow_ctx)
+    want = [flow_ctx.cut_for(inst, cand.x[:, 0], w, 0b111) for w in range(3)]
+    assert [c.key() for c in cuts] == [c.key() for c in want]
+    assert [c.jobs for c in cuts] == [0b111] * 3
+    cuts = emit_cuts(failures, "iis", inst)
+    assert [(c.scenario, c.jobs) for c in cuts] == [
+        (w, s) for w in range(3) for s in (0b010, 0b101)]
 
 
-def test_iis_cuts_on_equal_job_sets_share_one_frozenset(uniform_scenario):
-    # {2} and {1,3} fail in each of three scenarios: six cuts, two sets
+def test_iis_cuts_map_canonical_bits_onto_the_machines_jobs():
+    # a machine holding jobs (2, 5, 7): canonical bit i of an IIS is the
+    # machine's i-th smallest job, so the cut masks are the oracle's sets
+    rng = np.random.default_rng(57)
+    jobs = (2, 5, 7)
+    x = np.zeros((7, 1), dtype=np.int8)
+    x[[j - 1 for j in jobs]] = 1
+    proper = 0
+    for _ in range(6):
+        sc = random_scenario(rng, 7)
+        full = brute_min_time(jobs, sc, True)
+        limit = float(rng.uniform(0.3, 0.95)) * full
+        inst = Instance(
+            n_jobs=7, n_machines=1, capacity=3, time_limit=limit, epsilon=0.4,
+            utilities=np.ones(7), scenarios=[sc],
+        )
+        cache = DiagramCache(max_depth=3)
+        failures = check_candidate(inst, Candidate(x=x, z=np.array([1])), cache, JOBSET)
+        assert failures == [(0, 0, jobs)]
+        got = [c.jobs for c in emit_cuts(failures, "iis", inst)]
+        want = [jobs_mask(s) for s in brute_iis(jobs, sc, limit)]
+        assert sorted(got) == sorted(want)
+        proper += sum(m != jobs_mask(jobs) for m in got)
+    assert proper  # some cut is a proper subset, so the bit mapping shows
+
+
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_solve_refuses_setups_that_break_the_triangle_inequality(variant):
+    # {1, 2, 3} fits T = 3.5 in the order 1, 3, 2, but the IIS {1, 2}
+    # (setup 10 between them) also forbids that set: without the triangle
+    # inequality a job-set cut may cut off the optimum (3, against 2)
+    setup = np.zeros((5, 5))
+    setup[1, 2] = setup[2, 1] = 10.0
+    setup[4, 1:4] = setup[1:4, 4] = 5.0
     inst = Instance(
-        n_jobs=3, n_machines=1, capacity=3, time_limit=5.0, epsilon=0.4,
-        utilities=np.array([2.0, 6.0, 3.0]), scenarios=[uniform_scenario] * 3,
+        n_jobs=4, n_machines=1, capacity=4, time_limit=3.5, epsilon=0.5,
+        utilities=np.ones(4),
+        scenarios=[Scenario(np.array([1.0, 1.0, 1.0, 0.5]), setup)],
     )
-    cache = DiagramCache(max_depth=3)
-    cand = Candidate(x=np.ones((3, 1), dtype=np.int8), z=np.ones(3, dtype=np.int8))
-    failures = check_candidate(inst, cand, cache, JOBSET)
-    job_sets = {}
-    cuts = emit_cuts(failures, "iis", inst, job_sets=job_sets)
-    assert [(c.scenario, sorted(c.job_set)) for c in cuts] == [
-        (w, s) for w in range(3) for s in ([2], [1, 3])]
-    assert set(job_sets) == {(2,), (1, 3)}
-    assert all(c.job_set is job_sets[tuple(sorted(c.job_set))] for c in cuts)
-
-
-def test_interned_job_sets_build_no_frozenset(uniform_scenario, monkeypatch):
-    # a job tuple already in ``job_sets`` reuses its frozenset; only a miss
-    # builds one
-    inst = uniform_instance(uniform_scenario)
-    built = []
-
-    def counting(jobs):
-        built.append(tuple(jobs))
-        return frozenset(jobs)
-
-    monkeypatch.setattr(decomposition, "frozenset", counting, raising=False)
-    job_sets = {}
-    emit_cuts([(0, 0, (1, 2, 3))], "nogood", inst, job_sets=job_sets)
-    assert built == [(1, 2, 3)]
-    cuts = emit_cuts([(0, w, (1, 2, 3)) for w in range(3)], "nogood", inst,
-                     job_sets=job_sets)
-    assert built == [(1, 2, 3)]
-    assert all(c.job_set is job_sets[(1, 2, 3)] for c in cuts)
+    assert brute_optimal(inst)[1] == 3
+    assert any("triangle" in p for p in validate_instance(inst))
+    with pytest.raises(ConfigurationError, match="triangle"):
+        solve_ccpmsp(inst, SolveOptions(variant=variant, cut_kind="iis"))
 
 
 @pytest.mark.parametrize("dif", [30.0, -3.0])
@@ -539,7 +542,7 @@ def test_iis_sets_contained_in_nogood_sets(regression_set):
         iis = emit_cuts(failures, "iis", inst)
         for ic in iis:
             assert any(
-                ic.scenario == nc.scenario and ic.job_set <= nc.job_set
+                ic.scenario == nc.scenario and ic.jobs & nc.jobs == ic.jobs
                 for nc in nogood
             )
 
@@ -739,7 +742,7 @@ def test_iis_pools_pinned(variant):
         inst = make_instance(configs[index])
         opts = SolveOptions(variant=variant, cut_kind="iis", time_budget=120)
         _, report = solve_iteratively(inst, opts)
-        rows = [[c.scenario, sorted(c.job_set), c.kind] for c in report.cuts]
+        rows = [[c.scenario, sorted(mask_jobs(c.jobs)), c.kind] for c in report.cuts]
         assert len(rows) == size, index
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, index
 
@@ -774,6 +777,6 @@ def test_iis_pools_pinned_in_callback_mode(monkeypatch, variant, memo_max):
         opts = SolveOptions(variant=variant, cut_kind="iis", time_budget=120)
         _, report = solve_ccpmsp(inst, opts)
         assert report.n_master_solves == 1
-        rows = [[c.scenario, sorted(c.job_set), c.kind] for c in report.cuts]
+        rows = [[c.scenario, sorted(mask_jobs(c.jobs)), c.kind] for c in report.cuts]
         assert len(rows) == size, index
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, index

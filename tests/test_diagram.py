@@ -251,9 +251,9 @@ def test_minimal_over_limit_keeps_minimal_sets_in_size_then_mask_order():
     # sets over 5: {2}, {1,3}, and every superset of either
     times = np.array([0, 2, 6, 9, 3, 6, 10, 14], dtype=float)
     times = times[:, None]
-    assert minimal_over_limit(times, 5.0) == [[frozenset({2}), frozenset({1, 3})]]
+    assert minimal_over_limit(times, 5.0) == [[0b010, 0b101]]
     assert minimal_over_limit(times, 14.0) == [[]]
-    assert minimal_over_limit(times, 13.0) == [[frozenset({1, 2, 3})]]
+    assert minimal_over_limit(times, 13.0) == [[0b111]]
 
 
 def plain_minimal_over_limit(times, limit):
@@ -264,7 +264,7 @@ def plain_minimal_over_limit(times, limit):
     for m in sorted(range(1, 1 << k), key=lambda m: (bin(m).count("1"), m)):
         if times[m] > limit + TOL and not any(m & s == s for s in kept):
             kept.append(m)
-    return [frozenset(j + 1 for j in range(k) if m >> j & 1) for m in kept]
+    return kept
 
 
 def test_minimal_over_limit_filters_columns_together():

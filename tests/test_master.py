@@ -20,8 +20,9 @@ from ccpmsp.master import (
     write_lp,
 )
 from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
-from ccpmsp.model import BENDERS, IIS, NOGOOD, Cut, Instance
+from ccpmsp.model import BENDERS, IIS, NOGOOD, Cut, Instance, jobs_mask
 from ccpmsp.oracle import brute_optimal
+from conftest import mask_jobs
 
 STUB = os.path.join(os.path.dirname(__file__), "lp_stub.py")
 
@@ -165,8 +166,8 @@ def test_builtin_backend_respects_cut_pool(uniform_scenario):
     model = build_master(inst, symmetry=False, scenario_relaxation=False)
     sol0 = solve_master(model)
     assert sol0.objective == pytest.approx(11.0)
-    model.cuts.append(Cut(job_set=frozenset({1, 2, 3}), scenario=0, kind="nogood"))
-    model.cuts.append(Cut(job_set=frozenset({2}), scenario=0, kind="iis"))
+    model.cuts.append(Cut(jobs=jobs_mask({1, 2, 3}), scenario=0, kind="nogood"))
+    model.cuts.append(Cut(jobs=jobs_mask({2}), scenario=0, kind="iis"))
     sol = solve_master(model)
     # eps = 0.5 tolerates dropping scenario 0, so the pool only binds z
     assert sol.objective == pytest.approx(11.0)
@@ -194,7 +195,7 @@ def test_callback_drops_flags_of_returned_cuts():
     def hook(x, z):
         calls.append(z.copy())
         if z[0] == 1:
-            return [Cut(job_set=frozenset({1}), scenario=0, kind=BENDERS,
+            return [Cut(jobs=jobs_mask({1}), scenario=0, kind=BENDERS,
                         benders_payload=(0.0, np.zeros(inst.n_jobs)))]
         return []
 
@@ -215,7 +216,7 @@ def test_hook_cut_prunes_the_rest_of_the_search(monkeypatch, memo_max):
     monkeypatch.setattr(master, "FAIL_MEMO_MAX", memo_max)
     inst = small_instance(n_jobs=22, n_machines=2, n_scenarios=2, capacity=11)
     model = build_master(inst, symmetry=False, scenario_relaxation=False)
-    cut = Cut(job_set=frozenset({1, 2}), scenario=0, kind=IIS)
+    cut = Cut(jobs=jobs_mask({1, 2}), scenario=0, kind=IIS)
     calls = []
 
     def hook(x, z):
@@ -250,7 +251,7 @@ def test_builtin_solution_satisfies_all_rows(seed):
         seed=int(rng.integers(1, 10**6)), capacity=3,
     ))
     model = build_master(inst)
-    model.cuts.append(Cut(job_set=frozenset({1, 2}), scenario=0, kind="nogood"))
+    model.cuts.append(Cut(jobs=jobs_mask({1, 2}), scenario=0, kind="nogood"))
     sol = solve_master(model)
     assert sol.x is not None
     assert check_rows(model, sol.x, sol.z) == []
@@ -288,7 +289,7 @@ def test_budget_bound_never_understates_the_optimum():
         rng = np.random.default_rng(seed)
         for _ in range(10):
             pair = rng.choice(np.arange(1, 8), size=2, replace=False)
-            model.cuts.append(Cut(job_set=frozenset(int(j) for j in pair),
+            model.cuts.append(Cut(jobs=jobs_mask(pair),
                                   scenario=int(rng.integers(4)), kind=IIS))
         best = brute_master(model)
         sol = BuiltinBackend().solve(model, time_budget=0.0)
@@ -337,7 +338,7 @@ def test_hook_receives_the_pinned_leaves(monkeypatch, seed):
 def test_lp_writer_round_trips_through_stub(tmp_path):
     inst = small_instance(n_jobs=4, n_machines=2, n_scenarios=3, capacity=2)
     model = build_master(inst)
-    model.cuts.append(Cut(job_set=frozenset({1, 3}), scenario=1, kind="iis"))
+    model.cuts.append(Cut(jobs=jobs_mask({1, 3}), scenario=1, kind="iis"))
     lp = tmp_path / "m.lp"
     write_lp(model, str(lp))
     text = lp.read_text()
@@ -422,7 +423,7 @@ def tiny_master(draw):
                 np.array([draw(unit) for _ in range(n)])
                 * inst.big_m_max / inst.capacity,
             )
-        model.cuts.append(Cut(job_set=draw(jobs), scenario=w, kind=kind,
+        model.cuts.append(Cut(jobs=jobs_mask(draw(jobs)), scenario=w, kind=kind,
                               benders_payload=payload))
     return model
 
@@ -450,7 +451,8 @@ def test_hook_cuts_reach_the_search_bits_exactly(model, data):
     inst = model.inst
     for _ in range(data.draw(st.integers(0, 4))):
         model.cuts.append(Cut(
-            job_set=data.draw(st.frozensets(st.integers(1, inst.n_jobs), min_size=1)),
+            jobs=jobs_mask(data.draw(
+                st.frozensets(st.integers(1, inst.n_jobs), min_size=1))),
             scenario=data.draw(st.integers(0, inst.n_scenarios - 1)), kind=IIS,
         ))
     ref = ExternalBackend(f"{sys.executable} {STUB}").solve(model)
@@ -462,7 +464,7 @@ def test_hook_cuts_reach_the_search_bits_exactly(model, data):
 
     def violated(cuts, x, z):
         return [c for c in cuts if z[c.scenario]
-                and (x[sorted(j - 1 for j in c.job_set)] == 1).all(axis=0).any()]
+                and (x[sorted(j - 1 for j in mask_jobs(c.jobs))] == 1).all(axis=0).any()]
 
     for memo_max in (master.FAIL_MEMO_MAX, 4):
         partial = build_master(inst, symmetry=model.symmetry,
@@ -556,8 +558,7 @@ def test_builtin_with_a_pool_of_flow_rows_matches_brute_force():
         w = int(rng.integers(inst.n_scenarios))
         t, d = netflow.full_times(inst, w)
         if netflow.extract_duals(x, t, d).pi_root > inst.time_limit:
-            jobs = frozenset(int(j) + 1 for j in np.flatnonzero(x))
-            model.cuts.append(ctx.cut_for(inst, x, w, jobs))
+            model.cuts.append(ctx.cut_for(inst, x, w, jobs_mask(np.flatnonzero(x) + 1)))
     sol = BuiltinBackend().solve(model)
     assert sol.status == master.OPTIMAL
     assert sol.objective < inst.utilities.sum()
@@ -573,8 +574,8 @@ def test_builtin_beyond_64_scenarios():
                                    capacity=3, epsilon=0.1))
     model = build_master(inst)
     for w in range(64, 100):
-        pair = frozenset({w % 5 + 1, (w + 2) % 5 + 1})
-        model.cuts.append(Cut(job_set=pair, scenario=w, kind=NOGOOD))
+        pair = jobs_mask({w % 5 + 1, (w + 2) % 5 + 1})
+        model.cuts.append(Cut(jobs=pair, scenario=w, kind=NOGOOD))
     sol = BuiltinBackend().solve(model)
     assert sol.status == master.OPTIMAL
     assert check_rows(model, sol.x, sol.z) == []

@@ -3,9 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from ccpmsp.decomposition import SolveOptions
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import (
+    BENDERS,
+    IIS,
+    NOGOOD,
     Candidate,
+    ConfigurationError,
+    Cut,
     Instance,
     Scenario,
     StructuralError,
@@ -137,6 +143,49 @@ def test_validate_flags_triangle_violation():
     problems = validate_instance(bad)
     assert len(problems) == 1
     assert "triangle" in problems[0] and "i=1" in problems[0] and "k=3" in problems[0]
+    # the library refuses what the CLI refuses, from one cached test
+    assert bad.broken_triangles.tolist() == [[0, 1, 3]]
+    assert bad.broken_triangles is bad.broken_triangles
+    with pytest.raises(ConfigurationError, match=r"triangle .* \(0, 1, 3\)"):
+        SolveOptions().check(bad)
+    SolveOptions().check(tiny_instance())
+
+
+def test_validate_tests_triangles_once_every_scenario_is_sound():
+    # the triangle test stacks every scenario's setups: it waits while
+    # scenario 0's cannot be read, then finds scenario 1's broken triangle
+    inst = tiny_instance()
+    setup = inst.scenarios[1].setup.copy()
+    setup[2, 3] = 3.0
+    bad = Instance(
+        n_jobs=3, n_machines=2, capacity=3, time_limit=10.0, epsilon=0.1,
+        utilities=inst.utilities,
+        scenarios=[Scenario(inst.scenarios[0].exec, np.full((4, 4), -1.0)),
+                   Scenario(inst.scenarios[1].exec, setup)],
+    )
+    assert validate_instance(bad) == ["scenario 0: setup times must be finite and >= 0"]
+    fixed = Instance(
+        n_jobs=3, n_machines=2, capacity=3, time_limit=10.0, epsilon=0.1,
+        utilities=inst.utilities, scenarios=[inst.scenarios[0], bad.scenarios[1]],
+    )
+    problems = validate_instance(fixed)
+    assert len(problems) == 1
+    assert problems[0].startswith("scenario 1: triangle inequality broken at (i=2,")
+
+
+def test_cut_holds_a_positive_job_mask():
+    payload = (1.0, np.zeros(3))
+    assert Cut(jobs=0b101, scenario=0, kind=IIS).key() == (IIS, 0, 0b101)
+    assert Cut(jobs=np.int64(6), scenario=1, kind=BENDERS,
+               benders_payload=payload).jobs == 6
+    for mask in (0, -1):
+        with pytest.raises(StructuralError, match="mask"):
+            Cut(jobs=mask, scenario=0, kind=NOGOOD)
+    for kind in (NOGOOD, IIS):
+        with pytest.raises(StructuralError, match="payload"):
+            Cut(jobs=0b101, scenario=0, kind=kind, benders_payload=payload)
+    with pytest.raises(TypeError):
+        Cut(jobs=frozenset({1, 3}), scenario=0, kind=IIS)
 
 
 def test_big_m_hand_computation():

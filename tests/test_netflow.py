@@ -13,7 +13,7 @@ from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import LimitExceeded
 from ccpmsp.oracle import brute_optimal
-from conftest import random_scenario, solve_iteratively
+from conftest import mask_jobs, random_scenario, solve_iteratively
 import netflow_reference
 
 UNIFORM_T = np.array([0.0, 2.0, 6.0, 3.0])
@@ -213,7 +213,7 @@ def test_cut_forces_scenario_off_at_incumbent(uniform_scenario):
     t, d = uniform_arrays(uniform_scenario)
     x = np.array([1, 1, 1])
     duals = netflow.extract_duals(x, t, d)
-    cut = netflow.benders_cut(duals, 0, {1, 2, 3}, strategy=0)
+    cut = netflow.benders_cut(duals, 0, 0b111, strategy=0)
     const, coef = cut.benders_payload
     # alpha/beta terms vanish at the incumbent: lhs reduces to pi_root = 14
     lhs = const + coef @ x
@@ -272,7 +272,7 @@ def test_cut_validity_sweep(strategy):
                     continue
                 duals = netflow.extract_duals(x, t, d)
                 cuts.append(netflow.benders_cut(
-                    duals, w, {1}, strategy=strategy))
+                    duals, w, 0b1, strategy=strategy))
         for x, z in enumerate_chance_feasible(inst):
             for cut in cuts:
                 if z[cut.scenario] == 0:
@@ -405,7 +405,7 @@ def sweep_columns(n):
 def pool_bytes(cuts):
     out = []
     for cut in cuts:
-        out.append(f"{cut.kind} {cut.scenario} {sorted(cut.job_set)}".encode())
+        out.append(f"{cut.kind} {cut.scenario} {sorted(mask_jobs(cut.jobs))}".encode())
         if cut.benders_payload is not None:
             const, coef = cut.benders_payload
             out += [repr(float(const)).encode(), np.asarray(coef).tobytes()]
