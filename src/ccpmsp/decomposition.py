@@ -33,7 +33,6 @@ from .diagram import (
     JOBSET,
     LASTJOB,
     DiagramCache,
-    canonical_remap,
     minimal_over_limit,
     schedule_fits,
 )
@@ -95,7 +94,8 @@ class SolveOptions:
 
     def check(self, inst: Optional[Instance] = None) -> None:
         """Raise ConfigurationError on an option no solve accepts and, given
-        an instance, on its ``broken_triangles`` or an option it rejects."""
+        an instance, on its ``violations`` (those ``validate_instance``
+        lists, broken triangles included) or an option it rejects."""
         if not self.time_budget >= 0.0:  # NaN included
             raise ConfigurationError(
                 f"time budget must be a number >= 0, got {self.time_budget!r}"
@@ -108,10 +108,8 @@ class SolveOptions:
             raise ConfigurationError(
                 f"unknown benders strategy {self.benders_strategy!r}"
             )
-        if inst is not None and len(inst.broken_triangles):
-            raise ConfigurationError(
-                "setups break the triangle inequality, which job-set cuts need,"
-                f" at (scenario, i, k) = {tuple(inst.broken_triangles[0].tolist())}")
+        if inst is not None and inst.violations:
+            raise ConfigurationError("invalid instance: " + "; ".join(inst.violations))
         if inst is not None and self.cut_kind == BENDERS:
             netflow.check_scale(inst.n_jobs)
 
@@ -209,19 +207,22 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
     mod = VARIANT_MODULES[variant]
     exec_all, setup_all = inst.scenario_stack
     limit = inst.time_limit + TOL
-    groups: dict[int, list[int]] = {}
-    for m in range(inst.n_machines):
-        n_jobs = np.count_nonzero(cand.x[:, m])
-        if n_jobs > inst.capacity:
-            raise StructuralError(
-                f"machine {m} holds {n_jobs} jobs, capacity {inst.capacity}"
-            )
-        if n_jobs and len(active):
-            groups.setdefault(n_jobs, []).append(m)
+    counts = np.count_nonzero(cand.x, axis=0)
+    over = np.flatnonzero(counts > inst.capacity)
+    if len(over):
+        m = int(over[0])
+        raise StructuralError(
+            f"machine {m} holds {counts[m]} jobs, capacity {inst.capacity}"
+        )
+    sizes = sorted(set(counts.tolist()) - {0}) if len(active) else []
     failures = []
-    for k, machines in sorted(groups.items()):
-        job_ids = [tuple(int(j) for j in cand.machine_jobs(m)) for m in machines]
-        remaps = np.stack([canonical_remap(jobs) for jobs in job_ids], axis=1)
+    for k in sizes:
+        machines = np.flatnonzero(counts == k)
+        # row g: machines[g]'s job ids, ascending
+        jobs = np.nonzero(cand.x[:, machines].T)[1].reshape(-1, k) + 1
+        job_ids = [tuple(row) for row in jobs.tolist()]
+        # column g: the dummy, then machines[g]'s jobs, in canonical order
+        remaps = np.concatenate((np.zeros((1, len(machines)), np.intp), jobs.T))
         # column c holds the pair (machines[g], active[a]), g, a = divmod(c, A)
         # for A = len(active)
         t = exec_all[remaps[:, :, None], active].reshape(k + 1, -1)
@@ -232,7 +233,7 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
         else:
             sweep = np.arange(t.shape[1])
         if report is not None:
-            report.check_counts[np.ix_(machines, active)] += 1
+            report.check_counts[machines[:, None], active] += 1
             report.n_certified += t.shape[1] - len(sweep)
         if len(sweep) == 0:
             continue
@@ -246,7 +247,8 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
             over = np.flatnonzero(table[-1] > limit)
             for c, times in zip(part[over].tolist(), table.T[over]):
                 g, a = divmod(c, len(active))
-                failures.append(Failure(machines[g], int(active[a]), job_ids[g], times))
+                failures.append(
+                    Failure(int(machines[g]), int(active[a]), job_ids[g], times))
     failures.sort(key=lambda f: (f[1], f[0], f[2]))
     if report is not None:
         report.subproblem_resolution_time += (

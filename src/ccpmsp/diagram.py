@@ -12,9 +12,9 @@ node's in-arcs, the distinct job sets, and the setup or cost cells), which
 ``build_top_down`` writes in closed form, and a ``DiagramCache`` keeps one
 per (variant, k) for every (machine, scenario, job set) of that size in a
 solve.  Arc costs are never stored: the sweeps evaluate them against
-per-call time arrays indexed by canonical job (see ``canonical_remap``),
-with a trailing scenario axis, so many scenarios go through one diagram
-together.
+per-call time arrays indexed by canonical job (index 0 the dummy, index i
+the i-th smallest job of the set), with a trailing scenario axis, so many
+scenarios go through one diagram together.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import TOL, ConfigurationError, StructuralError
+from .model import TOL, ConfigurationError
 
 LASTJOB = "lastjob"
 JOBSET = "jobset"
@@ -208,19 +208,6 @@ def build_top_down(variant: str, k: int) -> Diagram:
         layer_cells=layer_cells,
         sweep_cells=max([1 << k, *(len(layers[p]) * (k - p) for p in range(k))]),
     )
-
-
-def canonical_remap(assigned) -> np.ndarray:
-    """Map canonical indices to original job ids.
-
-    Position i (1-based) of the sorted job set becomes canonical index i;
-    entry 0 maps the dummy job to itself.  Returns an int array of length
-    k + 1 with remap[i] = original id of canonical job i.
-    """
-    jobs = sorted(assigned)
-    if len(jobs) != len(set(jobs)):
-        raise StructuralError("duplicate job ids in assignment")
-    return np.array([0] + jobs, dtype=np.int64)
 
 
 def nearest_neighbour_times(t: np.ndarray, d: np.ndarray) -> np.ndarray:

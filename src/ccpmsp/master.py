@@ -38,11 +38,16 @@ LIMIT = "limit"
 # Entries of each of the built-in search's job-set memos before it is
 # emptied: the fail memo (the scenarios a set forces to zero, its prefixes'
 # rows included) and the relaxation memo (the scenarios whose relaxation row
-# the set violates on its own), both local to one solve.  Instances of 12-22
-# jobs stay below 1000 entries, but a minute on 30 jobs visits about 500k
-# distinct job sets: unbounded, a memo then held about 130 MB; at this size
-# peak RSS stays below 50 MB.
+# the set violates on its own, and the set's load), both local to one
+# solve.  Instances of 12-22 jobs stay below 1000 entries, but a minute on
+# 30 jobs visits about 500k distinct job sets: unbounded, a memo then held
+# about 130 MB; at this size peak RSS stays below 50 MB.
 FAIL_MEMO_MAX = 1 << 15
+# The relaxation memo's size in float64 cells (2 MB).  An entry costs its
+# load, one cell per scenario, plus about 32 cells (256 B) of array header,
+# tuple, int and dict slot, so the memo holds LOAD_MEMO_CELLS // (n_sc + 32)
+# entries, or FAIL_MEMO_MAX if fewer: near 2 MB at any number of scenarios.
+LOAD_MEMO_CELLS = 1 << 18
 
 
 class BackendError(RuntimeError):
@@ -323,15 +328,18 @@ class BuiltinBackend:
         while max_fail < n_sc and (n_sc - max_fail - 1) * p >= need:
             max_fail += 1
         symmetry = model.symmetry
+        full = M * B  # jobs that fill every machine
 
-        # one row of optimistic loads per job, so a machine's load is the
+        # one row of optimistic loads per job; a set's load is the running
         # sum of its jobs' rows in index order
         relax = (np.ascontiguousarray(model.relax_coef.T)
                  if model.scenario_relaxation else None)
         # job-set mask -> bitmask of the scenarios that set forces to zero
         fail_memo: dict[int, int] = {}
-        # job-set mask -> scenarios whose relaxation row the set violates
-        relax_memo: dict[int, int] = {}
+        # job-set mask -> (scenarios whose relaxation row the set violates on
+        # its own, the set's load), capped by the loads' cells
+        relax_memo: dict[int, tuple[int, np.ndarray]] = {}
+        relax_max = max(1, min(FAIL_MEMO_MAX, LOAD_MEMO_CELLS // (n_sc + 32)))
         # job j -> {mask of a cut job set whose highest job is j: its cuts'
         # scenario bits}
         cuts_by_last: list[dict[int, int]] = [{} for _ in range(n)]
@@ -344,19 +352,31 @@ class BuiltinBackend:
             ``parent``, the bits of ``mask`` without j, holds every row that
             set covers, so only ``mask``'s own relaxation rows and the cuts
             whose highest job is j remain.  A scenario stays forced once
-            forced, as both row families only tighten when jobs join."""
+            forced, as both row families only tighten when jobs join.
+
+            The set's load is the load of the set without j, read from the
+            relaxation memo, plus j's row: the running sum of its jobs' rows
+            in index order, which is bitwise what numpy's axis-0 sum of those
+            rows gives (in order, row by row) whenever there are two or more
+            scenarios.  Where the memo has lost the smaller set, the running
+            sum is taken afresh (``cumsum``).  The memo's entries are capped
+            by ``LOAD_MEMO_CELLS``, so its memory stays near 2 MB whatever
+            the number of scenarios."""
             bits = parent
             if relax is not None:
-                own = relax_memo.get(mask)
-                if own is None:
-                    over = relax[jobs_of(mask)].sum(axis=0) > T + TOL
-                    own = int.from_bytes(
-                        np.packbits(over, bitorder="little").tobytes(), "little"
-                    )
-                    if len(relax_memo) >= FAIL_MEMO_MAX:
+                entry = relax_memo.get(mask)
+                if entry is None:
+                    base = relax_memo.get(mask ^ 1 << j)
+                    if base is None:
+                        load = relax[jobs_of(mask)].cumsum(axis=0)[-1]
+                    else:
+                        load = base[1] + relax[j]
+                    over = np.packbits(load > T + TOL, bitorder="little")
+                    entry = int.from_bytes(over.tobytes(), "little"), load
+                    if len(relax_memo) >= relax_max:
                         relax_memo.clear()
-                    relax_memo[mask] = own
-                bits |= own
+                    relax_memo[mask] = entry
+                bits |= entry[0]
             for cmask, wbits in cuts_by_last[j].items():
                 if cmask & mask == cmask:
                     bits |= wbits
@@ -476,42 +496,48 @@ class BuiltinBackend:
             if j == n:
                 handle_leaf(util)
                 return
-            bit = 1 << j
-            seen = len(job_cuts)
-            grown_util = util + f[j]
             child_bounds = bounds[j + 1]
-            for m in range(min(j + 1, M) if symmetry else M):
-                mask = mach_mask[m]
-                if mask.bit_count() >= B:
-                    continue
-                if symmetry and m > 0 and not mach_mask[m - 1]:
-                    continue
-                old = mach_fail[m]
-                grown = mask | bit
-                new = fail_memo.get(grown)
-                if new is None:
-                    new = fail_of(grown, j, old)
-                path = failed | new
-                if (path.bit_count() > max_fail
-                        or grown_util + child_bounds[used + 1] <= best_obj + TOL):
-                    continue
-                mach_mask[m], mach_fail[m] = grown, new
-                dfs(j + 1, grown_util, used + 1, path)
-                mach_mask[m], mach_fail[m] = mask, old
-                if len(job_cuts) > seen:
-                    # hook cuts that arrived in the subtree: the restored
-                    # bits miss those ``mask`` covers, and ``failed`` those
-                    # the path covers
-                    for cmask, w in job_cuts[seen:]:
-                        if cmask & mask == cmask:
-                            mach_fail[m] |= 1 << w
-                    seen = len(job_cuts)
-                    failed = 0
-                    for bits in mach_fail:
-                        failed |= bits
-                if limit:
-                    note_open(j, util, used)
-                    return
+            # the children that assign j share one utility bound, tested
+            # again after each descent as the incumbent moves; with every
+            # machine full there are none
+            grown_util = util + f[j]
+            grown_bound = (grown_util + child_bounds[used + 1] if used < full
+                           else -np.inf)
+            if grown_bound > best_obj + TOL:
+                bit = 1 << j
+                seen = len(job_cuts)
+                for m, mask in enumerate(mach_mask):
+                    if mask.bit_count() < B:
+                        old = mach_fail[m]
+                        grown = mask | bit
+                        new = fail_memo.get(grown)
+                        if new is None:
+                            new = fail_of(grown, j, old)
+                        path = failed | new
+                        if path.bit_count() <= max_fail:
+                            mach_mask[m], mach_fail[m] = grown, new
+                            dfs(j + 1, grown_util, used + 1, path)
+                            mach_mask[m], mach_fail[m] = mask, old
+                            if len(job_cuts) > seen:
+                                # hook cuts that arrived in the subtree: the
+                                # restored bits miss those ``mask`` covers,
+                                # and ``failed`` those the path covers
+                                for cmask, w in job_cuts[seen:]:
+                                    if cmask & mask == cmask:
+                                        mach_fail[m] |= 1 << w
+                                seen = len(job_cuts)
+                                failed = 0
+                                for bits in mach_fail:
+                                    failed |= bits
+                            if limit:
+                                note_open(j, util, used)
+                                return
+                            if grown_bound <= best_obj + TOL:
+                                break
+                    if symmetry and not mask:
+                        # machines after the first empty one are empty too,
+                        # and the lexicographic order leaves them to it
+                        break
             if (failed.bit_count() <= max_fail
                     and util + child_bounds[used] > best_obj + TOL):
                 dfs(j + 1, util, used, failed)

@@ -137,6 +137,57 @@ class Instance:
         breaks.setflags(write=False)
         return breaks
 
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """Every invariant the instance breaks, as messages (none when well
+        formed); derived on first use.  ``validate_instance`` lists them and
+        ``SolveOptions.check`` refuses an instance that has any."""
+        v = []
+        if self.n_jobs < 1:
+            v.append("n_jobs < 1")
+        if self.n_machines < 1:
+            v.append("n_machines < 1")
+        if not 1 <= self.capacity <= max(self.n_jobs, 1):
+            v.append(f"capacity {self.capacity} outside [1, n_jobs]")
+        if not self.time_limit > 0:
+            v.append("time_limit <= 0")
+        if not 0 < self.epsilon < 1:
+            v.append("epsilon outside (0, 1)")
+        if len(self.utilities) != self.n_jobs:
+            v.append("utilities length != n_jobs")
+        elif not np.all(self.utilities > 0):
+            bad = np.flatnonzero(self.utilities <= 0) + 1
+            v.append(f"non-positive utility for jobs {bad.tolist()}")
+        if len(self.scenarios) < 1:
+            v.append("no scenarios")
+        elif abs(self.scenario_prob * self.n_scenarios - 1.0) > PROB_TOL:
+            v.append("scenario probabilities do not sum to 1")
+        if len(self.big_m) != self.n_scenarios:
+            v.append("big_m length != n_scenarios")
+        sound = 0  # scenarios the triangle test, which stacks them all, can read
+        for w, sc in enumerate(self.scenarios):
+            if len(sc.exec) != self.n_jobs:
+                v.append(f"scenario {w}: exec length != n_jobs")
+                continue
+            if sc.setup.shape != (self.n_jobs + 1, self.n_jobs + 1):
+                v.append(f"scenario {w}: setup shape {sc.setup.shape}")
+                continue
+            if not np.all(np.isfinite(sc.exec)) or np.any(sc.exec < 0):
+                v.append(f"scenario {w}: exec times must be finite and >= 0")
+            if not np.all(np.isfinite(sc.setup)) or np.any(sc.setup < 0):
+                v.append(f"scenario {w}: setup times must be finite and >= 0")
+                continue
+            for j in np.flatnonzero(np.diagonal(sc.setup)):
+                v.append(f"scenario {w}: setup[{j}][{j}] = {sc.setup[j, j]}"
+                         " (nonzero diagonal)")
+            sound += 1
+        for w, i, k in self.broken_triangles if sound == self.n_scenarios > 0 else ():
+            d = self.scenarios[w].setup
+            j = int(np.argmin(d[i, :] + d[:, k]))
+            v.append(f"scenario {w}: triangle inequality broken at (i={i}, j={j}, "
+                     f"k={k}): {d[i, k]} > {d[i, j]} + {d[j, k]}")
+        return tuple(v)
+
     def to_dict(self) -> dict:
         return {
             "n_jobs": self.n_jobs,
@@ -285,47 +336,4 @@ def compute_big_m(scenarios: list[Scenario], capacity: int) -> np.ndarray:
 
 def validate_instance(inst: Instance) -> list[str]:
     """Return a list of invariant violations (empty when well formed)."""
-    v = []
-    if inst.n_jobs < 1:
-        v.append("n_jobs < 1")
-    if inst.n_machines < 1:
-        v.append("n_machines < 1")
-    if not 1 <= inst.capacity <= max(inst.n_jobs, 1):
-        v.append(f"capacity {inst.capacity} outside [1, n_jobs]")
-    if not inst.time_limit > 0:
-        v.append("time_limit <= 0")
-    if not 0 < inst.epsilon < 1:
-        v.append("epsilon outside (0, 1)")
-    if len(inst.utilities) != inst.n_jobs:
-        v.append("utilities length != n_jobs")
-    elif not np.all(inst.utilities > 0):
-        bad = np.flatnonzero(inst.utilities <= 0) + 1
-        v.append(f"non-positive utility for jobs {bad.tolist()}")
-    if len(inst.scenarios) < 1:
-        v.append("no scenarios")
-    elif abs(inst.scenario_prob * inst.n_scenarios - 1.0) > PROB_TOL:
-        v.append("scenario probabilities do not sum to 1")
-    if len(inst.big_m) != inst.n_scenarios:
-        v.append("big_m length != n_scenarios")
-    sound = 0  # scenarios the triangle test, which stacks them all, can read
-    for w, sc in enumerate(inst.scenarios):
-        if len(sc.exec) != inst.n_jobs:
-            v.append(f"scenario {w}: exec length != n_jobs")
-            continue
-        if sc.setup.shape != (inst.n_jobs + 1, inst.n_jobs + 1):
-            v.append(f"scenario {w}: setup shape {sc.setup.shape}")
-            continue
-        if not np.all(np.isfinite(sc.exec)) or np.any(sc.exec < 0):
-            v.append(f"scenario {w}: exec times must be finite and >= 0")
-        if not np.all(np.isfinite(sc.setup)) or np.any(sc.setup < 0):
-            v.append(f"scenario {w}: setup times must be finite and >= 0")
-            continue
-        for j in np.flatnonzero(np.diagonal(sc.setup)):
-            v.append(f"scenario {w}: setup[{j}][{j}] = {sc.setup[j, j]} (nonzero diagonal)")
-        sound += 1
-    for w, i, k in inst.broken_triangles if sound == inst.n_scenarios > 0 else ():
-        d = inst.scenarios[w].setup
-        j = int(np.argmin(d[i, :] + d[:, k]))
-        v.append(f"scenario {w}: triangle inequality broken at (i={i}, j={j}, "
-                 f"k={k}): {d[i, k]} > {d[i, j]} + {d[j, k]}")
-    return v
+    return list(inst.violations)

@@ -1,18 +1,16 @@
-"""Ground truth independent of the diagram code paths: brute-force
-references, plus witness schedules and a Held-Karp checker used for
-verification.
+"""Ground truth independent of the diagram code paths: witness schedules
+and a Held-Karp checker, used for verification.
 
-The brute-force functions enumerate: permutations for sequencing, subsets
-for IIS, assignments for whole-problem optima.  They are deliberately naive
-so they can serve as the reference in tests; hard limits keep them at desk
-scale.  ``held_karp_min_times`` computes the same minimum sequencing time
-as ``brute_min_time`` with the bitmask dynamic program of Held & Karp
-(1962), written from the problem definition alone, and runs at every
-capacity.  ``witness_schedules`` builds one concrete nearest-neighbour
-order per scenario and times it exactly as ``brute_min_time`` times a
-permutation.  ``verify_candidate`` accepts a (machine, scenario) pair on
-such a witness and runs Held-Karp only on the pairs no witness fits.
-Nothing here is shared with the diagrams.
+``held_karp_min_times`` computes the minimum sequencing time of a job set
+with the bitmask dynamic program of Held & Karp (1962), written from the
+problem definition alone, and runs at every capacity.
+``witness_schedules`` builds one concrete nearest-neighbour order per
+scenario and times it exactly as a permutation is timed: t(first), then
+setup plus execution per step, then the closing setup.
+``verify_candidate`` accepts a (machine, scenario) pair on such a witness
+and runs Held-Karp only on the pairs no witness fits.  Nothing here is
+shared with the diagrams; the brute-force references the tests compare
+both against are in ``tests/oracle_reference.py``.
 
 Closing-setup convention: a strict subset of the evaluated universe is
 timed without the final setup back to the dummy job, the full set with it.
@@ -22,64 +20,17 @@ oracle and diagram IIS semantics coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
 
 import numpy as np
 
 from .model import (
     Candidate,
     Instance,
-    LimitExceeded,
-    Scenario,
     StructuralError,
     TOL,
     chance_satisfied,
 )
-
-
-@dataclass(frozen=True)
-class OracleLimits:
-    max_seq_jobs: int = 8
-    max_enum_bits: int = 24
-
-
-DEFAULT_LIMITS = OracleLimits()
-
-
-def brute_min_time(jobs, scenario: Scenario, include_closing: bool,
-                   limits: OracleLimits = DEFAULT_LIMITS) -> float:
-    """Minimum over all orderings of the given 1-based job ids of
-    t(first) + sum of (setup + exec), plus the closing setup when asked.
-    """
-    jobs = sorted(jobs)
-    if len(jobs) != len(set(jobs)):
-        raise StructuralError("duplicate job ids")
-    if len(jobs) > limits.max_seq_jobs:
-        raise LimitExceeded(f"{len(jobs)} jobs exceeds oracle limit {limits.max_seq_jobs}")
-    if not jobs:
-        return 0.0
-    t = scenario.exec
-    d = scenario.setup
-    best = np.inf
-    for perm in permutations(jobs):
-        total = t[perm[0] - 1]
-        if total >= best:
-            continue
-        ok = True
-        for prev, cur in zip(perm, perm[1:]):
-            total += d[prev, cur] + t[cur - 1]
-            if total >= best:
-                ok = False
-                break
-        if not ok:
-            continue
-        if include_closing:
-            total += d[perm[-1], 0]
-        if total < best:
-            best = total
-    return float(best)
 
 
 # Held-Karp working-set bound in float64 cells (256 KB), for the table and
@@ -125,9 +76,8 @@ def _job_ids(jobs, scenarios) -> np.ndarray:
 def held_karp_min_times(jobs, scenarios, include_closing: bool = True) -> np.ndarray:
     """Minimum sequencing time of the given 1-based job ids in each scenario.
 
-    Same quantity and closing-setup convention as ``brute_min_time``:
-    t(first) + sum of (setup + exec) over the ordering, plus the closing
-    setup to the dummy job when asked.  ``f[S, j]`` is the cheapest
+    The minimum over all orderings of t(first) + sum of (setup + exec),
+    plus the closing setup to the dummy job when asked.  ``f[S, j]`` is the cheapest
     ordering of subset S that ends in j, filled by subset size for a chunk
     of scenarios at a time with numpy.
     """
@@ -168,10 +118,10 @@ def witness_schedules(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
 
     From every start job the order moves to the unvisited job of least
     setup from the current one, the lowest job id on ties; per scenario the
-    fastest of these k orders is kept.  Its time is summed exactly as
-    ``brute_min_time`` sums a permutation: t(first), then += setup + exec
-    per step, then the closing setup.  So a witness time is bitwise the
-    brute-force time of a real schedule, and an upper bound on the minimum.
+    fastest of these k orders is kept.  Its time is summed in schedule
+    order: t(first), then += setup + exec per step, then the closing
+    setup.  So a witness time is bitwise the time a brute-force sum over
+    that permutation gives, and an upper bound on the minimum.
     Returns (orders, times) of shapes (W, k) and (W,).
     """
     idx = _job_ids(jobs, scenarios)
@@ -206,117 +156,6 @@ def witness_schedules(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
         orders[lo:lo + len(part)] = idx[path[best, w]]
         times[lo:lo + len(part)] = total[best, w]
     return orders, times
-
-
-def brute_iis(jobs_universe, scenario: Scenario, time_limit: float,
-              limits: OracleLimits = DEFAULT_LIMITS) -> list[frozenset]:
-    """All minimal infeasible subsets of the universe: sets whose best
-    ordering exceeds the time limit while every proper subset fits."""
-    universe = sorted(jobs_universe)
-    if len(universe) > limits.max_seq_jobs:
-        raise LimitExceeded(f"universe of {len(universe)} exceeds oracle limit")
-    kept: list[frozenset] = []
-    full = frozenset(universe)
-    for size in range(1, len(universe) + 1):
-        for subset in combinations(universe, size):
-            s = frozenset(subset)
-            if any(k <= s for k in kept):
-                continue
-            closing = s == full
-            if brute_min_time(subset, scenario, closing, limits) > time_limit + TOL:
-                kept.append(s)
-    return kept
-
-
-def machine_feasibility(inst: Instance, jobs, limits: OracleLimits = DEFAULT_LIMITS) -> np.ndarray:
-    """Bool vector over scenarios: can the job set be sequenced within T?"""
-    out = np.empty(inst.n_scenarios, dtype=bool)
-    for w, sc in enumerate(inst.scenarios):
-        out[w] = brute_min_time(jobs, sc, True, limits) <= inst.time_limit + TOL
-    return out
-
-
-def brute_optimal(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS):
-    """Exhaustive optimum over all assignments.
-
-    Enumerates each job's machine choice (or none), keeps candidates whose
-    greedy-maximal z satisfies the chance constraint, and returns the
-    max-utility one; ties break toward the lexicographically smallest
-    flattened x (row-major).
-    """
-    n, m = inst.n_jobs, inst.n_machines
-    if n * m > limits.max_enum_bits:
-        raise LimitExceeded(f"{n}x{m} assignment space exceeds oracle limit")
-
-    # feasibility bitmaps per job subset, computed lazily
-    feas_cache: dict[int, int] = {0: (1 << inst.n_scenarios) - 1}
-
-    def feas_bits(mask: int) -> int:
-        bits = feas_cache.get(mask)
-        if bits is None:
-            jobs = [j + 1 for j in range(n) if mask >> j & 1]
-            ok = machine_feasibility(inst, jobs, limits)
-            bits = 0
-            for w in range(inst.n_scenarios):
-                if ok[w]:
-                    bits |= 1 << w
-            feas_cache[mask] = bits
-        return bits
-
-    need = 1.0 - inst.epsilon - 1e-12
-    p = inst.scenario_prob
-    best_obj = -np.inf
-    best = None
-
-    masks = [0] * m
-    counts = [0] * m
-    choice = [0] * n  # 0 = unassigned, 1..m = machine
-
-    def flat_x():
-        x = np.zeros((n, m), dtype=np.int8)
-        for j in range(n):
-            if choice[j]:
-                x[j, choice[j] - 1] = 1
-        return x
-
-    utilities = inst.utilities
-
-    def rec(j: int, util: float):
-        nonlocal best_obj, best
-        if j == n:
-            zbits = (1 << inst.n_scenarios) - 1
-            for mk in masks:
-                if mk:
-                    zbits &= feas_bits(mk)
-            if bin(zbits).count("1") * p < need:
-                return
-            x = flat_x()
-            key = tuple(x.ravel())
-            if util > best_obj + 1e-12 or (
-                abs(util - best_obj) <= 1e-12 and best is not None and key < best[2]
-            ):
-                z = np.array(
-                    [(zbits >> w) & 1 for w in range(inst.n_scenarios)], dtype=np.int8
-                )
-                best_obj = util
-                best = (x, z, key)
-            return
-        bit = 1 << j
-        for mi in range(m):
-            if counts[mi] < inst.capacity:
-                choice[j] = mi + 1
-                masks[mi] |= bit
-                counts[mi] += 1
-                rec(j + 1, util + utilities[j])
-                counts[mi] -= 1
-                masks[mi] &= ~bit
-        choice[j] = 0
-        rec(j + 1, util)
-
-    rec(0, 0.0)
-    x, z, _ = best
-    cand = Candidate(x=x, z=z)
-    return cand, float(best_obj)
 
 
 def verify_candidate(inst: Instance, cand: Candidate) -> list[str]:

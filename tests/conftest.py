@@ -6,7 +6,7 @@ from ccpmsp.decomposition import solve_ccpmsp
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.master import BuiltinBackend
 from ccpmsp.model import Scenario
-from ccpmsp.oracle import brute_optimal
+from oracle_reference import brute_optimal
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,8 @@
 """The arc-level diagram and its state-expanding builder, kept as the
 reference for the closed-form sweep plans of ``ccpmsp.diagram``, with
-per-arc costs for both variants, and ``sub_times``, which slices a
+per-arc costs for both variants, ``sub_times``, which slices a
 scenario's time arrays for a job subset in the diagrams' canonical
-convention.
+convention, and ``canonical_remap``, the index map of that convention.
 
 ``build_top_down(spec, k)`` expands each layer's states over their domains
 through a spec's ``domain`` and ``transition`` callbacks and merges equal
@@ -362,3 +362,16 @@ def sub_times(scenario: Scenario, remap: np.ndarray):
     t = np.concatenate(([0.0], scenario.exec[remap[1:] - 1]))
     d = scenario.setup[np.ix_(remap, remap)]
     return t, d
+
+
+def canonical_remap(assigned) -> np.ndarray:
+    """Map canonical indices to original job ids.
+
+    Position i (1-based) of the sorted job set becomes canonical index i;
+    entry 0 maps the dummy job to itself.  Returns an int array of length
+    k + 1 with remap[i] = original id of canonical job i.
+    """
+    jobs = sorted(assigned)
+    if len(jobs) != len(set(jobs)):
+        raise StructuralError("duplicate job ids in assignment")
+    return np.array([0] + jobs, dtype=np.int64)

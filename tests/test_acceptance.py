@@ -11,26 +11,27 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ccpmsp import jobset, lastjob, oracle
+from ccpmsp import jobset, lastjob
 from ccpmsp.cli import main as cli_main
 from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
 from ccpmsp.diagram import (
     JOBSET,
     LASTJOB,
     build_top_down,
-    canonical_remap,
 )
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.master import build_master, check_rows
 from ccpmsp.model import LimitExceeded, jobs_mask
 from conftest import mask_jobs
 from diagram_reference import (
+    canonical_remap,
     jobset_arc_costs,
     lastjob_arc_costs,
     node_min_times,
     reference_diagram,
     sub_times,
 )
+import oracle_reference
 
 
 @contextlib.contextmanager
@@ -120,7 +121,7 @@ def test_criterion_2_sequencing_oracle_equivalence():
                     build_top_down(JOBSET, k),
                 )
             lj, js = diagrams[k]
-            want = oracle.brute_min_time(jobs, sc, True)
+            want = oracle_reference.brute_min_time(jobs, sc, True)
             assert abs(lastjob.min_time(lj, t, d) - want) <= 1e-9
             assert abs(jobset.min_time(js, t, d) - want) <= 1e-9
             checked += 1
@@ -145,9 +146,9 @@ def test_criterion_3_iis_oracle_equivalence():
                     build_top_down(JOBSET, k),
                 )
             lj, js = diagrams[k]
-            full = oracle.brute_min_time(jobs, sc, True)
+            full = oracle_reference.brute_min_time(jobs, sc, True)
             limit = float(rng.uniform(0.3, 1.05)) * full
-            want = {jobs_mask(s) for s in oracle.brute_iis(jobs, sc, limit)}
+            want = {jobs_mask(s) for s in oracle_reference.brute_iis(jobs, sc, limit)}
             assert set(lastjob.iis(lj, limit, t, d)) == want
             assert set(jobset.iis(js, limit, t, d)) == want
         assert time.perf_counter() - t0 < 60.0
@@ -217,7 +218,7 @@ def chance_feasible_pairs(inst):
             if jobs:
                 bits = feas.get(jobs)
                 if bits is None:
-                    bits = oracle.machine_feasibility(inst, jobs).astype(np.int8)
+                    bits = oracle_reference.machine_feasibility(inst, jobs).astype(np.int8)
                     feas[jobs] = bits
                 z &= bits
         if z.sum() * inst.scenario_prob >= 1.0 - inst.epsilon - 1e-12:

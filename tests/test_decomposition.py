@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import time
 import tracemalloc
 
@@ -20,7 +21,6 @@ from ccpmsp.diagram import (
     JOBSET,
     LASTJOB,
     DiagramCache,
-    canonical_remap,
     schedule_fits,
 )
 from ccpmsp.instances import GenConfig, make_instance
@@ -35,7 +35,7 @@ from ccpmsp.model import (
     jobs_mask,
     validate_instance,
 )
-from ccpmsp.oracle import brute_iis, brute_min_time, brute_optimal, verify_candidate
+from ccpmsp.oracle import verify_candidate
 from conftest import (
     B10_CONFIG,
     mask_jobs,
@@ -44,6 +44,8 @@ from conftest import (
     regression_configs,
     solve_iteratively,
 )
+from diagram_reference import canonical_remap
+from oracle_reference import brute_iis, brute_min_time, brute_optimal
 
 
 def uniform_instance(uniform_scenario, machines=1, T=5.0, eps=0.4):
@@ -447,6 +449,24 @@ def test_solve_refuses_setups_that_break_the_triangle_inequality(variant):
     assert any("triangle" in p for p in validate_instance(inst))
     with pytest.raises(ConfigurationError, match="triangle"):
         solve_ccpmsp(inst, SolveOptions(variant=variant, cut_kind="iis"))
+
+
+@pytest.mark.parametrize("broken, message", [
+    ({"epsilon": 1.5}, "epsilon outside (0, 1)"),
+    ({"scenarios": []}, "no scenarios"),
+])
+def test_solve_refuses_every_violation_validate_instance_lists(broken, message):
+    # at epsilon 1.5 the chance row holds with no scenario at all, and with
+    # no scenarios there is nothing to stack: the library refuses both, as
+    # the command line does, from the instance's one cached list
+    fields = dict(n_jobs=2, n_machines=1, capacity=2, time_limit=10.0,
+                  epsilon=0.1, utilities=np.ones(2),
+                  scenarios=[Scenario(np.ones(2), 1.0 - np.eye(3))])
+    inst = Instance(**{**fields, **broken})
+    assert validate_instance(inst) == [message]
+    assert inst.violations is inst.violations
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        solve_ccpmsp(inst)
 
 
 @pytest.mark.parametrize("dif", [30.0, -3.0])

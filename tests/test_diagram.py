@@ -5,14 +5,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from ccpmsp import jobset, lastjob, oracle
+from ccpmsp import jobset, lastjob
 from ccpmsp.diagram import (
     JOBSET,
     LASTJOB,
     Diagram,
     DiagramCache,
     build_top_down,
-    canonical_remap,
     minimal_over_limit,
     nearest_neighbour_times,
     schedule_fits,
@@ -22,12 +21,14 @@ from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import TOL, ConfigurationError, StructuralError
 from conftest import random_scenario
 from diagram_reference import (
+    canonical_remap,
     jobset_arc_costs,
     lastjob_arc_costs,
     node_min_times,
     reference_diagram,
     sub_times,
 )
+import oracle_reference
 
 
 def test_worked_example_layer_shapes(uniform_scenario):
@@ -118,7 +119,7 @@ def test_min_time_equals_permutation_enumeration(seed):
     sc = random_scenario(rng, k)
     remap = canonical_remap(range(1, k + 1))
     t, d = sub_times(sc, remap)
-    want = oracle.brute_min_time(range(1, k + 1), sc, True)
+    want = oracle_reference.brute_min_time(range(1, k + 1), sc, True)
     lj = build_top_down(LASTJOB, k)
     js = build_top_down(JOBSET, k)
     assert lastjob.min_time(lj, t, d) == pytest.approx(want, abs=1e-9)
@@ -149,7 +150,7 @@ def test_remapped_evaluation_matches_direct_subset(seed):
     t, d = sub_times(sc, remap)
     k = len(jobs)
     lj = build_top_down(LASTJOB, k)
-    want = oracle.brute_min_time(jobs, sc, True)
+    want = oracle_reference.brute_min_time(jobs, sc, True)
     assert lastjob.min_time(lj, t, d) == pytest.approx(want, abs=1e-9)
 
 

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from ccpmsp import jobset, lastjob, oracle
-from ccpmsp.diagram import JOBSET, LASTJOB, build_top_down, canonical_remap
+from ccpmsp import jobset, lastjob
+from ccpmsp.diagram import JOBSET, LASTJOB, build_top_down
 from ccpmsp.model import jobs_mask
 from conftest import random_scenario
-from diagram_reference import jobset_arc_costs, reference_diagram, sub_times
+from diagram_reference import (
+    canonical_remap,
+    jobset_arc_costs,
+    reference_diagram,
+    sub_times,
+)
+import oracle_reference
 
 
 def test_cumulative_costs_worked_example(uniform_scenario):
@@ -49,10 +55,10 @@ def test_iis_agrees_with_oracle_and_lastjob(seed):
     t, d = sub_times(sc, remap)
     js = build_top_down(JOBSET, k)
     lj = build_top_down(LASTJOB, k)
-    full = oracle.brute_min_time(range(1, k + 1), sc, True)
+    full = oracle_reference.brute_min_time(range(1, k + 1), sc, True)
     limit = float(rng.uniform(0.3, 1.0) * full)
     got = set(jobset.iis(js, limit, t, d))
-    assert got == {jobs_mask(s) for s in oracle.brute_iis(range(1, k + 1), sc, limit)}
+    assert got == {jobs_mask(s) for s in oracle_reference.brute_iis(range(1, k + 1), sc, limit)}
     assert got == set(lastjob.iis(lj, limit, t, d))
 
 
@@ -65,7 +71,7 @@ def test_iis_lists_equal_across_variants(seed):
     t, d = sub_times(sc, canonical_remap(range(1, k + 1)))
     js = build_top_down(JOBSET, k)
     lj = build_top_down(LASTJOB, k)
-    full = oracle.brute_min_time(range(1, k + 1), sc, True)
+    full = oracle_reference.brute_min_time(range(1, k + 1), sc, True)
     for share in (0.2, 0.5, 0.8, 1.1):
         limit = share * full
         assert jobset.iis(js, limit, t, d) == lastjob.iis(lj, limit, t, d)
@@ -78,7 +84,7 @@ def test_terminal_cumulative_equals_min_completion(seed=0):
     remap = canonical_remap(range(1, k + 1))
     t, d = sub_times(sc, remap)
     js = reference_diagram(JOBSET, k)
-    want = oracle.brute_min_time(range(1, k + 1), sc, True)
+    want = oracle_reference.brute_min_time(range(1, k + 1), sc, True)
     costs = jobset_arc_costs(js, t, d)
     into_terminal = np.flatnonzero(js.arc_head == js.terminal)
     assert costs[into_terminal].min() == pytest.approx(want, abs=1e-9)

@@ -3,17 +3,19 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ccpmsp import jobset, lastjob, oracle
-from ccpmsp.diagram import JOBSET, LASTJOB, build_top_down, canonical_remap
+from ccpmsp import jobset, lastjob
+from ccpmsp.diagram import JOBSET, LASTJOB, build_top_down
 from ccpmsp.model import Scenario, jobs_mask
 from conftest import mask_jobs, random_scenario
 from diagram_reference import (
+    canonical_remap,
     jobset_arc_costs,
     lastjob_arc_costs,
     node_min_times,
     reference_diagram,
     sub_times,
 )
+import oracle_reference
 
 
 def example_arrays(uniform_scenario):
@@ -80,10 +82,10 @@ def test_iis_matches_brute_force(seed):
     remap = canonical_remap(range(1, k + 1))
     t, d = sub_times(sc, remap)
     diag = build_top_down(LASTJOB, k)
-    full = oracle.brute_min_time(range(1, k + 1), sc, True)
+    full = oracle_reference.brute_min_time(range(1, k + 1), sc, True)
     limit = float(rng.uniform(0.3, 1.0) * full)
     got = set(lastjob.iis(diag, limit, t, d))
-    want = {jobs_mask(s) for s in oracle.brute_iis(range(1, k + 1), sc, limit)}
+    want = {jobs_mask(s) for s in oracle_reference.brute_iis(range(1, k + 1), sc, limit)}
     assert got == want
 
 
@@ -111,7 +113,7 @@ def test_reach_table_equals_partial_sequence_minima(variant, seed):
         for subset in combinations(universe, size):
             mask = sum(1 << (j - 1) for j in subset)
             closing = size == k
-            want = oracle.brute_min_time(subset, sc, closing)
+            want = oracle_reference.brute_min_time(subset, sc, closing)
             assert table[mask] == pytest.approx(want, abs=1e-9)
 
 
@@ -123,17 +125,17 @@ def test_iis_outputs_are_minimal_and_incomparable(seed):
     remap = canonical_remap(range(1, k + 1))
     t, d = sub_times(sc, remap)
     diag = build_top_down(LASTJOB, k)
-    full = oracle.brute_min_time(range(1, k + 1), sc, True)
+    full = oracle_reference.brute_min_time(range(1, k + 1), sc, True)
     limit = 0.75 * full
     sets = [mask_jobs(m) for m in lastjob.iis(diag, limit, t, d)]
     universe = frozenset(range(1, k + 1))
     for s in sets:
         closing = s == universe
-        assert oracle.brute_min_time(s, sc, closing) > limit
+        assert oracle_reference.brute_min_time(s, sc, closing) > limit
         for j in s:  # every proper subset fits
             smaller = s - {j}
             if smaller:
-                assert oracle.brute_min_time(smaller, sc, False) <= limit + 1e-9
+                assert oracle_reference.brute_min_time(smaller, sc, False) <= limit + 1e-9
     for a in sets:
         for b in sets:
             if a is not b:

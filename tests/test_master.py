@@ -21,8 +21,8 @@ from ccpmsp.master import (
 )
 from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
 from ccpmsp.model import BENDERS, IIS, NOGOOD, Cut, Instance, jobs_mask
-from ccpmsp.oracle import brute_optimal
 from conftest import mask_jobs
+from oracle_reference import brute_optimal
 
 STUB = os.path.join(os.path.dirname(__file__), "lp_stub.py")
 
@@ -333,6 +333,53 @@ def test_hook_receives_the_pinned_leaves(monkeypatch, seed):
     _, report = solve_ccpmsp(inst, SolveOptions())
     assert report.n_master_solves == 1
     assert (digest.hexdigest(), report.n_master_nodes) == MASTER_LEAVES[seed]
+
+
+# The same three instances under each master option: per seed, the nodes
+# the search enters (``n_master_nodes``), the subproblem checks
+# (``n_callbacks``) and the pooled cuts (``n_cuts``).
+MASTER_SEARCH = {
+    (True, True): {11: (9010, 27, 92), 12: (6543, 19, 35), 13: (4496, 22, 65)},
+    (False, True): {11: (51009, 27, 92), 12: (33085, 19, 35), 13: (25843, 22, 65)},
+    (True, False): {11: (11155, 276, 2217), 12: (6112, 183, 1475),
+                    13: (3921, 224, 1454)},
+}
+
+
+@pytest.mark.parametrize("symmetry, relaxation, memo_max", [
+    (True, True, master.FAIL_MEMO_MAX), (False, True, master.FAIL_MEMO_MAX),
+    (True, False, master.FAIL_MEMO_MAX), (True, True, 4),
+])
+def test_master_search_is_pinned(monkeypatch, symmetry, relaxation, memo_max):
+    # with both memos emptied every few entries, most loads are summed
+    # afresh instead of from the smaller set's; the search is the same
+    monkeypatch.setattr(master, "FAIL_MEMO_MAX", memo_max)
+    opts = SolveOptions(symmetry=symmetry, scenario_relaxation=relaxation)
+    for seed, want in MASTER_SEARCH[symmetry, relaxation].items():
+        inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=12, n_machines=3,
+                                       n_scenarios=12, dif=-1.0, seed=seed))
+        _, report = solve_ccpmsp(inst, opts)
+        assert report.optimal
+        assert (report.n_master_nodes, report.n_callbacks, report.n_cuts) == want, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(65, 300), st.integers(1, 40), st.data())
+def test_loads_from_the_smaller_set_are_bitwise_the_row_sum(n_sc, n, data):
+    # the search sums a job set's load as the smaller set's load plus the
+    # new job's row, and afresh with cumsum where its memo lost the smaller
+    # set; both must be bitwise numpy's axis-0 sum of the set's rows
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    coef = rng.random((n_sc, n)) * 10.0 ** rng.integers(-3, 4, (n_sc, n))
+    relax = np.ascontiguousarray(coef.T)  # as ``BuiltinBackend.solve`` holds it
+    jobs = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    load = relax[jobs[0]]
+    for j in jobs[1:]:
+        load = load + relax[j]
+    want = relax[jobs].sum(axis=0).tobytes()
+    assert load.tobytes() == want
+    assert relax[jobs].cumsum(axis=0)[-1].tobytes() == want
 
 
 def test_lp_writer_round_trips_through_stub(tmp_path):

@@ -146,7 +146,8 @@ def test_validate_flags_triangle_violation():
     # the library refuses what the CLI refuses, from one cached test
     assert bad.broken_triangles.tolist() == [[0, 1, 3]]
     assert bad.broken_triangles is bad.broken_triangles
-    with pytest.raises(ConfigurationError, match=r"triangle .* \(0, 1, 3\)"):
+    with pytest.raises(ConfigurationError,
+                       match=r"scenario 0: triangle .* \(i=1, j=\d, k=3\)"):
         SolveOptions().check(bad)
     SolveOptions().check(tiny_instance())
 

@@ -18,16 +18,9 @@ from ccpmsp.model import (
     candidate_objective,
     chance_satisfied,
 )
-from ccpmsp.oracle import (
-    OracleLimits,
-    brute_iis,
-    brute_min_time,
-    brute_optimal,
-    held_karp_min_times,
-    verify_candidate,
-    witness_schedules,
-)
+from ccpmsp.oracle import held_karp_min_times, verify_candidate, witness_schedules
 from conftest import B10_CONFIG, overloaded_b10_x, random_scenario
+from oracle_reference import OracleLimits, brute_iis, brute_min_time, brute_optimal
 
 
 def test_min_time_worked_example(uniform_scenario):
