@@ -13,11 +13,12 @@ one size filtered together.
 
 A candidate becomes the answer only after every scenario it claims (z = 1)
 has been verified feasible on all machines, so the returned objective is
-exact whenever the status says optimal.  A backend with a lazy-cut hook
-(the built-in one) runs one master search, whose hook checks each candidate
-and returns cuts that prune the rest of that search; a backend without one
-(the external bridge) is re-solved after each cut batch.  Both finish with
-the same objective.
+exact whenever the status says optimal.  The solve makes one
+``solve_master`` call with a lazy-cut hook that checks each candidate and
+returns its cuts.  The built-in search calls it at its leaves, and the cuts
+prune the rest of that search; the external bridge calls it on each
+solution and re-solves while it returns cuts.  Both finish with the same
+objective.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .diagram import (
 from .master import (
     BuiltinBackend,
     ExternalBackend,
-    LIMIT,
     OPTIMAL,
     build_master,
     flow_block,
@@ -134,9 +134,10 @@ class SolveReport:
     master_time: float = 0.0  # inside solve_master, callback hook time excluded
     verify_time: float = 0.0  # post-solve oracle check, after wall_time stops
     build_time: float = 0.0  # diagram builds
-    # solve_master calls: 1 with a hook, one per cut batch without
+    # master solves: 1 from the built-in search, one per cut batch plus one
+    # from the re-solving external bridge
     n_master_solves: int = 0
-    # nodes the built-in search entered over those calls; 0 when external
+    # nodes the built-in search entered over those solves; 0 when external
     n_master_nodes: int = 0
     n_certified: int = 0  # checked pairs a schedule proved, without a sweep
     check_counts: Optional[np.ndarray] = None  # (n_machines, n_scenarios)
@@ -339,9 +340,6 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
     backend = _make_backend(opts)
     pool_keys = set()
 
-    def remaining() -> float:
-        return deadline - time.perf_counter()
-
     def append_cuts(new_cuts) -> list[Cut]:
         fresh = []
         for cut in new_cuts:
@@ -350,10 +348,6 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
                 model.cuts.append(cut)
                 fresh.append(cut)
         return fresh
-
-    def check(cand: Candidate) -> list[Failure]:
-        report.n_callbacks += 1
-        return check_candidate(inst, cand, cache, opts.variant, report)
 
     def cut_batch(failures, cand: Candidate) -> list[Cut]:
         """Pool the cuts of a failing candidate.  When the fresh batch does
@@ -370,48 +364,25 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
             fresh += nogoods
         return fresh
 
-    def run_master(hook=None):
+    def hook(x, z):
+        # the hook runs inside solve_master; its time is not master time
         t0 = time.perf_counter()
-        sol = solve_master(model, backend, time_budget=remaining(), hook=hook)
-        report.master_time += time.perf_counter() - t0
-        report.n_master_solves += 1
-        report.n_master_nodes += sol.n_nodes
-        return sol
+        try:
+            cand = Candidate(x=x, z=z)
+            report.n_callbacks += 1
+            failures = check_candidate(inst, cand, cache, opts.variant, report)
+            return cut_batch(failures, cand) if failures else []
+        finally:
+            report.master_time -= time.perf_counter() - t0
 
-    if backend.supports_callback:
-
-        def hook(x, z):
-            # the hook runs inside solve_master; its time is not master time
-            t0 = time.perf_counter()
-            try:
-                cand = Candidate(x=x, z=z)
-                failures = check(cand)
-                return cut_batch(failures, cand) if failures else []
-            finally:
-                report.master_time -= time.perf_counter() - t0
-
-        sol = run_master(hook=hook)
-        report.status, report.objective, report.bound = (
-            sol.status, sol.objective, sol.bound
-        )
-        cand = sol.candidate if sol.x is not None else None
-    else:
-        cand = None
-        report.status = LIMIT
-        while True:
-            sol = run_master()
-            report.bound = sol.bound
-            if sol.x is None:
-                report.status = sol.status
-                break
-            failures = check(sol.candidate)
-            if not failures:
-                cand = sol.candidate
-                report.status, report.objective = sol.status, sol.objective
-                break
-            cut_batch(failures, sol.candidate)
-            if remaining() <= 0:
-                break  # status stays LIMIT
+    t0 = time.perf_counter()
+    sol = solve_master(model, backend, time_budget=deadline - t0, hook=hook)
+    report.master_time += time.perf_counter() - t0
+    report.status, report.objective, report.bound = (
+        sol.status, sol.objective, sol.bound
+    )
+    report.n_master_solves, report.n_master_nodes = sol.n_solves, sol.n_nodes
+    cand = sol.candidate if sol.x is not None else None
     report.wall_time = time.perf_counter() - start
     report.n_cuts = len(model.cuts)
     report.build_time = cache.build_time

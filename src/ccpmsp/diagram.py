@@ -90,8 +90,11 @@ class Diagram:
       ``layer_masks[p - 1][r % len(layer_masks[p - 1])]``;
     * ``layer_in[p - 1]`` is the (in-degree, nodes) matrix of layer p's
       in-arcs, column r for sweep position r, each column in arc order.  A
-      job-set entry is the in-arc's offset in layer p - 1; a last-job
-      entry is the in-arc's tail, as a sweep position in layer p - 1;
+      job-set entry is the in-arc's position when the arc costs of layer
+      p - 1 are held (out-arc slot, tail node), as the job-set sweep holds
+      them: tail n's j-th out-arc sits at j * tails + n for the layer's
+      number of tails.  A last-job entry is the in-arc's tail, as a sweep
+      position in layer p - 1;
     * ``layer_cells[p - 1]`` holds the cost cells the sweep reads with it.
       A job-set layer p < k has, per in-arc, node and out-arc, the flat
       index of d[val(in-arc), val(out-arc)] in the (k + 1)-square setup
@@ -104,8 +107,7 @@ class Diagram:
     ``sweep_cells`` bounds the arrays a set-time sweep allocates, in cells
     per scenario: the time table, and one layer's arcs (a job-set step may
     take several in-arc slots at once, within ``jobset.SLOT_BLOCK_CELLS``
-    cells in all).  ``slot_major_in`` re-indexes ``layer_in`` for the
-    job-set sweep on first use.
+    cells in all).
     """
 
     variant: str
@@ -115,20 +117,6 @@ class Diagram:
     layer_in: list[np.ndarray]
     layer_cells: list[np.ndarray]
     sweep_cells: int
-
-    @functools.cached_property
-    def slot_major_in(self) -> list[np.ndarray]:
-        """Job-set only: ``layer_in`` with each in-arc at its position when
-        the tail layer's arc costs are held (out-arc slot, tail node), as
-        the job-set sweep holds them: tail n's out-arc j, offset n * o + j
-        for o out-arcs per tail, sits at j * tails + n."""
-        out = []
-        for p, into in enumerate(self.layer_in):
-            tails, per_tail = len(self.layers[p]), self.depth - p
-            order = np.arange(tails * per_tail).reshape(per_tail, tails).T.ravel()
-            out.append(order.take(into).astype(into.dtype))
-            out[-1].setflags(write=False)
-        return out
 
     def layer_sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
@@ -143,7 +131,8 @@ def build_top_down(variant: str, k: int) -> Diagram:
     - job-set node M: from each tail M - {j}, j in M.  In arc order the
       lower tail masks come first, so M's jobs run descending.  The arc
       adding the i-th job j of M (from 0) is its tail's (j - i)-th out-arc,
-      as i of the jobs below j are in the tail;
+      as i of the jobs below j are in the tail, and sits at that slot times
+      the tails plus the tail's rank;
     - last-job node (M, j): from each tail (M - {j}, last), last ascending.
       The node at sweep position i * C(k, p) + rank(M) has the i-th job of
       M as j, and the tail at g * C(k, p - 1) + rank(M - {j}) has the g-th
@@ -172,7 +161,7 @@ def build_top_down(variant: str, k: int) -> Diagram:
         layer_masks.append(masks.astype(narrow((1 << k) - 1)))
         tails = lattice.rank[lattice.rests[p]]  # the tail masks' ranks
         if variant == JOBSET:
-            into = (tails * (k - p + 1) + (members - np.arange(p)))[:, ::-1].T
+            into = ((members - np.arange(p)) * counts[p - 1] + tails)[:, ::-1].T
             n_arcs = counts[p - 1] * (k - p + 1)  # leaving layer p - 1
             layer_in.append(np.ascontiguousarray(into, dtype=narrow(n_arcs - 1)))
             if p < k:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ConfigurationError, Instance, Scenario, compute_big_m
+from .model import ConfigurationError, Instance, Scenario
 
 # dataset -> (exec_mu, exec_sigma, setup_mu, setup_sigma)
 DATASET_PARAMS = {
@@ -194,7 +194,6 @@ def make_instance(cfg: GenConfig) -> Instance:
         epsilon=cfg.epsilon,
         utilities=gen_utilities(cfg),
         scenarios=scenarios,
-        big_m=compute_big_m(scenarios, capacity),
         seed=cfg.seed,
         dataset_kind=cfg.dataset_kind,
         dif=cfg.dif,

@@ -43,7 +43,8 @@ def set_times(diag: Diagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:
     Only the costs of the arcs entering the current layer live on into the
     next, as its (in-degree, nodes) matrix.  A layer's out-arc costs are
     held (out-arc slot, node), so each in-arc cost broadcasts over whole
-    rows, and are read back through ``Diagram.slot_major_in``.
+    rows, and are read back through ``Diagram.layer_in``, which lists the
+    in-arcs at those positions.
     """
     if diag.variant != JOBSET or d.shape[1] != diag.depth + 1:
         raise StructuralError("job-set costs requested for a different variant or size")
@@ -55,7 +56,7 @@ def set_times(diag: Diagram, t: np.ndarray, d: np.ndarray) -> np.ndarray:
     table[0] = 0.0  # the empty set, at the root
     base = costs[closing if k == 1 else 0:][1:k + 1]  # the root adds jobs 1..k
     for p in range(1, k + 1):
-        into = base.take(diag.slot_major_in[p - 1], axis=0)
+        into = base.take(diag.layer_in[p - 1], axis=0)
         del base
         table[diag.layer_masks[p - 1]] = into.min(axis=0)
         if p == k:

@@ -6,7 +6,10 @@ and scenario-relaxation valid inequalities, and an accumulating cut pool.
 
 Two backends solve it: a built-in depth-first branch-and-bound specialized
 to this structure, and a bridge that writes an LP file and invokes an
-external solver executable.  Both return the same objective on any model.
+external solver executable.  Both return the same objective on any model,
+and both take a lazy-cut hook: the built-in search calls it at its leaves,
+the bridge on each solution it reads, re-solving while it returns cuts
+(``resolve``).
 """
 
 from __future__ import annotations
@@ -84,6 +87,9 @@ class BackendSolution:
     objective: Optional[float] = None
     bound: Optional[float] = None
     n_nodes: int = 0  # search nodes entered; 0 from the external backend
+    # solves of the model: 1 from the built-in search; from ``resolve``, one
+    # per hook cut batch plus the last
+    n_solves: int = 1
 
     @property
     def candidate(self) -> Candidate:
@@ -300,7 +306,6 @@ class BuiltinBackend:
     sum per machine that holds jobs (``flow_lhs``).
     """
 
-    supports_callback = True
     name = "builtin"
 
     def solve(self, model: MasterModel, time_budget: Optional[float] = None,
@@ -569,6 +574,32 @@ class BuiltinBackend:
 # ---------------------------------------------------------------------------
 
 
+def resolve(solve_once: Callable, model: MasterModel,
+            time_budget: Optional[float] = None,
+            hook: Optional[Callable] = None) -> BackendSolution:
+    """Honour a lazy-cut hook by re-solving: ``solve_once(model, budget)``
+    solves the model as it stands, the hook gets the solution's (x, z), and
+    while it returns cuts (which it has added to ``model.cuts``) the model
+    is solved again on the budget left.  The last solution is returned, or,
+    when the budget runs out after a cut batch, a ``LIMIT`` one with no
+    candidate and the last solve's bound; ``n_solves`` and ``n_nodes``
+    count over every solve."""
+    deadline = None if time_budget is None else time.monotonic() + time_budget
+    n_solves = n_nodes = 0
+    while True:
+        sol = solve_once(model, None if deadline is None
+                         else deadline - time.monotonic())
+        n_solves += 1
+        n_nodes += sol.n_nodes
+        if hook is None or sol.x is None or not hook(sol.x, sol.z):
+            break
+        if deadline is not None and time.monotonic() >= deadline:
+            sol = BackendSolution(status=LIMIT, bound=sol.bound)
+            break
+    sol.n_solves, sol.n_nodes = n_solves, n_nodes
+    return sol
+
+
 class ExternalBackend:
     """Writes the model as an LP file and runs a solver executable.
 
@@ -577,9 +608,11 @@ class ExternalBackend:
     lines are ignored); absent variables default to 0.  The solution counts
     as proven optimal only when the file holds a ``# status optimal``
     comment line; otherwise it is merely feasible and carries no bound.
+    The solver runs to the end on each call, so a lazy-cut hook is offered
+    each solution it writes, and the model is re-solved with the hook's
+    cuts (``resolve``).
     """
 
-    supports_callback = False
     name = "external"
 
     def __init__(self, cmd: str):
@@ -589,8 +622,11 @@ class ExternalBackend:
 
     def solve(self, model: MasterModel, time_budget: Optional[float] = None,
               hook: Optional[Callable] = None) -> BackendSolution:
-        if hook is not None:
-            raise BackendError("external backend does not support lazy-cut callbacks")
+        return resolve(self.solve_once, model, time_budget, hook)
+
+    def solve_once(self, model: MasterModel,
+                   time_budget: Optional[float] = None) -> BackendSolution:
+        """One run of the solver on the model as it stands."""
         inst = model.inst
         with tempfile.TemporaryDirectory(prefix="ccpmsp_") as tmp:
             lp_path = os.path.join(tmp, "model.lp")

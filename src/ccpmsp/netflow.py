@@ -59,12 +59,6 @@ def check_scale(n_jobs: int) -> None:
         )
 
 
-def full_times(inst: Instance, w: int):
-    """Identity-remap time arrays over the whole job set for scenario w."""
-    sc = inst.scenarios[w]
-    return np.concatenate(([0.0], sc.exec)), sc.setup
-
-
 @functools.lru_cache(maxsize=MDD_MAX_JOBS + 1)
 def _subsets(k: int):
     """The subsets of k items, as read-only int32 bitmasks over their
@@ -287,6 +281,6 @@ class FlowContext:
 
     def cut_for(self, inst: Instance, x_col: np.ndarray, scenario: int,
                 jobs: int) -> Cut:
-        t, d = full_times(inst, scenario)
-        duals = extract_duals(x_col, t, d)
+        exec_, setup = inst.scenario_stack
+        duals = extract_duals(x_col, exec_[:, scenario], setup[:, :, scenario])
         return benders_cut(duals, scenario, jobs, self.strategy)

@@ -4,7 +4,7 @@ import pytest
 from ccpmsp import decomposition
 from ccpmsp.decomposition import solve_ccpmsp
 from ccpmsp.instances import GenConfig, make_instance
-from ccpmsp.master import BuiltinBackend
+from ccpmsp.master import BuiltinBackend, resolve
 from ccpmsp.model import Scenario
 from oracle_reference import brute_optimal
 
@@ -87,16 +87,17 @@ def overloaded_b10_x(inst):
 
 
 class NoHookBackend(BuiltinBackend):
-    """The built-in search offered without its lazy-cut hook, so that
-    ``solve_ccpmsp`` drives it through the re-solve loop that a backend
-    without a hook (the external bridge) runs."""
+    """The built-in search run without its lazy-cut hook and re-solved
+    after each cut batch, the way the external bridge honours the hook
+    (``master.resolve``)."""
 
-    supports_callback = False
+    def solve(self, model, time_budget=None, hook=None):
+        return resolve(super().solve, model, time_budget, hook)
 
 
 def solve_iteratively(inst, opts):
     """``solve_ccpmsp`` on ``NoHookBackend``: one built-in master solve per
-    cut batch."""
+    cut batch, and a last one that the hook accepts or that finds none."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decomposition, "_make_backend", lambda _: NoHookBackend())
         return solve_ccpmsp(inst, opts)

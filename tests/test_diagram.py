@@ -185,7 +185,7 @@ def test_arrays_are_read_only_and_layers_are_id_ranges(variant):
         assert all(bin(int(m)).count("1") == p for m in masks)
     assert len(d.layer_in) == len(d.layer_masks) == 4
     assert len(d.layer_cells) == (3 if variant == JOBSET else 4)
-    for arr in (*d.layer_masks, *d.layer_in, *d.layer_cells, *d.slot_major_in):
+    for arr in (*d.layer_masks, *d.layer_in, *d.layer_cells):
         assert not arr.flags.writeable
 
 
@@ -230,6 +230,10 @@ def test_sweep_plan_lists_each_nodes_in_arcs(variant, k):
         assert masks.tolist() == sorted(set(layer.tolist()))
         nodes, tails = sweep_nodes(d, p), sweep_nodes(d, p - 1)
         assert a_in.shape[1] == len(nodes)
+        if variant == JOBSET:
+            # slot-major position j * tails + n: tail n's j-th out-arc
+            a_in = a_in.astype(int)
+            a_in = (a_in % len(tails)) * (k - p + 1) + a_in // len(tails)
         for r, n in enumerate(nodes):
             assert ref.node_mask[n] == masks[r % len(masks)]
             arcs = np.flatnonzero(ref.arc_head == n)

@@ -45,15 +45,16 @@ def test_transition_merges_orderings():
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
 def test_closed_form_matches_the_reference_builder(variant, k):
     # the closed-form plan against the one the reference derives from its
-    # arcs, array by array, dtypes included
+    # arcs, array by array, dtypes included; a job-set ``layer_in`` lists
+    # the in-arcs at the slot-major positions of the reference's
+    # ``slot_major_in``
     got = build_top_down(variant, k)
     want = reference_build(LastJobSpec(k) if variant == LASTJOB else JobSetSpec(k), k)
     assert got.layers == want.layers
-    names = ["layer_in", "layer_cells", "layer_masks"]
-    if variant == JOBSET:
-        names.append("slot_major_in")
-    for name in names:
-        g, w = getattr(got, name), getattr(want, name)
+    in_name = "slot_major_in" if variant == JOBSET else "layer_in"
+    for name, want_name in (("layer_in", in_name), ("layer_cells", "layer_cells"),
+                            ("layer_masks", "layer_masks")):
+        g, w = getattr(got, name), getattr(want, want_name)
         assert len(g) == len(w), name
         for p, (ga, wa) in enumerate(zip(g, w)):
             assert ga.dtype == wa.dtype and np.array_equal(ga, wa), (name, p)

@@ -441,6 +441,68 @@ def test_external_backend_error_paths(tmp_path):
         ExternalBackend(f"{sys.executable} -c pass").solve(model)
 
 
+def scripted_solves(*solutions):
+    """A ``solve_once`` for ``master.resolve`` that returns ``solutions`` in
+    turn, and the (model, budget) of each call."""
+    calls = []
+
+    def solve_once(model, time_budget):
+        calls.append((model, time_budget))
+        return solutions[len(calls) - 1]
+
+    return solve_once, calls
+
+
+def one_solution(status, objective, bound, n_nodes=0):
+    return master.BackendSolution(
+        status=status, x=np.ones((2, 1), np.int8), z=np.ones(3, np.int8),
+        objective=objective, bound=bound, n_nodes=n_nodes)
+
+
+def test_resolve_solves_again_while_the_hook_returns_cuts():
+    model = object()
+    solve_once, calls = scripted_solves(
+        one_solution(master.FEASIBLE, 5.0, 9.0, n_nodes=3),
+        one_solution(master.OPTIMAL, 4.0, 4.0, n_nodes=2))
+    batches, offered = [["cut"], []], []
+
+    def hook(x, z):
+        offered.append((x.tolist(), z.tolist()))
+        return batches[len(offered) - 1]
+
+    sol = master.resolve(solve_once, model, 60.0, hook)
+    assert (sol.status, sol.objective, sol.bound) == (master.OPTIMAL, 4.0, 4.0)
+    assert sol.x is not None and (sol.n_solves, sol.n_nodes) == (2, 5)
+    assert offered == [([[1], [1]], [1, 1, 1])] * 2
+    assert [m for m, _ in calls] == [model, model]
+    assert 0.0 < calls[1][1] <= calls[0][1] <= 60.0
+
+
+def test_resolve_stops_on_the_budget_after_a_cut_batch():
+    # the cut batch leaves no budget: no candidate, the first solve's bound
+    solve_once, calls = scripted_solves(
+        one_solution(master.OPTIMAL, 5.0, 9.0, n_nodes=4),
+        one_solution(master.OPTIMAL, 4.0, 4.0))
+    sol = master.resolve(solve_once, object(), 0.0, lambda x, z: ["cut"])
+    assert sol.status == master.LIMIT
+    assert sol.x is None and sol.z is None and sol.objective is None
+    assert sol.bound == 9.0 and (sol.n_solves, sol.n_nodes) == (1, 4)
+    assert len(calls) == 1
+
+
+def test_resolve_without_a_hook_solves_once():
+    solve_once, calls = scripted_solves(one_solution(master.FEASIBLE, 5.0, None))
+    sol = master.resolve(solve_once, object())
+    assert (sol.status, sol.objective, sol.bound) == (master.FEASIBLE, 5.0, None)
+    assert sol.n_solves == 1 and [b for _, b in calls] == [None]
+
+
+def test_resolve_offers_the_hook_no_empty_solution():
+    solve_once, _ = scripted_solves(master.BackendSolution(status=master.INFEASIBLE))
+    sol = master.resolve(solve_once, object(), 60.0, lambda x, z: pytest.fail())
+    assert sol.status == master.INFEASIBLE and sol.n_solves == 1
+
+
 @st.composite
 def tiny_master(draw):
     """A random model small enough for the stub to enumerate every binary
@@ -600,10 +662,11 @@ def test_builtin_with_a_pool_of_flow_rows_matches_brute_force():
     model = build_master(inst, scenario_relaxation=False)
     ctx = netflow.FlowContext(inst)
     rng = np.random.default_rng(17)
+    exec_, setup = inst.scenario_stack
     while len(model.cuts) < 32:
         x = (rng.random(inst.n_jobs) < 0.9).astype(np.int8)
         w = int(rng.integers(inst.n_scenarios))
-        t, d = netflow.full_times(inst, w)
+        t, d = exec_[:, w], setup[:, :, w]
         if netflow.extract_duals(x, t, d).pi_root > inst.time_limit:
             model.cuts.append(ctx.cut_for(inst, x, w, jobs_mask(np.flatnonzero(x) + 1)))
     sol = BuiltinBackend().solve(model)

@@ -264,8 +264,9 @@ def test_cut_validity_sweep(strategy):
     # no chance-feasible (x, z) may violate any emitted flow cut
     for inst in sweep_instances():
         cuts = []
+        exec_, setup = inst.scenario_stack
         for w in range(inst.n_scenarios):
-            t, d = netflow.full_times(inst, w)
+            t, d = exec_[:, w], setup[:, :, w]
             for bits in range(1, 2**inst.n_jobs):
                 x = np.array([(bits >> j) & 1 for j in range(inst.n_jobs)],
                              dtype=np.int8)
@@ -428,8 +429,9 @@ def test_flow_duals_and_payloads_bitwise_pinned():
     h = hashlib.sha256()
     for inst in sweep_instances():
         capd = netflow_reference.build_mdd_cap(inst.n_jobs)
+        exec_, setup = inst.scenario_stack
         for w in range(inst.n_scenarios):
-            t, d = netflow.full_times(inst, w)
+            t, d = exec_[:, w], setup[:, :, w]
             for x in sweep_columns(inst.n_jobs):
                 duals = netflow.extract_duals(x, t, d)
                 for arr in netflow_reference.full_arrays(capd, duals, x, t, d):
