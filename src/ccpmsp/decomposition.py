@@ -267,7 +267,8 @@ def emit_cuts(failures, cut_kind: str, inst: Instance,
     IIS cuts need ``Failure``s from ``check_candidate`` and are read from
     their time tables: canonical bit i of an IIS mask is the failing
     machine's i-th smallest job.  No-goods and flow cuts take any (machine,
-    scenario, jobs) triples.
+    scenario, jobs) triples; the flow cuts of one (machine, jobs) come from
+    one dual pass over all of its failing scenarios.
     """
     t0 = time.perf_counter()
     cuts: list[Cut] = []
@@ -299,8 +300,19 @@ def emit_cuts(failures, cut_kind: str, inst: Instance,
     elif cut_kind == BENDERS:
         if flow_ctx is None or cand is None:
             raise ConfigurationError("benders cuts need a flow context and candidate")
-        for m, w, jobs in failures:
-            push(flow_ctx.cut_for(inst, cand.x[:, m], w, jobs_mask(jobs)))
+        # one dual pass per failing machine: the failures of one (machine,
+        # jobs) share the column, and their cuts are pushed in failure order
+        groups: dict[tuple, list[int]] = {}
+        for i, (m, _, jobs) in enumerate(failures):
+            groups.setdefault((m, jobs), []).append(i)
+        flow_cuts = [None] * len(failures)
+        for (m, jobs), group in groups.items():
+            scenarios = [failures[i][1] for i in group]
+            for i, cut in zip(group, flow_ctx.cut_for(
+                    inst, cand.x[:, m], scenarios, jobs_mask(jobs))):
+                flow_cuts[i] = cut
+        for cut in flow_cuts:
+            push(cut)
     else:
         raise ConfigurationError(f"unknown cut kind {cut_kind!r}")
     if report is not None:
@@ -343,8 +355,9 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
     def append_cuts(new_cuts) -> list[Cut]:
         fresh = []
         for cut in new_cuts:
-            if cut.key() not in pool_keys:
-                pool_keys.add(cut.key())
+            key = cut.key()
+            if key not in pool_keys:
+                pool_keys.add(key)
                 model.cuts.append(cut)
                 fresh.append(cut)
         return fresh

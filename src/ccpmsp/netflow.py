@@ -27,6 +27,12 @@ dual, reading pi only at those arcs' heads; no per-node or per-arc array is
 allocated.  The cut payloads read only those arcs and add their terms in
 the order a loop over the arcs would, so every value is bitwise that
 loop's.
+
+Everything but the arc costs depends on the column alone, so a machine
+failing in several scenarios gets one pass for all of them: its times
+carry a trailing scenario axis, as in the diagram sweeps, and the pass
+returns one set of duals per scenario.  The payloads render such a list of
+duals at once, each cut bitwise as it would be alone.
 """
 
 from __future__ import annotations
@@ -116,8 +122,11 @@ class DualValues:
     r: np.ndarray = field(repr=False)
 
 
-def extract_duals(x_col: np.ndarray, t: np.ndarray, d: np.ndarray) -> DualValues:
-    """Shortest-path duals of the column's flow problem.
+def extract_duals(x_col: np.ndarray, t: np.ndarray,
+                  d: np.ndarray) -> list[DualValues]:
+    """Shortest-path duals of the column's flow problem, one ``DualValues``
+    per scenario: t has shape (n + 1, W) and d (n + 1, n + 1, W), the
+    scenario axis last, as in the diagram sweeps.
 
     pi is the enabled to-terminal distance; a capacitated arc's dual is the
     negative part of the reduction the cheapest path forced through it
@@ -137,20 +146,24 @@ def extract_duals(x_col: np.ndarray, t: np.ndarray, d: np.ndarray) -> DualValues
       the reached tails' out-arcs, which ``out_arcs`` lists.  A last job
       into the terminal pays its closing setup on its own arc instead of
       on a non-assignment arc, which adds the same two terms.
-    Each distance takes the minimum of the same candidate sums, added in
-    the same order, as a pass over the arcs would, so every value is
-    bitwise that pass's.
+    The subset tables, the out-arcs and their heads depend on x alone, so
+    the W scenarios share them and every distance carries the scenario
+    axis.  Each distance takes the minimum of the same candidate sums,
+    added in the same order, as a pass over the arcs of one scenario would,
+    so every value is bitwise that pass's.
     """
     n = len(x_col)
     width = n + 1
     costs = cost_table(t, d)
     # to_job[j, last]: the cost of placing j after last, not into the terminal
-    to_job = np.ascontiguousarray(costs[:width * width].reshape(width, width).T)
+    to_job = np.ascontiguousarray(
+        costs[:width * width].reshape(width, width, -1).transpose(1, 0, 2))
     jobs = np.flatnonzero(np.asarray(x_col)) + 1
     k = len(jobs)
-    # tables are indexed by subsets of x over positions in ``jobs``, and by
-    # last job; sub maps such a subset to its job mask, pos_bit a job to
-    # its position's bit (0 for a job outside x and for the dummy)
+    # tables are indexed by subsets of x over positions in ``jobs``, by
+    # last job and by scenario; sub maps such a subset to its job mask,
+    # pos_bit a job to its position's bit (0 for a job outside x and for
+    # the dummy)
     sub = np.zeros(1 << k, dtype=np.int64)
     for i, j in enumerate(jobs.tolist()):
         sub[1 << i:2 << i] = sub[:1 << i] | 1 << (j - 1)
@@ -161,18 +174,18 @@ def extract_duals(x_col: np.ndarray, t: np.ndarray, d: np.ndarray) -> DualValues
     # fdist[S, last] from the root; togo[R, last]: the cheapest way to
     # place R after last, then end.  Both build a subset from the subset
     # without one of its jobs.
-    fdist = np.full((1 << k, width), np.inf)
+    fdist = np.full((1 << k, *to_job.shape[1:]), np.inf)
     fdist[0, 0] = 0.0
-    togo = np.empty((1 << k, width))
+    togo = np.empty_like(fdist)
     togo[0] = to_job[0] + 0.0  # the non-assignment arc into the terminal
     for s, (masks, members, rests) in enumerate(layers, 1):
         placed = jobs[members]
         step = to_job[placed]
         if s < n:  # x itself is the terminal when it holds every job
             fdist[masks[:, None], placed] = (fdist[rests] + step).min(axis=2)
-        togo[masks] = (step + togo[rests, placed][..., None]).min(axis=1)
+        togo[masks] = (step + togo[rests, placed][:, :, None]).min(axis=1)
     everything = (1 << k) - 1
-    pi_root = float(togo[everything, 0])
+    pi_root = togo[everything, 0]
 
     # the reached tails are the pairs, in arc order: the root first, and
     # the full job set is the terminal, not a tail
@@ -184,46 +197,69 @@ def extract_duals(x_col: np.ndarray, t: np.ndarray, d: np.ndarray) -> DualValues
     # a non-terminal head holds the tail's subset plus the arc's job, which
     # is its last job; pi there places the rest of x
     rest = everything ^ (pair_mask[pair] | pos_bit[job])
-    pi_head = np.where(into_terminal, 0.0, togo[rest, job])
+    pi_head = np.where(into_terminal[:, None], 0.0, togo[rest, job])
     r = fdist[pair_mask, tail_last][pair] + costs[cell] + pi_head - pi_root
-    neg = np.flatnonzero(r < 0)
-    pair = pair[neg]
-    return DualValues(n_jobs=n, pi_root=pi_root, tail_set=tail_set[pair],
-                      tail_last=tail_last[pair], job=job[neg],
-                      layer=pair_size[pair], r=r[neg])
+    # the negative reductions, scenario by scenario, each in arc order
+    scenario, arc = np.nonzero(r.T < 0)
+    bounds = np.searchsorted(scenario, np.arange(len(pi_root) + 1))
+    pair = pair[arc]
+    fields = (tail_set[pair], tail_last[pair], job[arc], pair_size[pair],
+              r[arc, scenario])
+    return [DualValues(n, root, *(f[lo:hi] for f in fields))
+            for root, lo, hi in zip(pi_root.tolist(), bounds[:-1], bounds[1:])]
 
 
 # Float sums round differently in another order, so the payloads below add
 # their terms one at a time (np.add.at, in index order) in the order a loop
 # over the arcs would: arc order, jobs ascending within a non-assignment arc.
-def _running_sum(start: float, terms: np.ndarray) -> float:
-    """start + terms[0] + terms[1] + ..., left to right."""
-    acc = np.array([start])
-    np.add.at(acc, np.zeros(len(terms), dtype=np.intp), terms)
-    return float(acc[0])
+# A payload renders a list of duals at once: their arcs are stacked, and
+# every key is offset by its duals' index, so each cut's terms still meet
+# only each other, in their own order.
+def _running_sums(starts: np.ndarray, owner: np.ndarray,
+                  terms: np.ndarray) -> np.ndarray:
+    """starts[c] + each term of owner c, left to right, per c."""
+    acc = np.array(starts, dtype=float)
+    np.add.at(acc, owner, terms)
+    return acc
 
 
-def _u_terms(duals: DualValues):
-    """(index into ``duals``, 0-based job) of every job of each arc's U_a,
-    in arc order, jobs ascending: an assignment arc's U_a is its job, a
-    non-assignment arc's every job outside its tail set."""
-    job = duals.job[:, None]
-    numbers = np.arange(1, duals.n_jobs + 1)
+def _stacked(duals_list: list[DualValues]):
+    """(index into the list, job, tail set, layer, r) of every listed arc,
+    the duals one after another, and each duals' pi(root)."""
+    owner = np.repeat(np.arange(len(duals_list)), [len(du.r) for du in duals_list])
+    arrays = (np.concatenate([getattr(du, name) for du in duals_list])
+              for name in ("job", "tail_set", "layer", "r"))
+    return (owner, *arrays), np.array([du.pi_root for du in duals_list])
+
+
+def _u_terms(n: int, job: np.ndarray, tail_set: np.ndarray):
+    """(row, 0-based job) of every job of each arc's U_a, in row order,
+    jobs ascending: an assignment arc's U_a is its job, a non-assignment
+    arc's every job outside its tail set."""
+    job = job[:, None]
+    numbers = np.arange(1, n + 1)
     in_u = np.where(job > 0, job == numbers,
-                    (duals.tail_set[:, None] >> (numbers - 1)) & 1 == 0)
+                    (tail_set[:, None] >> (numbers - 1)) & 1 == 0)
     return np.nonzero(in_u)
 
 
-def basic_payload(duals: DualValues):
-    """(constant, per-job coefficients) of the plain flow cut: each alpha
-    goes on its job; each beta goes on the constant and, negated, on every
-    job of U_a, once per job."""
-    rows, jobs = _u_terms(duals)
-    r = duals.r[rows]
-    beta = duals.job[rows] == 0
-    coef = np.zeros(duals.n_jobs)
-    np.add.at(coef, jobs, np.where(beta, -r, r))
-    return _running_sum(duals.pi_root, r[beta]), coef
+def _payloads(const: np.ndarray, coef: np.ndarray):
+    """Per duals, its constant as a float and its row of the flat ``coef``."""
+    return list(zip(const.tolist(), coef.reshape(len(const), -1)))
+
+
+def basic_payload(duals_list: list[DualValues]):
+    """(constant, per-job coefficients) of the plain flow cut of each
+    duals: each alpha goes on its job; each beta goes on the constant and,
+    negated, on every job of U_a, once per job."""
+    n = duals_list[0].n_jobs
+    (owner, job, tail_set, _, r), pi_root = _stacked(duals_list)
+    rows, jobs = _u_terms(n, job, tail_set)
+    owner, r = owner[rows], r[rows]
+    beta = job[rows] == 0
+    coef = np.zeros(len(duals_list) * n)
+    np.add.at(coef, owner * n + jobs, np.where(beta, -r, r))
+    return _payloads(_running_sums(pi_root, owner[beta], r[beta]), coef)
 
 
 def _first_seen_minima(keys: np.ndarray, values: np.ndarray, size: int):
@@ -238,49 +274,56 @@ def _first_seen_minima(keys: np.ndarray, values: np.ndarray, size: int):
     return seen, low[seen]
 
 
-def strengthen_layers(duals: DualValues):
-    """Strategy-1 payload: every path uses at most one assignment arc per
-    decision layer, so per (job, layer) only the best reduction may count;
-    non-assignment arcs all enter the terminal, so one minimum per job.
-    The minima are added in the order their key first goes negative."""
-    n = duals.n_jobs
-    assign = duals.job > 0
-    keys = (duals.job[assign] - 1) * n + duals.layer[assign]
-    gamma_keys, gamma = _first_seen_minima(keys, duals.r[assign], n * n)
-    rows, jobs = _u_terms(duals)
-    beta = duals.job[rows] == 0
-    delta_jobs, delta = _first_seen_minima(jobs[beta], duals.r[rows[beta]], n)
-    coef = np.zeros(n)
-    np.add.at(coef, np.concatenate((gamma_keys // n, delta_jobs)),
+def strengthen_layers(duals_list: list[DualValues]):
+    """Strategy-1 payload of each duals: every path uses at most one
+    assignment arc per decision layer, so per (job, layer) only the best
+    reduction may count; non-assignment arcs all enter the terminal, so one
+    minimum per job.  The minima are added in the order their key first
+    goes negative."""
+    n = duals_list[0].n_jobs
+    size = len(duals_list) * n  # (duals, job) keys
+    (owner, job, tail_set, layer, r), pi_root = _stacked(duals_list)
+    assign = job > 0
+    keys = (owner[assign] * n + job[assign] - 1) * n + layer[assign]
+    gamma_keys, gamma = _first_seen_minima(keys, r[assign], size * n)
+    rows, jobs = _u_terms(n, job, tail_set)
+    beta = job[rows] == 0
+    rows = rows[beta]
+    delta_keys, delta = _first_seen_minima(owner[rows] * n + jobs[beta], r[rows], size)
+    coef = np.zeros(size)
+    np.add.at(coef, np.concatenate((gamma_keys // n, delta_keys)),
               np.concatenate((gamma, -delta)))
-    return _running_sum(duals.pi_root, delta), coef
+    return _payloads(_running_sums(pi_root, delta_keys // n, delta), coef)
 
 
-def benders_cut(duals: DualValues, scenario: int, jobs: int,
-                strategy: int = 0) -> Cut:
-    """Render the flow cut for a scenario as a master Cut on the job mask
-    ``jobs`` (quantified over all machines; machines are homogeneous)."""
+def benders_cuts(duals_list: list[DualValues], scenarios, jobs: int,
+                 strategy: int = 0) -> list[Cut]:
+    """Render the flow cut of each duals, for its scenario, as a master Cut
+    on the job mask ``jobs`` (quantified over all machines; machines are
+    homogeneous)."""
     if strategy == 0:
-        const, coef = basic_payload(duals)
+        payloads = basic_payload(duals_list)
     elif strategy == 1:
-        const, coef = strengthen_layers(duals)
+        payloads = strengthen_layers(duals_list)
     else:
         raise StructuralError(f"unknown strengthening strategy {strategy}")
-    return Cut(jobs=jobs, scenario=scenario, kind=BENDERS,
-               benders_payload=(float(const), np.asarray(coef, float)))
+    return [Cut(jobs=jobs, scenario=w, kind=BENDERS, benders_payload=payload)
+            for w, payload in zip(scenarios, payloads)]
 
 
 class FlowContext:
     """Per-solve flow-cut settings: the strengthening strategy, with the
     instance's size checked against ``MDD_MAX_JOBS``.  It holds no diagram;
-    each cut's dual pass lists the arcs it reaches in closed form."""
+    each dual pass lists the arcs it reaches in closed form."""
 
     def __init__(self, inst: Instance, strategy: int = 1):
         check_scale(inst.n_jobs)
         self.strategy = strategy
 
-    def cut_for(self, inst: Instance, x_col: np.ndarray, scenario: int,
-                jobs: int) -> Cut:
+    def cut_for(self, inst: Instance, x_col: np.ndarray, scenarios,
+                jobs: int) -> list[Cut]:
+        """The flow cuts of one failing machine with column ``x_col``, one
+        per listed scenario, in that order, from one dual pass."""
         exec_, setup = inst.scenario_stack
-        duals = extract_duals(x_col, exec_[:, scenario], setup[:, :, scenario])
-        return benders_cut(duals, scenario, jobs, self.strategy)
+        duals = extract_duals(x_col, exec_[:, scenarios], setup[:, :, scenarios])
+        return benders_cuts(duals, scenarios, jobs, self.strategy)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ccpmsp import decomposition
+from ccpmsp import decomposition, netflow
 from ccpmsp.decomposition import solve_ccpmsp
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.master import BuiltinBackend, resolve
@@ -23,6 +23,12 @@ def mask_jobs(mask: int) -> frozenset:
     """The 1-based job ids of a job mask (bit j - 1 for job j), the form in
     which cuts and the IIS filter hold job sets."""
     return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+def flow_duals(x, t, d):
+    """The flow duals of one scenario's times t (n + 1) and d (n + 1, n + 1):
+    ``netflow.extract_duals`` on them as one-column arrays."""
+    return netflow.extract_duals(x, t[:, None], d[:, :, None])[0]
 
 
 def random_scenario(rng, n):

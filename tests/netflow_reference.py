@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ccpmsp.model import StructuralError
-from ccpmsp.netflow import _first_seen_minima, _running_sum, check_scale
+from ccpmsp.netflow import _first_seen_minima, _running_sums, check_scale
 
 ASSIGN = 1
 NONASSIGN = 2
@@ -304,6 +304,11 @@ def _na_terms(capd, keep: np.ndarray):
     where ``keep`` (per arc) holds, in arc order, jobs ascending."""
     rows, jobs = np.nonzero(capd.na_jobs & keep[capd.na_arcs, None])
     return capd.na_arcs[rows], jobs
+
+
+def _running_sum(start: float, terms: np.ndarray) -> float:
+    """start + terms[0] + terms[1] + ..., left to right."""
+    return float(_running_sums([start], np.zeros(len(terms), np.intp), terms)[0])
 
 
 def basic_payload(duals: DualValues, capd):

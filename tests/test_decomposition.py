@@ -398,12 +398,56 @@ def test_emit_cuts_keep_failure_order_per_kind(uniform_scenario):
     assert [c.key() for c in cuts] == [("nogood", w, 0b111) for w in range(3)]
     flow_ctx = netflow.FlowContext(inst, 1)
     cuts = emit_cuts(failures, "benders", inst, cand, flow_ctx=flow_ctx)
-    want = [flow_ctx.cut_for(inst, cand.x[:, 0], w, 0b111) for w in range(3)]
+    want = [flow_ctx.cut_for(inst, cand.x[:, 0], [w], 0b111)[0] for w in range(3)]
     assert [c.key() for c in cuts] == [c.key() for c in want]
     assert [c.jobs for c in cuts] == [0b111] * 3
     cuts = emit_cuts(failures, "iis", inst)
     assert [(c.scenario, c.jobs) for c in cuts] == [
         (w, s) for w in range(3) for s in (0b010, 0b101)]
+
+
+def flow_cut_bytes(cut):
+    const, coef = cut.benders_payload
+    return cut.kind, cut.scenario, cut.jobs, repr(const), coef.tobytes()
+
+
+def test_emit_cuts_make_one_flow_pass_per_failing_machine(monkeypatch):
+    # two machines fail in every scenario, so check_candidate returns them
+    # interleaved, (scenario, machine); the flow cuts come from one dual
+    # pass per machine, yet follow the failures and equal one
+    # single-scenario pass per failure
+    rng = np.random.default_rng(71)
+    inst = Instance(
+        n_jobs=4, n_machines=2, capacity=2, time_limit=1.0, epsilon=0.5,
+        utilities=np.ones(4), scenarios=[random_scenario(rng, 4) for _ in range(4)],
+    )
+    x = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=np.int8)
+    cand = Candidate(x=x, z=np.ones(4, dtype=np.int8))
+    failures = check_candidate(inst, cand, DiagramCache(max_depth=2), JOBSET)
+    assert failures == [(m, w, ((1, 3), (2, 4))[m]) for w in range(4) for m in range(2)]
+    flow_ctx = netflow.FlowContext(inst, 1)
+    passes = []
+    cut_for = flow_ctx.cut_for
+
+    def recording(inst, x_col, scenarios, jobs):
+        passes.append((list(scenarios), jobs))
+        return cut_for(inst, x_col, scenarios, jobs)
+
+    monkeypatch.setattr(flow_ctx, "cut_for", recording)
+    cuts = emit_cuts(failures, "benders", inst, cand, flow_ctx=flow_ctx)
+    assert passes == [([0, 1, 2, 3], 0b0101), ([0, 1, 2, 3], 0b1010)]
+    want = [cut_for(inst, x[:, m], [w], jobs_mask(jobs))[0] for m, w, jobs in failures]
+    assert [flow_cut_bytes(c) for c in cuts] == [flow_cut_bytes(c) for c in want]
+
+    # plain triples of one machine with different job tuples form separate
+    # groups: each cut keeps its failure's jobs
+    passes.clear()
+    triples = [(0, 0, (1, 3)), (0, 1, (1,)), (0, 2, (1, 3))]
+    cuts = emit_cuts(triples, "benders", inst, cand, flow_ctx=flow_ctx)
+    assert passes == [([0, 2], 0b0101), ([1], 0b0001)]
+    assert [(c.scenario, c.jobs) for c in cuts] == [(0, 0b0101), (1, 0b0001), (2, 0b0101)]
+    want = [cut_for(inst, x[:, 0], [w], jobs_mask(jobs))[0] for _, w, jobs in triples]
+    assert [flow_cut_bytes(c) for c in cuts] == [flow_cut_bytes(c) for c in want]
 
 
 def test_iis_cuts_map_canonical_bits_onto_the_machines_jobs():

@@ -666,9 +666,9 @@ def test_builtin_with_a_pool_of_flow_rows_matches_brute_force():
     while len(model.cuts) < 32:
         x = (rng.random(inst.n_jobs) < 0.9).astype(np.int8)
         w = int(rng.integers(inst.n_scenarios))
-        t, d = exec_[:, w], setup[:, :, w]
-        if netflow.extract_duals(x, t, d).pi_root > inst.time_limit:
-            model.cuts.append(ctx.cut_for(inst, x, w, jobs_mask(np.flatnonzero(x) + 1)))
+        t, d = exec_[:, [w]], setup[:, :, [w]]
+        if netflow.extract_duals(x, t, d)[0].pi_root > inst.time_limit:
+            model.cuts += ctx.cut_for(inst, x, [w], jobs_mask(np.flatnonzero(x) + 1))
     sol = BuiltinBackend().solve(model)
     assert sol.status == master.OPTIMAL
     assert sol.objective < inst.utilities.sum()

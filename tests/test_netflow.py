@@ -12,7 +12,7 @@ from ccpmsp import netflow
 from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import LimitExceeded
-from conftest import mask_jobs, random_scenario, solve_iteratively
+from conftest import flow_duals, mask_jobs, random_scenario, solve_iteratively
 import netflow_reference
 import oracle_reference
 from oracle_reference import brute_optimal
@@ -143,7 +143,7 @@ def test_shortest_path_worked_example(uniform_scenario):
     t, d = uniform_arrays(uniform_scenario)
 
     def cost(x):
-        return netflow.extract_duals(np.array(x), t, d).pi_root
+        return flow_duals(np.array(x), t, d).pi_root
 
     assert cost([1, 1, 1]) == pytest.approx(14.0)
     assert cost([0, 1, 0]) == pytest.approx(7.0)  # t2 + closing setup
@@ -160,7 +160,7 @@ def test_shortest_path_equals_oracle_all_columns(seed):
         x = np.array([(bits >> j) & 1 for j in range(k)], dtype=np.int8)
         jobs = [j + 1 for j in range(k) if x[j]]
         want = oracle_reference.brute_min_time(jobs, sc, True)
-        got = netflow.extract_duals(x, t, sc.setup).pi_root
+        got = flow_duals(x, t, sc.setup).pi_root
         assert got == pytest.approx(want, abs=1e-9)
 
 
@@ -168,7 +168,7 @@ def test_duals_zero_on_shortest_path_and_nonpositive(uniform_scenario):
     t, d = uniform_arrays(uniform_scenario)
     capd = netflow_reference.build_mdd_cap(3)
     x = np.array([1, 1, 1])
-    duals = netflow.extract_duals(x, t, d)
+    duals = flow_duals(x, t, d)
     pi, alpha, beta = netflow_reference.full_arrays(capd, duals, x, t, d)
     assert duals.pi_root == pytest.approx(14.0)
     assert np.all(alpha <= 0) and np.all(beta <= 0)
@@ -195,7 +195,7 @@ def test_dual_feasibility_rows_on_enabled_arcs(seed):
     d = sc.setup
     capd = netflow_reference.build_mdd_cap(k)
     x = (rng.random(k) < 0.5).astype(np.int8)
-    duals = netflow.extract_duals(x, t, d)
+    duals = flow_duals(x, t, d)
     pi, alpha, beta = netflow_reference.full_arrays(capd, duals, x, t, d)
     costs = netflow_reference.cap_arc_costs(capd, t, d)
     enabled = netflow_reference._enabled(capd, x)
@@ -213,8 +213,8 @@ def test_dual_feasibility_rows_on_enabled_arcs(seed):
 def test_cut_forces_scenario_off_at_incumbent(uniform_scenario):
     t, d = uniform_arrays(uniform_scenario)
     x = np.array([1, 1, 1])
-    duals = netflow.extract_duals(x, t, d)
-    cut = netflow.benders_cut(duals, 0, 0b111, strategy=0)
+    duals = flow_duals(x, t, d)
+    cut, = netflow.benders_cuts([duals], [0], 0b111, strategy=0)
     const, coef = cut.benders_payload
     # alpha/beta terms vanish at the incumbent: lhs reduces to pi_root = 14
     lhs = const + coef @ x
@@ -229,9 +229,9 @@ def test_strategy1_dominates_basic(uniform_scenario):
         sc = random_scenario(rng, k)
         t = np.concatenate(([0.0], sc.exec))
         x = (rng.random(k) < 0.5).astype(np.int8)
-        duals = netflow.extract_duals(x, t, sc.setup)
-        c0, k0 = netflow.basic_payload(duals)
-        c1, k1 = netflow.strengthen_layers(duals)
+        duals = flow_duals(x, t, sc.setup)
+        (c0, k0), = netflow.basic_payload([duals])
+        (c1, k1), = netflow.strengthen_layers([duals])
         # pointwise: the strengthened row's lhs is >= the basic row's lhs
         for bits in range(2**k):
             xe = np.array([(bits >> j) & 1 for j in range(k)])
@@ -241,8 +241,10 @@ def test_strategy1_dominates_basic(uniform_scenario):
 def test_single_layer_strategy1_equals_basic():
     t = np.array([0.0, 4.0])
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    duals = netflow.extract_duals(np.array([1]), t, d)
-    assert netflow.strengthen_layers(duals) == netflow.basic_payload(duals)
+    duals = flow_duals(np.array([1]), t, d)
+    (c1, k1), = netflow.strengthen_layers([duals])
+    (c0, k0), = netflow.basic_payload([duals])
+    assert c1 == c0 and k1.tobytes() == k0.tobytes()
 
 
 def sweep_instances():
@@ -272,9 +274,8 @@ def test_cut_validity_sweep(strategy):
                              dtype=np.int8)
                 if x.sum() > inst.capacity:
                     continue
-                duals = netflow.extract_duals(x, t, d)
-                cuts.append(netflow.benders_cut(
-                    duals, w, 0b1, strategy=strategy))
+                duals = flow_duals(x, t, d)
+                cuts += netflow.benders_cuts([duals], [w], 0b1, strategy=strategy)
         for x, z in enumerate_chance_feasible(inst):
             for cut in cuts:
                 if z[cut.scenario] == 0:
@@ -387,14 +388,14 @@ def test_vectorised_pass_matches_arc_loops_bitwise(n):
         t = np.concatenate(([0.0], sc.exec))
         x = (rng.random(n) < rng.random()).astype(np.int8) if edge is None else edge
         pi, pi_root, alpha, beta, basic, layered = loop_flow_cut(capd, x, t, sc.setup)
-        duals = netflow.extract_duals(x, t, sc.setup)
+        duals = flow_duals(x, t, sc.setup)
         full = netflow_reference.full_arrays(capd, duals, x, t, sc.setup)
         assert full[0].tobytes() == pi.tobytes()
         assert repr(duals.pi_root) == repr(pi_root)
         assert full[1].tobytes() == alpha.tobytes()
         assert full[2].tobytes() == beta.tobytes()
-        for got, want in ((netflow.basic_payload(duals), basic),
-                          (netflow.strengthen_layers(duals), layered)):
+        for got, want in ((netflow.basic_payload([duals])[0], basic),
+                          (netflow.strengthen_layers([duals])[0], layered)):
             assert repr(float(got[0])) == repr(float(want[0]))
             assert got[1].tobytes() == want[1].tobytes()
 
@@ -412,6 +413,33 @@ def pool_bytes(cuts):
             const, coef = cut.benders_payload
             out += [repr(float(const)).encode(), np.asarray(coef).tobytes()]
     return out
+
+
+def test_batched_duals_are_the_single_scenario_duals_bitwise():
+    # every column, |x| = 0, 1 and n among them, of every sweep instance, at
+    # widths 1..S: each scenario of one pass gets the duals and payloads of
+    # its own one-column pass
+    names = ("tail_set", "tail_last", "job", "layer", "r")
+    for inst in sweep_instances():
+        exec_, setup = inst.scenario_stack
+        for width in range(1, inst.n_scenarios + 1):
+            t, d = exec_[:, :width], setup[:, :, :width]
+            for x in sweep_columns(inst.n_jobs):
+                batch = netflow.extract_duals(x, t, d)
+                assert len(batch) == width
+                singles = [netflow.extract_duals(x, exec_[:, [w]], setup[:, :, [w]])[0]
+                           for w in range(width)]
+                for got, want in zip(batch, singles):
+                    assert got.n_jobs == want.n_jobs == inst.n_jobs
+                    assert repr(got.pi_root) == repr(want.pi_root)
+                    for name in names:
+                        a, b = getattr(got, name), getattr(want, name)
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                for payload in (netflow.basic_payload, netflow.strengthen_layers):
+                    for (c, k), single in zip(payload(batch), singles):
+                        (want_c, want_k), = payload([single])
+                        assert repr(c) == repr(want_c)
+                        assert k.tobytes() == want_k.tobytes()
 
 
 # sha256 of the duals and payloads below, and of the final Benders pools of
@@ -433,12 +461,12 @@ def test_flow_duals_and_payloads_bitwise_pinned():
         for w in range(inst.n_scenarios):
             t, d = exec_[:, w], setup[:, :, w]
             for x in sweep_columns(inst.n_jobs):
-                duals = netflow.extract_duals(x, t, d)
+                duals = flow_duals(x, t, d)
                 for arr in netflow_reference.full_arrays(capd, duals, x, t, d):
                     h.update(arr.tobytes())
                 h.update(repr(duals.pi_root).encode())
                 for payload in (netflow.basic_payload, netflow.strengthen_layers):
-                    const, coef = payload(duals)
+                    (const, coef), = payload([duals])
                     h.update(repr(float(const)).encode())
                     h.update(coef.tobytes())
     assert h.hexdigest() == DUALS_DIGEST
