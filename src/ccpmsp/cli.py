@@ -19,7 +19,6 @@ import numpy as np
 
 from .decomposition import SolveOptions, SolveReport, solve_ccpmsp
 from .instances import GenConfig, make_instance
-from .master import BackendError
 from .model import (
     Candidate,
     ConfigurationError,
@@ -35,8 +34,8 @@ CSV_VERSION = "# ccpmsp-csv v1"
 SOLVE_COLUMNS = (
     "model,cut,total_time,gap,optimal,n_callbacks,n_cuts,"
     "resol_time,resol_time_per_cb,create_cut_time,create_sp_time,"
-    "master_time,verify_time,status,build_time,n_master_solves,n_certified,"
-    "n_master_nodes,n_fallbacks"
+    "master_time,verify_time,status,build_time,n_certified,n_master_nodes,"
+    "n_fallbacks"
 )
 BENCH_COLUMNS = "instance,dataset,jobs,machines,scenarios," + SOLVE_COLUMNS
 
@@ -76,7 +75,6 @@ def solve_row(model_name: str, cut: str, report) -> str:
             f"{report.verify_time:.3f}",
             report.status,
             f"{report.build_time:.3f}",
-            str(report.n_master_solves),
             str(report.n_certified),
             str(report.n_master_nodes),
             str(report.n_fallbacks),
@@ -94,15 +92,12 @@ def _resolve(aliases: dict, name: str, what: str) -> str:
 def _solve_options(args) -> SolveOptions:
     variant = _resolve(VARIANT_ALIASES, args.variant, "variant")
     cut = _resolve(CUT_ALIASES, args.cut, "cut kind")
-    external_cmd = os.environ.get("CCPMSP_EXTERNAL_SOLVER") or args.solver_cmd
     return SolveOptions(
         variant=variant,
         cut_kind=cut,
         symmetry=not args.no_symmetry,
         scenario_relaxation=not args.no_scenario_relaxation,
         time_budget=args.budget,
-        backend=args.backend,
-        external_cmd=external_cmd,
     )
 
 
@@ -124,10 +119,6 @@ def _add_solve_flags(sp) -> None:
     sp.add_argument("--cut", default="iis", help="cut kind: nogood | iis | benders")
     sp.add_argument("--budget", type=float, default=1200.0,
                     help="time budget in seconds (default 1200)")
-    sp.add_argument("--backend", default="builtin", choices=["builtin", "external"])
-    sp.add_argument("--solver-cmd", default=None,
-                    help="external solver command; the CCPMSP_EXTERNAL_SOLVER "
-                         "environment variable takes precedence")
     sp.add_argument("--no-symmetry", action="store_true")
     sp.add_argument("--no-scenario-relaxation", action="store_true")
 
@@ -410,7 +401,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, LimitExceeded, BackendError) as exc:
+    except (ConfigurationError, LimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

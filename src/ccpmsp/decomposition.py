@@ -15,10 +15,8 @@ A candidate becomes the answer only after every scenario it claims (z = 1)
 has been verified feasible on all machines, so the returned objective is
 exact whenever the status says optimal.  The solve makes one
 ``solve_master`` call with a lazy-cut hook that checks each candidate and
-returns its cuts.  The built-in search calls it at its leaves, and the cuts
-prune the rest of that search; the external bridge calls it on each
-solution and re-solves while it returns cuts.  Both finish with the same
-objective.
+returns its cuts: the master search calls it at its leaves, and the cuts
+prune the rest of that search (branch and check).
 """
 
 from __future__ import annotations
@@ -38,8 +36,6 @@ from .diagram import (
     schedule_fits,
 )
 from .master import (
-    BuiltinBackend,
-    ExternalBackend,
     OPTIMAL,
     build_master,
     flow_block,
@@ -88,8 +84,6 @@ class SolveOptions:
     symmetry: bool = True
     scenario_relaxation: bool = True
     time_budget: float = 1200.0
-    backend: str = "builtin"  # or "external"
-    external_cmd: Optional[str] = None
     benders_strategy: int = 1  # 0 = basic cut, 1 = layer-strengthened
 
     def check(self, inst: Optional[Instance] = None) -> None:
@@ -134,11 +128,7 @@ class SolveReport:
     master_time: float = 0.0  # inside solve_master, callback hook time excluded
     verify_time: float = 0.0  # post-solve oracle check, after wall_time stops
     build_time: float = 0.0  # diagram builds
-    # master solves: 1 from the built-in search, one per cut batch plus one
-    # from the re-solving external bridge
-    n_master_solves: int = 0
-    # nodes the built-in search entered over those solves; 0 when external
-    n_master_nodes: int = 0
+    n_master_nodes: int = 0  # nodes the master search entered
     n_certified: int = 0  # checked pairs a schedule proved, without a sweep
     check_counts: Optional[np.ndarray] = None  # (n_machines, n_scenarios)
     cuts: Optional[list] = None  # final pool (diagnostics)
@@ -320,14 +310,6 @@ def emit_cuts(failures, cut_kind: str, inst: Instance,
     return cuts
 
 
-def _make_backend(opts: SolveOptions):
-    if opts.backend == "builtin":
-        return BuiltinBackend()
-    if opts.backend == "external":
-        return ExternalBackend(opts.external_cmd)
-    raise ConfigurationError(f"unknown backend {opts.backend!r}")
-
-
 def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
     """Solve an instance; returns (Candidate or None, SolveReport)."""
     opts = opts or SolveOptions()
@@ -349,7 +331,6 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
     model = build_master(
         inst, symmetry=opts.symmetry, scenario_relaxation=opts.scenario_relaxation
     )
-    backend = _make_backend(opts)
     pool_keys = set()
 
     def append_cuts(new_cuts) -> list[Cut]:
@@ -389,12 +370,12 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
             report.master_time -= time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sol = solve_master(model, backend, time_budget=deadline - t0, hook=hook)
+    sol = solve_master(model, time_budget=deadline - t0, hook=hook)
     report.master_time += time.perf_counter() - t0
     report.status, report.objective, report.bound = (
         sol.status, sol.objective, sol.bound
     )
-    report.n_master_solves, report.n_master_nodes = sol.n_solves, sol.n_nodes
+    report.n_master_nodes = sol.n_nodes
     cand = sol.candidate if sol.x is not None else None
     report.wall_time = time.perf_counter() - start
     report.n_cuts = len(model.cuts)

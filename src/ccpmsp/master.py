@@ -1,23 +1,19 @@
-"""Master assignment model and its binary-program backends.
+"""Master assignment model and the depth-first search that solves it.
 
 The master maximizes assigned utility subject to per-job assignment rows,
 machine capacities, the chance row over scenario flags z, optional symmetry
 and scenario-relaxation valid inequalities, and an accumulating cut pool.
 
-Two backends solve it: a built-in depth-first branch-and-bound specialized
-to this structure, and a bridge that writes an LP file and invokes an
-external solver executable.  Both return the same objective on any model,
-and both take a lazy-cut hook: the built-in search calls it at its leaves,
-the bridge on each solution it reads, re-solving while it returns cuts
-(``resolve``).
+``solve_master`` is a branch and check search specialized to this
+structure (Thorsteinsson, CP 2001): a depth-first branch and bound over
+job-to-machine assignments that calls a lazy-cut hook at each leaf and
+prunes the rest of the search with the cuts it returns.  It holds the rows
+as machine bits and load sums, not as an LP; the tests keep the LP row
+model as their exhaustive reference.
 """
 
 from __future__ import annotations
 
-import os
-import shlex
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -27,18 +23,16 @@ import numpy as np
 from .model import (
     BENDERS,
     Candidate,
-    ConfigurationError,
     Cut,
     Instance,
     TOL,
 )
 
 OPTIMAL = "optimal"
-FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 LIMIT = "limit"
 
-# Entries of each of the built-in search's job-set memos before it is
+# Entries of each of the search's job-set memos before it is
 # emptied: the fail memo (the scenarios a set forces to zero, its prefixes'
 # rows included) and the relaxation memo (the scenarios whose relaxation row
 # the set violates on its own, and the set's load), both local to one
@@ -51,10 +45,6 @@ FAIL_MEMO_MAX = 1 << 15
 # tuple, int and dict slot, so the memo holds LOAD_MEMO_CELLS // (n_sc + 32)
 # entries, or FAIL_MEMO_MAX if fewer: near 2 MB at any number of scenarios.
 LOAD_MEMO_CELLS = 1 << 18
-
-
-class BackendError(RuntimeError):
-    """External or internal backend failure, with diagnostics attached."""
 
 
 @dataclass
@@ -74,10 +64,6 @@ class MasterModel:
     def scenario_relaxation(self) -> bool:
         return self.relax_coef is not None
 
-    @property
-    def n_vars(self) -> int:
-        return self.inst.n_jobs * self.inst.n_machines + self.inst.n_scenarios
-
 
 @dataclass
 class BackendSolution:
@@ -86,10 +72,7 @@ class BackendSolution:
     z: Optional[np.ndarray] = None
     objective: Optional[float] = None
     bound: Optional[float] = None
-    n_nodes: int = 0  # search nodes entered; 0 from the external backend
-    # solves of the model: 1 from the built-in search; from ``resolve``, one
-    # per hook cut batch plus the last
-    n_solves: int = 1
+    n_nodes: int = 0  # search nodes entered
 
     @property
     def candidate(self) -> Candidate:
@@ -109,135 +92,6 @@ def optimistic_load_coefficients(inst: Instance) -> np.ndarray:
         np.fill_diagonal(d[:, 1:], np.inf)  # exclude j -> j
         coef[w] = sc.exec + d.min(axis=1)
     return coef
-
-
-# ---------------------------------------------------------------------------
-# generic row view (LP writing, substitution checks)
-# ---------------------------------------------------------------------------
-
-
-def xname(j: int, m: int) -> str:
-    """Variable name for job j (1-based) on machine m (0-based)."""
-    return f"x_{j}_{m + 1}"
-
-
-def zname(w: int) -> str:
-    return f"z_{w}"
-
-
-def iter_rows(model: MasterModel):
-    """Yield (name, coefs, sense, rhs) over every row of the model; coefs is
-    a dict var-name -> coefficient, sense one of '<=', '>=', '='."""
-    inst = model.inst
-    n, M = inst.n_jobs, inst.n_machines
-    for j in range(1, n + 1):
-        yield (f"assign_{j}", {xname(j, m): 1.0 for m in range(M)}, "<=", 1.0)
-    for m in range(M):
-        yield (f"cap_{m + 1}", {xname(j, m): 1.0 for j in range(1, n + 1)}, "<=",
-               float(inst.capacity))
-    p = inst.scenario_prob
-    yield ("chance", {zname(w): p for w in range(inst.n_scenarios)}, ">=",
-           1.0 - inst.epsilon)
-    if model.symmetry:
-        for j in range(1, n + 1):
-            for m in range(M):
-                if m + 1 > j:
-                    yield (f"sym_zero_{j}_{m + 1}", {xname(j, m): 1.0}, "=", 0.0)
-        for j in range(1, n + 1):
-            for m in range(M - 1):
-                coefs = {xname(j, m + 1): 1.0}
-                for k in range(1, j):
-                    coefs[xname(k, m)] = coefs.get(xname(k, m), 0.0) - 1.0
-                yield (f"sym_lex_{j}_{m + 1}", coefs, "<=", 0.0)
-    if model.scenario_relaxation:
-        T = inst.time_limit
-        for w in range(inst.n_scenarios):
-            mw = float(inst.big_m[w])
-            for m in range(M):
-                coefs = {
-                    xname(j, m): float(model.relax_coef[w, j - 1])
-                    for j in range(1, n + 1)
-                }
-                coefs[zname(w)] = mw
-                yield (f"relax_{w}_{m + 1}", coefs, "<=", T + mw)
-    for ci, cut in enumerate(model.cuts):
-        if cut.kind == BENDERS:
-            const, coefs_vec = cut.benders_payload
-            mm = inst.big_m_max
-            for m in range(M):
-                coefs = {
-                    xname(j, m): float(coefs_vec[j - 1])
-                    for j in range(1, n + 1)
-                    if coefs_vec[j - 1] != 0.0
-                }
-                coefs[zname(cut.scenario)] = mm
-                yield (f"cut_{ci}_{m + 1}", coefs, "<=",
-                       inst.time_limit + mm - const)
-        else:
-            jobs = [j for j in range(1, n + 1) if cut.jobs >> (j - 1) & 1]
-            for m in range(M):
-                coefs = {xname(j, m): 1.0 for j in jobs}
-                coefs[zname(cut.scenario)] = 1.0
-                yield (f"cut_{ci}_{m + 1}", coefs, "<=", float(len(jobs)))
-
-
-def solution_values(inst: Instance, x: np.ndarray, z: np.ndarray) -> dict[str, float]:
-    vals = {}
-    for j in range(1, inst.n_jobs + 1):
-        for m in range(inst.n_machines):
-            vals[xname(j, m)] = float(x[j - 1, m])
-    for w in range(inst.n_scenarios):
-        vals[zname(w)] = float(z[w])
-    return vals
-
-
-def check_rows(model: MasterModel, x: np.ndarray, z: np.ndarray,
-               tol: float = 1e-6) -> list[str]:
-    """Names of rows violated by (x, z) under direct substitution."""
-    vals = solution_values(model.inst, x, z)
-    violated = []
-    for name, coefs, sense, rhs in iter_rows(model):
-        lhs = sum(c * vals[v] for v, c in coefs.items())
-        if sense == "<=" and lhs > rhs + tol:
-            violated.append(name)
-        elif sense == ">=" and lhs < rhs - tol:
-            violated.append(name)
-        elif sense == "=" and abs(lhs - rhs) > tol:
-            violated.append(name)
-    return violated
-
-
-def write_lp(model: MasterModel, path: str) -> None:
-    """Emit the model in LP text format (maximization, binary section)."""
-    inst = model.inst
-    lines = ["Maximize"]
-    terms = []
-    for j in range(1, inst.n_jobs + 1):
-        for m in range(inst.n_machines):
-            terms.append(f"{float(inst.utilities[j - 1])!r} {xname(j, m)}")
-    lines.append(" obj: " + " + ".join(terms))
-    lines.append("Subject To")
-    for name, coefs, sense, rhs in iter_rows(model):
-        parts = []
-        for v, c in coefs.items():
-            c = float(c)
-            if not parts:
-                parts.append(f"{c!r} {v}" if c >= 0 else f"- {-c!r} {v}")
-            elif c >= 0:
-                parts.append(f"+ {c!r} {v}")
-            else:
-                parts.append(f"- {-c!r} {v}")
-        op = {"<=": "<=", ">=": ">=", "=": "="}[sense]
-        lines.append(f" {name}: {' '.join(parts)} {op} {float(rhs)!r}")
-    lines.append("Binary")
-    for j in range(1, inst.n_jobs + 1):
-        for m in range(inst.n_machines):
-            lines.append(f" {xname(j, m)}")
-    for w in range(inst.n_scenarios):
-        lines.append(f" {zname(w)}")
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def flow_block(cuts, n_jobs: int):
@@ -272,13 +126,11 @@ def flow_lhs(const: np.ndarray, coef: np.ndarray, jobs) -> np.ndarray:
     return const + (0.0 + total)
 
 
-# ---------------------------------------------------------------------------
-# built-in branch and bound
-# ---------------------------------------------------------------------------
-
-
-class BuiltinBackend:
-    """Depth-first search over job-to-machine assignments.
+def solve_master(model: MasterModel, time_budget: Optional[float] = None,
+                 hook: Optional[Callable] = None) -> BackendSolution:
+    """Solve the master to proven optimality, or until ``time_budget``
+    seconds have passed, by depth-first search over job-to-machine
+    assignments.
 
     Jobs are branched in index order, machines tried in index order before
     "unassigned", which realizes (job, machine)-lexicographic branching of
@@ -305,388 +157,260 @@ class BuiltinBackend:
     join one block of rows, which each leaf tests with one gather and row
     sum per machine that holds jobs (``flow_lhs``).
     """
-
-    name = "builtin"
-
-    def solve(self, model: MasterModel, time_budget: Optional[float] = None,
-              hook: Optional[Callable] = None) -> BackendSolution:
-        inst = model.inst
-        n, M, B = inst.n_jobs, inst.n_machines, inst.capacity
-        n_sc = inst.n_scenarios
-        f = inst.utilities.tolist()
-        p = inst.scenario_prob
-        need = 1.0 - inst.epsilon - 1e-12
-        T = inst.time_limit
-        deadline = None if time_budget is None else time.monotonic() + time_budget
-
-        # bounds[j][used]: the largest utility the jobs from j on can still
-        # add, i.e. the sum of the min(M*B - used, n - j) largest of f[j:]
-        bounds = []
-        for j in range(n + 1):
-            tail = np.sort(inst.utilities[j:])[::-1]
-            top = np.concatenate(([0.0], np.cumsum(tail))).tolist()
-            bounds.append([top[min(M * B - used, n - j)]
-                           for used in range(min(j, M * B) + 1)])
-        # the chance row as a count: a path meets it while at most max_fail
-        # scenarios are forced to zero, by the row's own float test
-        max_fail = -1
-        while max_fail < n_sc and (n_sc - max_fail - 1) * p >= need:
-            max_fail += 1
-        symmetry = model.symmetry
-        full = M * B  # jobs that fill every machine
-
-        # one row of optimistic loads per job; a set's load is the running
-        # sum of its jobs' rows in index order
-        relax = (np.ascontiguousarray(model.relax_coef.T)
-                 if model.scenario_relaxation else None)
-        # job-set mask -> bitmask of the scenarios that set forces to zero
-        fail_memo: dict[int, int] = {}
-        # job-set mask -> (scenarios whose relaxation row the set violates on
-        # its own, the set's load), capped by the loads' cells
-        relax_memo: dict[int, tuple[int, np.ndarray]] = {}
-        relax_max = max(1, min(FAIL_MEMO_MAX, LOAD_MEMO_CELLS // (n_sc + 32)))
-        # job j -> {mask of a cut job set whose highest job is j: its cuts'
-        # scenario bits}
-        cuts_by_last: list[dict[int, int]] = [{} for _ in range(n)]
-
-        def jobs_of(mask: int) -> list[int]:
-            return [i for i in range(n) if mask >> i & 1]
-
-        def fail_of(mask: int, j: int, parent: int) -> int:
-            """Forced scenarios of ``mask``, whose highest job is j.
-            ``parent``, the bits of ``mask`` without j, holds every row that
-            set covers, so only ``mask``'s own relaxation rows and the cuts
-            whose highest job is j remain.  A scenario stays forced once
-            forced, as both row families only tighten when jobs join.
-
-            The set's load is the load of the set without j, read from the
-            relaxation memo, plus j's row: the running sum of its jobs' rows
-            in index order, which is bitwise what numpy's axis-0 sum of those
-            rows gives (in order, row by row) whenever there are two or more
-            scenarios.  Where the memo has lost the smaller set, the running
-            sum is taken afresh (``cumsum``).  The memo's entries are capped
-            by ``LOAD_MEMO_CELLS``, so its memory stays near 2 MB whatever
-            the number of scenarios."""
-            bits = parent
-            if relax is not None:
-                entry = relax_memo.get(mask)
-                if entry is None:
-                    base = relax_memo.get(mask ^ 1 << j)
-                    if base is None:
-                        load = relax[jobs_of(mask)].cumsum(axis=0)[-1]
-                    else:
-                        load = base[1] + relax[j]
-                    over = np.packbits(load > T + TOL, bitorder="little")
-                    entry = int.from_bytes(over.tobytes(), "little"), load
-                    if len(relax_memo) >= relax_max:
-                        relax_memo.clear()
-                    relax_memo[mask] = entry
-                bits |= entry[0]
-            for cmask, wbits in cuts_by_last[j].items():
-                if cmask & mask == cmask:
-                    bits |= wbits
-            if len(fail_memo) >= FAIL_MEMO_MAX:
-                fail_memo.clear()
-            fail_memo[mask] = bits
-            return bits
-
-        mach_mask = [0] * M
-        mach_fail = [0] * M
-
-        # job-set cuts in arrival order, (jobmask, scenario), and the flow
-        # rows as one block (``flow_block``)
-        job_cuts: list[tuple[int, int]] = []
-        flow_w, flow_const, flow_coef = flow_block((), n)
-
-        def add_lazy(new_cuts) -> None:
-            """Enter cuts into the search: the pool before it starts, hook
-            cuts as they come.  A job-set cut joins ``cuts_by_last`` under
-            its highest job and sets its scenario bit on every machine of
-            the current path whose job set covers it, so the path's bits
-            stay exact; the fail memo, whose entries predate the cut, is
-            emptied and refills from them.  Flow cuts extend the block of
-            rows the leaves test."""
-            nonlocal flow_w, flow_const, flow_coef
-            flows = []
-            for cut in new_cuts:
-                if cut.kind == BENDERS:
-                    flows.append(cut)
-                    continue
-                cmask, wbit = cut.jobs, 1 << cut.scenario
-                job_cuts.append((cmask, cut.scenario))
-                sets = cuts_by_last[cmask.bit_length() - 1]
-                sets[cmask] = sets.get(cmask, 0) | wbit
-                for m, mk in enumerate(mach_mask):
-                    if mk & cmask == cmask:
-                        mach_fail[m] |= wbit
-                fail_memo.clear()
-            if flows:
-                w, const, coef = flow_block(flows, n)
-                flow_w = np.concatenate((flow_w, w))
-                flow_const = np.concatenate((flow_const, const))
-                flow_coef = np.concatenate((flow_coef, coef))
-
-        add_lazy(model.cuts)
-
-        best_obj = -np.inf
-        best_x = None
-        best_z = None
-        limit = False
-        open_bound = -np.inf
-        n_nodes = 0
-
-        def note_open(j: int, util: float, used: int) -> None:
-            nonlocal open_bound
-            open_bound = max(open_bound, util + bounds[j][used])
-
-        def leaf_z() -> np.ndarray:
-            failed = 0
-            for bits in mach_fail:
-                failed |= bits
-            z = np.array([not failed >> w & 1 for w in range(n_sc)])
-            if len(flow_w):
-                # a flow row drops its scenario when some machine violates it
-                over = np.zeros(len(flow_w), dtype=bool)
-                for mk in mach_mask:
-                    if mk:
-                        over |= flow_lhs(flow_const, flow_coef, jobs_of(mk)) > T + TOL
-                z[flow_w[over]] = False
-            return z
-
-        def current_x() -> np.ndarray:
-            x = np.zeros((n, M), dtype=np.int8)
-            for m, mk in enumerate(mach_mask):
-                x[jobs_of(mk), m] = 1
-            return x
-
-        def handle_leaf(util: float) -> None:
-            nonlocal best_obj, best_x, best_z
-            z = leaf_z()
-            if n_sc - z.sum() > max_fail:
-                return
-            if hook is not None:
-                x = current_x()
-                verified = False
-                for _ in range(n_sc + 2):
-                    new_cuts = hook(x, z.astype(np.int8))
-                    if not new_cuts:
-                        verified = True
-                        break
-                    add_lazy(new_cuts)
-                    z = leaf_z()
-                    # a returned cut's scenario is a failing one for this x,
-                    # so its flag must drop here even if the cut row itself
-                    # does not bind at this candidate; z shrinks every round
-                    for cut in new_cuts:
-                        z[cut.scenario] = False
-                    if n_sc - z.sum() > max_fail:
-                        return
-                if not verified:
-                    return
-            if util > best_obj + TOL:
-                best_obj = util
-                best_x = current_x()
-                best_z = z.astype(np.int8)
-
-        def dfs(j: int, util: float, used: int, failed: int) -> None:
-            """Enter a node its parent has tested: ``failed`` meets the
-            chance row and the utility bound beats the incumbent."""
-            nonlocal n_nodes, limit
-            n_nodes += 1
-            if (deadline is not None and not n_nodes % 64
-                    and time.monotonic() > deadline):
-                limit = True
-                note_open(j, util, used)
-                return
-            if j == n:
-                handle_leaf(util)
-                return
-            child_bounds = bounds[j + 1]
-            # the children that assign j share one utility bound, tested
-            # again after each descent as the incumbent moves; with every
-            # machine full there are none
-            grown_util = util + f[j]
-            grown_bound = (grown_util + child_bounds[used + 1] if used < full
-                           else -np.inf)
-            if grown_bound > best_obj + TOL:
-                bit = 1 << j
-                seen = len(job_cuts)
-                for m, mask in enumerate(mach_mask):
-                    if mask.bit_count() < B:
-                        old = mach_fail[m]
-                        grown = mask | bit
-                        new = fail_memo.get(grown)
-                        if new is None:
-                            new = fail_of(grown, j, old)
-                        path = failed | new
-                        if path.bit_count() <= max_fail:
-                            mach_mask[m], mach_fail[m] = grown, new
-                            dfs(j + 1, grown_util, used + 1, path)
-                            mach_mask[m], mach_fail[m] = mask, old
-                            if len(job_cuts) > seen:
-                                # hook cuts that arrived in the subtree: the
-                                # restored bits miss those ``mask`` covers,
-                                # and ``failed`` those the path covers
-                                for cmask, w in job_cuts[seen:]:
-                                    if cmask & mask == cmask:
-                                        mach_fail[m] |= 1 << w
-                                seen = len(job_cuts)
-                                failed = 0
-                                for bits in mach_fail:
-                                    failed |= bits
-                            if limit:
-                                note_open(j, util, used)
-                                return
-                            if grown_bound <= best_obj + TOL:
-                                break
-                    if symmetry and not mask:
-                        # machines after the first empty one are empty too,
-                        # and the lexicographic order leaves them to it
-                        break
-            if (failed.bit_count() <= max_fail
-                    and util + child_bounds[used] > best_obj + TOL):
-                dfs(j + 1, util, used, failed)
-
-        try:
-            if max_fail >= 0:
-                dfs(0, 0.0, 0, 0)
-        finally:
-            # the recursive closure holds itself through its cell; unlinking
-            # it frees the search state on return instead of in a later
-            # cyclic collection
-            dfs = None
-
-        if best_x is None:
-            if limit:
-                return BackendSolution(status=LIMIT, bound=max(open_bound, 0.0),
-                                       n_nodes=n_nodes)
-            return BackendSolution(status=INFEASIBLE, n_nodes=n_nodes)
-        status = LIMIT if limit else OPTIMAL
-        bound = best_obj if status == OPTIMAL else max(open_bound, best_obj)
-        return BackendSolution(
-            status=status, x=best_x, z=best_z, objective=float(best_obj),
-            bound=float(bound), n_nodes=n_nodes,
-        )
-
-
-# ---------------------------------------------------------------------------
-# external solver bridge
-# ---------------------------------------------------------------------------
-
-
-def resolve(solve_once: Callable, model: MasterModel,
-            time_budget: Optional[float] = None,
-            hook: Optional[Callable] = None) -> BackendSolution:
-    """Honour a lazy-cut hook by re-solving: ``solve_once(model, budget)``
-    solves the model as it stands, the hook gets the solution's (x, z), and
-    while it returns cuts (which it has added to ``model.cuts``) the model
-    is solved again on the budget left.  The last solution is returned, or,
-    when the budget runs out after a cut batch, a ``LIMIT`` one with no
-    candidate and the last solve's bound; ``n_solves`` and ``n_nodes``
-    count over every solve."""
+    inst = model.inst
+    n, M, B = inst.n_jobs, inst.n_machines, inst.capacity
+    n_sc = inst.n_scenarios
+    f = inst.utilities.tolist()
+    p = inst.scenario_prob
+    need = 1.0 - inst.epsilon - 1e-12
+    T = inst.time_limit
     deadline = None if time_budget is None else time.monotonic() + time_budget
-    n_solves = n_nodes = 0
-    while True:
-        sol = solve_once(model, None if deadline is None
-                         else deadline - time.monotonic())
-        n_solves += 1
-        n_nodes += sol.n_nodes
-        if hook is None or sol.x is None or not hook(sol.x, sol.z):
-            break
-        if deadline is not None and time.monotonic() >= deadline:
-            sol = BackendSolution(status=LIMIT, bound=sol.bound)
-            break
-    sol.n_solves, sol.n_nodes = n_solves, n_nodes
-    return sol
 
+    # bounds[j][used]: the largest utility the jobs from j on can still
+    # add, i.e. the sum of the min(M*B - used, n - j) largest of f[j:]
+    bounds = []
+    for j in range(n + 1):
+        tail = np.sort(inst.utilities[j:])[::-1]
+        top = np.concatenate(([0.0], np.cumsum(tail))).tolist()
+        bounds.append([top[min(M * B - used, n - j)]
+                       for used in range(min(j, M * B) + 1)])
+    # the chance row as a count: a path meets it while at most max_fail
+    # scenarios are forced to zero, by the row's own float test
+    max_fail = -1
+    while max_fail < n_sc and (n_sc - max_fail - 1) * p >= need:
+        max_fail += 1
+    symmetry = model.symmetry
+    full = M * B  # jobs that fill every machine
 
-class ExternalBackend:
-    """Writes the model as an LP file and runs a solver executable.
+    # one row of optimistic loads per job; a set's load is the running
+    # sum of its jobs' rows in index order
+    relax = (np.ascontiguousarray(model.relax_coef.T)
+             if model.scenario_relaxation else None)
+    # job-set mask -> bitmask of the scenarios that set forces to zero
+    fail_memo: dict[int, int] = {}
+    # job-set mask -> (scenarios whose relaxation row the set violates on
+    # its own, the set's load), capped by the loads' cells
+    relax_memo: dict[int, tuple[int, np.ndarray]] = {}
+    relax_max = max(1, min(FAIL_MEMO_MAX, LOAD_MEMO_CELLS // (n_sc + 32)))
+    # job j -> {mask of a cut job set whose highest job is j: its cuts'
+    # scenario bits}
+    cuts_by_last: list[dict[int, int]] = [{} for _ in range(n)]
 
-    The command is invoked as ``<cmd> <model.lp> <solution.sol>`` and must
-    write the solution as plain "name value" lines ('#'-prefixed comment
-    lines are ignored); absent variables default to 0.  The solution counts
-    as proven optimal only when the file holds a ``# status optimal``
-    comment line; otherwise it is merely feasible and carries no bound.
-    The solver runs to the end on each call, so a lazy-cut hook is offered
-    each solution it writes, and the model is re-solved with the hook's
-    cuts (``resolve``).
-    """
+    def jobs_of(mask: int) -> list[int]:
+        return [i for i in range(n) if mask >> i & 1]
 
-    name = "external"
+    def fail_of(mask: int, j: int, parent: int) -> int:
+        """Forced scenarios of ``mask``, whose highest job is j.
+        ``parent``, the bits of ``mask`` without j, holds every row that
+        set covers, so only ``mask``'s own relaxation rows and the cuts
+        whose highest job is j remain.  A scenario stays forced once
+        forced, as both row families only tighten when jobs join.
 
-    def __init__(self, cmd: str):
-        if not cmd:
-            raise ConfigurationError("external solver command not configured")
-        self.cmd = cmd
+        The set's load is the load of the set without j, read from the
+        relaxation memo, plus j's row: the running sum of its jobs' rows
+        in index order, which is bitwise what numpy's axis-0 sum of those
+        rows gives (in order, row by row) whenever there are two or more
+        scenarios.  Where the memo has lost the smaller set, the running
+        sum is taken afresh (``cumsum``).  The memo's entries are capped
+        by ``LOAD_MEMO_CELLS``, so its memory stays near 2 MB whatever
+        the number of scenarios."""
+        bits = parent
+        if relax is not None:
+            entry = relax_memo.get(mask)
+            if entry is None:
+                base = relax_memo.get(mask ^ 1 << j)
+                if base is None:
+                    load = relax[jobs_of(mask)].cumsum(axis=0)[-1]
+                else:
+                    load = base[1] + relax[j]
+                over = np.packbits(load > T + TOL, bitorder="little")
+                entry = int.from_bytes(over.tobytes(), "little"), load
+                if len(relax_memo) >= relax_max:
+                    relax_memo.clear()
+                relax_memo[mask] = entry
+            bits |= entry[0]
+        for cmask, wbits in cuts_by_last[j].items():
+            if cmask & mask == cmask:
+                bits |= wbits
+        if len(fail_memo) >= FAIL_MEMO_MAX:
+            fail_memo.clear()
+        fail_memo[mask] = bits
+        return bits
 
-    def solve(self, model: MasterModel, time_budget: Optional[float] = None,
-              hook: Optional[Callable] = None) -> BackendSolution:
-        return resolve(self.solve_once, model, time_budget, hook)
+    mach_mask = [0] * M
+    mach_fail = [0] * M
 
-    def solve_once(self, model: MasterModel,
-                   time_budget: Optional[float] = None) -> BackendSolution:
-        """One run of the solver on the model as it stands."""
-        inst = model.inst
-        with tempfile.TemporaryDirectory(prefix="ccpmsp_") as tmp:
-            lp_path = os.path.join(tmp, "model.lp")
-            sol_path = os.path.join(tmp, "model.sol")
-            write_lp(model, lp_path)
-            argv = shlex.split(self.cmd) + [lp_path, sol_path]
-            try:
-                proc = subprocess.run(
-                    argv, capture_output=True, text=True,
-                    timeout=None if time_budget is None else time_budget + 30.0,
-                )
-            except (OSError, subprocess.TimeoutExpired) as exc:
-                raise BackendError(f"external solver failed to run: {exc}") from exc
-            if proc.returncode != 0:
-                raise BackendError(
-                    f"external solver exited with {proc.returncode}: "
-                    f"{proc.stderr.strip()[:500]}"
-                )
-            if not os.path.exists(sol_path):
-                raise BackendError("external solver wrote no solution file")
-            with open(sol_path) as fh:
-                text = fh.read()
-        vals: dict[str, float] = {}
-        proven = False
-        for line in text.splitlines():
-            line = line.strip()
-            if line.startswith("#"):
-                proven |= line[1:].split() == ["status", "optimal"]
+    # job-set cuts in arrival order, (jobmask, scenario), and the flow
+    # rows as one block (``flow_block``)
+    job_cuts: list[tuple[int, int]] = []
+    flow_w, flow_const, flow_coef = flow_block((), n)
+
+    def add_lazy(new_cuts) -> None:
+        """Enter cuts into the search: the pool before it starts, hook
+        cuts as they come.  A job-set cut joins ``cuts_by_last`` under
+        its highest job and sets its scenario bit on every machine of
+        the current path whose job set covers it, so the path's bits
+        stay exact; the fail memo, whose entries predate the cut, is
+        emptied and refills from them.  Flow cuts extend the block of
+        rows the leaves test."""
+        nonlocal flow_w, flow_const, flow_coef
+        flows = []
+        for cut in new_cuts:
+            if cut.kind == BENDERS:
+                flows.append(cut)
                 continue
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) >= 2:
-                try:
-                    vals[parts[0]] = float(parts[1])
-                except ValueError:
-                    continue
-        x = np.zeros((inst.n_jobs, inst.n_machines), dtype=np.int8)
-        for j in range(1, inst.n_jobs + 1):
-            for m in range(inst.n_machines):
-                x[j - 1, m] = int(round(vals.get(xname(j, m), 0.0)))
-        z = np.array(
-            [int(round(vals.get(zname(w), 0.0))) for w in range(inst.n_scenarios)],
-            dtype=np.int8,
-        )
-        violated = check_rows(model, x, z)
-        if violated:
-            raise BackendError(f"external solution violates rows: {violated[:5]}")
-        objective = float(inst.utilities @ x.sum(axis=1))
-        return BackendSolution(
-            status=OPTIMAL if proven else FEASIBLE, x=x, z=z,
-            objective=objective, bound=objective if proven else None,
-        )
+            cmask, wbit = cut.jobs, 1 << cut.scenario
+            job_cuts.append((cmask, cut.scenario))
+            sets = cuts_by_last[cmask.bit_length() - 1]
+            sets[cmask] = sets.get(cmask, 0) | wbit
+            for m, mk in enumerate(mach_mask):
+                if mk & cmask == cmask:
+                    mach_fail[m] |= wbit
+            fail_memo.clear()
+        if flows:
+            w, const, coef = flow_block(flows, n)
+            flow_w = np.concatenate((flow_w, w))
+            flow_const = np.concatenate((flow_const, const))
+            flow_coef = np.concatenate((flow_coef, coef))
 
+    add_lazy(model.cuts)
 
-def solve_master(model: MasterModel, backend=None,
-                 time_budget: Optional[float] = None,
-                 hook: Optional[Callable] = None) -> BackendSolution:
-    """Solve the master to proven optimality (or budget) with the given
-    backend; defaults to the built-in branch and bound."""
-    if backend is None:
-        backend = BuiltinBackend()
-    return backend.solve(model, time_budget=time_budget, hook=hook)
+    best_obj = -np.inf
+    best_x = None
+    best_z = None
+    limit = False
+    open_bound = -np.inf
+    n_nodes = 0
+
+    def note_open(j: int, util: float, used: int) -> None:
+        nonlocal open_bound
+        open_bound = max(open_bound, util + bounds[j][used])
+
+    def leaf_z() -> np.ndarray:
+        failed = 0
+        for bits in mach_fail:
+            failed |= bits
+        z = np.array([not failed >> w & 1 for w in range(n_sc)])
+        if len(flow_w):
+            # a flow row drops its scenario when some machine violates it
+            over = np.zeros(len(flow_w), dtype=bool)
+            for mk in mach_mask:
+                if mk:
+                    over |= flow_lhs(flow_const, flow_coef, jobs_of(mk)) > T + TOL
+            z[flow_w[over]] = False
+        return z
+
+    def current_x() -> np.ndarray:
+        x = np.zeros((n, M), dtype=np.int8)
+        for m, mk in enumerate(mach_mask):
+            x[jobs_of(mk), m] = 1
+        return x
+
+    def handle_leaf(util: float) -> None:
+        nonlocal best_obj, best_x, best_z
+        z = leaf_z()
+        if n_sc - z.sum() > max_fail:
+            return
+        if hook is not None:
+            x = current_x()
+            verified = False
+            for _ in range(n_sc + 2):
+                new_cuts = hook(x, z.astype(np.int8))
+                if not new_cuts:
+                    verified = True
+                    break
+                add_lazy(new_cuts)
+                z = leaf_z()
+                # a returned cut's scenario is a failing one for this x,
+                # so its flag must drop here even if the cut row itself
+                # does not bind at this candidate; z shrinks every round
+                for cut in new_cuts:
+                    z[cut.scenario] = False
+                if n_sc - z.sum() > max_fail:
+                    return
+            if not verified:
+                return
+        if util > best_obj + TOL:
+            best_obj = util
+            best_x = current_x()
+            best_z = z.astype(np.int8)
+
+    def dfs(j: int, util: float, used: int, failed: int) -> None:
+        """Enter a node its parent has tested: ``failed`` meets the
+        chance row and the utility bound beats the incumbent."""
+        nonlocal n_nodes, limit
+        n_nodes += 1
+        if (deadline is not None and not n_nodes % 64
+                and time.monotonic() > deadline):
+            limit = True
+            note_open(j, util, used)
+            return
+        if j == n:
+            handle_leaf(util)
+            return
+        child_bounds = bounds[j + 1]
+        # the children that assign j share one utility bound, tested
+        # again after each descent as the incumbent moves; with every
+        # machine full there are none
+        grown_util = util + f[j]
+        grown_bound = (grown_util + child_bounds[used + 1] if used < full
+                       else -np.inf)
+        if grown_bound > best_obj + TOL:
+            bit = 1 << j
+            seen = len(job_cuts)
+            for m, mask in enumerate(mach_mask):
+                if mask.bit_count() < B:
+                    old = mach_fail[m]
+                    grown = mask | bit
+                    new = fail_memo.get(grown)
+                    if new is None:
+                        new = fail_of(grown, j, old)
+                    path = failed | new
+                    if path.bit_count() <= max_fail:
+                        mach_mask[m], mach_fail[m] = grown, new
+                        dfs(j + 1, grown_util, used + 1, path)
+                        mach_mask[m], mach_fail[m] = mask, old
+                        if len(job_cuts) > seen:
+                            # hook cuts that arrived in the subtree: the
+                            # restored bits miss those ``mask`` covers,
+                            # and ``failed`` those the path covers
+                            for cmask, w in job_cuts[seen:]:
+                                if cmask & mask == cmask:
+                                    mach_fail[m] |= 1 << w
+                            seen = len(job_cuts)
+                            failed = 0
+                            for bits in mach_fail:
+                                failed |= bits
+                        if limit:
+                            note_open(j, util, used)
+                            return
+                        if grown_bound <= best_obj + TOL:
+                            break
+                if symmetry and not mask:
+                    # machines after the first empty one are empty too,
+                    # and the lexicographic order leaves them to it
+                    break
+        if (failed.bit_count() <= max_fail
+                and util + child_bounds[used] > best_obj + TOL):
+            dfs(j + 1, util, used, failed)
+
+    try:
+        if max_fail >= 0:
+            dfs(0, 0.0, 0, 0)
+    finally:
+        # the recursive closure holds itself through its cell; unlinking
+        # it frees the search state on return instead of in a later
+        # cyclic collection
+        dfs = None
+
+    if best_x is None:
+        if limit:
+            return BackendSolution(status=LIMIT, bound=max(open_bound, 0.0),
+                                   n_nodes=n_nodes)
+        return BackendSolution(status=INFEASIBLE, n_nodes=n_nodes)
+    status = LIMIT if limit else OPTIMAL
+    bound = best_obj if status == OPTIMAL else max(open_bound, best_obj)
+    return BackendSolution(
+        status=status, x=best_x, z=best_z, objective=float(best_obj),
+        bound=float(bound), n_nodes=n_nodes,
+    )

@@ -14,7 +14,7 @@ Index conventions
 * Execution times are stored in a length-n vector where entry ``j - 1``
   belongs to job j.
 * A set of jobs is an int bit mask where bit ``j - 1`` stands for job j
-  (``jobs_mask``), as a cut holds it and the built-in master reads it.
+  (``jobs_mask``), as a cut holds it and the master search reads it.
 * Scenarios and machines are 0-based.
 """
 
@@ -82,7 +82,6 @@ class Instance:
     epsilon: float
     utilities: np.ndarray
     scenarios: list[Scenario]
-    big_m: np.ndarray = None
     seed: Optional[int] = None
     dataset_kind: Optional[str] = None
     dif: Optional[float] = None
@@ -90,13 +89,6 @@ class Instance:
     def __post_init__(self):
         object.__setattr__(self, "utilities", np.asarray(self.utilities, dtype=float))
         self.utilities.setflags(write=False)
-        if self.big_m is None:
-            object.__setattr__(
-                self, "big_m", compute_big_m(self.scenarios, self.capacity)
-            )
-        else:
-            object.__setattr__(self, "big_m", np.asarray(self.big_m, dtype=float))
-        self.big_m.setflags(write=False)
 
     @property
     def n_scenarios(self) -> int:
@@ -105,10 +97,6 @@ class Instance:
     @property
     def scenario_prob(self) -> float:
         return 1.0 / len(self.scenarios)
-
-    @property
-    def big_m_max(self) -> float:
-        return float(self.big_m.max())
 
     @cached_property
     def scenario_stack(self) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +150,6 @@ class Instance:
             v.append("no scenarios")
         elif abs(self.scenario_prob * self.n_scenarios - 1.0) > PROB_TOL:
             v.append("scenario probabilities do not sum to 1")
-        if len(self.big_m) != self.n_scenarios:
-            v.append("big_m length != n_scenarios")
         sound = 0  # scenarios the triangle test, which stacks them all, can read
         for w, sc in enumerate(self.scenarios):
             if len(sc.exec) != self.n_jobs:
@@ -266,8 +252,9 @@ class Cut:
     ``jobs`` is the cut's job set as a bit mask (bit j - 1 for job j); the
     rendered row is quantified over all machines (machines are homogeneous).
     ``benders_payload`` is a pair (constant, per-job coefficient vector)
-    present only for flow cuts, where the row for machine m reads
-        M * z_w + sum_j coef[j-1] * x[j][m] <= T + M - constant.
+    present only for flow cuts, whose row forces z_w to zero wherever some
+    machine m has
+        constant + sum_j coef[j-1] * x[j][m] > T.
     """
 
     jobs: int
@@ -313,25 +300,6 @@ def chance_satisfied(inst: Instance, z) -> bool:
     if len(z) != inst.n_scenarios:
         raise StructuralError(f"z has length {len(z)}, expected {inst.n_scenarios}")
     return float(z.sum()) * inst.scenario_prob >= 1.0 - inst.epsilon - PROB_TOL
-
-
-def compute_big_m(scenarios: list[Scenario], capacity: int) -> np.ndarray:
-    """Per-scenario big-M: for each job, its execution time plus its worst
-    outgoing setup (dummy included); sum the ``capacity`` largest of these.
-    """
-    if capacity < 1:
-        raise ConfigurationError("capacity must be >= 1")
-    values = []
-    for sc in scenarios:
-        n = sc.n_jobs
-        if capacity > n:
-            raise ConfigurationError("capacity exceeds the number of jobs")
-        d = sc.setup[1:, :].copy()  # rows: jobs, cols: dummy + jobs
-        np.fill_diagonal(d[:, 1:], -np.inf)  # exclude j -> j
-        s = sc.exec + d.max(axis=1)
-        top = np.sort(s)[-capacity:]
-        values.append(float(top.sum()))
-    return np.array(values)
 
 
 def validate_instance(inst: Instance) -> list[str]:

@@ -4,8 +4,9 @@ import pytest
 from ccpmsp import decomposition, netflow
 from ccpmsp.decomposition import solve_ccpmsp
 from ccpmsp.instances import GenConfig, make_instance
-from ccpmsp.master import BuiltinBackend, resolve
+from ccpmsp.master import solve_master
 from ccpmsp.model import Scenario
+from master_reference import resolve
 from oracle_reference import brute_optimal
 
 
@@ -92,18 +93,19 @@ def overloaded_b10_x(inst):
     return x
 
 
-class NoHookBackend(BuiltinBackend):
-    """The built-in search run without its lazy-cut hook and re-solved
-    after each cut batch, the way the external bridge honours the hook
-    (``master.resolve``)."""
+def solve_iteratively(inst, opts, solves=None):
+    """``solve_ccpmsp`` with the master search run without its lazy-cut
+    hook and re-solved after each cut batch (``master_reference.resolve``):
+    one master solve per cut batch, and a last one that the hook accepts or
+    that finds none.  ``solves``, a list, when given, receives the number
+    of master solves."""
 
-    def solve(self, model, time_budget=None, hook=None):
-        return resolve(super().solve, model, time_budget, hook)
+    def resolving(model, time_budget=None, hook=None):
+        sol, n_solves = resolve(solve_master, model, time_budget, hook)
+        if solves is not None:
+            solves.append(n_solves)
+        return sol
 
-
-def solve_iteratively(inst, opts):
-    """``solve_ccpmsp`` on ``NoHookBackend``: one built-in master solve per
-    cut batch, and a last one that the hook accepts or that finds none."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decomposition, "_make_backend", lambda _: NoHookBackend())
+        mp.setattr(decomposition, "solve_master", resolving)
         return solve_ccpmsp(inst, opts)

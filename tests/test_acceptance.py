@@ -20,7 +20,7 @@ from ccpmsp.diagram import (
     build_top_down,
 )
 from ccpmsp.instances import GenConfig, make_instance
-from ccpmsp.master import build_master, check_rows
+from ccpmsp.master import build_master
 from ccpmsp.model import LimitExceeded, jobs_mask
 from conftest import mask_jobs
 from diagram_reference import (
@@ -31,6 +31,7 @@ from diagram_reference import (
     reference_diagram,
     sub_times,
 )
+from master_reference import check_rows
 import oracle_reference
 
 

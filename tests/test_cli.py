@@ -1,5 +1,4 @@
 import json
-import sys
 
 import pytest
 
@@ -56,7 +55,7 @@ def test_solve_and_verify_round_trip(tmp_path, capsys):
     assert row[0] == "jobset" and row[1] == "iis"
     assert row[3] == "0" and row[4] == "1"  # gap 0, optimal
     assert out[1].endswith(
-        ",n_master_solves,n_certified,n_master_nodes,n_fallbacks")
+        ",build_time,n_certified,n_master_nodes,n_fallbacks")
     assert row[-1] == "0"  # IIS cuts always exclude their candidate
     assert len(row) == len(out[1].split(","))
     assert run(["verify", inst_path, "--solution", sol_path]) == 0
@@ -88,7 +87,10 @@ BAD_INSTANCES = {
     "no_scenarios": ({"scenarios": []}, "no scenarios"),
     "scenario_count": ({"scenarios": 5}, "cannot read instance"),
     "flat_setup": ({"scenarios": [{"exec": [1.0] * 6, "setup": [0.0] * 7}] * 5},
-                   "cannot read instance"),
+                   "scenario 0: setup shape (7,)"),
+    # capacities outside [1, n_jobs]: the instance's own violations name them
+    "capacity_zero": ({"capacity": 0}, "capacity 0 outside [1, n_jobs]"),
+    "capacity_above_jobs": ({"capacity": 7}, "capacity 7 outside [1, n_jobs]"),
 }
 
 
@@ -230,24 +232,6 @@ def test_verify_at_capacity_ten(tmp_path, capsys):
     assert "machine 0 infeasible in scenario 0" in err
 
 
-def test_external_backend_through_cli(tmp_path, capsys, monkeypatch):
-    import os
-
-    stub = os.path.join(os.path.dirname(__file__), "lp_stub.py")
-    inst_path = tmp_path / "i.json"
-    run(gen_args(inst_path, jobs=4, machines=2, scenarios=3, seed=2,
-                 extra=("--capacity", "2")))
-    capsys.readouterr()
-    monkeypatch.setenv("CCPMSP_EXTERNAL_SOLVER", f"{sys.executable} {stub}")
-    code = run(["solve", inst_path, "--backend", "external", "--budget", 120])
-    ext_row = capsys.readouterr().out.splitlines()[2].split(",")
-    assert code == 0
-    monkeypatch.delenv("CCPMSP_EXTERNAL_SOLVER")
-    assert run(["solve", inst_path, "--budget", 120]) == 0
-    ref_row = capsys.readouterr().out.splitlines()[2].split(",")
-    assert ext_row[3:5] == ref_row[3:5]  # same gap and optimality
-
-
 def test_bench_and_report(tmp_path, capsys):
     paths = []
     for i in range(3):
@@ -337,8 +321,8 @@ def test_bench_status_tells_errors_from_limits(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_ccpmsp", crash)
     row = bench(small, 60)
     assert row["status"] == "error" and row["gap"] == "inf"
-    assert row["n_master_solves"] == row["n_certified"] == "0"
-    assert row["n_master_nodes"] == row["n_fallbacks"] == "0"
+    assert "n_master_solves" not in row
+    assert row["n_certified"] == row["n_master_nodes"] == row["n_fallbacks"] == "0"
 
 
 def test_bench_parallel_matches_serial(tmp_path):

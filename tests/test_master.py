@@ -1,6 +1,4 @@
 import hashlib
-import os
-import sys
 
 import numpy as np
 import pytest
@@ -9,22 +7,18 @@ from hypothesis import strategies as st
 
 from ccpmsp import decomposition, master, netflow
 from ccpmsp.instances import GenConfig, make_instance
-from ccpmsp.master import (
-    BuiltinBackend,
-    ExternalBackend,
-    build_master,
-    check_rows,
-    iter_rows,
-    optimistic_load_coefficients,
-    solve_master,
-    write_lp,
-)
+from ccpmsp.master import build_master, optimistic_load_coefficients, solve_master
 from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
 from ccpmsp.model import BENDERS, IIS, NOGOOD, Cut, Instance, jobs_mask
 from conftest import mask_jobs
+from master_reference import (
+    brute_master,
+    check_rows,
+    compute_big_m,
+    iter_rows,
+    resolve,
+)
 from oracle_reference import brute_optimal
-
-STUB = os.path.join(os.path.dirname(__file__), "lp_stub.py")
 
 
 def small_instance(**kw):
@@ -44,7 +38,6 @@ def uniform_instance(uniform_scenario, machines=1, T=5.0, eps=0.4):
 def test_base_model_row_and_variable_counts():
     inst = small_instance(n_jobs=3, n_machines=2, n_scenarios=2, capacity=3)
     model = build_master(inst, symmetry=False, scenario_relaxation=False)
-    assert model.n_vars == 3 * 2 + 2
     rows = list(iter_rows(model))
     assert len(rows) == 3 + 2 + 1
     names = [r[0] for r in rows]
@@ -199,7 +192,7 @@ def test_callback_drops_flags_of_returned_cuts():
                         benders_payload=(0.0, np.zeros(inst.n_jobs)))]
         return []
 
-    sol = BuiltinBackend().solve(model, hook=hook)
+    sol = solve_master(model, hook=hook)
     assert sol.status == master.OPTIMAL
     assert sol.objective == pytest.approx(float(inst.utilities.sum()))
     assert sol.z.tolist() == [0, 1]
@@ -223,7 +216,7 @@ def test_hook_cut_prunes_the_rest_of_the_search(monkeypatch, memo_max):
         calls.append((x.copy(), z.copy()))
         return [cut] if len(calls) == 1 else []
 
-    sol = BuiltinBackend().solve(model, time_budget=5.0, hook=hook)
+    sol = solve_master(model, time_budget=5.0, hook=hook)
     assert sol.status == master.OPTIMAL
     assert sol.objective == pytest.approx(float(inst.utilities.sum()))
     assert len(calls) >= 2
@@ -269,7 +262,7 @@ def test_budget_limit_reports_bound():
     inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=12, n_machines=3,
                                    n_scenarios=8, dif=-4.0, seed=33))
     model = build_master(inst)
-    sol = BuiltinBackend().solve(model, time_budget=0.0)
+    sol = solve_master(model, time_budget=0.0)
     assert sol.status == master.LIMIT
     assert sol.bound >= (sol.objective or 0.0)
 
@@ -291,8 +284,8 @@ def test_budget_bound_never_understates_the_optimum():
             pair = rng.choice(np.arange(1, 8), size=2, replace=False)
             model.cuts.append(Cut(jobs=jobs_mask(pair),
                                   scenario=int(rng.integers(4)), kind=IIS))
-        best = brute_master(model)
-        sol = BuiltinBackend().solve(model, time_budget=0.0)
+        best = brute_over_assignments(model)
+        sol = solve_master(model, time_budget=0.0)
         if sol.status == master.OPTIMAL:
             assert sol.objective == pytest.approx(best)
         else:
@@ -317,21 +310,22 @@ MASTER_LEAVES = {
 @pytest.mark.parametrize("seed", sorted(MASTER_LEAVES))
 def test_hook_receives_the_pinned_leaves(monkeypatch, seed):
     digest = hashlib.sha256()
+    solves = []
 
-    class Recording(BuiltinBackend):
-        def solve(self, model, time_budget=None, hook=None):
-            def recorded(x, z):
-                digest.update(x.tobytes())
-                digest.update(z.tobytes())
-                return hook(x, z)
+    def recording(model, time_budget=None, hook=None):
+        def recorded(x, z):
+            digest.update(x.tobytes())
+            digest.update(z.tobytes())
+            return hook(x, z)
 
-            return super().solve(model, time_budget, recorded)
+        solves.append(model)
+        return solve_master(model, time_budget, recorded)
 
-    monkeypatch.setattr(decomposition, "_make_backend", lambda _: Recording())
+    monkeypatch.setattr(decomposition, "solve_master", recording)
     inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=12, n_machines=3,
                                    n_scenarios=12, dif=-1.0, seed=seed))
     _, report = solve_ccpmsp(inst, SolveOptions())
-    assert report.n_master_solves == 1
+    assert len(solves) == 1
     assert (digest.hexdigest(), report.n_master_nodes) == MASTER_LEAVES[seed]
 
 
@@ -372,7 +366,7 @@ def test_loads_from_the_smaller_set_are_bitwise_the_row_sum(n_sc, n, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     coef = rng.random((n_sc, n)) * 10.0 ** rng.integers(-3, 4, (n_sc, n))
-    relax = np.ascontiguousarray(coef.T)  # as ``BuiltinBackend.solve`` holds it
+    relax = np.ascontiguousarray(coef.T)  # as ``solve_master`` holds it
     jobs = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
     load = relax[jobs[0]]
     for j in jobs[1:]:
@@ -382,67 +376,8 @@ def test_loads_from_the_smaller_set_are_bitwise_the_row_sum(n_sc, n, data):
     assert relax[jobs].cumsum(axis=0)[-1].tobytes() == want
 
 
-def test_lp_writer_round_trips_through_stub(tmp_path):
-    inst = small_instance(n_jobs=4, n_machines=2, n_scenarios=3, capacity=2)
-    model = build_master(inst)
-    model.cuts.append(Cut(jobs=jobs_mask({1, 3}), scenario=1, kind="iis"))
-    lp = tmp_path / "m.lp"
-    write_lp(model, str(lp))
-    text = lp.read_text()
-    assert text.startswith("Maximize")
-    assert "Binary" in text and text.rstrip().endswith("End")
-    backend = ExternalBackend(f"{sys.executable} {STUB}")
-    sol = backend.solve(model)
-    ref = solve_master(model)
-    assert sol.objective == pytest.approx(ref.objective, abs=1e-6)
-    assert check_rows(model, sol.x, sol.z) == []
-
-
-def test_external_backend_interchangeable_with_builtin():
-    backend = ExternalBackend(f"{sys.executable} {STUB}")
-    for seed in (1, 2, 3):
-        inst = small_instance(n_jobs=4, n_machines=2, n_scenarios=3, seed=seed,
-                              capacity=2, dif=-2.0)
-        model = build_master(inst)
-        got = backend.solve(model)
-        ref = solve_master(model)
-        assert got.objective == pytest.approx(ref.objective, abs=1e-6)
-
-
-def test_external_backend_without_status_line_is_only_feasible(tmp_path):
-    # same stub, minus the "# status optimal" line: nothing proves optimality
-    script = tmp_path / "unproven.py"
-    script.write_text(
-        "import subprocess, sys\n"
-        f"subprocess.run([sys.executable, {STUB!r}, *sys.argv[1:]], check=True)\n"
-        "lines = open(sys.argv[2]).readlines()\n"
-        "with open(sys.argv[2], 'w') as fh:\n"
-        "    fh.writelines(l for l in lines if l.strip() != '# status optimal')\n"
-    )
-    cmd = f"{sys.executable} {script}"
-    inst = small_instance(n_jobs=4, n_machines=2, n_scenarios=3, seed=1,
-                          capacity=2, dif=-2.0)
-    sol = ExternalBackend(cmd).solve(build_master(inst))
-    assert sol.status == master.FEASIBLE and sol.bound is None
-    _, report = solve_ccpmsp(
-        inst, SolveOptions(backend="external", external_cmd=cmd, time_budget=120)
-    )
-    assert report.status == "feasible"
-    assert report.gap == float("inf") and not report.optimal
-    assert report.n_master_nodes == 0
-
-
-def test_external_backend_error_paths(tmp_path):
-    inst = small_instance(n_jobs=3, n_machines=1, n_scenarios=2, capacity=3)
-    model = build_master(inst)
-    with pytest.raises(master.BackendError):
-        ExternalBackend("false").solve(model)
-    with pytest.raises(master.BackendError):
-        ExternalBackend(f"{sys.executable} -c pass").solve(model)
-
-
 def scripted_solves(*solutions):
-    """A ``solve_once`` for ``master.resolve`` that returns ``solutions`` in
+    """A ``solve_once`` for ``resolve`` that returns ``solutions`` in
     turn, and the (model, budget) of each call."""
     calls = []
 
@@ -462,7 +397,7 @@ def one_solution(status, objective, bound, n_nodes=0):
 def test_resolve_solves_again_while_the_hook_returns_cuts():
     model = object()
     solve_once, calls = scripted_solves(
-        one_solution(master.FEASIBLE, 5.0, 9.0, n_nodes=3),
+        one_solution(master.LIMIT, 5.0, 9.0, n_nodes=3),
         one_solution(master.OPTIMAL, 4.0, 4.0, n_nodes=2))
     batches, offered = [["cut"], []], []
 
@@ -470,9 +405,9 @@ def test_resolve_solves_again_while_the_hook_returns_cuts():
         offered.append((x.tolist(), z.tolist()))
         return batches[len(offered) - 1]
 
-    sol = master.resolve(solve_once, model, 60.0, hook)
+    sol, n_solves = resolve(solve_once, model, 60.0, hook)
     assert (sol.status, sol.objective, sol.bound) == (master.OPTIMAL, 4.0, 4.0)
-    assert sol.x is not None and (sol.n_solves, sol.n_nodes) == (2, 5)
+    assert sol.x is not None and (n_solves, sol.n_nodes) == (2, 5)
     assert offered == [([[1], [1]], [1, 1, 1])] * 2
     assert [m for m, _ in calls] == [model, model]
     assert 0.0 < calls[1][1] <= calls[0][1] <= 60.0
@@ -483,30 +418,30 @@ def test_resolve_stops_on_the_budget_after_a_cut_batch():
     solve_once, calls = scripted_solves(
         one_solution(master.OPTIMAL, 5.0, 9.0, n_nodes=4),
         one_solution(master.OPTIMAL, 4.0, 4.0))
-    sol = master.resolve(solve_once, object(), 0.0, lambda x, z: ["cut"])
+    sol, n_solves = resolve(solve_once, object(), 0.0, lambda x, z: ["cut"])
     assert sol.status == master.LIMIT
     assert sol.x is None and sol.z is None and sol.objective is None
-    assert sol.bound == 9.0 and (sol.n_solves, sol.n_nodes) == (1, 4)
+    assert sol.bound == 9.0 and (n_solves, sol.n_nodes) == (1, 4)
     assert len(calls) == 1
 
 
 def test_resolve_without_a_hook_solves_once():
-    solve_once, calls = scripted_solves(one_solution(master.FEASIBLE, 5.0, None))
-    sol = master.resolve(solve_once, object())
-    assert (sol.status, sol.objective, sol.bound) == (master.FEASIBLE, 5.0, None)
-    assert sol.n_solves == 1 and [b for _, b in calls] == [None]
+    solve_once, calls = scripted_solves(one_solution(master.LIMIT, 5.0, None))
+    sol, n_solves = resolve(solve_once, object())
+    assert (sol.status, sol.objective, sol.bound) == (master.LIMIT, 5.0, None)
+    assert n_solves == 1 and [b for _, b in calls] == [None]
 
 
 def test_resolve_offers_the_hook_no_empty_solution():
     solve_once, _ = scripted_solves(master.BackendSolution(status=master.INFEASIBLE))
-    sol = master.resolve(solve_once, object(), 60.0, lambda x, z: pytest.fail())
-    assert sol.status == master.INFEASIBLE and sol.n_solves == 1
+    sol, n_solves = resolve(solve_once, object(), 60.0, lambda x, z: pytest.fail())
+    assert sol.status == master.INFEASIBLE and n_solves == 1
 
 
 @st.composite
 def tiny_master(draw):
-    """A random model small enough for the stub to enumerate every binary
-    vector (n * M + S <= 11), with a random NOGOOD/IIS/Benders pool."""
+    """A random model small enough for ``brute_master`` to enumerate every
+    binary vector (n * M + S <= 11), with a random NOGOOD/IIS/Benders pool."""
     machines = draw(st.integers(1, 3))
     n = draw(st.integers(2, (10 - 1) // machines))
     n_sc = draw(st.integers(1, 11 - n * machines))
@@ -519,6 +454,7 @@ def tiny_master(draw):
     ))
     model = build_master(inst, symmetry=draw(st.booleans()),
                          scenario_relaxation=draw(st.booleans()))
+    big_m = compute_big_m(inst.scenarios, inst.capacity).max()
     jobs = st.frozensets(st.integers(1, n), min_size=1)
     for _ in range(draw(st.integers(0, 4))):
         kind = draw(st.sampled_from([NOGOOD, IIS, BENDERS]))
@@ -530,7 +466,7 @@ def tiny_master(draw):
             payload = (
                 draw(unit) * inst.time_limit,
                 np.array([draw(unit) for _ in range(n)])
-                * inst.big_m_max / inst.capacity,
+                * big_m / inst.capacity,
             )
         model.cuts.append(Cut(jobs=jobs_mask(draw(jobs)), scenario=w, kind=kind,
                               benders_payload=payload))
@@ -540,10 +476,9 @@ def tiny_master(draw):
 @settings(max_examples=60, deadline=None)
 @given(tiny_master())
 def test_builtin_reaches_exhaustive_optimum(model):
-    ref = ExternalBackend(f"{sys.executable} {STUB}").solve(model)
-    got = BuiltinBackend().solve(model)
+    got = solve_master(model)
     assert got.status == master.OPTIMAL
-    assert got.objective == pytest.approx(ref.objective, abs=1e-6)
+    assert got.objective == pytest.approx(brute_master(model), abs=1e-6)
     assert check_rows(model, got.x, got.z) == []
 
 
@@ -564,7 +499,7 @@ def test_hook_cuts_reach_the_search_bits_exactly(model, data):
                 st.frozensets(st.integers(1, inst.n_jobs), min_size=1))),
             scenario=data.draw(st.integers(0, inst.n_scenarios - 1)), kind=IIS,
         ))
-    ref = ExternalBackend(f"{sys.executable} {STUB}").solve(model)
+    ref = brute_master(model)
     job_cuts = [c for c in model.cuts if c.kind != BENDERS]
     hide = data.draw(st.lists(st.booleans(), min_size=len(job_cuts),
                               max_size=len(job_cuts)))
@@ -594,18 +529,18 @@ def test_hook_cuts_reach_the_search_bits_exactly(model, data):
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(master, "FAIL_MEMO_MAX", memo_max)
-            got = BuiltinBackend().solve(partial, hook=hook)
+            got = solve_master(partial, hook=hook)
         assert got.status == master.OPTIMAL
-        assert got.objective == pytest.approx(ref.objective, abs=1e-6)
+        assert got.objective == pytest.approx(ref, abs=1e-6)
         assert check_rows(model, got.x, got.z) == []
 
 
-def maximal_z(model, x):
+def maximal_z(model, x, rows=None):
     """The maximal z for x, by substitution: a scenario drops exactly when
     one of its relaxation or cut rows is violated at z = 1.  Also returns
     the rows violated at z = 1."""
     z = np.ones(model.inst.n_scenarios, dtype=np.int8)
-    violated = check_rows(model, x, z)
+    violated = check_rows(model, x, z, rows=rows)
     for v in violated:
         if v.startswith("relax_"):
             z[int(v.split("_")[1])] = 0
@@ -614,23 +549,25 @@ def maximal_z(model, x):
     return z, violated
 
 
-def brute_master(model):
+def brute_over_assignments(model):
     """Best objective over every assignment respecting the assignment,
-    capacity and symmetry rows, with z maximal."""
+    capacity and symmetry rows, with z maximal: ``brute_master`` for
+    models with too many binaries to enumerate them all."""
     from itertools import product
 
     inst = model.inst
     n, M = inst.n_jobs, inst.n_machines
+    rows = list(iter_rows(model))
     best = None
     for choice in product(range(M + 1), repeat=n):
         x = np.zeros((n, M), dtype=np.int8)
         for j, c in enumerate(choice):
             if c:
                 x[j, c - 1] = 1
-        z, violated = maximal_z(model, x)
+        z, violated = maximal_z(model, x, rows)
         if any(v.startswith(("cap", "sym")) for v in violated):
             continue
-        if check_rows(model, x, z):
+        if check_rows(model, x, z, rows=rows):
             continue
         obj = float(inst.utilities @ x.sum(axis=1))
         best = obj if best is None else max(best, obj)
@@ -669,10 +606,10 @@ def test_builtin_with_a_pool_of_flow_rows_matches_brute_force():
         t, d = exec_[:, [w]], setup[:, :, [w]]
         if netflow.extract_duals(x, t, d)[0].pi_root > inst.time_limit:
             model.cuts += ctx.cut_for(inst, x, [w], jobs_mask(np.flatnonzero(x) + 1))
-    sol = BuiltinBackend().solve(model)
+    sol = solve_master(model)
     assert sol.status == master.OPTIMAL
     assert sol.objective < inst.utilities.sum()
-    assert sol.objective == pytest.approx(brute_master(model))
+    assert sol.objective == pytest.approx(brute_over_assignments(model))
     assert check_rows(model, sol.x, sol.z) == []
 
 
@@ -686,8 +623,8 @@ def test_builtin_beyond_64_scenarios():
     for w in range(64, 100):
         pair = jobs_mask({w % 5 + 1, (w + 2) % 5 + 1})
         model.cuts.append(Cut(jobs=pair, scenario=w, kind=NOGOOD))
-    sol = BuiltinBackend().solve(model)
+    sol = solve_master(model)
     assert sol.status == master.OPTIMAL
     assert check_rows(model, sol.x, sol.z) == []
     assert sol.z[64:].sum() < 36  # some high scenario had to drop
-    assert sol.objective == pytest.approx(brute_master(model))
+    assert sol.objective == pytest.approx(brute_over_assignments(model))
