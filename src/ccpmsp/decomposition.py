@@ -251,8 +251,11 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
 def emit_cuts(failures, cut_kind: str, inst: Instance,
               cand: Optional[Candidate] = None,
               report: Optional[SolveReport] = None,
-              flow_ctx: Optional["netflow.FlowContext"] = None) -> list[Cut]:
+              flow_ctx: Optional["netflow.FlowContext"] = None,
+              keys: Optional[list] = None) -> list[Cut]:
     """Render the cut batch for a list of failures, deduplicated by key.
+    ``keys``, a list, when given, receives each returned cut's ``key()``
+    in order, so that the pool need not key a cut again.
 
     IIS cuts need ``Failure``s from ``check_candidate`` and are read from
     their time tables: canonical bit i of an IIS mask is the failing
@@ -261,14 +264,10 @@ def emit_cuts(failures, cut_kind: str, inst: Instance,
     one dual pass over all of its failing scenarios.
     """
     t0 = time.perf_counter()
-    cuts: list[Cut] = []
-    seen = set()
+    seen: dict = {}  # key -> the first cut of that key, in order
 
     def push(cut: Cut):
-        key = cut.key()
-        if key not in seen:
-            seen.add(key)
-            cuts.append(cut)
+        seen.setdefault(cut.key(), cut)
 
     if cut_kind == NOGOOD:
         for _, w, jobs in failures:
@@ -305,9 +304,11 @@ def emit_cuts(failures, cut_kind: str, inst: Instance,
             push(cut)
     else:
         raise ConfigurationError(f"unknown cut kind {cut_kind!r}")
+    if keys is not None:
+        keys.extend(seen)
     if report is not None:
         report.cut_creation_time += time.perf_counter() - t0
-    return cuts
+    return list(seen.values())
 
 
 def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
@@ -333,10 +334,12 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
     )
     pool_keys = set()
 
-    def append_cuts(new_cuts) -> list[Cut]:
+    def pool_cuts(failures, cut_kind: str, cand=None) -> list[Cut]:
+        """Emit the failures' cuts and pool the new ones; returns those."""
+        keys = []
+        cuts = emit_cuts(failures, cut_kind, inst, cand, report, flow_ctx, keys)
         fresh = []
-        for cut in new_cuts:
-            key = cut.key()
+        for cut, key in zip(cuts, keys):
             if key not in pool_keys:
                 pool_keys.add(key)
                 model.cuts.append(cut)
@@ -347,12 +350,10 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         """Pool the cuts of a failing candidate.  When the fresh batch does
         not exclude the candidate (possible for weak flow cuts), the
         failures' no-goods join it; one of them is always new."""
-        fresh = append_cuts(emit_cuts(
-            failures, opts.cut_kind, inst, cand, report, flow_ctx,
-        ))
+        fresh = pool_cuts(failures, opts.cut_kind, cand)
         if not _batch_excludes(inst, fresh, cand):
             report.n_fallbacks += 1
-            nogoods = append_cuts(emit_cuts(failures, NOGOOD, inst))
+            nogoods = pool_cuts(failures, NOGOOD)
             if not nogoods:
                 raise StructuralError("cut pool failed to exclude a candidate")
             fresh += nogoods

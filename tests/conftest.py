@@ -75,6 +75,34 @@ def regression_optima(regression_set):
     return [brute_optimal(inst)[1] for inst in regression_set]
 
 
+def wide_configs(count=12):
+    """Small instances at capacities 5-7, where the master also bounds a
+    full machine by its own successors."""
+    rng = np.random.default_rng(20261020)
+    kinds = ["ors", "vrp", "equal"]
+    cfgs = []
+    for i in range(count):
+        capacity = int(rng.integers(5, 8))
+        cfgs.append(GenConfig(
+            dataset_kind=kinds[i % 3],
+            n_jobs=capacity + int(rng.integers(0, 2)),
+            n_machines=int(rng.integers(1, 3)),
+            n_scenarios=int(rng.integers(3, 7)),
+            dif=float(rng.choice([-10.0, -8.0, -6.0, -4.0])),
+            seed=9500 + i,
+            capacity=capacity,
+            epsilon=float(rng.choice([0.05, 0.2, 0.34])),
+        ))
+    return cfgs
+
+
+@pytest.fixture(scope="session")
+def wide_set():
+    """``wide_configs`` instances with their oracle optima."""
+    insts = [make_instance(cfg) for cfg in wide_configs()]
+    return [(inst, brute_optimal(inst)[1]) for inst in insts]
+
+
 # B = 10: above the 8-job limit of the permutation oracle.  Solves in one
 # master iteration; the ten longest jobs of scenario 0 overrun T there.
 B10_CONFIG = GenConfig(dataset_kind="ors", n_jobs=20, n_machines=2,

@@ -5,7 +5,10 @@ search in ``ccpmsp.master``.
 (``xname``, ``zname``): assignment, capacity, chance, symmetry, the
 scenario-relaxation rows and one row per (cut, machine).  Relaxation and
 flow rows switch off at z_w = 0 through a big M (``compute_big_m``), which
-the search never needs, as it holds those rows as scenario bits.
+the search never needs, as it holds those rows as scenario bits.  With the
+relaxation and a capacity B of at least ``SUCCESSOR_MIN_JOBS``, every full
+machine set S (B jobs) and scenario w whose own-successor bound, summed
+exactly here, exceeds T gets the row "x covers S on m => z_w = 0".
 ``check_rows`` substitutes a solution into them, ``brute_master`` finds the
 best objective over every binary vector that meets them, and ``resolve``
 re-solves a master after each cut batch of a lazy-cut hook, the way a MIP
@@ -14,13 +17,14 @@ solver without lazy constraints would honour it.
 
 from __future__ import annotations
 
+import math
 import time
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Optional
 
 import numpy as np
 
-from ccpmsp.master import LIMIT, BackendSolution, MasterModel
+from ccpmsp.master import LIMIT, SUCCESSOR_MIN_JOBS, BackendSolution, MasterModel
 from ccpmsp.model import BENDERS, TOL, ConfigurationError, Instance, Scenario
 
 
@@ -41,6 +45,14 @@ def compute_big_m(scenarios: list[Scenario], capacity: int) -> np.ndarray:
         top = np.sort(s)[-capacity:]
         values.append(float(top.sum()))
     return np.array(values)
+
+
+def successor_bound(sc: Scenario, jobs) -> float:
+    """Exact sum over the 1-based ``jobs`` of each job's time plus its
+    cheapest setup to another job of the set or closing to the dummy."""
+    return math.fsum(
+        sc.exec[i - 1] + min(sc.setup[i, k] for k in (0, *jobs) if k != i)
+        for i in jobs)
 
 
 def xname(j: int, m: int) -> str:
@@ -88,6 +100,16 @@ def iter_rows(model: MasterModel):
                 }
                 coefs[zname(w)] = mw
                 yield (f"relax_{w}_{m + 1}", coefs, "<=", T + mw)
+        B = inst.capacity
+        if B >= SUCCESSOR_MIN_JOBS:
+            for jobs in combinations(range(1, n + 1), B):
+                for w, sc in enumerate(inst.scenarios):
+                    if successor_bound(sc, jobs) > T + TOL:
+                        for m in range(M):
+                            coefs = {xname(j, m): 1.0 for j in jobs}
+                            coefs[zname(w)] = 1.0
+                            yield (f"succ_{w}_{m + 1}_{jobs}", coefs, "<=",
+                                   float(B))
     for ci, cut in enumerate(model.cuts):
         if cut.kind == BENDERS:
             const, coefs_vec = cut.benders_payload

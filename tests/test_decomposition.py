@@ -545,9 +545,13 @@ def test_solve_excludes_job_too_big_for_limit(uniform_scenario):
 
 
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
-@pytest.mark.parametrize("cut", ["nogood", "iis"])
-def test_solve_matches_oracle_sample(regression_set, regression_optima, variant, cut):
-    for inst, want in list(zip(regression_set, regression_optima))[:20]:
+@pytest.mark.parametrize("cut", ["nogood", "iis", "benders"])
+def test_solve_matches_oracle_sample(regression_set, regression_optima, wide_set,
+                                     variant, cut):
+    # the regression sample (B <= 4), then capacities 5-7, where the master
+    # also drops the scenarios a full machine's own successors rule out
+    sample = list(zip(regression_set, regression_optima))[:20]
+    for inst, want in sample + wide_set:
         cand, report = solve_ccpmsp(
             inst, SolveOptions(variant=variant, cut_kind=cut, time_budget=60)
         )

@@ -2,14 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccpmsp import decomposition, master, netflow
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.master import build_master, optimistic_load_coefficients, solve_master
 from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
-from ccpmsp.model import BENDERS, IIS, NOGOOD, Cut, Instance, jobs_mask
+from ccpmsp.model import BENDERS, IIS, NOGOOD, Cut, Instance, Scenario, jobs_mask
+from ccpmsp.oracle import held_karp_min_times
 from conftest import mask_jobs
 from master_reference import (
     brute_master,
@@ -473,8 +474,19 @@ def tiny_master(draw):
     return model
 
 
+def successor_example() -> master.MasterModel:
+    """One machine of capacity 5 (7 jobs, 4 scenarios, one may fail) where
+    the own-successor rows bind: the exhaustive optimum is 40 with them and
+    43 without."""
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=7, n_machines=1,
+                                   n_scenarios=4, dif=-4.0, seed=3, capacity=5,
+                                   epsilon=0.3))
+    return build_master(inst)
+
+
 @settings(max_examples=60, deadline=None)
 @given(tiny_master())
+@example(successor_example())
 def test_builtin_reaches_exhaustive_optimum(model):
     got = solve_master(model)
     assert got.status == master.OPTIMAL
@@ -482,9 +494,35 @@ def test_builtin_reaches_exhaustive_optimum(model):
     assert check_rows(model, got.x, got.z) == []
 
 
+@st.composite
+def hooked_master(draw):
+    """A ``tiny_master`` with up to four more IIS cuts, and the job-set cuts
+    of its pool that the search may learn only from the hook."""
+    model = draw(tiny_master())
+    inst = model.inst
+    for _ in range(draw(st.integers(0, 4))):
+        model.cuts.append(Cut(
+            jobs=jobs_mask(draw(
+                st.frozensets(st.integers(1, inst.n_jobs), min_size=1))),
+            scenario=draw(st.integers(0, inst.n_scenarios - 1)), kind=IIS,
+        ))
+    job_cuts = [c for c in model.cuts if c.kind != BENDERS]
+    hide = draw(st.lists(st.booleans(), min_size=len(job_cuts),
+                         max_size=len(job_cuts)))
+    return model, [c for c, h in zip(job_cuts, hide) if h]
+
+
+def hooked_successor_example():
+    """``successor_example`` with one IIS cut that only the hook knows."""
+    model = successor_example()
+    model.cuts.append(Cut(jobs=jobs_mask({1, 2}), scenario=2, kind=IIS))
+    return model, list(model.cuts)
+
+
 @settings(max_examples=60, deadline=None)
-@given(tiny_master(), st.data())
-def test_hook_cuts_reach_the_search_bits_exactly(model, data):
+@given(hooked_master())
+@example(hooked_successor_example())
+def test_hook_cuts_reach_the_search_bits_exactly(case):
     # some job-set cuts of the pool reach the search only through the hook,
     # which returns exactly those (x, z) violates.  Job-set cuts have no
     # leaf check: at every hook call, no cut the search holds may be covered
@@ -492,18 +530,9 @@ def test_hook_cuts_reach_the_search_bits_exactly(model, data):
     # of the rows the search holds (relaxation rows, the pool, the hidden
     # cuts returned so far), also when the job-set memos are emptied every
     # few entries
+    model, hidden = case
     inst = model.inst
-    for _ in range(data.draw(st.integers(0, 4))):
-        model.cuts.append(Cut(
-            jobs=jobs_mask(data.draw(
-                st.frozensets(st.integers(1, inst.n_jobs), min_size=1))),
-            scenario=data.draw(st.integers(0, inst.n_scenarios - 1)), kind=IIS,
-        ))
     ref = brute_master(model)
-    job_cuts = [c for c in model.cuts if c.kind != BENDERS]
-    hide = data.draw(st.lists(st.booleans(), min_size=len(job_cuts),
-                              max_size=len(job_cuts)))
-    hidden = [c for c, h in zip(job_cuts, hide) if h]
     shown = [c for c in model.cuts if c.kind == BENDERS or c not in hidden]
 
     def violated(cuts, x, z):
@@ -537,12 +566,12 @@ def test_hook_cuts_reach_the_search_bits_exactly(model, data):
 
 def maximal_z(model, x, rows=None):
     """The maximal z for x, by substitution: a scenario drops exactly when
-    one of its relaxation or cut rows is violated at z = 1.  Also returns
-    the rows violated at z = 1."""
+    one of its relaxation, successor or cut rows is violated at z = 1.
+    Also returns the rows violated at z = 1."""
     z = np.ones(model.inst.n_scenarios, dtype=np.int8)
     violated = check_rows(model, x, z, rows=rows)
     for v in violated:
-        if v.startswith("relax_"):
+        if v.startswith(("relax_", "succ_")):
             z[int(v.split("_")[1])] = 0
         elif v.startswith("cut_"):
             z[model.cuts[int(v.split("_")[1])].scenario] = 0
@@ -628,3 +657,25 @@ def test_builtin_beyond_64_scenarios():
     assert check_rows(model, sol.x, sol.z) == []
     assert sol.z[64:].sum() < 36  # some high scenario had to drop
     assert sol.objective == pytest.approx(brute_over_assignments(model))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["ors", "vrp", "equal"]), st.integers(1, 14),
+       st.integers(1, 6), st.integers(-6, 6), st.data())
+def test_successor_bound_never_exceeds_the_optimal_schedule(kind, n, n_sc, exp, data):
+    # every schedule of exactly a set pays each job's time and one outgoing
+    # setup, closing included, so the bound, rounding margin included, may
+    # prove no scenario over the set's Held-Karp time, at any magnitude
+    base = make_instance(GenConfig(
+        dataset_kind=kind, n_jobs=n, n_machines=1, n_scenarios=n_sc, dif=0.0,
+        seed=data.draw(st.integers(0, 10**6)), capacity=n))
+    scale = 10.0 ** exp
+    inst = Instance(
+        n_jobs=n, n_machines=1, capacity=n, time_limit=base.time_limit * scale,
+        epsilon=base.epsilon, utilities=base.utilities,
+        scenarios=[Scenario(exec=sc.exec * scale, setup=sc.setup * scale)
+                   for sc in base.scenarios])
+    jobs = sorted(data.draw(st.sets(st.integers(1, n), min_size=1, max_size=12)))
+    fastest = held_karp_min_times(jobs, inst.scenarios)
+    cost = master.successor_costs(inst)
+    assert not master.successor_over(cost, [j - 1 for j in jobs], fastest).any()
