@@ -8,7 +8,10 @@ per (machine, scenario), each job charged its time plus its cheapest
 outgoing setup over all jobs, and, on machines of at least
 ``SUCCESSOR_MIN_JOBS`` jobs, a row per full machine set and scenario whose
 own-successor bound (each job's time plus its cheapest setup to a job of
-the set or closing to the dummy) exceeds T.
+the set or closing to the dummy) exceeds T.  A set's rows are taken
+cheapest first, the additive ones, then the successor rows, then the cuts,
+and the search stops taking them once they force more scenarios than the
+chance row allows: such a set is dead, and no more rows change that.
 
 ``solve_master`` is a branch and check search specialized to this
 structure (Thorsteinsson, CP 2001): a depth-first branch and bound over
@@ -52,15 +55,18 @@ FAIL_MEMO_MAX = 1 << 15
 # entries, or FAIL_MEMO_MAX if fewer: near 2 MB at any number of scenarios.
 LOAD_MEMO_CELLS = 1 << 18
 # A set that fills a machine of at least this many jobs also drops the
-# scenarios its own successors prove infeasible (``successor_over``).
-# Medians of 20 alternating passes over the benchmark workloads' solves
-# (10 at B = 11), on 2 cores: at B = 4 (the three `master` solves) the
-# bound takes 1349 evaluations of about 10 us, 14 ms a pass, to save 30 of
-# 68 checks, and the pass gets no faster (59.6 against 58.5 ms).  At B = 5
-# (`flow`) 231 evaluations of 11 us cut the checks from 35 to 10 and the
-# solve from 34 to 13 ms; at B = 11 (`subproblem`, both variants; the
-# same solve is `medium`'s k = 11 one) 470 evaluations of 17 us cut them
-# from 160 to 86 and the pass from 212 to 125 ms.
+# scenarios its own successors prove infeasible (``successor_over``), unless
+# its other rows already force more than the chance row allows.  Medians
+# of 20 alternating passes over the benchmark workloads' solves (10 at
+# B = 11), on 2 cores, all bounds evaluated: at B = 5 (`flow`) 231
+# evaluations of 11 us cut the checks from 35 to 10 and the solve from 34
+# to 13 ms; at B = 11 (`subproblem`, both variants; the same solve is
+# `medium`'s k = 11 one) 470 evaluations of 17 us cut them from 160 to 86
+# and the pass from 212 to 125 ms.  Skipping dead sets leaves 34 of the
+# 231 and 138 of each 235.  B <= 4 stays out not for the bound's cost (at
+# B = 4, the three `master` solves, only 38 of its 1349 evaluations are on
+# live sets) but because it changes the search there, which moves every
+# pinned search at B <= 4.
 SUCCESSOR_MIN_JOBS = 5
 
 
@@ -148,6 +154,11 @@ def successor_over(cost: np.ndarray, jobs, limit) -> np.ndarray:
     cols = np.concatenate(([0], rows + 1))
     g = cost[cols[:, None], rows].min(axis=0).sum(axis=0)
     return g * (1 - 3 * k * eps) > limit
+
+
+def scenario_bits(over: np.ndarray) -> int:
+    """A boolean per-scenario array as a bitmask, bit w for scenario w."""
+    return int.from_bytes(np.packbits(over, bitorder="little").tobytes(), "little")
 
 
 def flow_block(cuts, n_jobs: int):
@@ -272,6 +283,19 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
         inherits it.  It is taken on a relaxation-memo miss and kept in
         the set's entry.
 
+        The rows are taken cheapest first: the parent's bits and the
+        additive row, then the successor row while those bits stay within
+        ``max_fail``, then the cut scan while they still do.  So a memo
+        entry, of either memo, may leave rows out only where the bits it
+        holds with its parent's already exceed ``max_fail``.  Such a set
+        is dead, and stays dead: rows only add bits, and its parent's bits
+        only grow as cuts arrive.  Its load is exact all the same.  The
+        search never enters a dead set, and sets grow only through sets
+        it entered, so a dead set is never a parent either.  The child
+        test ``(failed | new).bit_count() <= max_fail`` thus decides as
+        it would on the complete bits, and every set the search enters
+        holds complete bits.
+
         The set's load is the load of the set without j, read from the
         relaxation memo, plus j's row: the running sum of its jobs' rows
         in index order, which is bitwise what numpy's axis-0 sum of those
@@ -289,18 +313,20 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
                     load = relax[jobs_of(mask)].cumsum(axis=0)[-1]
                 else:
                     load = base[1] + relax[j]
-                over = load > T + TOL
-                if succ is not None and mask.bit_count() == B:
-                    over |= successor_over(succ, jobs_of(mask), T + TOL)
-                over = np.packbits(over, bitorder="little")
-                entry = int.from_bytes(over.tobytes(), "little"), load
+                own = scenario_bits(load > T + TOL)
+                if (succ is not None and mask.bit_count() == B
+                        and (parent | own).bit_count() <= max_fail):
+                    own |= scenario_bits(successor_over(succ, jobs_of(mask),
+                                                        T + TOL))
+                entry = own, load
                 if len(relax_memo) >= relax_max:
                     relax_memo.clear()
                 relax_memo[mask] = entry
             bits |= entry[0]
-        for cmask, wbits in cuts_by_last[j].items():
-            if cmask & mask == cmask:
-                bits |= wbits
+        if bits.bit_count() <= max_fail:
+            for cmask, wbits in cuts_by_last[j].items():
+                if cmask & mask == cmask:
+                    bits |= wbits
         if len(fail_memo) >= FAIL_MEMO_MAX:
             fail_memo.clear()
         fail_memo[mask] = bits

@@ -9,6 +9,7 @@ from ccpmsp import decomposition, master, netflow
 from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.master import build_master, optimistic_load_coefficients, solve_master
 from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
+from ccpmsp.diagram import JOBSET, LASTJOB
 from ccpmsp.model import BENDERS, IIS, NOGOOD, Cut, Instance, Scenario, jobs_mask
 from ccpmsp.oracle import held_karp_min_times
 from conftest import mask_jobs
@@ -356,6 +357,37 @@ def test_master_search_is_pinned(monkeypatch, symmetry, relaxation, memo_max):
         _, report = solve_ccpmsp(inst, opts)
         assert report.optimal
         assert (report.n_master_nodes, report.n_callbacks, report.n_cuts) == want, seed
+
+
+# Machines of B >= SUCCESSOR_MIN_JOBS jobs, where full sets take the
+# own-successor rows: per instance (ors jobs, machines, scenarios, dif,
+# seed, epsilon) and (variant, cut kind), the objective and
+# (n_master_nodes, n_callbacks, n_cuts).  The first two instances are the
+# benchmark's flow and subproblem ones (B = 5 and 11), where no scenario
+# may fail; on the last (B = 6) two may.
+SUCCESSOR_SEARCH = [
+    ((10, 2, 10, -1.0, 504, 0.05), (JOBSET, BENDERS), 38, (397, 10, 20)),
+    ((10, 2, 10, -1.0, 504, 0.05), (JOBSET, IIS), 38, (397, 10, 10)),
+    ((22, 2, 14, -2.0, 13, 0.05), (JOBSET, IIS), 113, (379, 43, 87)),
+    ((22, 2, 14, -2.0, 13, 0.05), (LASTJOB, IIS), 113, (379, 43, 87)),
+    ((12, 2, 20, -1.0, 7, 0.1), (JOBSET, IIS), 48, (731, 16, 36)),
+]
+
+
+@pytest.mark.parametrize("memo_max", [master.FAIL_MEMO_MAX, 4])
+@pytest.mark.parametrize("config, options, objective, counts", SUCCESSOR_SEARCH)
+def test_successor_search_is_pinned(monkeypatch, memo_max, config, options,
+                                    objective, counts):
+    monkeypatch.setattr(master, "FAIL_MEMO_MAX", memo_max)
+    n, m, n_sc, dif, seed, eps = config
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=n, n_machines=m,
+                                   n_scenarios=n_sc, dif=dif, seed=seed,
+                                   epsilon=eps))
+    assert inst.capacity >= master.SUCCESSOR_MIN_JOBS
+    variant, cut_kind = options
+    _, report = solve_ccpmsp(inst, SolveOptions(variant=variant, cut_kind=cut_kind))
+    assert report.optimal and report.objective == pytest.approx(objective)
+    assert (report.n_master_nodes, report.n_callbacks, report.n_cuts) == counts
 
 
 @settings(max_examples=80, deadline=None)
