@@ -19,7 +19,6 @@ import numpy as np
 
 from .decomposition import SolveOptions, SolveReport, solve_ccpmsp
 from .instances import GenConfig, make_instance
-from .master import SUCCESSOR_MIN_JOBS
 from .model import (
     Candidate,
     ConfigurationError,
@@ -123,9 +122,8 @@ def _add_solve_flags(sp) -> None:
     sp.add_argument("--no-symmetry", action="store_true")
     sp.add_argument("--no-scenario-relaxation", action="store_true",
                     help="drop the master's relaxation rows: the additive "
-                         "optimistic loads and, at a capacity of "
-                         f"{SUCCESSOR_MIN_JOBS} or more, the own-successor "
-                         "bound of each full machine")
+                         "optimistic loads and the own-successor bound of "
+                         "each full machine")
 
 
 def cmd_generate(args) -> int:

@@ -5,10 +5,9 @@ machine capacities, the chance row over scenario flags z, optional symmetry
 and scenario-relaxation valid inequalities, and an accumulating cut pool.
 The scenario relaxation has two row families: an additive optimistic load
 per (machine, scenario), each job charged its time plus its cheapest
-outgoing setup over all jobs, and, on machines of at least
-``SUCCESSOR_MIN_JOBS`` jobs, a row per full machine set and scenario whose
-own-successor bound (each job's time plus its cheapest setup to a job of
-the set or closing to the dummy) exceeds T.  A set's rows are taken
+outgoing setup over all jobs, and a row per full machine set and scenario
+whose own-successor bound (each job's time plus its cheapest setup to a
+job of the set or closing to the dummy) exceeds T.  A set's rows are taken
 cheapest first, the additive ones, then the successor rows, then the cuts,
 and the search stops taking them once they force more scenarios than the
 chance row allows: such a set is dead, and no more rows change that.
@@ -54,20 +53,6 @@ FAIL_MEMO_MAX = 1 << 15
 # tuple, int and dict slot, so the memo holds LOAD_MEMO_CELLS // (n_sc + 32)
 # entries, or FAIL_MEMO_MAX if fewer: near 2 MB at any number of scenarios.
 LOAD_MEMO_CELLS = 1 << 18
-# A set that fills a machine of at least this many jobs also drops the
-# scenarios its own successors prove infeasible (``successor_over``), unless
-# its other rows already force more than the chance row allows.  Medians
-# of 20 alternating passes over the benchmark workloads' solves (10 at
-# B = 11), on 2 cores, all bounds evaluated: at B = 5 (`flow`) 231
-# evaluations of 11 us cut the checks from 35 to 10 and the solve from 34
-# to 13 ms; at B = 11 (`subproblem`, both variants; the same solve is
-# `medium`'s k = 11 one) 470 evaluations of 17 us cut them from 160 to 86
-# and the pass from 212 to 125 ms.  Skipping dead sets leaves 34 of the
-# 231 and 138 of each 235.  B <= 4 stays out not for the bound's cost (at
-# B = 4, the three `master` solves, only 38 of its 1349 evaluations are on
-# live sets) but because it changes the search there, which moves every
-# pinned search at B <= 4.
-SUCCESSOR_MIN_JOBS = 5
 
 
 @dataclass
@@ -253,10 +238,8 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
     # sum of its jobs' rows in index order
     relax = (np.ascontiguousarray(model.relax_coef.T)
              if model.scenario_relaxation else None)
-    # and, from SUCCESSOR_MIN_JOBS on, the costs of a full set's own
-    # successors
-    succ = (successor_costs(inst)
-            if relax is not None and B >= SUCCESSOR_MIN_JOBS else None)
+    # and the costs of a full set's own successors
+    succ = successor_costs(inst) if relax is not None else None
     # job-set mask -> bitmask of the scenarios that set forces to zero
     fail_memo: dict[int, int] = {}
     # job-set mask -> (scenarios whose relaxation row the set violates on
@@ -276,12 +259,11 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
         set covers, so only ``mask``'s own relaxation rows and the cuts
         whose highest job is j remain.  A scenario stays forced once
         forced, as the cuts and the additive relaxation rows only tighten
-        when jobs join.  A set that fills its machine at B >=
-        ``SUCCESSOR_MIN_JOBS`` also forces the scenarios its own
-        successors bound above T (``successor_over``); that row is not
-        additive, but the search never grows a full set, so no larger set
-        inherits it.  It is taken on a relaxation-memo miss and kept in
-        the set's entry.
+        when jobs join.  A set that fills its machine also forces the
+        scenarios its own successors bound above T (``successor_over``);
+        that row is not additive, but the search never grows a full set,
+        so no larger set inherits it.  It is taken on a relaxation-memo
+        miss and kept in the set's entry.
 
         The rows are taken cheapest first: the parent's bits and the
         additive row, then the successor row while those bits stay within
@@ -314,7 +296,7 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
                 else:
                     load = base[1] + relax[j]
                 own = scenario_bits(load > T + TOL)
-                if (succ is not None and mask.bit_count() == B
+                if (mask.bit_count() == B
                         and (parent | own).bit_count() <= max_fail):
                     own |= scenario_bits(successor_over(succ, jobs_of(mask),
                                                         T + TOL))

@@ -76,8 +76,8 @@ def regression_optima(regression_set):
 
 
 def wide_configs(count=12):
-    """Small instances at capacities 5-7, where the master also bounds a
-    full machine by its own successors."""
+    """Small instances at capacities 5-7, above the regression set's, where
+    the oracle still brute-forces the optimum."""
     rng = np.random.default_rng(20261020)
     kinds = ["ors", "vrp", "equal"]
     cfgs = []

@@ -6,9 +6,9 @@ search in ``ccpmsp.master``.
 scenario-relaxation rows and one row per (cut, machine).  Relaxation and
 flow rows switch off at z_w = 0 through a big M (``compute_big_m``), which
 the search never needs, as it holds those rows as scenario bits.  With the
-relaxation and a capacity B of at least ``SUCCESSOR_MIN_JOBS``, every full
-machine set S (B jobs) and scenario w whose own-successor bound, summed
-exactly here, exceeds T gets the row "x covers S on m => z_w = 0".
+relaxation, every full machine set S (B jobs, at any capacity B) and
+scenario w whose own-successor bound, summed exactly here, exceeds T gets
+the row "x covers S on m => z_w = 0".
 ``check_rows`` substitutes a solution into them, ``brute_master`` finds the
 best objective over every binary vector that meets them, and ``resolve``
 re-solves a master after each cut batch of a lazy-cut hook, the way a MIP
@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ccpmsp.master import LIMIT, SUCCESSOR_MIN_JOBS, BackendSolution, MasterModel
+from ccpmsp.master import LIMIT, BackendSolution, MasterModel
 from ccpmsp.model import BENDERS, TOL, ConfigurationError, Instance, Scenario
 
 
@@ -101,15 +101,14 @@ def iter_rows(model: MasterModel):
                 coefs[zname(w)] = mw
                 yield (f"relax_{w}_{m + 1}", coefs, "<=", T + mw)
         B = inst.capacity
-        if B >= SUCCESSOR_MIN_JOBS:
-            for jobs in combinations(range(1, n + 1), B):
-                for w, sc in enumerate(inst.scenarios):
-                    if successor_bound(sc, jobs) > T + TOL:
-                        for m in range(M):
-                            coefs = {xname(j, m): 1.0 for j in jobs}
-                            coefs[zname(w)] = 1.0
-                            yield (f"succ_{w}_{m + 1}_{jobs}", coefs, "<=",
-                                   float(B))
+        for jobs in combinations(range(1, n + 1), B):
+            for w, sc in enumerate(inst.scenarios):
+                if successor_bound(sc, jobs) > T + TOL:
+                    for m in range(M):
+                        coefs = {xname(j, m): 1.0 for j in jobs}
+                        coefs[zname(w)] = 1.0
+                        yield (f"succ_{w}_{m + 1}_{jobs}", coefs, "<=",
+                               float(B))
     for ci, cut in enumerate(model.cuts):
         if cut.kind == BENDERS:
             const, coefs_vec = cut.benders_payload

@@ -132,9 +132,11 @@ def test_solve_row_deterministic_excluding_times(tmp_path, capsys):
 
 
 def test_solve_budget_exhaustion_exit_code(tmp_path, capsys):
+    # the search tests its deadline every 64 entered nodes, and a leaf lies
+    # n + 1 nodes deep, so with n >= 63 jobs no incumbent exists at the
+    # first test, whatever order the search branches in
     inst_path = tmp_path / "hard.json"
-    run(gen_args(inst_path, jobs=12, machines=3, scenarios=10, dif=-6.0,
-                 dataset="vrp", seed=13))
+    run(gen_args(inst_path, jobs=64, machines=8, scenarios=4, dif=-1.0, seed=1))
     capsys.readouterr()
     code = run(["solve", inst_path, "--budget", "0"])
     out = capsys.readouterr().out.splitlines()

@@ -548,8 +548,7 @@ def test_solve_excludes_job_too_big_for_limit(uniform_scenario):
 @pytest.mark.parametrize("cut", ["nogood", "iis", "benders"])
 def test_solve_matches_oracle_sample(regression_set, regression_optima, wide_set,
                                      variant, cut):
-    # the regression sample (B <= 4), then capacities 5-7, where the master
-    # also drops the scenarios a full machine's own successors rule out
+    # the regression sample (B <= 4), then capacities 5-7
     sample = list(zip(regression_set, regression_optima))[:20]
     for inst, want in sample + wide_set:
         cand, report = solve_ccpmsp(
@@ -794,13 +793,13 @@ def test_solve_verifies_above_brute_force_capacity(monkeypatch):
 # sorted job set, kind) rows in pool order: index -> (pool size, sha256 of
 # the rows as JSON).  Both variants yield these pools.
 IIS_POOLS = {
-    1: (8, "2eeecab69ceaf51d98e19e8291484a8d92fb2745c8fe41d6e1d4cb4591d3c5c0"),
-    2: (2, "7dbd6ba779cfe69aa59d0ee3e7901b036cc2643a9a3842911ec762ff1f3f1f61"),
-    4: (8, "37b59127177905a401d74a714ee108189801b6ca5b0c70426e287580edd706e6"),
-    5: (27, "2c15c284adfad021870cacbfe2f9b1a5a1d2f3547ef09a706682534d2da54f72"),
-    7: (37, "d1665a244e18135a7596fb745b16fa72476728cb645a189a2b6095e35a81a59a"),
-    8: (51, "97816d1479967d5d6e19211b5120ff16208befb1f7387a52ac1d405b87a4b1b9"),
-    11: (265, "303a3863873635817b567ca7f8f4524168005326bb563dc180219991ac2abb6d"),
+    1: (7, "cdcfb50434602716f92800e3af9d6bcdd2e4c496be8a55db21f58385e1df4ea8"),
+    2: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    4: (1, "c85de821294a19f9c4c251a4b023d64676c84167e44ed621f19de147c12130d8"),
+    5: (2, "f06690c8ec52419ba6879adffd93acda747230d2b5258299f526e905a90886f3"),
+    7: (11, "40367a1485ed714881d893840b900f761eff6b9204bacff770a47a28c384cd49"),
+    8: (7, "b27dc4d9c2fc08b4f23baad4e6218a9b9637c38ac40147b8413b36abdaca2931"),
+    11: (25, "d9a6b87b00f6b760d7ed9397cb6dad08b9d8b727fcb165230bfc7b1e50cdeb60"),
 }
 
 
@@ -823,13 +822,13 @@ def test_iis_pools_pinned(variant):
 # hook sees the candidates a search that re-tested every cut at each leaf
 # would show it, in the same order, and a missed or stale bit moves a pool.
 CALLBACK_IIS_POOLS = {
-    1: (8, "2eeecab69ceaf51d98e19e8291484a8d92fb2745c8fe41d6e1d4cb4591d3c5c0"),
-    2: (2, "7dbd6ba779cfe69aa59d0ee3e7901b036cc2643a9a3842911ec762ff1f3f1f61"),
-    4: (8, "37b59127177905a401d74a714ee108189801b6ca5b0c70426e287580edd706e6"),
-    5: (27, "d1f8342a8679abe542d27ad09fc33994a2043729225a69eb1f816dca4f2820e3"),
-    7: (37, "d1665a244e18135a7596fb745b16fa72476728cb645a189a2b6095e35a81a59a"),
-    8: (55, "8fa330667d03a21e4df4b7f0b2cdf559b7cb7b4b3fecab8b5ebeefae45d792fb"),
-    11: (206, "01ca51e8f24f2005c7a95956c1c0d7fa2ab3f61ab85d7b769e886e0d049a6699"),
+    1: (7, "cdcfb50434602716f92800e3af9d6bcdd2e4c496be8a55db21f58385e1df4ea8"),
+    2: (0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    4: (1, "c85de821294a19f9c4c251a4b023d64676c84167e44ed621f19de147c12130d8"),
+    5: (2, "f06690c8ec52419ba6879adffd93acda747230d2b5258299f526e905a90886f3"),
+    7: (11, "40367a1485ed714881d893840b900f761eff6b9204bacff770a47a28c384cd49"),
+    8: (9, "8c820ea8c2536a57eafd4d696aaf84f738b882cbb811ea3d7660f3ed64ba9453"),
+    11: (25, "74c46819dbddfe0c86df9beb4030daa17555671103ef2e088cc3d3f355bedd3d"),
 }
 
 

@@ -134,7 +134,7 @@ def test_relaxation_never_cuts_a_feasible_optimum(seed):
     cand, obj = brute_optimal(inst)
     model = build_master(inst, symmetry=False, scenario_relaxation=True)
     relax_rows = [v for v in check_rows(model, cand.x, cand.z)
-                  if v.startswith("relax")]
+                  if v.startswith(("relax_", "succ_"))]
     assert relax_rows == []
 
 
@@ -303,9 +303,9 @@ def test_budget_bound_never_understates_the_optimum():
 # hook receives, in order, and the nodes the search enters.  A search that
 # reaches other leaves, or the same ones in another order, changes a digest.
 MASTER_LEAVES = {
-    11: ("56af2e9de4ea946130e0b4b12dacc081462670c3fc6c335ffc856815bf81bf2c", 9010),
-    12: ("605444c16c479eb5f97082f8c1edfff73b47e5684b76049e9020f0f4b9084c3c", 6543),
-    13: ("683d667ffef129c5e4a54f816b68a334d5448eebf0b25ab52173485357093e56", 4496),
+    11: ("793a7c7c70b4444146c7dd24f17132b235d2370bd7dc123ee600822b9ef7e6a3", 9023),
+    12: ("c15e94863d082f2126430372b7c1318d0c4ab31a4274c13036c625c5b3614729", 6390),
+    13: ("08b1750878fb731d048467679fd506dbf16acaf3ca89e22f5da00ec060b46db3", 4468),
 }
 
 
@@ -335,8 +335,8 @@ def test_hook_receives_the_pinned_leaves(monkeypatch, seed):
 # the search enters (``n_master_nodes``), the subproblem checks
 # (``n_callbacks``) and the pooled cuts (``n_cuts``).
 MASTER_SEARCH = {
-    (True, True): {11: (9010, 27, 92), 12: (6543, 19, 35), 13: (4496, 22, 65)},
-    (False, True): {11: (51009, 27, 92), 12: (33085, 19, 35), 13: (25843, 22, 65)},
+    (True, True): {11: (9023, 13, 9), 12: (6390, 15, 12), 13: (4468, 10, 9)},
+    (False, True): {11: (51814, 13, 9), 12: (33174, 15, 12), 13: (26031, 10, 9)},
     (True, False): {11: (11155, 276, 2217), 12: (6112, 183, 1475),
                     13: (3921, 224, 1454)},
 }
@@ -359,10 +359,9 @@ def test_master_search_is_pinned(monkeypatch, symmetry, relaxation, memo_max):
         assert (report.n_master_nodes, report.n_callbacks, report.n_cuts) == want, seed
 
 
-# Machines of B >= SUCCESSOR_MIN_JOBS jobs, where full sets take the
-# own-successor rows: per instance (ors jobs, machines, scenarios, dif,
-# seed, epsilon) and (variant, cut kind), the objective and
-# (n_master_nodes, n_callbacks, n_cuts).  The first two instances are the
+# Searches on machines of five or more jobs: per instance (ors jobs,
+# machines, scenarios, dif, seed, epsilon) and (variant, cut kind), the
+# objective and (n_master_nodes, n_callbacks, n_cuts).  The first two instances are the
 # benchmark's flow and subproblem ones (B = 5 and 11), where no scenario
 # may fail; on the last (B = 6) two may.
 SUCCESSOR_SEARCH = [
@@ -383,7 +382,6 @@ def test_successor_search_is_pinned(monkeypatch, memo_max, config, options,
     inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=n, n_machines=m,
                                    n_scenarios=n_sc, dif=dif, seed=seed,
                                    epsilon=eps))
-    assert inst.capacity >= master.SUCCESSOR_MIN_JOBS
     variant, cut_kind = options
     _, report = solve_ccpmsp(inst, SolveOptions(variant=variant, cut_kind=cut_kind))
     assert report.optimal and report.objective == pytest.approx(objective)

@@ -446,10 +446,10 @@ def test_batched_duals_are_the_single_scenario_duals_bitwise():
 # the re-solve loop, recorded before the arc loops were vectorised: any
 # one-ulp drift fails
 DUALS_DIGEST = "f74f0fad16aea2b55f673e805ba9e7791ee63367f630b9a69409804561b42dc5"
-POOLS_DIGEST = "6d9f5a84f5c3afd0f12eb4d426c72599d5707a09b02b89931af510e260ba3f9e"
+POOLS_DIGEST = "6a31141ff7c25c1f794f60e75d488814b82cc0487c4c4e05ad2aa951ef6bbaca"
 # the same pools from one hooked master search each
 CALLBACK_POOLS_DIGEST = (
-    "c0264db8134b719d2e449bf669b7584554de083134a764ef64b2bbadc0522e81"
+    "db23868dbf4d6e5140c0e7636f9866906ce1c5ee82317c204a4d64719bd36435"
 )
 
 
