@@ -95,12 +95,29 @@ def build_master(inst: Instance, symmetry: bool = True,
 
 
 def optimistic_load_coefficients(inst: Instance) -> np.ndarray:
-    coef = np.empty((inst.n_scenarios, inst.n_jobs))
-    for w, sc in enumerate(inst.scenarios):
-        d = sc.setup[1:, :].copy()
-        np.fill_diagonal(d[:, 1:], np.inf)  # exclude j -> j
-        coef[w] = sc.exec + d.min(axis=1)
-    return coef
+    """t_j plus the cheapest setup from j to another job or to the dummy,
+    at [w, j - 1] for job j in scenario w, from ``Instance.scenario_stack``
+    with j -> j masked."""
+    exec_, setup = inst.scenario_stack
+    d = setup[1:].copy()
+    d[np.arange(inst.n_jobs), np.arange(1, inst.n_jobs + 1)] = np.inf
+    return (exec_[1:] + d.min(axis=1)).T
+
+
+def utility_bounds(inst: Instance) -> list[list[float]]:
+    """``bounds[j][used]``, for used = 0..min(j, M B): the largest utility
+    the jobs from j on can still add with ``used`` of the M B machine
+    places taken, the sum of the min(M B - used, n - j) largest of f[j:]."""
+    f, n = inst.utilities, inst.n_jobs
+    full = inst.n_machines * inst.capacity
+    j = np.arange(n + 1)[:, None]
+    # row j: f[j:] largest first, then -inf in place of the jobs before j
+    tails = -np.sort(np.where(np.arange(n) >= j, -f, np.inf), axis=1)
+    top = np.zeros((n + 1, n + 1))
+    np.cumsum(tails, axis=1, out=top[:, 1:])
+    used = np.arange(min(n, full) + 1)
+    table = top[j, np.minimum(full - used, n - j)].tolist()
+    return [row[:min(j, full) + 1] for j, row in enumerate(table)]
 
 
 def successor_costs(inst: Instance) -> np.ndarray:
@@ -218,14 +235,7 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
     T = inst.time_limit
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
-    # bounds[j][used]: the largest utility the jobs from j on can still
-    # add, i.e. the sum of the min(M*B - used, n - j) largest of f[j:]
-    bounds = []
-    for j in range(n + 1):
-        tail = np.sort(inst.utilities[j:])[::-1]
-        top = np.concatenate(([0.0], np.cumsum(tail))).tolist()
-        bounds.append([top[min(M * B - used, n - j)]
-                       for used in range(min(j, M * B) + 1)])
+    bounds = utility_bounds(inst)
     # the chance row as a count: a path meets it while at most max_fail
     # scenarios are forced to zero, by the row's own float test
     max_fail = -1

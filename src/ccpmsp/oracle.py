@@ -8,9 +8,14 @@ problem definition alone, and runs at every capacity.
 scenario and times it exactly as a permutation is timed: t(first), then
 setup plus execution per step, then the closing setup.
 ``verify_candidate`` accepts a (machine, scenario) pair on such a witness
-and runs Held-Karp only on the pairs no witness fits.  Nothing here is
-shared with the diagrams; the brute-force references the tests compare
-both against are in ``tests/oracle_reference.py``.
+and runs Held-Karp only on the pairs no witness fits.  It times the
+witnesses with one walk per machine size over every (machine, claimed
+scenario) column of that size, gathered from ``Instance.scenario_stack``
+(``machine_witness_times``); ``witness_schedules`` runs the same walk on
+the scenarios it is given.  Nothing here is shared with the diagrams; the
+brute-force references the tests compare both against, and the
+per-machine verification loop the batched one replaced, are in
+``tests/oracle_reference.py``.
 
 Closing-setup convention: a strict subset of the evaluated universe is
 timed without the final setup back to the dummy job, the full set with it.
@@ -112,6 +117,47 @@ def held_karp_min_times(jobs, scenarios, include_closing: bool = True) -> np.nda
     return out
 
 
+def _nearest_neighbour(t, d, close) -> tuple[np.ndarray, np.ndarray]:
+    """Best nearest-neighbour order and its time with the closing setup in
+    each of C columns of k jobs, given t[c, j], the setup d[c, i, j] from
+    local job i to j and close[c, j] from j to the dummy.  Orders hold
+    local job indices.
+
+    One walker per (start, column) moves to the unvisited job of least
+    setup from the current one, the lowest index on ties; per column the
+    fastest of its k walkers is kept.  A walker's time is summed in
+    schedule order: t(first), then += setup + exec per step, then the
+    closing setup.  Columns go through in chunks whose (k, C, k) walker
+    arrays fit ``HK_CHUNK_CELLS``.  Returns (orders, times) of shapes
+    (C, k) and (C,).
+    """
+    n_cols, k = t.shape
+    orders = np.zeros((n_cols, k), dtype=np.intp)
+    times = np.zeros(n_cols)
+    chunk = max(1, HK_CHUNK_CELLS // (k * k))
+    start = np.arange(k)[:, None]
+    for lo in range(0, n_cols, chunk):
+        hi = min(n_cols, lo + chunk)
+        tc, dc, cc = t[lo:hi], d[lo:hi], close[lo:hi]
+        w = np.arange(hi - lo)
+        cur = np.broadcast_to(start, (k, hi - lo))
+        path = np.empty((k, hi - lo, k), dtype=np.intp)
+        path[:, :, 0] = cur
+        total = tc[w, cur]
+        barred = np.zeros((k, hi - lo, k))  # inf where a walker has been
+        barred[start, w, cur] = np.inf
+        for step in range(1, k):
+            prev, cur = cur, (dc[w, cur] + barred).argmin(axis=2)
+            total += dc[w, prev, cur] + tc[w, cur]
+            barred[start, w, cur] = np.inf
+            path[:, :, step] = cur
+        total += cc[w, cur]
+        best = total.argmin(axis=0)
+        orders[lo:hi] = path[best, w]
+        times[lo:hi] = total[best, w]
+    return orders, times
+
+
 def witness_schedules(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
     """Best nearest-neighbour order of the given 1-based job ids in each
     scenario, and its time with the closing setup.
@@ -125,37 +171,42 @@ def witness_schedules(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
     Returns (orders, times) of shapes (W, k) and (W,).
     """
     idx = _job_ids(jobs, scenarios)
-    k = len(idx)
-    orders = np.zeros((len(scenarios), k), dtype=np.intp)
-    times = np.zeros(len(scenarios))
-    if k == 0:
-        return orders, times
-    # one walker per (start, scenario); its (k, W, k) arrays fit the cap
-    chunk = max(1, HK_CHUNK_CELLS // (k * k))
-    start = np.arange(k)[:, None]
-    for lo in range(0, len(scenarios), chunk):
-        part = scenarios[lo:lo + chunk]
-        w = np.arange(len(part))
-        # t[w, j]; d[w, i, j] = setup from i to j; close[w, j] = to the dummy
-        t = np.stack([sc.exec[idx - 1] for sc in part])
-        d = np.stack([sc.setup[np.ix_(idx, idx)] for sc in part])
-        close = np.stack([sc.setup[idx, 0] for sc in part])
-        cur = np.broadcast_to(start, (k, len(part)))
-        path = np.empty((k, len(part), k), dtype=np.intp)
-        path[:, :, 0] = cur
-        total = t[w, cur]
-        barred = np.zeros((k, len(part), k))  # inf where a walker has been
-        barred[start, w, cur] = np.inf
-        for step in range(1, k):
-            prev, cur = cur, (d[w, cur] + barred).argmin(axis=2)
-            total += d[w, prev, cur] + t[w, cur]
-            barred[start, w, cur] = np.inf
-            path[:, :, step] = cur
-        total += close[w, cur]
-        best = total.argmin(axis=0)
-        orders[lo:lo + len(part)] = idx[path[best, w]]
-        times[lo:lo + len(part)] = total[best, w]
-    return orders, times
+    if len(idx) == 0 or len(scenarios) == 0:
+        orders = np.zeros((len(scenarios), len(idx)), dtype=np.intp)
+        return orders, np.zeros(len(scenarios))
+    local, times = _nearest_neighbour(
+        np.stack([sc.exec[idx - 1] for sc in scenarios]),
+        np.stack([sc.setup[np.ix_(idx, idx)] for sc in scenarios]),
+        np.stack([sc.setup[idx, 0] for sc in scenarios]),
+    )
+    return idx[local], times
+
+
+def machine_witness_times(inst: Instance, cand: Candidate, scenarios) -> np.ndarray:
+    """The witness time of every machine of ``cand`` in each of the given
+    scenario indices, shape (M, len(scenarios)); an empty machine's is 0.
+
+    Each is bitwise the time ``witness_schedules`` gives the machine's jobs
+    in that scenario.  The machines of one job count go through one walk:
+    every (machine, scenario) column of the group is gathered from
+    ``Instance.scenario_stack`` at once, which takes at most as many cells
+    as the stack's setup times, since the group's machines hold distinct
+    jobs."""
+    exec_, setup = inst.scenario_stack
+    w = np.asarray(scenarios, dtype=np.intp)[None, :, None]
+    out = np.zeros((inst.n_machines, w.shape[1]))
+    counts = cand.x.sum(axis=0)
+    for k in sorted(set(counts[counts > 0].tolist())):
+        machines = np.flatnonzero(counts == k)
+        rows = np.stack([cand.machine_jobs(m) for m in machines])[:, None, :]
+        # (machine, scenario, job) cells, or (..., job, job) for setups
+        _, times = _nearest_neighbour(
+            exec_[rows, w].reshape(-1, k),
+            setup[rows[..., None], rows[..., None, :], w[..., None]].reshape(-1, k, k),
+            setup[rows, 0, w].reshape(-1, k),
+        )
+        out[machines] = times.reshape(len(machines), -1)
+    return out
 
 
 def verify_candidate(inst: Instance, cand: Candidate) -> list[str]:
@@ -163,10 +214,12 @@ def verify_candidate(inst: Instance, cand: Candidate) -> list[str]:
 
     x must be an n x M and z a length-W array of 0/1 entries; otherwise
     only those problems are reported.  Every (machine, claimed scenario)
-    pair is first tried on its witness schedule, and a pair whose witness
-    time is <= T + TOL is proven feasible by that schedule.  The pairs left
-    are timed exactly with the Held-Karp DP, and a minimum above T + TOL is
-    a violation.  Both run at any capacity."""
+    pair is first tried on its witness schedule, one walk per machine size
+    (``machine_witness_times``), and a pair whose witness time is
+    <= T + TOL is proven feasible by that schedule.  The pairs left are
+    timed exactly with the Held-Karp DP, one call per machine, and a
+    minimum above T + TOL is a violation, reported in (machine, scenario)
+    order.  Both run at any capacity."""
     x, z = cand.x, cand.z
     problems = []
     if x.shape != (inst.n_jobs, inst.n_machines):
@@ -187,17 +240,14 @@ def verify_candidate(inst: Instance, cand: Candidate) -> list[str]:
     if not chance_satisfied(inst, z):
         problems.append("chance constraint violated")
     active = np.flatnonzero(z)
-    claimed = [inst.scenarios[w] for w in active]
     limit = inst.time_limit + TOL
+    witness = machine_witness_times(inst, cand, active)
     for m in range(inst.n_machines):
         jobs = cand.machine_jobs(m)
-        if len(jobs) == 0:
+        rest = np.flatnonzero(~(witness[m] <= limit))  # NaN goes to Held-Karp
+        if len(jobs) == 0 or len(rest) == 0:  # the Held-Karp plan is 2^k-sized
             continue
-        _, witness = witness_schedules(jobs, claimed)
-        rest = np.flatnonzero(~(witness <= limit))  # NaN goes to Held-Karp
-        if len(rest) == 0:  # the Held-Karp plan alone is 2^k-sized
-            continue
-        times = held_karp_min_times(jobs, [claimed[i] for i in rest])
+        times = held_karp_min_times(jobs, [inst.scenarios[w] for w in active[rest]])
         for w, t in zip(active[rest], times):
             if t > limit:
                 problems.append(

@@ -13,6 +13,8 @@ the row "x covers S on m => z_w = 0".
 best objective over every binary vector that meets them, and ``resolve``
 re-solves a master after each cut batch of a lazy-cut hook, the way a MIP
 solver without lazy constraints would honour it.
+``reference_load_coefficients`` and ``reference_utility_bounds`` are the
+master's set-up tables computed one scenario and one job at a time.
 """
 
 from __future__ import annotations
@@ -45,6 +47,31 @@ def compute_big_m(scenarios: list[Scenario], capacity: int) -> np.ndarray:
         top = np.sort(s)[-capacity:]
         values.append(float(top.sum()))
     return np.array(values)
+
+
+def reference_load_coefficients(inst: Instance) -> np.ndarray:
+    """``master.optimistic_load_coefficients`` one scenario at a time: each
+    job's time plus its cheapest outgoing setup, j -> j excluded."""
+    coef = np.empty((inst.n_scenarios, inst.n_jobs))
+    for w, sc in enumerate(inst.scenarios):
+        d = sc.setup[1:, :].copy()
+        np.fill_diagonal(d[:, 1:], np.inf)  # exclude j -> j
+        coef[w] = sc.exec + d.min(axis=1)
+    return coef
+
+
+def reference_utility_bounds(inst: Instance) -> list[list[float]]:
+    """``master.utility_bounds`` one job at a time: ``bounds[j][used]`` is
+    the sum of the min(M B - used, n - j) largest of f[j:], from a sort of
+    f[j:] alone."""
+    n, full = inst.n_jobs, inst.n_machines * inst.capacity
+    bounds = []
+    for j in range(n + 1):
+        tail = np.sort(inst.utilities[j:])[::-1]
+        top = np.concatenate(([0.0], np.cumsum(tail))).tolist()
+        bounds.append([top[min(full - used, n - j)]
+                       for used in range(min(j, full) + 1)])
+    return bounds
 
 
 def successor_bound(sc: Scenario, jobs) -> float:

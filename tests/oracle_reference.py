@@ -7,6 +7,12 @@ against; hard limits (``OracleLimits``) keep them at desk scale.  They
 import nothing from ``ccpmsp`` but the data model, so they share no code
 with the diagrams or with ``ccpmsp.oracle``.
 
+``per_machine_verify`` is the exception: the verification loop that
+``ccpmsp.oracle.verify_candidate`` batches, one machine and one stacked
+scenario at a time (``per_machine_witness``).  It times the pairs no
+witness fits with ``ccpmsp.oracle.held_karp_min_times``, so its messages
+must match the batched ones character for character.
+
 Closing-setup convention, as in ``ccpmsp.oracle``: a strict subset of the
 evaluated universe is timed without the final setup back to the dummy job,
 the full set with it.
@@ -24,7 +30,9 @@ from ccpmsp.model import (
     Scenario,
     StructuralError,
     TOL,
+    chance_satisfied,
 )
+from ccpmsp.oracle import held_karp_min_times
 
 
 @dataclass(frozen=True)
@@ -179,3 +187,78 @@ def brute_optimal(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS):
     x, z, _ = best
     cand = Candidate(x=x, z=z)
     return cand, float(best_obj)
+
+
+def per_machine_witness(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
+    """Best nearest-neighbour order of the sorted 1-based ``jobs`` in each
+    scenario and its time with the closing setup, each scenario's times
+    stacked on its own, one walker per (start, scenario)."""
+    idx = np.asarray(sorted(jobs), dtype=np.intp)
+    k = len(idx)
+    orders = np.zeros((len(scenarios), k), dtype=np.intp)
+    times = np.zeros(len(scenarios))
+    if k == 0 or not scenarios:
+        return orders, times
+    w = np.arange(len(scenarios))
+    start = np.arange(k)[:, None]
+    t = np.stack([sc.exec[idx - 1] for sc in scenarios])
+    d = np.stack([sc.setup[np.ix_(idx, idx)] for sc in scenarios])
+    close = np.stack([sc.setup[idx, 0] for sc in scenarios])
+    cur = np.broadcast_to(start, (k, len(scenarios)))
+    path = np.empty((k, len(scenarios), k), dtype=np.intp)
+    path[:, :, 0] = cur
+    total = t[w, cur]
+    barred = np.zeros((k, len(scenarios), k))
+    barred[start, w, cur] = np.inf
+    for step in range(1, k):
+        prev, cur = cur, (d[w, cur] + barred).argmin(axis=2)
+        total += d[w, prev, cur] + t[w, cur]
+        barred[start, w, cur] = np.inf
+        path[:, :, step] = cur
+    total += close[w, cur]
+    best = total.argmin(axis=0)
+    return idx[path[best, w]], total[best, w]
+
+
+def per_machine_verify(inst: Instance, cand: Candidate) -> list[str]:
+    """``ccpmsp.oracle.verify_candidate`` one machine at a time: the
+    structural checks, then per nonempty machine a witness per claimed
+    scenario and Held-Karp on the pairs no witness fits."""
+    x, z = cand.x, cand.z
+    problems = []
+    if x.shape != (inst.n_jobs, inst.n_machines):
+        problems.append(f"x shape {x.shape} does not match the instance")
+    if z.shape != (inst.n_scenarios,):
+        problems.append(f"z shape {z.shape} does not match the instance")
+    for name, a in (("x", x), ("z", z)):
+        if np.any((a != 0) & (a != 1)):
+            problems.append(f"{name} has entries outside {{0, 1}}")
+    if problems:
+        return problems
+    if np.any(x.sum(axis=1) > 1):
+        bad = np.flatnonzero(x.sum(axis=1) > 1) + 1
+        problems.append(f"jobs assigned to several machines: {bad.tolist()}")
+    over = np.flatnonzero(x.sum(axis=0) > inst.capacity)
+    if len(over):
+        problems.append(f"capacity exceeded on machines {over.tolist()}")
+    if not chance_satisfied(inst, z):
+        problems.append("chance constraint violated")
+    active = np.flatnonzero(z)
+    claimed = [inst.scenarios[w] for w in active]
+    limit = inst.time_limit + TOL
+    for m in range(inst.n_machines):
+        jobs = cand.machine_jobs(m)
+        if len(jobs) == 0:
+            continue
+        _, witness = per_machine_witness(jobs, claimed)
+        rest = np.flatnonzero(~(witness <= limit))
+        if len(rest) == 0:
+            continue
+        times = held_karp_min_times(jobs, [claimed[i] for i in rest])
+        for w, t in zip(active[rest], times):
+            if t > limit:
+                problems.append(
+                    f"machine {m} infeasible in scenario {w}: "
+                    f"min time {t:.6f} > T = {inst.time_limit}"
+                )
+    return problems

@@ -847,3 +847,47 @@ def test_iis_pools_pinned_in_callback_mode(monkeypatch, variant, memo_max):
         rows = [[c.scenario, sorted(mask_jobs(c.jobs)), c.kind] for c in report.cuts]
         assert len(rows) == size, index
         assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, index
+
+
+# The pools of the same instances without the relaxation rows, additive and
+# own-successor, which leave the IIS filter and the pool order most of the
+# cuts to make: 586 iterative and 587 hooked, against 53 with the rows.
+# Both variants yield these pools.
+NORELAX_IIS_POOLS = {
+    1: (8, "2eeecab69ceaf51d98e19e8291484a8d92fb2745c8fe41d6e1d4cb4591d3c5c0"),
+    2: (2, "7dbd6ba779cfe69aa59d0ee3e7901b036cc2643a9a3842911ec762ff1f3f1f61"),
+    4: (10, "fdfe26b35ebe620fdb2a6f97b1aeb3cb16f15a81887f88d05ee36ae6186e4017"),
+    5: (32, "5ff50fa94e503689d3aa3f503ccfbbb7561d9702a01f64090416f2e937d117a6"),
+    7: (37, "d1665a244e18135a7596fb745b16fa72476728cb645a189a2b6095e35a81a59a"),
+    8: (74, "2815d910736a294f9d2c940eb40b8675e469e82705681ae2439f1d636a92fae4"),
+    11: (423, "0fdce2488c17a9a4a98804f5aba1f1b7b1e5603539469ba339d53a6c6d215443"),
+}
+NORELAX_CALLBACK_IIS_POOLS = {
+    1: (8, "2eeecab69ceaf51d98e19e8291484a8d92fb2745c8fe41d6e1d4cb4591d3c5c0"),
+    2: (2, "7dbd6ba779cfe69aa59d0ee3e7901b036cc2643a9a3842911ec762ff1f3f1f61"),
+    4: (10, "fdfe26b35ebe620fdb2a6f97b1aeb3cb16f15a81887f88d05ee36ae6186e4017"),
+    5: (32, "7c9bc0d40848c334463bad5c3b9d6885d79beefc35f64f8661dc6461990a0804"),
+    7: (37, "d1665a244e18135a7596fb745b16fa72476728cb645a189a2b6095e35a81a59a"),
+    8: (75, "a8208027591554526cc507da4da2b852d4d69acfde19dbcca9801ec8480d3654"),
+    11: (423, "940bc9d527c29997f268c9e5108324438f309e44ca97aece882fd23f38cf9210"),
+}
+
+
+@pytest.mark.parametrize("solve, pools, memo_max", [
+    (solve_iteratively, NORELAX_IIS_POOLS, master.FAIL_MEMO_MAX),
+    (solve_ccpmsp, NORELAX_CALLBACK_IIS_POOLS, master.FAIL_MEMO_MAX),
+    (solve_ccpmsp, NORELAX_CALLBACK_IIS_POOLS, 4),
+], ids=["iterative", "callback", "callback-small-memo"])
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_iis_pools_pinned_without_relaxation(monkeypatch, solve, pools,
+                                             memo_max, variant):
+    monkeypatch.setattr(master, "FAIL_MEMO_MAX", memo_max)
+    configs = regression_configs()
+    for index, (size, digest) in pools.items():
+        inst = make_instance(configs[index])
+        opts = SolveOptions(variant=variant, cut_kind="iis", time_budget=120,
+                            scenario_relaxation=False)
+        _, report = solve(inst, opts)
+        rows = [[c.scenario, sorted(mask_jobs(c.jobs)), c.kind] for c in report.cuts]
+        assert len(rows) == size, index
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest, index

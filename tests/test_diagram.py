@@ -161,6 +161,24 @@ def test_cache_returns_identical_structure():
     assert a is b
 
 
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_plans_are_built_once_per_process(variant):
+    # every DiagramCache, of this solve or a later one, hands out the one
+    # plan, which equals a fresh build and cannot be written through
+    plan = build_top_down(variant, 6)
+    assert build_top_down(variant, 6) is plan
+    assert DiagramCache(max_depth=6).get_or_build(variant, 6) is plan
+    assert DiagramCache(max_depth=8).get_or_build(variant, 6) is plan
+    fresh = build_top_down.__wrapped__(variant, 6)
+    assert fresh is not plan and fresh.layers == plan.layers
+    for name in ("layer_masks", "layer_in", "layer_cells"):
+        for got, want in zip(getattr(plan, name), getattr(fresh, name)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[(0,) * got.ndim] = 0
+
+
 def test_cache_depth_guard_and_variant_isolation():
     cache = DiagramCache(max_depth=4)
     with pytest.raises(ConfigurationError):

@@ -18,6 +18,8 @@ from master_reference import (
     check_rows,
     compute_big_m,
     iter_rows,
+    reference_load_coefficients,
+    reference_utility_bounds,
     resolve,
 )
 from oracle_reference import brute_optimal
@@ -106,6 +108,50 @@ def test_every_assignment_has_a_symmetric_representative(seed):
                 found = True
                 break
         assert found
+
+
+@st.composite
+def setup_case(draw):
+    """An instance for the master's set-up tables: utilities drawn from a
+    few values, so ties are common and their sums round, any capacity, so
+    M B < n often and min(M B - used, n - j) binds, and setups with a
+    nonzero diagonal and rounded values, so the masked j -> j cell would
+    win and cheapest setups tie."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    utilities = draw(st.lists(
+        st.sampled_from([0.1, 0.7, 1 / 3, 2.0, 1e6 + 0.1]) | st.floats(0.01, 100.0),
+        min_size=n, max_size=n))
+    scenarios = [Scenario(exec=rng.uniform(0.0, 10.0, size=n),
+                          setup=np.round(rng.uniform(0.0, 10.0, size=(n + 1, n + 1)),
+                                         draw(st.integers(0, 3))))
+                 for _ in range(draw(st.integers(1, 4)))]
+    return Instance(
+        n_jobs=n, n_machines=draw(st.integers(1, 4)),
+        capacity=draw(st.integers(1, n)), time_limit=10.0, epsilon=0.5,
+        utilities=np.array(utilities), scenarios=scenarios,
+    )
+
+
+def tied_low_capacity_case():
+    # 3 machines of 2 places for 9 jobs, utilities tied in threes
+    rng = np.random.default_rng(3)
+    return Instance(
+        n_jobs=9, n_machines=3, capacity=2, time_limit=10.0, epsilon=0.5,
+        utilities=np.array([0.1, 0.7, 0.1, 1 / 3, 0.7, 1 / 3, 0.1, 0.7, 1 / 3]),
+        scenarios=[Scenario(exec=rng.uniform(0.0, 10.0, size=9),
+                            setup=rng.uniform(0.0, 10.0, size=(10, 10)))],
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(setup_case())
+@example(tied_low_capacity_case())
+def test_setup_tables_are_bitwise_the_reference_loops(inst):
+    assert master.utility_bounds(inst) == reference_utility_bounds(inst)
+    coef = optimistic_load_coefficients(inst)
+    want = reference_load_coefficients(inst)
+    assert coef.shape == want.shape and coef.tobytes() == want.tobytes()
 
 
 def test_scenario_relaxation_coefficients(uniform_scenario):

@@ -20,7 +20,14 @@ from ccpmsp.model import (
 )
 from ccpmsp.oracle import held_karp_min_times, verify_candidate, witness_schedules
 from conftest import B10_CONFIG, overloaded_b10_x, random_scenario
-from oracle_reference import OracleLimits, brute_iis, brute_min_time, brute_optimal
+from oracle_reference import (
+    OracleLimits,
+    brute_iis,
+    brute_min_time,
+    brute_optimal,
+    per_machine_verify,
+    per_machine_witness,
+)
 
 
 def test_min_time_worked_example(uniform_scenario):
@@ -468,3 +475,105 @@ def test_random_verify_cases_cover_every_kind_of_pair():
                                   np.where(exact <= limit, "held-karp",
                                            "infeasible")).tolist())
     assert kinds == {"witness", "held-karp", "infeasible"}
+
+
+def batched_verify_case(seed, scale, nan):
+    """A random instance with 2-5 machines of 0-7 jobs each, so sizes mix
+    and repeat and some machines stay empty; 1-4 asymmetric scenarios, of
+    which any subset is claimed, none included; and T at ``scale`` times
+    the median finite exact minimum of the (machine, scenario) pairs.  With
+    ``nan``, one scenario carries a NaN execution and setup time."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 6))
+    sizes = rng.integers(0, 8, size=m)
+    n = int(sizes.sum()) + int(rng.integers(1, 4))
+    order = rng.permutation(n)
+    x = np.zeros((n, m))
+    for k, held in enumerate(np.split(order, np.cumsum(sizes))[:m]):
+        x[held, k] = 1
+    scenarios = [asymmetric_scenario(rng, n) for _ in range(rng.integers(1, 5))]
+    if nan:
+        w = int(rng.integers(len(scenarios)))
+        exec_, setup = scenarios[w].exec.copy(), scenarios[w].setup.copy()
+        exec_[rng.integers(n)] = np.nan
+        setup[rng.integers(n + 1), rng.integers(n + 1)] = np.nan
+        scenarios[w] = Scenario(exec=exec_, setup=setup)
+    minima = np.concatenate([
+        held_karp_min_times(np.flatnonzero(x[:, k]) + 1, scenarios)
+        for k in range(m) if x[:, k].any()] or [[]])
+    minima = minima[np.isfinite(minima)]
+    inst = Instance(
+        n_jobs=n, n_machines=m, capacity=max(1, int(sizes.max())),
+        time_limit=scale * float(np.median(minima)) if len(minima) else 1.0,
+        epsilon=0.5, utilities=np.ones(n), scenarios=scenarios,
+    )
+    return inst, Candidate(x=x, z=rng.integers(0, 2, size=len(scenarios)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.7, 1.3), st.booleans())
+def test_batched_verify_matches_the_per_machine_loop(seed, scale, nan):
+    inst, cand = batched_verify_case(seed, scale, nan)
+    assert verify_candidate(inst, cand) == per_machine_verify(inst, cand)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_batched_witnesses_are_witness_schedules_bitwise(seed, nan):
+    inst, cand = batched_verify_case(seed, 1.0, nan)
+    every = np.arange(inst.n_scenarios)
+    got = oracle.machine_witness_times(inst, cand, every)
+    assert got.shape == (inst.n_machines, inst.n_scenarios)
+    for m in range(inst.n_machines):
+        jobs = cand.machine_jobs(m)
+        orders, times = witness_schedules(jobs, inst.scenarios)
+        ref_orders, ref_times = per_machine_witness(jobs, inst.scenarios)
+        assert orders.tolist() == ref_orders.tolist()
+        assert got[m].tobytes() == times.tobytes() == ref_times.tobytes()
+
+
+def test_batched_verify_cases_cover_every_shape():
+    # the properties above see mixed and repeated machine sizes, empty
+    # machines, candidates that claim no scenario, NaN times, and pairs a
+    # witness proves, pairs only Held-Karp proves and infeasible pairs
+    seen = set()
+    for seed in range(40):
+        inst, cand = batched_verify_case(seed, 0.7 + 0.6 * seed / 39, seed % 2)
+        sizes = cand.x.sum(axis=0)
+        held = sizes[sizes > 0].tolist()
+        flags = {"mixed": len(set(held)) > 1,
+                 "repeated": len(set(held)) < len(held),
+                 "empty": 0 in sizes, "no claim": not cand.z.any()}
+        seen.update(name for name, on in flags.items() if on)
+        limit = inst.time_limit + TOL
+        for m in np.flatnonzero(sizes):
+            jobs = cand.machine_jobs(m)
+            _, witness = witness_schedules(jobs, inst.scenarios)
+            exact = held_karp_min_times(jobs, inst.scenarios)
+            if np.isnan(witness).any():
+                seen.add("nan")
+            seen.update(np.where(witness <= limit, "witness",
+                                 np.where(exact <= limit, "held-karp",
+                                          "infeasible")).tolist())
+    assert seen == {"mixed", "repeated", "empty", "no claim", "nan",
+                    "witness", "held-karp", "infeasible"}
+
+
+def test_batched_witness_chunks_split_a_machine():
+    # two machines of 10 jobs in 200 scenarios are 400 columns of one
+    # group, so the walk's first chunk ends inside the second machine's
+    # columns; each time must not depend on its chunk
+    rng = np.random.default_rng(9)
+    scenarios = [asymmetric_scenario(rng, 20) for _ in range(200)]
+    inst = Instance(n_jobs=20, n_machines=2, capacity=10, time_limit=1.0,
+                    epsilon=0.5, utilities=np.ones(20), scenarios=scenarios)
+    x = np.zeros((20, 2))
+    x[rng.permutation(20)[:10], 0] = 1
+    x[:, 1] = 1 - x[:, 0]
+    per_chunk = oracle.HK_CHUNK_CELLS // (10 * 10)
+    assert len(scenarios) < per_chunk < 2 * len(scenarios)
+    got = oracle.machine_witness_times(inst, Candidate(x=x, z=np.ones(200)),
+                                       np.arange(200))
+    for m in range(2):
+        want = witness_schedules(np.flatnonzero(x[:, m]) + 1, scenarios)[1]
+        assert got[m].tobytes() == want.tobytes()
