@@ -69,11 +69,12 @@ VARIANT_MODULES = {LASTJOB: lastjob, JOBSET: jobset}
 # a solve's peak memory grows with the bound.
 SWEEP_CHUNK_CELLS = 1 << 16
 
-# Machines of fewer jobs go straight to the sweep.  Timed per check on the
-# single machines of the benchmark workloads' candidates, in both variants,
-# the nearest-neighbour pass plus the sweep of the pairs it leaves cost
-# 0.7-1.6 times the plain sweep at k = 2-6 (1.3-1.6 at the most frequent
-# sizes, 3 and 4), and 0.04-1.0 times it at k = 7-12.
+# Machines of fewer jobs go straight to the sweep.  Timed on the size
+# groups of the benchmark workloads' checks, in both variants, with every
+# size certified, ``schedule_fits`` plus the sweep of the pairs it leaves
+# cost 1.7-2.4 times the plain sweep at k = 2-5 and 0.0-0.6 times it at
+# k = 8-12; the one group of 7 jobs cost 1.2-1.3 times, and no check met
+# a machine of 6.
 CERTIFY_MIN_JOBS = 7
 
 
@@ -182,9 +183,11 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
     Only scenarios with z = 1 are checked (cuts bind through z); machines
     without jobs are trivially fine.  Machines of equal job count k form
     one group, whose (machine, claimed scenario) columns are gathered
-    together.  From ``CERTIFY_MIN_JOBS`` jobs on, a column whose
-    nearest-neighbour schedule proves that the sweep would pass it
-    (``schedule_fits``) is feasible without the sweep; every other column
+    together.  From ``CERTIFY_MIN_JOBS`` jobs on, a column whose best
+    nearest-neighbour schedule over all start jobs proves that the sweep
+    would pass it is feasible without the sweep (``schedule_fits``, which
+    walks one start per column and all k starts only on the columns that
+    start leaves uncertified); every other column
     goes through the size-k diagram in one ``set_times`` call per chunk,
     and fails when the full set's time exceeds T + TOL.  A diagram is built
     only when some column reaches its sweep.  Returns failures sorted by

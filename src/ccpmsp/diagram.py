@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import TOL, ConfigurationError
+from .model import EPS, TOL, ConfigurationError
 
 LASTJOB = "lastjob"
 JOBSET = "jobset"
@@ -203,32 +203,35 @@ def build_top_down(variant: str, k: int) -> Diagram:
     )
 
 
-def nearest_neighbour_times(t: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Time of the best nearest-neighbour schedule per column, over all
-    start jobs, for time arrays of shape (k + 1, C) and (k + 1, k + 1, C)
-    in the diagrams' convention.
+def nearest_neighbour_times(t: np.ndarray, d: np.ndarray, starts: np.ndarray,
+                            cols: np.ndarray) -> np.ndarray:
+    """Time of each walker's nearest-neighbour schedule, for time arrays of
+    shape (k + 1, C) and (k + 1, k + 1, C) in the diagrams' convention:
+    walker i starts at job ``starts[i]`` (1..k) in column ``cols[i]``.
 
-    From each start job the schedule moves to the unvisited job of least
-    setup from the current one (the lowest index on ties).  Like a diagram
-    path it pays no setup before the first job and the closing setup
-    d[v, 0] after the last, so its time bounds the diagrams' full-set time
-    from above, up to summation order.  Every schedule runs all k jobs, so
-    their execution times are added once per column.  Costs about k^3
-    cells per column.
+    From its start job a walker moves to the unvisited job of least setup
+    from the current one (the lowest index on ties).  Like a diagram path
+    it pays no setup before the first job and the closing setup d[v, 0]
+    after the last, so its time bounds the diagrams' full-set time from
+    above, up to summation order.  Every schedule runs all k jobs, so the
+    execution times are added once per call over all C columns: a walker's
+    time is bitwise the same in any walker set over the same arrays, where
+    a sum over a gathered column subset could differ in the last bit (numpy
+    reduces a row-major array row by row, but a single column or a
+    column-major gather pairwise).  Costs about k^2 cells per walker.
     """
-    k, n = len(t) - 1, t.shape[1]
+    k = len(t) - 1
     width = k + 1
-    # one walker per (start, column), start-major; row c * width + u of
-    # ``rows`` is d[u, :, c], and walker i's row in ``rows`` is base[i] +
-    # its current job
+    # row c * width + u of ``rows`` is d[u, :, c], and walker i's row in
+    # ``rows`` is base[i] + its current job
     rows = np.ascontiguousarray(d.transpose(2, 0, 1)).reshape(-1, width)
-    base = np.tile(np.arange(n) * width, k)
-    own = np.arange(k * n) * width  # walker i's row in ``visited``, flat
-    at = base + np.repeat(np.arange(1, width), n)
-    visited = np.zeros((k * n, width))  # inf where a walker may not go
+    base = cols * width
+    own = np.arange(len(starts)) * width  # walker i's row in ``visited``, flat
+    at = base + starts
+    visited = np.zeros((len(starts), width))  # inf where a walker may not go
     visited[:, 0] = np.inf
-    visited.ravel()[own + at - base] = np.inf
-    setups = np.zeros(k * n)
+    visited.ravel()[own + starts] = np.inf
+    setups = np.zeros(len(starts))
     for _ in range(k - 1):
         step = rows[at]
         step += visited
@@ -238,23 +241,41 @@ def nearest_neighbour_times(t: np.ndarray, d: np.ndarray) -> np.ndarray:
         visited.ravel()[pick] = np.inf
         at = base + nxt
     setups += rows[at, 0]
-    return t[1:].sum(axis=0) + setups.reshape(k, n).min(axis=0)
+    return t[1:].sum(axis=0)[cols] + setups
 
 
-def schedule_fits(t: np.ndarray, d: np.ndarray, limit: float) -> np.ndarray:
-    """Per column of ``nearest_neighbour_times``'s arrays, whether its
-    schedule proves that a set-time sweep finds a full-set time <= limit.
+def schedule_fits(t: np.ndarray, d: np.ndarray, limit) -> np.ndarray:
+    """Per column of ``nearest_neighbour_times``'s arrays, whether the best
+    nearest-neighbour schedule over all k start jobs proves that a
+    set-time sweep finds a full-set time <= limit (a scalar, or one per
+    column).
 
-    The sweep's time is at most the rounded sum of the schedule's own path.
-    That sum and the schedule time g add the same 2k nonnegative terms in
-    other orders, so each is within a relative gamma = m u / (1 - m u) of
-    their exact sum, for m = 2k - 1 and unit roundoff u = eps / 2.  The
-    sweep's time is then at most g (1 + gamma) / (1 - gamma) =
-    g / (1 - m eps), which a rounded g (1 + 2k eps) <= limit keeps <= limit
-    at any magnitude of the times.
+    Two walks give that verdict.  The first starts each column at the job
+    of largest closing setup d[j, 0] (the lowest index on ties), and
+    certifies the columns where that one schedule fits; as the best time g
+    is at most any one schedule's, and bitwise so, since each walker's time
+    does not depend on the walker set, the best schedule fits them too.
+    The second walks all k starts on the columns left and decides them on g.
+
+    The sweep's time is at most the rounded sum of the best schedule's own
+    path.  That sum and g add the same 2k nonnegative terms in other
+    orders, so each is within a relative gamma = m u / (1 - m u) of their
+    exact sum, for m = 2k - 1 and unit roundoff u = eps / 2.  The sweep's
+    time is then at most g (1 + gamma) / (1 - gamma) = g / (1 - m eps),
+    which a rounded g (1 + 2k eps) <= limit keeps <= limit at any magnitude
+    of the times.
     """
-    k, eps = len(t) - 1, np.finfo(float).eps
-    return nearest_neighbour_times(t, d) * (1 + 2 * k * eps) <= limit
+    k, n = len(t) - 1, t.shape[1]
+    limit = np.broadcast_to(limit, n)
+    scale = 1 + 2 * k * EPS
+    first = d[1:, 0].argmax(axis=0) + 1
+    fits = nearest_neighbour_times(t, d, first, np.arange(n)) * scale <= limit
+    left = np.flatnonzero(~fits)
+    if len(left):
+        starts = np.repeat(np.arange(1, k + 1), len(left))
+        g = nearest_neighbour_times(t, d, starts, np.tile(left, k))
+        fits[left] = g.reshape(k, -1).min(axis=0) * scale <= limit[left]
+    return fits
 
 
 def minimal_over_limit(set_times: np.ndarray, time_limit: float):

@@ -32,6 +32,7 @@ from .model import (
     BENDERS,
     Candidate,
     Cut,
+    EPS,
     Instance,
     TOL,
 )
@@ -151,11 +152,10 @@ def successor_over(cost: np.ndarray, jobs, limit) -> np.ndarray:
     1 - gamma_3k <= (1 - gamma_2k) / (1 + gamma_k) for any k below 10^15,
     the sweep's time exceeds limit too, at any magnitude of the times.
     """
-    k, eps = len(jobs), np.finfo(float).eps
     rows = np.array(jobs)
     cols = np.concatenate(([0], rows + 1))
     g = cost[cols[:, None], rows].min(axis=0).sum(axis=0)
-    return g * (1 - 3 * k * eps) > limit
+    return g * (1 - 3 * len(jobs) * EPS) > limit
 
 
 def scenario_bits(over: np.ndarray) -> int:

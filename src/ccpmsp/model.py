@@ -30,6 +30,8 @@ import numpy as np
 
 TOL = 1e-9
 PROB_TOL = 1e-12
+# machine epsilon of float64, for the bounds' rounding margins
+EPS = np.finfo(float).eps
 
 NOGOOD = "nogood"
 IIS = "iis"

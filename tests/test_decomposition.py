@@ -354,6 +354,19 @@ def test_checked_pairs_not_certified_are_the_swept_ones(monkeypatch, variant):
     assert sum(widths) == report.check_counts.sum() - report.n_certified
 
 
+# The benchmark's subproblem instance (ors 22x2x14 dif -2 seed 13): the
+# pairs its checks certify without a sweep, and the pairs they check.  The
+# two variants make the same checks, and the start of each column's first
+# walk changes only how fast a pair is certified, never whether.
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_certified_pairs_pinned(variant):
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=22, n_machines=2,
+                                   n_scenarios=14, dif=-2.0, seed=13))
+    _, report = solve_ccpmsp(inst, SolveOptions(variant=variant, time_budget=120))
+    assert report.optimal and report.objective == 113
+    assert (report.n_certified, report.check_counts.sum()) == (1085, 1204)
+
+
 def test_emit_nogood_cut(uniform_scenario):
     inst = uniform_instance(uniform_scenario)
     cuts = emit_cuts([(0, 0, (1, 2, 3))], "nogood", inst)

@@ -4,6 +4,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccpmsp import jobset, lastjob
 from ccpmsp.diagram import (
@@ -18,7 +20,7 @@ from ccpmsp.diagram import (
     subset_lattice,
 )
 from ccpmsp.instances import GenConfig, make_instance
-from ccpmsp.model import TOL, ConfigurationError, StructuralError
+from ccpmsp.model import EPS, TOL, ConfigurationError, StructuralError
 from conftest import random_scenario
 from diagram_reference import (
     canonical_remap,
@@ -308,18 +310,27 @@ def test_minimal_over_limit_filters_columns_together():
     assert minimal_over_limit(np.zeros((8, 2)), 1.0) == [[], []]
 
 
-def plain_nearest_neighbour(t, d):
-    """Nearest-neighbour schedules of one column, one start job at a time."""
+def plain_nearest_neighbour(t, d, start):
+    """The nearest-neighbour schedule of one column from one start job."""
     k = len(t) - 1
-    best = np.inf
-    for start in range(1, k + 1):
-        seq = [start]
-        while len(seq) < k:
-            seq.append(min((v for v in range(1, k + 1) if v not in seq),
-                           key=lambda v: (d[seq[-1], v], v)))
-        time = sum(t[v] for v in seq) + sum(d[u, v] for u, v in zip(seq, seq[1:]))
-        best = min(best, time + d[seq[-1], 0])
-    return best
+    seq = [start]
+    while len(seq) < k:
+        seq.append(min((v for v in range(1, k + 1) if v not in seq),
+                       key=lambda v: (d[seq[-1], v], v)))
+    time = sum(t[v] for v in seq) + sum(d[u, v] for u, v in zip(seq, seq[1:]))
+    return time + d[seq[-1], 0]
+
+
+def every_start(k, cols):
+    """The walkers of every start job on each of ``cols``, start-major."""
+    return np.repeat(np.arange(1, k + 1), len(cols)), np.tile(cols, k)
+
+
+def best_nearest_neighbour(t, d):
+    """The best nearest-neighbour time per column, over every start job."""
+    k, n = len(t) - 1, t.shape[1]
+    times = nearest_neighbour_times(t, d, *every_start(k, np.arange(n)))
+    return times.reshape(k, n).min(axis=0)
 
 
 def test_nearest_neighbour_matches_a_plain_schedule():
@@ -329,8 +340,53 @@ def test_nearest_neighbour_matches_a_plain_schedule():
         t = np.stack([sub_times(sc, np.arange(k + 1))[0] for sc in scenarios], axis=-1)
         d = np.stack([sc.setup for sc in scenarios], axis=-1)
         d[1:, 1:] = np.round(d[1:, 1:], 1)  # ties, broken toward the lower job
-        want = [plain_nearest_neighbour(t[:, c], d[:, :, c]) for c in range(5)]
-        assert np.allclose(nearest_neighbour_times(t, d), want, rtol=0, atol=1e-12)
+        starts, cols = every_start(k, np.arange(5))
+        want = [plain_nearest_neighbour(t[:, c], d[:, :, c], s) for s, c in zip(starts, cols)]
+        assert np.allclose(nearest_neighbour_times(t, d, starts, cols), want,
+                           rtol=0, atol=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 11), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.booleans(), st.sampled_from(["column", "scalar", "all", "none"]),
+       st.integers(-3, 9))
+# both columns reach the second walk, and the second column's execution
+# times, summed over a gathered copy of the columns, differ in the last bit
+@example(k=9, n=2, seed=19, ties=False, limits="column", exp=0)
+def test_two_walks_give_the_all_starts_verdict(k, n, seed, ties, limits, exp):
+    # schedule_fits's verdicts are bitwise those of one all-starts walk over
+    # the same batch, at limits within an ulp of the rounded test's edge.
+    # And one walker per column, from any start, certifies a subset of
+    # them, as each walker's time is bitwise its time in the all-starts
+    # batch.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exp
+    t = rng.random((k + 1, n)) * scale
+    t[0] = 0.0
+    d = rng.random((k + 1, k + 1, n)) * scale
+    if ties:  # a few setup levels, closing setups included
+        d = np.floor(d / scale * 3) * scale
+    starts, cols = every_start(k, np.arange(n))
+    walkers = nearest_neighbour_times(t, d, starts, cols)
+    best = walkers.reshape(k, n).min(axis=0)
+    edge = best * (1 + 2 * k * EPS)
+    limit = {
+        "column": edge + rng.integers(-1, 2, n) * np.spacing(edge),
+        "scalar": float(edge[rng.integers(n)]),
+        "all": np.inf,
+        "none": -1.0,
+    }[limits]
+    want = edge <= limit
+    fits = schedule_fits(t, d, limit)
+    assert fits.dtype == bool and fits.tobytes() == want.tobytes()
+    if limits == "all":
+        assert fits.all()
+    if limits == "none":
+        assert not fits.any()
+    one = rng.integers(1, k + 1, n)
+    times = nearest_neighbour_times(t, d, one, np.arange(n))
+    assert times.tobytes() == walkers[(one - 1) * n + np.arange(n)].tobytes()
+    assert not np.any((times * (1 + 2 * k * EPS) <= limit) & ~want)
 
 
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
@@ -350,7 +406,7 @@ def test_nearest_neighbour_bounds_the_diagram_time(kind, variant):
             remap = np.concatenate(([0], np.sort(rng.choice(20, k, replace=False)) + 1))
             t = exec_all[remap]
             d = setup_all[np.ix_(remap, remap)]
-            greedy = nearest_neighbour_times(t, d)
+            greedy = best_nearest_neighbour(t, d)
             best = mod.set_times(cache.get_or_build(variant, k), t, d)[-1]
             assert np.all(greedy + TOL >= best)
             for limit in (inst.time_limit, *greedy):
@@ -382,7 +438,7 @@ def test_schedule_fits_only_what_the_sweep_passes_at_any_magnitude(variant):
             d = np.abs(pos[:, None] - pos[None, :])
             t = rng.random((k + 1, 200)) * scale
             t[0] = 0.0
-            greedy = nearest_neighbour_times(t, d)
+            greedy = best_nearest_neighbour(t, d)
             best = mod.set_times(cache.get_or_build(variant, k), t, d)[-1]
             n_rounding_over += (best > greedy + TOL).sum()
             for j in range(0, 4 * k + 2):
@@ -403,4 +459,4 @@ def test_nearest_neighbour_finds_an_optimal_line_schedule(variant):
         t = np.concatenate(([0.0], np.ones(k)))[:, None]
         d = np.abs(pos[:, None] - pos[None, :])[..., None]
         best = mod.set_times(DiagramCache(max_depth=k).get_or_build(variant, k), t, d)
-        assert nearest_neighbour_times(t, d).tolist() == best[-1].tolist() == [2.0 * k]
+        assert best_nearest_neighbour(t, d).tolist() == best[-1].tolist() == [2.0 * k]
