@@ -4,18 +4,16 @@ and a Held-Karp checker, used for verification.
 ``held_karp_min_times`` computes the minimum sequencing time of a job set
 with the bitmask dynamic program of Held & Karp (1962), written from the
 problem definition alone, and runs at every capacity.
-``witness_schedules`` builds one concrete nearest-neighbour order per
-scenario and times it exactly as a permutation is timed: t(first), then
-setup plus execution per step, then the closing setup.
-``verify_candidate`` accepts a (machine, scenario) pair on such a witness
-and runs Held-Karp only on the pairs no witness fits.  It times the
-witnesses with one walk per machine size over every (machine, claimed
-scenario) column of that size, gathered from ``Instance.scenario_stack``
-(``machine_witness_times``); ``witness_schedules`` runs the same walk on
-the scenarios it is given.  Nothing here is shared with the diagrams; the
-brute-force references the tests compare both against, and the
-per-machine verification loop the batched one replaced, are in
-``tests/oracle_reference.py``.
+``machine_witness_times`` times concrete nearest-neighbour orders of every
+(machine, scenario) pair exactly as a permutation is timed: t(first), then
+setup plus execution per step, then the closing setup.  It walks one start
+per pair first and every start only on the pairs that one does not prove,
+with one walk per machine size over columns gathered from
+``Instance.scenario_stack``.  ``verify_candidate`` accepts a pair on such a
+witness and runs Held-Karp only on the pairs no witness fits.  Nothing
+here is shared with the diagrams; the brute-force references the tests
+compare both against, and the per-machine verification loop the batched
+one replaced, are in ``tests/oracle_reference.py``.
 
 Closing-setup convention: a strict subset of the evaluated universe is
 timed without the final setup back to the dummy job, the full set with it.
@@ -42,28 +40,34 @@ from .model import (
 # for the temporaries alike: scenarios are evaluated in chunks whose table
 # fits (at least one scenario), and each subset-size layer in blocks whose
 # temporaries fit, so verification adds little to a solve's peak memory.
+# The index plan, kept once per k, holds about (1.5 k + 1) 2^k int32
+# entries: 0.14 MB at k = 11, 0.31 MB at k = 12, 6.6 MB at k = 16.
 HK_CHUNK_CELLS = 1 << 15
 
 
 @lru_cache(maxsize=None)
 def _hk_plan(k: int) -> tuple:
     """Index plan of the Held-Karp recursion over k local jobs: for each
-    subset size s = 2..k, every (predecessor, last job) pair such that the
-    predecessor subset has s - 1 jobs and lacks the last one.  Built on
-    first use for each k and shared read-only."""
+    predecessor size r = 1..k - 1, the subsets P of r jobs (``sets``), the
+    members i of each, shape (r, len(sets)), the jobs j it lacks, shape
+    (k - r, len(sets)), both ascending, and the cell j 2^k + (P + j) of the
+    table that each (P, j) fills.  Built on first use for each k and shared
+    read-only; int32 holds every cell index up to k = 26, beyond any table
+    that fits in memory."""
     masks = np.arange(1 << k)
-    size = np.zeros_like(masks)
-    for j in range(k):
-        size += (masks >> j) & 1
+    bits = (masks[:, None] >> np.arange(k)) & 1 == 1
+    size = bits.sum(axis=1)
     plan = []
-    for s in range(2, k + 1):
-        prev = masks[size == s - 1]
-        lacks = (prev[:, None] >> np.arange(k)) & 1 == 0
-        rows, last = np.nonzero(lacks)
-        pred = prev[rows]
-        pred.setflags(write=False)
-        last.setflags(write=False)
-        plan.append((pred, last))
+    for r in range(1, k):
+        sets = masks[size == r]
+        members = np.nonzero(bits[sets])[1].reshape(-1, r).T
+        absent = np.nonzero(~bits[sets])[1].reshape(-1, k - r).T
+        fills = (absent << k) + (sets | (1 << absent))
+        layer = tuple(np.ascontiguousarray(a, dtype=np.int32)
+                      for a in (sets, members, absent, fills))
+        for a in layer:
+            a.setflags(write=False)
+        plan.append(layer)
     return tuple(plan)
 
 
@@ -82,129 +86,123 @@ def held_karp_min_times(jobs, scenarios, include_closing: bool = True) -> np.nda
     """Minimum sequencing time of the given 1-based job ids in each scenario.
 
     The minimum over all orderings of t(first) + sum of (setup + exec),
-    plus the closing setup to the dummy job when asked.  ``f[S, j]`` is the cheapest
-    ordering of subset S that ends in j, filled by subset size for a chunk
-    of scenarios at a time with numpy.
+    plus the closing setup to the dummy job when asked.  ``f[S, j]`` is the
+    cheapest ordering of subset S that ends in j, min over i in S - j of
+    (f[S - j, i] + d[i, j]), plus t[j]; it is filled by subset size for a
+    chunk of scenarios at a time with numpy, reading only the members of
+    each predecessor set.
     """
     idx = _job_ids(jobs, scenarios)
     k = len(idx)
     out = np.zeros(len(scenarios))
     if k == 0:
         return out
-    full = (1 << k) - 1
+    n = 1 << k
     plan = _hk_plan(k)
-    chunk = max(1, HK_CHUNK_CELLS // ((full + 1) * k))
+    chunk = max(1, HK_CHUNK_CELLS // (n * k))
     for lo in range(0, len(scenarios), chunk):
         part = scenarios[lo:lo + chunk]
-        # two (block, W, k) temporaries per step
-        block = max(1, HK_CHUNK_CELLS // (2 * len(part) * k))
-        # f[S, w, j]; t[j, w]; d_in[j, w, i] = setup from i to j.  The
-        # predecessor axis i is last, so the min reduces contiguous memory.
-        t = np.stack([sc.exec[idx - 1] for sc in part], axis=-1)
-        d_in = np.stack([sc.setup[np.ix_(idx, idx)].T for sc in part], axis=1)
-        f = np.full((full + 1, len(part), k), np.inf)
-        f[1 << np.arange(k), :, np.arange(k)] = t
-        for pred, last in plan:
-            for a in range(0, len(pred), block):
-                p, j = pred[a:a + block], last[a:a + block]
-                g = f[p]
-                g += d_in[j]
-                f[p | (1 << j), :, j] = g.min(axis=2) + t[j]
-        best = f[full]
+        # f[w, j 2^k + S]; t[w, j]; d[w, i k + j] = setup from i to j.  The
+        # set axis is last, so every step runs over long contiguous rows.
+        t = np.stack([sc.exec[idx - 1] for sc in part])
+        d = np.stack([sc.setup[np.ix_(idx, idx)] for sc in part]).reshape(len(part), -1)
+        f = np.full((len(part), k * n), np.inf)
+        f[:, np.arange(k) * n + (1 << np.arange(k))] = t
+        for sets, members, absent, fills in plan:
+            r = len(members)
+            # g and its index array, at most (W, r, k - r, block) cells each
+            block = max(1, HK_CHUNK_CELLS // (2 * len(part) * r * (k - r)))
+            for a in range(0, len(sets), block):
+                i, j = members[:, a:a + block], absent[:, a:a + block]
+                g = (f.take((i << k) + sets[a:a + block], axis=1)[:, :, None]
+                     + d.take((i * k)[:, None] + j, axis=1))
+                best = g.min(axis=1)
+                best += t.take(j, axis=1)
+                f[:, fills[:, a:a + block]] = best
+        best = f[:, n - 1::n]
         if include_closing:
             best = best + np.stack([sc.setup[idx, 0] for sc in part])
         out[lo:lo + len(part)] = best.min(axis=1)
     return out
 
 
-def _nearest_neighbour(t, d, close) -> tuple[np.ndarray, np.ndarray]:
-    """Best nearest-neighbour order and its time with the closing setup in
-    each of C columns of k jobs, given t[c, j], the setup d[c, i, j] from
-    local job i to j and close[c, j] from j to the dummy.  Orders hold
-    local job indices.
+def _walk(t, d, close, starts, cols) -> np.ndarray:
+    """Time of each walker's nearest-neighbour schedule over C columns of k
+    jobs, given t[c, j], the setup d[c, i, j] from local job i to j and
+    close[c, j] from j to the dummy: walker i starts at local job
+    ``starts[i]`` in column ``cols[i]``.
 
-    One walker per (start, column) moves to the unvisited job of least
-    setup from the current one, the lowest index on ties; per column the
-    fastest of its k walkers is kept.  A walker's time is summed in
-    schedule order: t(first), then += setup + exec per step, then the
-    closing setup.  Columns go through in chunks whose (k, C, k) walker
-    arrays fit ``HK_CHUNK_CELLS``.  Returns (orders, times) of shapes
-    (C, k) and (C,).
+    A walker moves to the unvisited job of least setup from the current
+    one, the lowest index on ties, and its time is summed in schedule
+    order: t(first), then += (setup + exec) per step, then the closing
+    setup.  So its path and time depend on no other walker.  Every gather
+    is a flat ``take``, and the walkers go through in chunks whose
+    (walker, k) arrays fit ``HK_CHUNK_CELLS``.
     """
-    n_cols, k = t.shape
-    orders = np.zeros((n_cols, k), dtype=np.intp)
-    times = np.zeros(n_cols)
-    chunk = max(1, HK_CHUNK_CELLS // (k * k))
-    start = np.arange(k)[:, None]
-    for lo in range(0, n_cols, chunk):
-        hi = min(n_cols, lo + chunk)
-        tc, dc, cc = t[lo:hi], d[lo:hi], close[lo:hi]
-        w = np.arange(hi - lo)
-        cur = np.broadcast_to(start, (k, hi - lo))
-        path = np.empty((k, hi - lo, k), dtype=np.intp)
-        path[:, :, 0] = cur
-        total = tc[w, cur]
-        barred = np.zeros((k, hi - lo, k))  # inf where a walker has been
-        barred[start, w, cur] = np.inf
-        for step in range(1, k):
-            prev, cur = cur, (dc[w, cur] + barred).argmin(axis=2)
-            total += dc[w, prev, cur] + tc[w, cur]
-            barred[start, w, cur] = np.inf
-            path[:, :, step] = cur
-        total += cc[w, cur]
-        best = total.argmin(axis=0)
-        orders[lo:hi] = path[best, w]
-        times[lo:hi] = total[best, w]
-    return orders, times
+    k = t.shape[1]
+    rows = d.reshape(-1, k)  # row c k + i is d[c, i]
+    move = (d + t[:, None, :]).ravel()  # setup + exec, as each step adds it
+    t, close = t.ravel(), close.ravel()
+    times = np.empty(len(starts))
+    chunk = max(1, HK_CHUNK_CELLS // k)
+    for lo in range(0, len(starts), chunk):
+        cur = starts[lo:lo + chunk]
+        base = cols[lo:lo + chunk] * k
+        own = np.arange(len(cur)) * k
+        barred = np.zeros((len(cur), k))  # inf where a walker has been
+        np.put(barred, own + cur, np.inf)
+        at = base + cur
+        total = t.take(at)
+        for _ in range(1, k):
+            step = rows.take(at, axis=0)
+            step += barred
+            cur = step.argmin(axis=1)
+            total += move.take(at * k + cur)
+            np.put(barred, own + cur, np.inf)
+            at = base + cur
+        total += close.take(at)
+        times[lo:lo + chunk] = total
+    return times
 
 
-def witness_schedules(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
-    """Best nearest-neighbour order of the given 1-based job ids in each
-    scenario, and its time with the closing setup.
-
-    From every start job the order moves to the unvisited job of least
-    setup from the current one, the lowest job id on ties; per scenario the
-    fastest of these k orders is kept.  Its time is summed in schedule
-    order: t(first), then += setup + exec per step, then the closing
-    setup.  So a witness time is bitwise the time a brute-force sum over
-    that permutation gives, and an upper bound on the minimum.
-    Returns (orders, times) of shapes (W, k) and (W,).
-    """
-    idx = _job_ids(jobs, scenarios)
-    if len(idx) == 0 or len(scenarios) == 0:
-        orders = np.zeros((len(scenarios), len(idx)), dtype=np.intp)
-        return orders, np.zeros(len(scenarios))
-    local, times = _nearest_neighbour(
-        np.stack([sc.exec[idx - 1] for sc in scenarios]),
-        np.stack([sc.setup[np.ix_(idx, idx)] for sc in scenarios]),
-        np.stack([sc.setup[idx, 0] for sc in scenarios]),
-    )
-    return idx[local], times
-
-
-def machine_witness_times(inst: Instance, cand: Candidate, scenarios) -> np.ndarray:
-    """The witness time of every machine of ``cand`` in each of the given
+def machine_witness_times(inst: Instance, cand: Candidate, scenarios,
+                          limit: float) -> np.ndarray:
+    """A witness time of every machine of ``cand`` in each of the given
     scenario indices, shape (M, len(scenarios)); an empty machine's is 0.
 
-    Each is bitwise the time ``witness_schedules`` gives the machine's jobs
-    in that scenario.  The machines of one job count go through one walk:
-    every (machine, scenario) column of the group is gathered from
+    Each (machine, scenario) column first walks one start, the job of
+    largest closing setup (the lowest id on ties), and keeps that time if
+    it is <= ``limit``.  Every other column walks from all k start jobs and
+    takes the best.  As a walker's time does not depend on the other
+    walkers, a kept column's best is <= ``limit`` too, so ``time <= limit``
+    is the all-starts verdict (unless a walker through a NaN time makes the
+    best NaN); with a limit of -inf every time is the best.
+
+    The machines of one job count go through the same walks: every
+    (machine, scenario) column of the group is gathered from
     ``Instance.scenario_stack`` at once, which takes at most as many cells
     as the stack's setup times, since the group's machines hold distinct
     jobs."""
     exec_, setup = inst.scenario_stack
-    w = np.asarray(scenarios, dtype=np.intp)[None, :, None]
-    out = np.zeros((inst.n_machines, w.shape[1]))
+    n_sc = exec_.shape[1]
+    w = np.asarray(scenarios, dtype=np.intp)[:, None]
+    out = np.zeros((inst.n_machines, len(w)))
     counts = cand.x.sum(axis=0)
     for k in sorted(set(counts[counts > 0].tolist())):
         machines = np.flatnonzero(counts == k)
-        rows = np.stack([cand.machine_jobs(m) for m in machines])[:, None, :]
-        # (machine, scenario, job) cells, or (..., job, job) for setups
-        _, times = _nearest_neighbour(
-            exec_[rows, w].reshape(-1, k),
-            setup[rows[..., None], rows[..., None, :], w[..., None]].reshape(-1, k, k),
-            setup[rows, 0, w].reshape(-1, k),
-        )
+        jobs = np.nonzero(cand.x[:, machines].T)[1].reshape(-1, 1, k) + 1
+        # flat stack cells of (machine, scenario, job), or (..., job, job)
+        # for setups; ``row`` is each job's closing setup, setup[job, 0, w]
+        row = jobs * (len(setup) * n_sc) + w
+        t = exec_.take(jobs * n_sc + w).reshape(-1, k)
+        d = setup.take(row[..., None] + (jobs * n_sc)[..., None, :]).reshape(-1, k, k)
+        close = setup.take(row).reshape(-1, k)
+        times = _walk(t, d, close, close.argmax(axis=1), np.arange(len(t)))
+        left = np.flatnonzero(~(times <= limit))  # NaN walks on
+        if len(left):
+            every = _walk(t, d, close, np.repeat(np.arange(k), len(left)),
+                          np.tile(left, k)).reshape(k, -1)
+            times[left] = every[every.argmin(axis=0), np.arange(len(left))]
         out[machines] = times.reshape(len(machines), -1)
     return out
 
@@ -214,12 +212,12 @@ def verify_candidate(inst: Instance, cand: Candidate) -> list[str]:
 
     x must be an n x M and z a length-W array of 0/1 entries; otherwise
     only those problems are reported.  Every (machine, claimed scenario)
-    pair is first tried on its witness schedule, one walk per machine size
-    (``machine_witness_times``), and a pair whose witness time is
-    <= T + TOL is proven feasible by that schedule.  The pairs left are
-    timed exactly with the Held-Karp DP, one call per machine, and a
-    minimum above T + TOL is a violation, reported in (machine, scenario)
-    order.  Both run at any capacity."""
+    pair is first tried on its witness schedules (``machine_witness_times``:
+    one start per pair, then all starts on the pairs left), and a pair with
+    a witness time <= T + TOL is proven feasible by that schedule.  The
+    pairs left are timed exactly with the Held-Karp DP, one call per
+    machine, and a minimum above T + TOL is a violation, reported in
+    (machine, scenario) order.  Both run at any capacity."""
     x, z = cand.x, cand.z
     problems = []
     if x.shape != (inst.n_jobs, inst.n_machines):
@@ -241,12 +239,13 @@ def verify_candidate(inst: Instance, cand: Candidate) -> list[str]:
         problems.append("chance constraint violated")
     active = np.flatnonzero(z)
     limit = inst.time_limit + TOL
-    witness = machine_witness_times(inst, cand, active)
-    for m in range(inst.n_machines):
+    witness = machine_witness_times(inst, cand, active, limit)
+    unproven = ~(witness <= limit)  # NaN goes to Held-Karp
+    for m in np.flatnonzero(unproven.any(axis=1)).tolist():
         jobs = cand.machine_jobs(m)
-        rest = np.flatnonzero(~(witness[m] <= limit))  # NaN goes to Held-Karp
-        if len(jobs) == 0 or len(rest) == 0:  # the Held-Karp plan is 2^k-sized
+        if len(jobs) == 0:  # the Held-Karp plan is 2^k-sized
             continue
+        rest = np.flatnonzero(unproven[m])
         times = held_karp_min_times(jobs, [inst.scenarios[w] for w in active[rest]])
         for w, t in zip(active[rest], times):
             if t > limit:

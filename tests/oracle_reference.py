@@ -9,9 +9,11 @@ with the diagrams or with ``ccpmsp.oracle``.
 
 ``per_machine_verify`` is the exception: the verification loop that
 ``ccpmsp.oracle.verify_candidate`` batches, one machine and one stacked
-scenario at a time (``per_machine_witness``).  It times the pairs no
-witness fits with ``ccpmsp.oracle.held_karp_min_times``, so its messages
-must match the batched ones character for character.
+scenario at a time, with every start walked (``per_machine_witness``).
+It times the pairs no witness fits with
+``ccpmsp.oracle.held_karp_min_times``, so its messages must match the
+batched ones character for character; ``loop_held_karp`` is the plain-loop
+program that one must equal bitwise.
 
 Closing-setup convention, as in ``ccpmsp.oracle``: a strict subset of the
 evaluated universe is timed without the final setup back to the dummy job,
@@ -189,16 +191,19 @@ def brute_optimal(inst: Instance, limits: OracleLimits = DEFAULT_LIMITS):
     return cand, float(best_obj)
 
 
-def per_machine_witness(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
-    """Best nearest-neighbour order of the sorted 1-based ``jobs`` in each
-    scenario and its time with the closing setup, each scenario's times
-    stacked on its own, one walker per (start, scenario)."""
+def per_machine_walks(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
+    """Every nearest-neighbour walk of the sorted 1-based ``jobs`` in each
+    scenario, one walker per (start, scenario), each scenario's times
+    stacked on its own: the 1-based orders, shape (k, W, k), and the times
+    with the closing setup, shape (k, W), both indexed by start position.
+    A walker moves to the unvisited job of least setup, the lowest id on
+    ties, and sums t(first), then setup + exec per step, then the closing
+    setup."""
     idx = np.asarray(sorted(jobs), dtype=np.intp)
     k = len(idx)
-    orders = np.zeros((len(scenarios), k), dtype=np.intp)
-    times = np.zeros(len(scenarios))
     if k == 0 or not scenarios:
-        return orders, times
+        return (np.zeros((k, len(scenarios), k), dtype=np.intp),
+                np.zeros((k, len(scenarios))))
     w = np.arange(len(scenarios))
     start = np.arange(k)[:, None]
     t = np.stack([sc.exec[idx - 1] for sc in scenarios])
@@ -216,8 +221,47 @@ def per_machine_witness(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
         barred[start, w, cur] = np.inf
         path[:, :, step] = cur
     total += close[w, cur]
-    best = total.argmin(axis=0)
-    return idx[path[best, w]], total[best, w]
+    return idx[path], total
+
+
+def per_machine_witness(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
+    """Best nearest-neighbour order of the sorted 1-based ``jobs`` in each
+    scenario and its time with the closing setup, the fastest of the k
+    walks of ``per_machine_walks``; an empty job set takes 0."""
+    orders, times = per_machine_walks(jobs, scenarios)
+    if len(orders) == 0:
+        return np.zeros((len(scenarios), 0), dtype=np.intp), np.zeros(len(scenarios))
+    best = times.argmin(axis=0)
+    w = np.arange(len(scenarios))
+    return orders[best, w], times[best, w]
+
+
+def loop_held_karp(jobs, scenarios, include_closing: bool = True) -> np.ndarray:
+    """``ccpmsp.oracle.held_karp_min_times`` with plain loops, one scenario
+    and one (set, last job) at a time: f[S, j] is the min over i in S - j
+    of (f[S - j, i] + d[i, j]), plus t[j], and the answer the min over j of
+    f[full, j], plus the closing setup when asked.  The additions are those
+    of the batched program in the same order, and a min of finite values
+    is exact in any order, so the two agree bitwise on finite times."""
+    idx = sorted(jobs)
+    k = len(idx)
+    out = np.zeros(len(scenarios))
+    if k == 0:
+        return out
+    full = (1 << k) - 1
+    for w, sc in enumerate(scenarios):
+        t = [float(sc.exec[j - 1]) for j in idx]
+        d = [[float(sc.setup[a, b]) for b in idx] for a in idx]
+        f = {(1 << j, j): t[j] for j in range(k)}
+        for s in range(1, full + 1):  # S - j < S, so it is filled first
+            for j in range(k):
+                pred = s & ~(1 << j)
+                if s >> j & 1 and pred:
+                    f[s, j] = min(f[pred, i] + d[i][j]
+                                  for i in range(k) if pred >> i & 1) + t[j]
+        out[w] = min(f[full, j] + float(sc.setup[idx[j], 0]) if include_closing
+                     else f[full, j] for j in range(k))
+    return out
 
 
 def per_machine_verify(inst: Instance, cand: Candidate) -> list[str]:

@@ -1,5 +1,6 @@
 import ast
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,14 +19,16 @@ from ccpmsp.model import (
     candidate_objective,
     chance_satisfied,
 )
-from ccpmsp.oracle import held_karp_min_times, verify_candidate, witness_schedules
+from ccpmsp.oracle import held_karp_min_times, machine_witness_times, verify_candidate
 from conftest import B10_CONFIG, overloaded_b10_x, random_scenario
 from oracle_reference import (
     OracleLimits,
     brute_iis,
     brute_min_time,
     brute_optimal,
+    loop_held_karp,
     per_machine_verify,
+    per_machine_walks,
     per_machine_witness,
 )
 
@@ -186,11 +189,51 @@ def test_held_karp_scenario_chunks_agree():
     jobs = list(range(2, 12))
     per_chunk = oracle.HK_CHUNK_CELLS // ((1 << 10) * 10)
     assert 1 < per_chunk < len(scenarios)
-    widest_layer = max(len(pred) for pred, _ in oracle._hk_plan(10))
-    assert oracle.HK_CHUNK_CELLS // (2 * per_chunk * 10) < widest_layer
+    assert any(oracle.HK_CHUNK_CELLS // (2 * per_chunk * len(members) * len(absent))
+               < len(sets) for sets, members, absent, _ in oracle._hk_plan(10))
     together = held_karp_min_times(jobs, scenarios)
     alone = [held_karp_min_times(jobs, [sc])[0] for sc in scenarios]
     assert together.tolist() == alone
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_held_karp_is_the_plain_loop_bitwise(k):
+    rng = np.random.default_rng(100 + k)
+    for n_scenarios in range(1, 5):
+        scenarios = [asymmetric_scenario(rng, k + 2) for _ in range(n_scenarios)]
+        jobs = sorted(rng.choice(np.arange(1, k + 3), size=k, replace=False).tolist())
+        for include_closing in (True, False):
+            got = held_karp_min_times(jobs, scenarios, include_closing)
+            want = loop_held_karp(jobs, scenarios, include_closing)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_held_karp_in_small_chunks_and_blocks_is_the_plain_loop(monkeypatch):
+    # with 64 cells every scenario is a chunk of its own and the wide
+    # layers split into several blocks
+    monkeypatch.setattr(oracle, "HK_CHUNK_CELLS", 64)
+    rng = np.random.default_rng(17)
+    for k in range(1, 9):
+        if k >= 5:
+            assert any(len(sets) > 64 // (2 * len(members) * len(absent))
+                       for sets, members, absent, _ in oracle._hk_plan(k))
+        scenarios = [asymmetric_scenario(rng, k + 1) for _ in range(3)]
+        jobs = list(range(2, k + 2))
+        for include_closing in (True, False):
+            got = held_karp_min_times(jobs, scenarios, include_closing)
+            want = loop_held_karp(jobs, scenarios, include_closing)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_held_karp_plan_stays_small():
+    # each layer lists every predecessor set once, with its members and
+    # the jobs it lacks: (1.5 k + 1) 2^k int32 entries or so, no k^2 2^k
+    for k in range(1, 13):
+        plan = oracle._hk_plan(k)
+        entries = sum(a.size for layer in plan for a in layer)
+        assert entries <= (1.5 * k + 1) * (1 << k)
+        assert all(a.dtype == np.int32 and not a.flags.writeable
+                   for layer in plan for a in layer)
 
 
 def test_held_karp_shares_no_code_with_the_diagrams():
@@ -211,6 +254,25 @@ def test_verify_reports_sequencing_violation_at_b10():
     problems = verify_candidate(inst, cand)
     assert any(p.startswith("machine 0 infeasible in scenario 0") for p in problems)
     assert all("infeasible in scenario" in p for p in problems)
+
+
+def one_machine(jobs, scenarios):
+    """An instance over ``scenarios`` and a candidate that puts ``jobs`` on
+    its one machine and claims every scenario."""
+    n = scenarios[0].n_jobs
+    inst = Instance(n_jobs=n, n_machines=1, capacity=max(1, len(jobs)),
+                    time_limit=1.0, epsilon=0.5, utilities=np.ones(n),
+                    scenarios=scenarios)
+    x = np.zeros((n, 1))
+    x[np.asarray(jobs, dtype=np.intp) - 1, 0] = 1
+    return inst, Candidate(x=x, z=np.ones(len(scenarios)))
+
+
+def witness_times(jobs, scenarios):
+    """``machine_witness_times`` of ``jobs`` on one machine, every start
+    walked, in each of ``scenarios``."""
+    inst, cand = one_machine(jobs, scenarios)
+    return machine_witness_times(inst, cand, np.arange(len(scenarios)), -np.inf)[0]
 
 
 def running_sum(perm, sc):
@@ -240,9 +302,10 @@ def test_witness_time_is_the_brute_force_sum_of_its_order(case, ties):
     if ties:  # integer setups, so nearest-neighbour steps tie often
         scenarios = [Scenario(exec=sc.exec, setup=np.round(sc.setup * ties))
                      for sc in scenarios]
-    orders, times = witness_schedules(jobs, scenarios)
+    orders, times = per_machine_witness(jobs, scenarios)
     assert orders.shape == (len(scenarios), len(jobs))
     assert times.shape == (len(scenarios),)
+    assert witness_times(jobs, scenarios).tobytes() == times.tobytes()
     for order, time, sc in zip(orders.tolist(), times, scenarios):
         if not jobs:
             assert time == 0.0
@@ -265,9 +328,10 @@ def test_witness_time_equals_brute_force_on_a_forced_chain():
         setup[a, b] = rng.uniform(0.0, 0.1)
     np.fill_diagonal(setup, 0.0)
     sc = Scenario(exec=rng.uniform(0.1, 1.0, size=n), setup=setup)
-    orders, times = witness_schedules(range(1, n + 1), [sc])
+    orders, times = per_machine_witness(range(1, n + 1), [sc])
     assert orders[0].tolist() == chain
     assert times[0] == brute_min_time(range(1, n + 1), sc, True)
+    assert witness_times(range(1, n + 1), [sc]).tolist() == times.tolist()
 
 
 def trap_instance(time_limit):
@@ -303,7 +367,7 @@ def held_karp_spy(monkeypatch):
 def test_verify_falls_back_to_held_karp_where_no_witness_fits(held_karp_spy):
     inst = trap_instance(8.0)
     trap = inst.scenarios[0]
-    assert witness_schedules([1, 2, 3], inst.scenarios)[1].tolist() == [14.0, 6.0]
+    assert witness_times([1, 2, 3], inst.scenarios).tolist() == [14.0, 6.0]
     assert brute_min_time([1, 2, 3], trap, True) == 8.0
     cand = Candidate(x=np.ones((3, 1)), z=np.ones(2))
     assert verify_candidate(inst, cand) == []
@@ -332,31 +396,29 @@ def test_verify_skips_held_karp_when_every_witness_fits(held_karp_spy):
 
 
 def test_witness_scenario_chunks_agree():
-    # at k = 10, 400 scenarios span two chunks; each scenario's witness
-    # must not depend on its chunk
+    # at k = 10, the 4000 walkers of 400 scenarios span two chunks; each
+    # scenario's witness must not depend on its chunk
     rng = np.random.default_rng(5)
     scenarios = [asymmetric_scenario(rng, 11) for _ in range(400)]
     jobs = list(range(2, 12))
-    per_chunk = oracle.HK_CHUNK_CELLS // (10 * 10)
-    assert 1 < per_chunk < len(scenarios)
-    orders, times = witness_schedules(jobs, scenarios)
-    for w, sc in enumerate(scenarios):
-        order, time = witness_schedules(jobs, [sc])
-        assert orders[w].tolist() == order[0].tolist()
-        assert times[w] == time[0]
+    per_chunk = oracle.HK_CHUNK_CELLS // 10
+    assert len(scenarios) < per_chunk < 10 * len(scenarios)
+    times = witness_times(jobs, scenarios)
+    assert times.tobytes() == per_machine_witness(jobs, scenarios)[1].tobytes()
+    for w, sc in enumerate(scenarios[::7]):
+        assert times[7 * w] == witness_times(jobs, [sc])[0]
 
 
 def test_witness_edges(uniform_scenario, held_karp_spy):
-    orders, times = witness_schedules([1, 2], [])
-    assert orders.shape == (0, 2) and times.shape == (0,)
-    orders, times = witness_schedules([], [uniform_scenario])
+    inst, cand = one_machine([1, 2], [uniform_scenario])
+    assert machine_witness_times(inst, cand, [], -np.inf).shape == (1, 0)
+    assert witness_times([], [uniform_scenario]).tolist() == [0.0]
+    orders, times = per_machine_witness([], [uniform_scenario])
     assert orders.shape == (1, 0) and times.tolist() == [0.0]
-    for bad in ([1, 1], [0, 2], [4]):
-        with pytest.raises(StructuralError):
-            witness_schedules(bad, [uniform_scenario])
     # one job: its time plus the closing setup
-    orders, times = witness_schedules([2], [uniform_scenario])
+    orders, times = per_machine_witness([2], [uniform_scenario])
     assert orders.tolist() == [[2]] and times.tolist() == [7.0]
+    assert witness_times([2], [uniform_scenario]).tolist() == [7.0]
 
     inst = Instance(
         n_jobs=3, n_machines=2, capacity=3, time_limit=5.0, epsilon=1.0,
@@ -469,7 +531,7 @@ def test_random_verify_cases_cover_every_kind_of_pair():
             jobs = cand.machine_jobs(m)
             if len(jobs) == 0:
                 continue
-            _, witness = witness_schedules(jobs, inst.scenarios)
+            _, witness = per_machine_witness(jobs, inst.scenarios)
             exact = held_karp_min_times(jobs, inst.scenarios)
             kinds.update(np.where(witness <= limit, "witness",
                                   np.where(exact <= limit, "held-karp",
@@ -522,14 +584,90 @@ def test_batched_verify_matches_the_per_machine_loop(seed, scale, nan):
 def test_batched_witnesses_are_witness_schedules_bitwise(seed, nan):
     inst, cand = batched_verify_case(seed, 1.0, nan)
     every = np.arange(inst.n_scenarios)
-    got = oracle.machine_witness_times(inst, cand, every)
+    got = oracle.machine_witness_times(inst, cand, every, -np.inf)
     assert got.shape == (inst.n_machines, inst.n_scenarios)
     for m in range(inst.n_machines):
         jobs = cand.machine_jobs(m)
-        orders, times = witness_schedules(jobs, inst.scenarios)
-        ref_orders, ref_times = per_machine_witness(jobs, inst.scenarios)
-        assert orders.tolist() == ref_orders.tolist()
-        assert got[m].tobytes() == times.tobytes() == ref_times.tobytes()
+        ref_times = per_machine_witness(jobs, inst.scenarios)[1]
+        assert got[m].tobytes() == ref_times.tobytes()
+
+
+def first_walks(jobs, scenarios):
+    """Each scenario's walk from the job of largest closing setup (the
+    lowest id on ties), and the best of every start, from the reference."""
+    _, walks = per_machine_walks(jobs, scenarios)
+    first = np.stack([sc.setup[np.asarray(jobs, dtype=np.intp), 0]
+                      for sc in scenarios]).argmax(axis=1)
+    return walks[first, np.arange(len(scenarios))], per_machine_witness(jobs, scenarios)[1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.7, 1.3), st.booleans())
+def test_one_walker_first_keeps_the_all_starts_verdict(seed, scale, nan):
+    # a column whose first walker fits keeps that walker's time, bitwise;
+    # every other column takes the best over all starts.  The verdicts agree
+    # wherever the best is a number: a walker through a NaN time makes the
+    # best NaN, while a finite first walk is a whole schedule that fits
+    inst, cand = batched_verify_case(seed, scale, nan)
+    limit = inst.time_limit + TOL
+    every = np.arange(inst.n_scenarios)
+    got = machine_witness_times(inst, cand, every, limit)
+    for m in np.flatnonzero(cand.x.sum(axis=0)):
+        first, best = first_walks(cand.machine_jobs(m), inst.scenarios)
+        kept = first <= limit
+        assert got[m][kept].tobytes() == first[kept].tobytes()
+        assert got[m][~kept].tobytes() == best[~kept].tobytes()
+        known = ~np.isnan(best)
+        assert np.array_equal((got[m] <= limit)[known], (best <= limit)[known])
+
+
+def tight_limits(inst, cand):
+    """Every time a pair of ``cand`` could be decided at: its first walk,
+    its best witness and its exact minimum, over the claimed scenarios."""
+    claimed = [inst.scenarios[w] for w in np.flatnonzero(cand.z)]
+    values = []
+    for m in np.flatnonzero(cand.x.sum(axis=0)):
+        jobs = cand.machine_jobs(m)
+        if claimed:
+            values += [*first_walks(jobs, claimed),
+                       held_karp_min_times(jobs, claimed)]
+    values = np.concatenate(values) if values else np.zeros(0)
+    return np.unique(values[np.isfinite(values)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 2**16),
+       st.integers(-2, 2))
+def test_batched_verify_at_a_tight_limit_matches_the_per_machine_loop(seed, nan, pick, ulps):
+    # T + TOL lands on, or a few ulps off, a time that decides a pair, so
+    # the first walk, the all-starts walk and Held-Karp each meet a limit
+    # they touch
+    inst, cand = batched_verify_case(seed, 1.0, nan)
+    values = tight_limits(inst, cand)
+    if len(values) == 0:
+        return
+    limit = values[pick % len(values)]
+    for _ in range(abs(ulps)):
+        limit = np.nextafter(limit, np.sign(ulps) * np.inf)
+    tight = replace(inst, time_limit=float(limit) - TOL)
+    assert verify_candidate(tight, cand) == per_machine_verify(tight, cand)
+
+
+def test_tight_limits_split_first_walk_from_all_starts():
+    # the property above sees pairs whose first walk fails but whose
+    # all-starts witness fits, and pairs Held-Karp decides
+    seen = set()
+    for seed in range(40):
+        inst, cand = batched_verify_case(seed, 1.0, seed % 2)
+        for limit in tight_limits(inst, cand):
+            tight = replace(inst, time_limit=float(limit) - TOL)
+            lim = tight.time_limit + TOL
+            for m in np.flatnonzero(cand.x.sum(axis=0)):
+                first, best = first_walks(cand.machine_jobs(m), inst.scenarios)
+                seen.update(np.where(first <= lim, "first",
+                                     np.where(best <= lim, "all starts",
+                                              "held-karp")).tolist())
+    assert seen == {"first", "all starts", "held-karp"}
 
 
 def test_batched_verify_cases_cover_every_shape():
@@ -548,7 +686,7 @@ def test_batched_verify_cases_cover_every_shape():
         limit = inst.time_limit + TOL
         for m in np.flatnonzero(sizes):
             jobs = cand.machine_jobs(m)
-            _, witness = witness_schedules(jobs, inst.scenarios)
+            _, witness = per_machine_witness(jobs, inst.scenarios)
             exact = held_karp_min_times(jobs, inst.scenarios)
             if np.isnan(witness).any():
                 seen.add("nan")
@@ -561,8 +699,8 @@ def test_batched_verify_cases_cover_every_shape():
 
 def test_batched_witness_chunks_split_a_machine():
     # two machines of 10 jobs in 200 scenarios are 400 columns of one
-    # group, so the walk's first chunk ends inside the second machine's
-    # columns; each time must not depend on its chunk
+    # group, whose 4000 walkers from every start span two chunks; each
+    # time must not depend on its chunk
     rng = np.random.default_rng(9)
     scenarios = [asymmetric_scenario(rng, 20) for _ in range(200)]
     inst = Instance(n_jobs=20, n_machines=2, capacity=10, time_limit=1.0,
@@ -570,10 +708,10 @@ def test_batched_witness_chunks_split_a_machine():
     x = np.zeros((20, 2))
     x[rng.permutation(20)[:10], 0] = 1
     x[:, 1] = 1 - x[:, 0]
-    per_chunk = oracle.HK_CHUNK_CELLS // (10 * 10)
-    assert len(scenarios) < per_chunk < 2 * len(scenarios)
+    per_chunk = oracle.HK_CHUNK_CELLS // 10
+    assert 2 * len(scenarios) < per_chunk < 20 * len(scenarios)
     got = oracle.machine_witness_times(inst, Candidate(x=x, z=np.ones(200)),
-                                       np.arange(200))
+                                       np.arange(200), -np.inf)
     for m in range(2):
-        want = witness_schedules(np.flatnonzero(x[:, m]) + 1, scenarios)[1]
+        want = per_machine_witness(np.flatnonzero(x[:, m]) + 1, scenarios)[1]
         assert got[m].tobytes() == want.tobytes()
