@@ -165,18 +165,17 @@ def _walk(t, d, close, starts, cols) -> np.ndarray:
     return times
 
 
-def machine_witness_times(inst: Instance, cand: Candidate, scenarios,
-                          limit: float) -> np.ndarray:
+def machine_witness_times(inst: Instance, cand: Candidate, scenarios) -> np.ndarray:
     """A witness time of every machine of ``cand`` in each of the given
     scenario indices, shape (M, len(scenarios)); an empty machine's is 0.
 
     Each (machine, scenario) column first walks one start, the job of
     largest closing setup (the lowest id on ties), and keeps that time if
-    it is <= ``limit``.  Every other column walks from all k start jobs and
+    it is <= T + TOL.  Every other column walks from all k start jobs and
     takes the best.  As a walker's time does not depend on the other
-    walkers, a kept column's best is <= ``limit`` too, so ``time <= limit``
+    walkers, a kept column's best is <= T + TOL too, so ``time <= T + TOL``
     is the all-starts verdict (unless a walker through a NaN time makes the
-    best NaN); with a limit of -inf every time is the best.
+    best NaN).
 
     The machines of one job count go through the same walks: every
     (machine, scenario) column of the group is gathered from
@@ -185,6 +184,7 @@ def machine_witness_times(inst: Instance, cand: Candidate, scenarios,
     jobs."""
     exec_, setup = inst.scenario_stack
     n_sc = exec_.shape[1]
+    limit = inst.time_limit + TOL
     w = np.asarray(scenarios, dtype=np.intp)[:, None]
     out = np.zeros((inst.n_machines, len(w)))
     counts = cand.x.sum(axis=0)
@@ -239,11 +239,11 @@ def verify_candidate(inst: Instance, cand: Candidate) -> list[str]:
         problems.append("chance constraint violated")
     active = np.flatnonzero(z)
     limit = inst.time_limit + TOL
-    witness = machine_witness_times(inst, cand, active, limit)
+    witness = machine_witness_times(inst, cand, active)
     unproven = ~(witness <= limit)  # NaN goes to Held-Karp
     for m in np.flatnonzero(unproven.any(axis=1)).tolist():
         jobs = cand.machine_jobs(m)
-        if len(jobs) == 0:  # the Held-Karp plan is 2^k-sized
+        if len(jobs) == 0:  # its witness time 0 fails only when T + TOL < 0
             continue
         rest = np.flatnonzero(unproven[m])
         times = held_karp_min_times(jobs, [inst.scenarios[w] for w in active[rest]])

@@ -268,11 +268,17 @@ def one_machine(jobs, scenarios):
     return inst, Candidate(x=x, z=np.ones(len(scenarios)))
 
 
+def every_start(inst):
+    """``inst`` at T = -inf, where no first walk fits, so that
+    ``machine_witness_times`` gives every column its best over all starts."""
+    return replace(inst, time_limit=-np.inf)
+
+
 def witness_times(jobs, scenarios):
     """``machine_witness_times`` of ``jobs`` on one machine, every start
     walked, in each of ``scenarios``."""
     inst, cand = one_machine(jobs, scenarios)
-    return machine_witness_times(inst, cand, np.arange(len(scenarios)), -np.inf)[0]
+    return machine_witness_times(every_start(inst), cand, np.arange(len(scenarios)))[0]
 
 
 def running_sum(perm, sc):
@@ -411,7 +417,7 @@ def test_witness_scenario_chunks_agree():
 
 def test_witness_edges(uniform_scenario, held_karp_spy):
     inst, cand = one_machine([1, 2], [uniform_scenario])
-    assert machine_witness_times(inst, cand, [], -np.inf).shape == (1, 0)
+    assert machine_witness_times(inst, cand, []).shape == (1, 0)
     assert witness_times([], [uniform_scenario]).tolist() == [0.0]
     orders, times = per_machine_witness([], [uniform_scenario])
     assert orders.shape == (1, 0) and times.tolist() == [0.0]
@@ -579,12 +585,30 @@ def test_batched_verify_matches_the_per_machine_loop(seed, scale, nan):
     assert verify_candidate(inst, cand) == per_machine_verify(inst, cand)
 
 
+def test_nan_self_setup_is_never_read(uniform_scenario):
+    # no schedule reads d[j, j], and Held-Karp does not either: a NaN there
+    # leaves the minimum of {1, 2, 3} at 14, so T = 13 is a violation.  The
+    # witness walk does step through it, so the pair goes to Held-Karp
+    setup = uniform_scenario.setup.copy()
+    setup[2, 2] = np.nan
+    sc = Scenario(exec=uniform_scenario.exec, setup=setup)
+    assert held_karp_min_times([1, 2, 3], [sc]).tolist() == [14.0]
+    inst, cand = one_machine([1, 2, 3], [sc])
+    assert np.isnan(machine_witness_times(inst, cand, [0])).all()
+    for T, problems in ((13.0, ["machine 0 infeasible in scenario 0: "
+                                "min time 14.000000 > T = 13.0"]),
+                        (14.0, [])):
+        tight = replace(inst, time_limit=T)
+        assert verify_candidate(tight, cand) == problems
+        assert per_machine_verify(tight, cand) == problems
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_batched_witnesses_are_witness_schedules_bitwise(seed, nan):
     inst, cand = batched_verify_case(seed, 1.0, nan)
     every = np.arange(inst.n_scenarios)
-    got = oracle.machine_witness_times(inst, cand, every, -np.inf)
+    got = oracle.machine_witness_times(every_start(inst), cand, every)
     assert got.shape == (inst.n_machines, inst.n_scenarios)
     for m in range(inst.n_machines):
         jobs = cand.machine_jobs(m)
@@ -611,7 +635,7 @@ def test_one_walker_first_keeps_the_all_starts_verdict(seed, scale, nan):
     inst, cand = batched_verify_case(seed, scale, nan)
     limit = inst.time_limit + TOL
     every = np.arange(inst.n_scenarios)
-    got = machine_witness_times(inst, cand, every, limit)
+    got = machine_witness_times(inst, cand, every)
     for m in np.flatnonzero(cand.x.sum(axis=0)):
         first, best = first_walks(cand.machine_jobs(m), inst.scenarios)
         kept = first <= limit
@@ -710,8 +734,8 @@ def test_batched_witness_chunks_split_a_machine():
     x[:, 1] = 1 - x[:, 0]
     per_chunk = oracle.HK_CHUNK_CELLS // 10
     assert 2 * len(scenarios) < per_chunk < 20 * len(scenarios)
-    got = oracle.machine_witness_times(inst, Candidate(x=x, z=np.ones(200)),
-                                       np.arange(200), -np.inf)
+    got = oracle.machine_witness_times(every_start(inst), Candidate(x=x, z=np.ones(200)),
+                                       np.arange(200))
     for m in range(2):
         want = per_machine_witness(np.flatnonzero(x[:, m]) + 1, scenarios)[1]
         assert got[m].tobytes() == want.tobytes()
