@@ -41,19 +41,22 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 LIMIT = "limit"
 
-# Entries of each of the search's job-set memos before it is
-# emptied: the fail memo (the scenarios a set forces to zero, its prefixes'
-# rows included) and the relaxation memo (the scenarios whose relaxation row
-# the set violates on its own, and the set's load), both local to one
-# solve.  Instances of 12-22 jobs stay below 1000 entries, but a minute on
-# 30 jobs visits about 500k distinct job sets: unbounded, a memo then held
-# about 130 MB; at this size peak RSS stays below 50 MB.
+# Entries of each of the search's job-set memos before it is emptied: the
+# fail memo (the scenarios a set forces to zero, its prefixes' rows
+# included) and the relaxation memo's blocks (``LoadBlocks``), both local
+# to one solve.  Instances of 12-22 jobs stay below 1000 entries, but a
+# minute on 30 jobs visits about 500k distinct job sets: unbounded, a memo
+# then held about 130 MB; at this size peak RSS stays below 50 MB.
 FAIL_MEMO_MAX = 1 << 15
-# The relaxation memo's size in float64 cells (2 MB).  An entry costs its
-# load, one cell per scenario, plus about 32 cells (256 B) of array header,
-# tuple, int and dict slot, so the memo holds LOAD_MEMO_CELLS // (n_sc + 32)
-# entries, or FAIL_MEMO_MAX if fewer: near 2 MB at any number of scenarios.
+# The relaxation memo's size in float64 cells (2 MB).  A block costs its
+# loads, one cell per (child, scenario), plus about 6 cells (48 B) per
+# child for its bits, its list slot and its own bits' int, and 40 cells
+# (320 B) for the array header, integer, list, tuple and dict slot;
+# the memo is emptied before a block would take it past this size, so it
+# stays near 2 MB at any number of jobs and scenarios.
 LOAD_MEMO_CELLS = 1 << 18
+BLOCK_ROW_CELLS = 6
+BLOCK_CELLS = 40
 
 
 @dataclass
@@ -159,8 +162,73 @@ def successor_over(cost: np.ndarray, jobs, limit) -> np.ndarray:
 
 
 def scenario_bits(over: np.ndarray) -> int:
-    """A boolean per-scenario array as a bitmask, bit w for scenario w."""
+    """A boolean per-scenario array as a bitmask, bit w for scenario w; a
+    2-D array's rows follow one another, bit i n_sc + w for row i."""
     return int.from_bytes(np.packbits(over, bitorder="little").tobytes(), "little")
+
+
+class LoadBlocks:
+    """The search's relaxation memo, keyed by parent job set.
+
+    Jobs join a set in index order, so a set P can grow into P + j for
+    every j from ``P.bit_length()`` on.  The load of P + j is the load of P
+    plus j's row of ``relax`` (one row per job): the running sum of its
+    jobs' rows in index order, which is bitwise what numpy's axis-0 sum of
+    those rows gives whenever there are two or more scenarios.  P + j
+    violates its additive relaxation row in the scenarios where that load
+    exceeds ``limit``.  P's block holds both for all of its children at
+    once, made with one broadcast add, one comparison and one
+    ``packbits``: ``(loads, over, own)``, where ``loads[i]`` and bits
+    i * n_sc to (i + 1) * n_sc - 1 of the integer ``over`` belong to the
+    child of j = P.bit_length() + i.  ``own[i]`` is a slot for that child's
+    own relaxation bits, which the search fills on the child's first
+    fail-memo miss and which outlives the fail memo's clears.
+
+    Only blocks are held: a set's load is its row of its parent's block
+    or, where that block is gone, its running sum taken afresh with
+    ``cumsum``, so no kept row can pin an evicted block.  The memo is
+    emptied before it would hold more than ``FAIL_MEMO_MAX`` blocks or
+    ``LOAD_MEMO_CELLS`` cells, so one block is the most it can exceed the
+    cap by."""
+
+    def __init__(self, relax: np.ndarray, limit: float):
+        self.relax = relax
+        self.limit = limit
+        self.n_sc = relax.shape[1]
+        self.blocks: dict[int, tuple[np.ndarray, int, list]] = {}
+        self.cells = 0
+        self.max_blocks = FAIL_MEMO_MAX
+        self.max_cells = LOAD_MEMO_CELLS
+
+    def load(self, mask: int) -> np.ndarray:
+        """The load of the nonempty set ``mask``."""
+        j = mask.bit_length() - 1
+        parent = mask ^ 1 << j
+        block = self.blocks.get(parent)
+        if block is None:
+            jobs = [i for i in range(j + 1) if mask >> i & 1]
+            return self.relax[jobs].cumsum(axis=0)[-1]
+        return block[0][j - parent.bit_length()]
+
+    def block(self, parent: int) -> tuple[np.ndarray, int, list]:
+        """Make ``parent``'s block and hold it."""
+        loads = self.relax[parent.bit_length():]
+        if parent:
+            loads = self.load(parent) + loads
+        block = loads, scenario_bits(loads > self.limit), [None] * len(loads)
+        cells = loads.size + len(loads) * BLOCK_ROW_CELLS + BLOCK_CELLS
+        if (len(self.blocks) >= self.max_blocks
+                or self.cells + cells > self.max_cells):
+            self.blocks.clear()
+            self.cells = 0
+        self.blocks[parent] = block
+        self.cells += cells
+        return block
+
+    def additive(self, block: tuple[np.ndarray, int, list], i: int) -> int:
+        """The scenarios whose additive row child i of ``block`` violates,
+        as a bitmask."""
+        return block[1] >> i * self.n_sc & (1 << self.n_sc) - 1
 
 
 def flow_block(cuts, n_jobs: int):
@@ -252,10 +320,10 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
     succ = successor_costs(inst) if relax is not None else None
     # job-set mask -> bitmask of the scenarios that set forces to zero
     fail_memo: dict[int, int] = {}
-    # job-set mask -> (scenarios whose relaxation row the set violates on
-    # its own, the set's load), capped by the loads' cells
-    relax_memo: dict[int, tuple[int, np.ndarray]] = {}
-    relax_max = max(1, min(FAIL_MEMO_MAX, LOAD_MEMO_CELLS // (n_sc + 32)))
+    # parent job set -> the loads and relaxation bits of every set it may
+    # grow into (``LoadBlocks``)
+    memo = LoadBlocks(relax, T + TOL) if relax is not None else None
+    blocks = memo.blocks if memo is not None else None
     # job j -> {mask of a cut job set whose highest job is j: its cuts'
     # scenario bits}
     cuts_by_last: list[dict[int, int]] = [{} for _ in range(n)]
@@ -272,8 +340,8 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
         when jobs join.  A set that fills its machine also forces the
         scenarios its own successors bound above T (``successor_over``);
         that row is not additive, but the search never grows a full set,
-        so no larger set inherits it.  It is taken on a relaxation-memo
-        miss and kept in the set's entry.
+        so no larger set inherits it.  It is taken on the set's first miss
+        and kept in its slot of its parent's block (``LoadBlocks``).
 
         The rows are taken cheapest first: the parent's bits and the
         additive row, then the successor row while those bits stay within
@@ -281,40 +349,27 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
         entry, of either memo, may leave rows out only where the bits it
         holds with its parent's already exceed ``max_fail``.  Such a set
         is dead, and stays dead: rows only add bits, and its parent's bits
-        only grow as cuts arrive.  Its load is exact all the same.  The
-        search never enters a dead set, and sets grow only through sets
-        it entered, so a dead set is never a parent either.  The child
-        test ``(failed | new).bit_count() <= max_fail`` thus decides as
-        it would on the complete bits, and every set the search enters
-        holds complete bits.
-
-        The set's load is the load of the set without j, read from the
-        relaxation memo, plus j's row: the running sum of its jobs' rows
-        in index order, which is bitwise what numpy's axis-0 sum of those
-        rows gives (in order, row by row) whenever there are two or more
-        scenarios.  Where the memo has lost the smaller set, the running
-        sum is taken afresh (``cumsum``).  The memo's entries are capped
-        by ``LOAD_MEMO_CELLS``, so its memory stays near 2 MB whatever
-        the number of scenarios."""
+        only grow as cuts arrive.  The search never enters a dead set, and
+        sets grow only through sets it entered, so a dead set is never a
+        parent either.  The child test ``(failed | new).bit_count() <=
+        max_fail`` thus decides as it would on the complete bits, and
+        every set the search enters holds complete bits."""
         bits = parent
-        if relax is not None:
-            entry = relax_memo.get(mask)
-            if entry is None:
-                base = relax_memo.get(mask ^ 1 << j)
-                if base is None:
-                    load = relax[jobs_of(mask)].cumsum(axis=0)[-1]
-                else:
-                    load = base[1] + relax[j]
-                own = scenario_bits(load > T + TOL)
+        if memo is not None:
+            base = mask ^ 1 << j
+            block = blocks.get(base)
+            if block is None:
+                block = memo.block(base)
+            i = j - base.bit_length()
+            own = block[2][i]
+            if own is None:
+                own = memo.additive(block, i)
                 if (mask.bit_count() == B
                         and (parent | own).bit_count() <= max_fail):
                     own |= scenario_bits(successor_over(succ, jobs_of(mask),
                                                         T + TOL))
-                entry = own, load
-                if len(relax_memo) >= relax_max:
-                    relax_memo.clear()
-                relax_memo[mask] = entry
-            bits |= entry[0]
+                block[2][i] = own
+            bits |= own
         if bits.bit_count() <= max_fail:
             for cmask, wbits in cuts_by_last[j].items():
                 if cmask & mask == cmask:

@@ -216,8 +216,9 @@ def verify_candidate(inst: Instance, cand: Candidate) -> list[str]:
     one start per pair, then all starts on the pairs left), and a pair with
     a witness time <= T + TOL is proven feasible by that schedule.  The
     pairs left are timed exactly with the Held-Karp DP, one call per
-    machine, and a minimum above T + TOL is a violation, reported in
-    (machine, scenario) order.  Both run at any capacity."""
+    machine, and a minimum that is not <= T + TOL (above it, or NaN) is a
+    violation, reported in (machine, scenario) order.  Both run at any
+    capacity."""
     x, z = cand.x, cand.z
     problems = []
     if x.shape != (inst.n_jobs, inst.n_machines):
@@ -248,7 +249,7 @@ def verify_candidate(inst: Instance, cand: Candidate) -> list[str]:
         rest = np.flatnonzero(unproven[m])
         times = held_karp_min_times(jobs, [inst.scenarios[w] for w in active[rest]])
         for w, t in zip(active[rest], times):
-            if t > limit:
+            if not t <= limit:  # NaN is not proven either
                 problems.append(
                     f"machine {m} infeasible in scenario {w}: "
                     f"min time {t:.6f} > T = {inst.time_limit}"

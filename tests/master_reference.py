@@ -14,7 +14,9 @@ best objective over every binary vector that meets them, and ``resolve``
 re-solves a master after each cut batch of a lazy-cut hook, the way a MIP
 solver without lazy constraints would honour it.
 ``reference_load_coefficients`` and ``reference_utility_bounds`` are the
-master's set-up tables computed one scenario and one job at a time.
+master's set-up tables computed one scenario and one job at a time, and
+``running_load`` and ``load_bits`` a set's load and additive relaxation
+bits in plain loops.
 """
 
 from __future__ import annotations
@@ -72,6 +74,26 @@ def reference_utility_bounds(inst: Instance) -> list[list[float]]:
         bounds.append([top[min(full - used, n - j)]
                        for used in range(min(j, full) + 1)])
     return bounds
+
+
+def running_load(rows: np.ndarray, jobs) -> list[float]:
+    """The optimistic load of the 0-based ``jobs`` (ascending) in plain
+    Python floats: per scenario, their ``rows`` added one at a time in
+    index order, as ``master.LoadBlocks`` must give it."""
+    load = [float(v) for v in rows[jobs[0]]]
+    for j in jobs[1:]:
+        load = [a + float(b) for a, b in zip(load, rows[j])]
+    return load
+
+
+def load_bits(load, limit: float) -> int:
+    """The scenarios whose ``load`` exceeds ``limit``, bit w for scenario
+    w, one scenario at a time."""
+    bits = 0
+    for w, value in enumerate(load):
+        if value > limit:
+            bits |= 1 << w
+    return bits
 
 
 def successor_bound(sc: Scenario, jobs) -> float:

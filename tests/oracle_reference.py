@@ -9,7 +9,7 @@ with the diagrams or with ``ccpmsp.oracle``.
 
 ``per_machine_verify`` is the exception: the verification loop that
 ``ccpmsp.oracle.verify_candidate`` batches, one machine and one stacked
-scenario at a time, with every start walked (``per_machine_witness``).
+scenario at a time, with every start walked (``per_machine_walks``).
 It times the pairs no witness fits with
 ``ccpmsp.oracle.held_karp_min_times``, so its messages must match the
 batched ones character for character; ``loop_held_karp`` is the plain-loop
@@ -267,7 +267,8 @@ def loop_held_karp(jobs, scenarios, include_closing: bool = True) -> np.ndarray:
 def per_machine_verify(inst: Instance, cand: Candidate) -> list[str]:
     """``ccpmsp.oracle.verify_candidate`` one machine at a time: the
     structural checks, then per nonempty machine a witness per claimed
-    scenario and Held-Karp on the pairs no witness fits."""
+    scenario and Held-Karp on the pairs no witness fits, where a minimum
+    that is not <= T + TOL, NaN included, is a violation."""
     x, z = cand.x, cand.z
     problems = []
     if x.shape != (inst.n_jobs, inst.n_machines):
@@ -292,15 +293,21 @@ def per_machine_verify(inst: Instance, cand: Candidate) -> list[str]:
     limit = inst.time_limit + TOL
     for m in range(inst.n_machines):
         jobs = cand.machine_jobs(m)
-        if len(jobs) == 0:
+        if len(jobs) == 0 or not claimed:
             continue
+        # the batched loop's witnesses: the walk from the job of largest
+        # closing setup, which proves its pair by itself even where another
+        # start's walk reads a NaN time, then the best of every start
+        _, walks = per_machine_walks(jobs, claimed)
+        close = np.stack([sc.setup[np.asarray(sorted(jobs)), 0] for sc in claimed])
+        first = walks[close.argmax(axis=1), np.arange(len(claimed))]
         _, witness = per_machine_witness(jobs, claimed)
-        rest = np.flatnonzero(~(witness <= limit))
+        rest = np.flatnonzero(~((first <= limit) | (witness <= limit)))
         if len(rest) == 0:
             continue
         times = held_karp_min_times(jobs, [claimed[i] for i in rest])
         for w, t in zip(active[rest], times):
-            if t > limit:
+            if not t <= limit:
                 problems.append(
                     f"machine {m} infeasible in scenario {w}: "
                     f"min time {t:.6f} > T = {inst.time_limit}"

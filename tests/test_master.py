@@ -18,9 +18,11 @@ from master_reference import (
     check_rows,
     compute_big_m,
     iter_rows,
+    load_bits,
     reference_load_coefficients,
     reference_utility_bounds,
     resolve,
+    running_load,
 )
 from oracle_reference import brute_optimal
 
@@ -451,6 +453,92 @@ def test_loads_from_the_smaller_set_are_bitwise_the_row_sum(n_sc, n, data):
     want = relax[jobs].sum(axis=0).tobytes()
     assert load.tobytes() == want
     assert relax[jobs].cumsum(axis=0)[-1].tobytes() == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.just(1), st.integers(2, 64), st.integers(65, 200)),
+       st.integers(1, 40), st.integers(1, 4), st.data())
+def test_block_rows_are_bitwise_the_plain_loop(n_sc, n, max_blocks, data):
+    # job sets grown one job at a time, in index order, as the search grows
+    # them: each child's row of its parent's block, and its additive bits,
+    # must be the plain loop's running sum and bits, bitwise, whether the
+    # parent's load came from the grandparent's block or, where that block
+    # was evicted (a cap of a few blocks, or a drawn clear), from cumsum
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    coef = rng.random((n_sc, n)) * 10.0 ** rng.integers(-3, 4, (n_sc, n))
+    relax = np.ascontiguousarray(coef.T)
+    sets = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1),
+                              min_size=1, max_size=4))
+    # a limit some set's load meets exactly, or any limit up to the largest
+    ends = [v for jobs in map(sorted, sets) for v in running_load(relax, jobs)]
+    limit = data.draw(st.sampled_from(ends) | st.floats(0.0, max(ends)))
+    memo = master.LoadBlocks(relax, limit)
+    memo.max_blocks = max_blocks
+    for jobs in map(sorted, sets):
+        for r in range(1, len(jobs) + 1):
+            if data.draw(st.booleans()):
+                memo.blocks.clear()
+                memo.cells = 0
+            parent = jobs_mask(j + 1 for j in jobs[:r - 1])
+            block = memo.blocks.get(parent) or memo.block(parent)
+            i = jobs[r - 1] - parent.bit_length()
+            want = running_load(relax, jobs[:r])
+            assert block[0][i].tobytes() == np.array(want).tobytes()
+            assert memo.additive(block, i) == load_bits(want, limit)
+            assert memo.load(jobs_mask(j + 1 for j in jobs[:r])).tobytes() \
+                == np.array(want).tobytes()
+            assert len(memo.blocks) <= max_blocks
+
+
+@pytest.mark.parametrize("cells", [master.LOAD_MEMO_CELLS, 1 << 14])
+def test_relaxation_memo_stays_within_its_cells(monkeypatch, cells):
+    # a budgeted search on 30 jobs and 50 scenarios empties the memo again
+    # and again, and its count of cells may pass the cap by one block at
+    # most.  Right after a clear, the numpy memory the module's lines hold
+    # is the two set-up tables and the new block: a row kept past its
+    # block's eviction would pin the whole block
+    import tracemalloc
+
+    monkeypatch.setattr(master, "LOAD_MEMO_CELLS", cells)
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=30, n_machines=3,
+                                   n_scenarios=50, dif=-1.0, seed=1))
+    n, n_sc = inst.n_jobs, inst.n_scenarios
+    block_cells = n * (n_sc + master.BLOCK_ROW_CELLS) + master.BLOCK_CELLS
+    tables = n * n_sc + (n + 1) * n * n_sc  # relaxation rows, successor costs
+    memos, held = [], []
+
+    class Counted(master.LoadBlocks):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.clears = self.most = 0
+            memos.append(self)
+
+        def block(self, parent):
+            before = len(self.blocks)
+            got = super().block(parent)
+            self.most = max(self.most, self.cells)
+            if len(self.blocks) <= before:
+                self.clears += 1
+                if len(held) < 4:
+                    # numpy's buffers, allocated on a line of the module
+                    snap = tracemalloc.take_snapshot().filter_traces([
+                        tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain),
+                    ]).filter_traces([tracemalloc.Filter(True, master.__file__)])
+                    held.append(sum(s.size for s in snap.statistics("filename")))
+            return got
+
+    monkeypatch.setattr(master, "LoadBlocks", Counted)
+    tracemalloc.start()
+    try:
+        _, report = solve_ccpmsp(inst, SolveOptions(time_budget=2.0))
+    finally:
+        tracemalloc.stop()
+    assert report.status == master.LIMIT
+    (memo,) = memos
+    assert memo.clears >= 2 and len(held) == min(memo.clears, 4)
+    assert memo.most <= cells + block_cells
+    assert max(held) <= 8 * (tables + block_cells) + 64 * 1024
 
 
 def scripted_solves(*solutions):

@@ -603,6 +603,25 @@ def test_nan_self_setup_is_never_read(uniform_scenario):
         assert per_machine_verify(tight, cand) == problems
 
 
+def test_nan_time_on_a_loaded_machine_is_a_violation(uniform_scenario):
+    # every schedule of a set holding job 2 reads its NaN time, so neither a
+    # witness nor Held-Karp proves the pair, and a verifier reports what it
+    # cannot prove; with job 2 unassigned the NaN is never read
+    exec_ = uniform_scenario.exec.copy()
+    exec_[1] = np.nan
+    sc = Scenario(exec=exec_, setup=uniform_scenario.setup)
+    inst, cand = one_machine([1, 2, 3], [uniform_scenario, sc])
+    inst = replace(inst, time_limit=20.0)
+    assert inst.violations  # only a library call reaches it unvalidated
+    assert np.isnan(held_karp_min_times([1, 2, 3], [sc])).all()
+    want = ["machine 0 infeasible in scenario 1: min time nan > T = 20.0"]
+    assert verify_candidate(inst, cand) == want
+    assert per_machine_verify(inst, cand) == want
+    _, without = one_machine([1, 3], [uniform_scenario, sc])
+    assert verify_candidate(inst, without) == []
+    assert per_machine_verify(inst, without) == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_batched_witnesses_are_witness_schedules_bitwise(seed, nan):
