@@ -200,7 +200,6 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
     active = np.flatnonzero(cand.z)
     mod = VARIANT_MODULES[variant]
     exec_all, setup_all = inst.scenario_stack
-    n_sc = exec_all.shape[1]
     limit = inst.time_limit + TOL
     counts = np.count_nonzero(cand.x, axis=0)
     over = np.flatnonzero(counts > inst.capacity)
@@ -219,13 +218,10 @@ def check_candidate(inst: Instance, cand: Candidate, cache: DiagramCache,
         # column g: the dummy, then machines[g]'s jobs, in canonical order
         remaps = np.concatenate((np.zeros((1, len(machines)), np.intp), jobs.T))
         # column c holds the pair (machines[g], active[a]), g, a = divmod(c, A)
-        # for A = len(active); ``cell`` is the flat stack cell of the job in
-        # slot r of machines[g] in scenario active[a], or, offset by its
-        # predecessor's row, of the setup into that job
-        cell = remaps[:, :, None] * n_sc + active
-        t = exec_all.take(cell).reshape(k + 1, -1)
-        d = setup_all.take((remaps * (len(setup_all) * n_sc))[:, None, :, None]
-                           + cell).reshape(k + 1, k + 1, -1)
+        # for A = len(active)
+        t = exec_all[remaps[:, :, None], active].reshape(k + 1, -1)
+        d = setup_all[remaps[:, None, :, None], remaps[None, :, :, None],
+                      active].reshape(k + 1, k + 1, -1)
         if k >= CERTIFY_MIN_JOBS:
             sweep = np.flatnonzero(~schedule_fits(t, d, limit))
         else:

@@ -197,8 +197,6 @@ class LoadBlocks:
         self.n_sc = relax.shape[1]
         self.blocks: dict[int, tuple[np.ndarray, int, list]] = {}
         self.cells = 0
-        self.max_blocks = FAIL_MEMO_MAX
-        self.max_cells = LOAD_MEMO_CELLS
 
     def load(self, mask: int) -> np.ndarray:
         """The load of the nonempty set ``mask``."""
@@ -217,8 +215,8 @@ class LoadBlocks:
             loads = self.load(parent) + loads
         block = loads, scenario_bits(loads > self.limit), [None] * len(loads)
         cells = loads.size + len(loads) * BLOCK_ROW_CELLS + BLOCK_CELLS
-        if (len(self.blocks) >= self.max_blocks
-                or self.cells + cells > self.max_cells):
+        if (len(self.blocks) >= FAIL_MEMO_MAX
+                or self.cells + cells > LOAD_MEMO_CELLS):
             self.blocks.clear()
             self.cells = 0
         self.blocks[parent] = block

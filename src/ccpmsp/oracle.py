@@ -174,8 +174,9 @@ def machine_witness_times(inst: Instance, cand: Candidate, scenarios) -> np.ndar
     it is <= T + TOL.  Every other column walks from all k start jobs and
     takes the best.  As a walker's time does not depend on the other
     walkers, a kept column's best is <= T + TOL too, so ``time <= T + TOL``
-    is the all-starts verdict (unless a walker through a NaN time makes the
-    best NaN).
+    is the all-starts verdict.  The best skips a walker whose time is NaN:
+    it is NaN only where every walker's is, so a pair that some start's
+    walk fits is always proven.
 
     The machines of one job count go through the same walks: every
     (machine, scenario) column of the group is gathered from
@@ -202,7 +203,7 @@ def machine_witness_times(inst: Instance, cand: Candidate, scenarios) -> np.ndar
         if len(left):
             every = _walk(t, d, close, np.repeat(np.arange(k), len(left)),
                           np.tile(left, k)).reshape(k, -1)
-            times[left] = every[every.argmin(axis=0), np.arange(len(left))]
+            times[left] = np.fmin.reduce(every, axis=0)
         out[machines] = times.reshape(len(machines), -1)
     return out
 

@@ -227,11 +227,13 @@ def per_machine_walks(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
 def per_machine_witness(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
     """Best nearest-neighbour order of the sorted 1-based ``jobs`` in each
     scenario and its time with the closing setup, the fastest of the k
-    walks of ``per_machine_walks``; an empty job set takes 0."""
+    walks of ``per_machine_walks`` (the first of equal ones), where a walk
+    whose time is NaN counts only if every walk's is; an empty job set
+    takes 0."""
     orders, times = per_machine_walks(jobs, scenarios)
     if len(orders) == 0:
         return np.zeros((len(scenarios), 0), dtype=np.intp), np.zeros(len(scenarios))
-    best = times.argmin(axis=0)
+    best = times.argsort(axis=0, kind="stable")[0]  # NaN sorts last
     w = np.arange(len(scenarios))
     return orders[best, w], times[best, w]
 
@@ -293,16 +295,12 @@ def per_machine_verify(inst: Instance, cand: Candidate) -> list[str]:
     limit = inst.time_limit + TOL
     for m in range(inst.n_machines):
         jobs = cand.machine_jobs(m)
-        if len(jobs) == 0 or not claimed:
+        if len(jobs) == 0:
             continue
-        # the batched loop's witnesses: the walk from the job of largest
-        # closing setup, which proves its pair by itself even where another
-        # start's walk reads a NaN time, then the best of every start
+        # a pair is proven by any start's walk that fits, whatever the
+        # other walks read
         _, walks = per_machine_walks(jobs, claimed)
-        close = np.stack([sc.setup[np.asarray(sorted(jobs)), 0] for sc in claimed])
-        first = walks[close.argmax(axis=1), np.arange(len(claimed))]
-        _, witness = per_machine_witness(jobs, claimed)
-        rest = np.flatnonzero(~((first <= limit) | (witness <= limit)))
+        rest = np.flatnonzero(~(walks <= limit).any(axis=0))
         if len(rest) == 0:
             continue
         times = held_karp_min_times(jobs, [claimed[i] for i in rest])

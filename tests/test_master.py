@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -474,21 +475,21 @@ def test_block_rows_are_bitwise_the_plain_loop(n_sc, n, max_blocks, data):
     ends = [v for jobs in map(sorted, sets) for v in running_load(relax, jobs)]
     limit = data.draw(st.sampled_from(ends) | st.floats(0.0, max(ends)))
     memo = master.LoadBlocks(relax, limit)
-    memo.max_blocks = max_blocks
-    for jobs in map(sorted, sets):
-        for r in range(1, len(jobs) + 1):
-            if data.draw(st.booleans()):
-                memo.blocks.clear()
-                memo.cells = 0
-            parent = jobs_mask(j + 1 for j in jobs[:r - 1])
-            block = memo.blocks.get(parent) or memo.block(parent)
-            i = jobs[r - 1] - parent.bit_length()
-            want = running_load(relax, jobs[:r])
-            assert block[0][i].tobytes() == np.array(want).tobytes()
-            assert memo.additive(block, i) == load_bits(want, limit)
-            assert memo.load(jobs_mask(j + 1 for j in jobs[:r])).tobytes() \
-                == np.array(want).tobytes()
-            assert len(memo.blocks) <= max_blocks
+    with mock.patch.object(master, "FAIL_MEMO_MAX", max_blocks):
+        for jobs in map(sorted, sets):
+            for r in range(1, len(jobs) + 1):
+                if data.draw(st.booleans()):
+                    memo.blocks.clear()
+                    memo.cells = 0
+                parent = jobs_mask(j + 1 for j in jobs[:r - 1])
+                block = memo.blocks.get(parent) or memo.block(parent)
+                i = jobs[r - 1] - parent.bit_length()
+                want = running_load(relax, jobs[:r])
+                assert block[0][i].tobytes() == np.array(want).tobytes()
+                assert memo.additive(block, i) == load_bits(want, limit)
+                assert memo.load(jobs_mask(j + 1 for j in jobs[:r])).tobytes() \
+                    == np.array(want).tobytes()
+                assert len(memo.blocks) <= max_blocks
 
 
 @pytest.mark.parametrize("cells", [master.LOAD_MEMO_CELLS, 1 << 14])

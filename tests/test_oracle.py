@@ -587,14 +587,17 @@ def test_batched_verify_matches_the_per_machine_loop(seed, scale, nan):
 
 def test_nan_self_setup_is_never_read(uniform_scenario):
     # no schedule reads d[j, j], and Held-Karp does not either: a NaN there
-    # leaves the minimum of {1, 2, 3} at 14, so T = 13 is a violation.  The
-    # witness walk does step through it, so the pair goes to Held-Karp
+    # leaves the minimum of {1, 2, 3} at 14, so T = 13 is a violation.  A
+    # walker that leaves job 2 does step through it, so the first walk is
+    # NaN; the witness is the walk from job 3, which ends at job 2
     setup = uniform_scenario.setup.copy()
     setup[2, 2] = np.nan
     sc = Scenario(exec=uniform_scenario.exec, setup=setup)
     assert held_karp_min_times([1, 2, 3], [sc]).tolist() == [14.0]
     inst, cand = one_machine([1, 2, 3], [sc])
-    assert np.isnan(machine_witness_times(inst, cand, [0])).all()
+    _, walks = per_machine_walks([1, 2, 3], [sc])
+    assert np.isnan(walks[:2]).all() and walks[2].tolist() == [14.0]
+    assert machine_witness_times(inst, cand, [0]).tolist() == [[14.0]]
     for T, problems in ((13.0, ["machine 0 infeasible in scenario 0: "
                                 "min time 14.000000 > T = 13.0"]),
                         (14.0, [])):
@@ -620,6 +623,31 @@ def test_nan_time_on_a_loaded_machine_is_a_violation(uniform_scenario):
     _, without = one_machine([1, 3], [uniform_scenario, sc])
     assert verify_candidate(inst, without) == []
     assert per_machine_verify(inst, without) == []
+
+
+def test_a_later_start_that_fits_proves_its_pair_past_a_nan_walk():
+    # d[3, 1] is NaN, so the walk from 3, which moves to 1, is NaN.  The
+    # first walk, 1 -> 2 -> 3 from the job of largest closing setup, takes
+    # 15 > T = 12, but 2 -> 1 -> 3 takes 10 and proves the pair, which
+    # Held-Karp (NaN, as the NaN setup reaches every full set) cannot
+    setup = np.zeros((4, 4))
+    setup[1:, 0] = [5.0, 1.0, 1.0]
+    setup[1, 2:] = [1.0, 5.0]
+    setup[2, [1, 3]] = [1.0, 10.0]
+    setup[3, 1:3] = [np.nan, 5.0]
+    sc = Scenario(exec=np.ones(3), setup=setup)
+    _, walks = per_machine_walks([1, 2, 3], [sc])
+    assert walks[:2, 0].tolist() == [15.0, 10.0] and np.isnan(walks[2, 0])
+    assert np.isnan(held_karp_min_times([1, 2, 3], [sc])).all()
+    inst, cand = one_machine([1, 2, 3], [sc])
+    inst = replace(inst, time_limit=12.0)
+    assert machine_witness_times(inst, cand, [0]).tolist() == [[10.0]]
+    assert verify_candidate(inst, cand) == []
+    assert per_machine_verify(inst, cand) == []
+    inst = replace(inst, time_limit=9.0)
+    want = ["machine 0 infeasible in scenario 0: min time nan > T = 9.0"]
+    assert verify_candidate(inst, cand) == want
+    assert per_machine_verify(inst, cand) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -648,9 +676,8 @@ def first_walks(jobs, scenarios):
 @given(st.integers(0, 2**32 - 1), st.floats(0.7, 1.3), st.booleans())
 def test_one_walker_first_keeps_the_all_starts_verdict(seed, scale, nan):
     # a column whose first walker fits keeps that walker's time, bitwise;
-    # every other column takes the best over all starts.  The verdicts agree
-    # wherever the best is a number: a walker through a NaN time makes the
-    # best NaN, while a finite first walk is a whole schedule that fits
+    # every other column takes the best over all starts, NaN walks skipped,
+    # so the verdicts agree everywhere
     inst, cand = batched_verify_case(seed, scale, nan)
     limit = inst.time_limit + TOL
     every = np.arange(inst.n_scenarios)
@@ -660,8 +687,7 @@ def test_one_walker_first_keeps_the_all_starts_verdict(seed, scale, nan):
         kept = first <= limit
         assert got[m][kept].tobytes() == first[kept].tobytes()
         assert got[m][~kept].tobytes() == best[~kept].tobytes()
-        known = ~np.isnan(best)
-        assert np.array_equal((got[m] <= limit)[known], (best <= limit)[known])
+        assert np.array_equal(got[m] <= limit, best <= limit)
 
 
 def tight_limits(inst, cand):
