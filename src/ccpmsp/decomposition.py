@@ -85,7 +85,6 @@ class SolveOptions:
     symmetry: bool = True
     scenario_relaxation: bool = True
     time_budget: float = 1200.0
-    benders_strategy: int = 1  # 0 = basic cut, 1 = layer-strengthened
 
     def check(self, inst: Optional[Instance] = None) -> None:
         """Raise ConfigurationError on an option no solve accepts and, given
@@ -99,10 +98,6 @@ class SolveOptions:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if self.cut_kind not in CUT_KINDS:
             raise ConfigurationError(f"unknown cut kind {self.cut_kind!r}")
-        if self.benders_strategy not in (0, 1):
-            raise ConfigurationError(
-                f"unknown benders strategy {self.benders_strategy!r}"
-            )
         if inst is not None and inst.violations:
             raise ConfigurationError("invalid instance: " + "; ".join(inst.violations))
         if inst is not None and self.cut_kind == BENDERS:
@@ -326,11 +321,7 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         check_counts=np.zeros((inst.n_machines, inst.n_scenarios), dtype=np.int64)
     )
     t0 = time.perf_counter()
-    flow_ctx = (
-        netflow.FlowContext(inst, opts.benders_strategy)
-        if opts.cut_kind == BENDERS
-        else None
-    )
+    flow_ctx = netflow.FlowContext(inst) if opts.cut_kind == BENDERS else None
     report.subproblem_creation_time = time.perf_counter() - t0
     model = build_master(
         inst, symmetry=opts.symmetry, scenario_relaxation=opts.scenario_relaxation
@@ -350,11 +341,14 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         return fresh
 
     def cut_batch(failures, cand: Candidate) -> list[Cut]:
-        """Pool the cuts of a failing candidate.  When the fresh batch does
-        not exclude the candidate (possible for weak flow cuts), the
-        failures' no-goods join it; one of them is always new."""
+        """Pool the cuts of a failing candidate.  A fresh IIS or no-good
+        batch always excludes it: each failure lies in a claimed scenario,
+        its cuts lie inside the failing machine's job set, and a pooled cut
+        that did too would have zeroed that scenario already.  When a flow
+        batch does not exclude it, the failures' no-goods join the batch;
+        one of them is always new."""
         fresh = pool_cuts(failures, opts.cut_kind, cand)
-        if not _batch_excludes(inst, fresh, cand):
+        if opts.cut_kind == BENDERS and not _flow_batch_excludes(inst, fresh, cand):
             report.n_fallbacks += 1
             nogoods = pool_cuts(failures, NOGOOD)
             if not nogoods:
@@ -397,24 +391,14 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
     return cand, report
 
 
-def _batch_excludes(inst: Instance, fresh_cuts, cand: Candidate) -> bool:
-    """True if some fresh cut row is violated by the candidate as-is: a
-    job-set row where a machine's mask covers the cut's, a flow row as the
-    search's leaves test it (``flow_lhs`` on each machine that holds jobs)."""
-    held = [np.flatnonzero(cand.x[:, m]) for m in range(inst.n_machines)]
-    masks = [jobs_mask(jobs + 1) for jobs in held]
-    flows = []
-    for cut in fresh_cuts:
-        if cand.z[cut.scenario] == 0:
-            continue
-        if cut.kind == BENDERS:
-            flows.append(cut)
-        elif any(mask & cut.jobs == cut.jobs for mask in masks):
-            return True
-    if flows:
-        _, const, coef = flow_block(flows, inst.n_jobs)
-        for jobs in held:
-            if len(jobs) and np.any(
-                    flow_lhs(const, coef, jobs) > inst.time_limit + TOL):
-                return True
-    return False
+def _flow_batch_excludes(inst: Instance, flow_cuts, cand: Candidate) -> bool:
+    """True if some flow cut row of a claimed scenario is violated by the
+    candidate as the search's leaves test it (``flow_lhs`` on each machine
+    that holds jobs)."""
+    claimed = [cut for cut in flow_cuts if cand.z[cut.scenario]]
+    if not claimed:
+        return False
+    _, const, coef = flow_block(claimed, inst.n_jobs)
+    limit = inst.time_limit + TOL
+    return any(np.any(flow_lhs(const, coef, jobs) > limit)
+               for jobs in map(np.flatnonzero, cand.x.T) if len(jobs))

@@ -288,6 +288,11 @@ def minimal_over_limit(set_times: np.ndarray, time_limit: float):
     where a set contains a kept set iff it is kept or one of its
     one-smaller subsets contains one.  Returns one list of canonical masks
     per column, in (cardinality, mask) order.
+
+    Closing-setup convention of both variants' sweeps: a strict subset of
+    the k jobs is timed without the final setup back to the dummy job, the
+    full set with it.  ``tests/oracle_reference.brute_iis`` times subsets
+    the same way, so the oracle's IIS and the diagrams' coincide.
     """
     k = len(set_times).bit_length() - 1
     over = set_times > time_limit + TOL

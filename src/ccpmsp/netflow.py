@@ -24,14 +24,14 @@ every arc.  It takes the same minima of the same sums as a pass over the
 arcs.  It returns the duals compactly: pi at the root, and the reached arcs
 with a negative reduction, each as its tail state, job and layer, with its
 dual, reading pi only at those arcs' heads; no per-node or per-arc array is
-allocated.  The cut payloads read only those arcs and add their terms in
+allocated.  The cut payload reads only those arcs and adds its terms in
 the order a loop over the arcs would, so every value is bitwise that
 loop's.
 
 Everything but the arc costs depends on the column alone, so a machine
 failing in several scenarios gets one pass for all of them: its times
 carry a trailing scenario axis, as in the diagram sweeps, and the pass
-returns one set of duals per scenario.  The payloads render such a list of
+returns one set of duals per scenario.  The payload renders such a list of
 duals at once, each cut bitwise as it would be alone.
 """
 
@@ -44,13 +44,7 @@ import numpy as np
 
 from .diagram import subset_lattice
 from .lastjob import cost_table
-from .model import (
-    BENDERS,
-    Cut,
-    Instance,
-    LimitExceeded,
-    StructuralError,
-)
+from .model import BENDERS, Cut, Instance, LimitExceeded
 
 # The gate does not bound a diagram's size, since none is built: it stays
 # because ``master.flow_lhs`` sums the flow rows bitwise only for at most 15
@@ -209,10 +203,10 @@ def extract_duals(x_col: np.ndarray, t: np.ndarray,
             for root, lo, hi in zip(pi_root.tolist(), bounds[:-1], bounds[1:])]
 
 
-# Float sums round differently in another order, so the payloads below add
-# their terms one at a time (np.add.at, in index order) in the order a loop
+# Float sums round differently in another order, so the payload below adds
+# its terms one at a time (np.add.at, in index order) in the order a loop
 # over the arcs would: arc order, jobs ascending within a non-assignment arc.
-# A payload renders a list of duals at once: their arcs are stacked, and
+# It renders a list of duals at once: their arcs are stacked, and
 # every key is offset by its duals' index, so each cut's terms still meet
 # only each other, in their own order.
 def _running_sums(starts: np.ndarray, owner: np.ndarray,
@@ -232,36 +226,6 @@ def _stacked(duals_list: list[DualValues]):
     return (owner, *arrays), np.array([du.pi_root for du in duals_list])
 
 
-def _u_terms(n: int, job: np.ndarray, tail_set: np.ndarray):
-    """(row, 0-based job) of every job of each arc's U_a, in row order,
-    jobs ascending: an assignment arc's U_a is its job, a non-assignment
-    arc's every job outside its tail set."""
-    job = job[:, None]
-    numbers = np.arange(1, n + 1)
-    in_u = np.where(job > 0, job == numbers,
-                    (tail_set[:, None] >> (numbers - 1)) & 1 == 0)
-    return np.nonzero(in_u)
-
-
-def _payloads(const: np.ndarray, coef: np.ndarray):
-    """Per duals, its constant as a float and its row of the flat ``coef``."""
-    return list(zip(const.tolist(), coef.reshape(len(const), -1)))
-
-
-def basic_payload(duals_list: list[DualValues]):
-    """(constant, per-job coefficients) of the plain flow cut of each
-    duals: each alpha goes on its job; each beta goes on the constant and,
-    negated, on every job of U_a, once per job."""
-    n = duals_list[0].n_jobs
-    (owner, job, tail_set, _, r), pi_root = _stacked(duals_list)
-    rows, jobs = _u_terms(n, job, tail_set)
-    owner, r = owner[rows], r[rows]
-    beta = job[rows] == 0
-    coef = np.zeros(len(duals_list) * n)
-    np.add.at(coef, owner * n + jobs, np.where(beta, -r, r))
-    return _payloads(_running_sums(pi_root, owner[beta], r[beta]), coef)
-
-
 def _first_seen_minima(keys: np.ndarray, values: np.ndarray, size: int):
     """Distinct keys (all < size) in order of first occurrence, and the
     minimum value of each."""
@@ -275,50 +239,45 @@ def _first_seen_minima(keys: np.ndarray, values: np.ndarray, size: int):
 
 
 def strengthen_layers(duals_list: list[DualValues]):
-    """Strategy-1 payload of each duals: every path uses at most one
-    assignment arc per decision layer, so per (job, layer) only the best
-    reduction may count; non-assignment arcs all enter the terminal, so one
-    minimum per job.  The minima are added in the order their key first
-    goes negative."""
+    """(constant, per-job coefficients) of the layer-strengthened flow cut
+    of each duals: every path uses at most one assignment arc per decision
+    layer, so per (job, layer) only the best alpha may count; non-assignment
+    arcs all enter the terminal, so one minimum beta per job outside the
+    arc's tail set, which goes on the constant and, negated, on the job.
+    The minima are added in the order their key first goes negative."""
     n = duals_list[0].n_jobs
     size = len(duals_list) * n  # (duals, job) keys
     (owner, job, tail_set, layer, r), pi_root = _stacked(duals_list)
     assign = job > 0
     keys = (owner[assign] * n + job[assign] - 1) * n + layer[assign]
     gamma_keys, gamma = _first_seen_minima(keys, r[assign], size * n)
-    rows, jobs = _u_terms(n, job, tail_set)
-    beta = job[rows] == 0
-    rows = rows[beta]
-    delta_keys, delta = _first_seen_minima(owner[rows] * n + jobs[beta], r[rows], size)
+    # every job of a non-assignment arc's U_a, arcs in order, jobs ascending
+    unassign = np.flatnonzero(~assign)
+    rows, jobs = np.nonzero((tail_set[unassign, None] >> np.arange(n)) & 1 == 0)
+    rows = unassign[rows]
+    delta_keys, delta = _first_seen_minima(owner[rows] * n + jobs, r[rows], size)
     coef = np.zeros(size)
     np.add.at(coef, np.concatenate((gamma_keys // n, delta_keys)),
               np.concatenate((gamma, -delta)))
-    return _payloads(_running_sums(pi_root, delta_keys // n, delta), coef)
+    const = _running_sums(pi_root, delta_keys // n, delta)
+    return list(zip(const.tolist(), coef.reshape(len(duals_list), -1)))
 
 
-def benders_cuts(duals_list: list[DualValues], scenarios, jobs: int,
-                 strategy: int = 0) -> list[Cut]:
-    """Render the flow cut of each duals, for its scenario, as a master Cut
-    on the job mask ``jobs`` (quantified over all machines; machines are
-    homogeneous)."""
-    if strategy == 0:
-        payloads = basic_payload(duals_list)
-    elif strategy == 1:
-        payloads = strengthen_layers(duals_list)
-    else:
-        raise StructuralError(f"unknown strengthening strategy {strategy}")
+def benders_cuts(duals_list: list[DualValues], scenarios, jobs: int) -> list[Cut]:
+    """Render the layer-strengthened flow cut of each duals, for its
+    scenario, as a master Cut on the job mask ``jobs`` (quantified over all
+    machines; machines are homogeneous)."""
     return [Cut(jobs=jobs, scenario=w, kind=BENDERS, benders_payload=payload)
-            for w, payload in zip(scenarios, payloads)]
+            for w, payload in zip(scenarios, strengthen_layers(duals_list))]
 
 
 class FlowContext:
-    """Per-solve flow-cut settings: the strengthening strategy, with the
-    instance's size checked against ``MDD_MAX_JOBS``.  It holds no diagram;
-    each dual pass lists the arcs it reaches in closed form."""
+    """Per-solve flow-cut context: the instance's size checked against
+    ``MDD_MAX_JOBS``.  It holds no diagram; each dual pass lists the arcs it
+    reaches in closed form."""
 
-    def __init__(self, inst: Instance, strategy: int = 1):
+    def __init__(self, inst: Instance):
         check_scale(inst.n_jobs)
-        self.strategy = strategy
 
     def cut_for(self, inst: Instance, x_col: np.ndarray, scenarios,
                 jobs: int) -> list[Cut]:
@@ -326,4 +285,4 @@ class FlowContext:
         per listed scenario, in that order, from one dual pass."""
         exec_, setup = inst.scenario_stack
         duals = extract_duals(x_col, exec_[:, scenarios], setup[:, :, scenarios])
-        return benders_cuts(duals, scenarios, jobs, self.strategy)
+        return benders_cuts(duals, scenarios, jobs)

@@ -14,11 +14,6 @@ witness and runs Held-Karp only on the pairs no witness fits.  Nothing
 here is shared with the diagrams; the brute-force references the tests
 compare both against, and the per-machine verification loop the batched
 one replaced, are in ``tests/oracle_reference.py``.
-
-Closing-setup convention: a strict subset of the evaluated universe is
-timed without the final setup back to the dummy job, the full set with it.
-This matches where the diagram cost functions add the closing term, so
-oracle and diagram IIS semantics coincide.
 """
 
 from __future__ import annotations
@@ -82,11 +77,11 @@ def _job_ids(jobs, scenarios) -> np.ndarray:
     return idx
 
 
-def held_karp_min_times(jobs, scenarios, include_closing: bool = True) -> np.ndarray:
+def held_karp_min_times(jobs, scenarios) -> np.ndarray:
     """Minimum sequencing time of the given 1-based job ids in each scenario.
 
     The minimum over all orderings of t(first) + sum of (setup + exec),
-    plus the closing setup to the dummy job when asked.  ``f[S, j]`` is the
+    plus the closing setup to the dummy job.  ``f[S, j]`` is the
     cheapest ordering of subset S that ends in j, min over i in S - j of
     (f[S - j, i] + d[i, j]), plus t[j]; it is filled by subset size for a
     chunk of scenarios at a time with numpy, reading only the members of
@@ -119,9 +114,7 @@ def held_karp_min_times(jobs, scenarios, include_closing: bool = True) -> np.nda
                 best = g.min(axis=1)
                 best += t.take(j, axis=1)
                 f[:, fills[:, a:a + block]] = best
-        best = f[:, n - 1::n]
-        if include_closing:
-            best = best + np.stack([sc.setup[idx, 0] for sc in part])
+        best = f[:, n - 1::n] + np.stack([sc.setup[idx, 0] for sc in part])
         out[lo:lo + len(part)] = best.min(axis=1)
     return out
 

@@ -121,12 +121,12 @@ def overloaded_b10_x(inst):
     return x
 
 
-def solve_iteratively(inst, opts, solves=None):
-    """``solve_ccpmsp`` with the master search run without its lazy-cut
-    hook and re-solved after each cut batch (``master_reference.resolve``):
-    one master solve per cut batch, and a last one that the hook accepts or
-    that finds none.  ``solves``, a list, when given, receives the number
-    of master solves."""
+def resolving_master(solves=None):
+    """A stand-in for ``master.solve_master`` that runs the search without
+    its lazy-cut hook and re-solves after each cut batch
+    (``master_reference.resolve``): one master solve per cut batch, and a
+    last one that the hook accepts or that finds none.  ``solves``, a list,
+    when given, receives the number of master solves of each call."""
 
     def resolving(model, time_budget=None, hook=None):
         sol, n_solves = resolve(solve_master, model, time_budget, hook)
@@ -134,6 +134,12 @@ def solve_iteratively(inst, opts, solves=None):
             solves.append(n_solves)
         return sol
 
+    return resolving
+
+
+def solve_iteratively(inst, opts, solves=None):
+    """``solve_ccpmsp`` with ``resolving_master(solves)`` in place of the
+    hooked master search."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decomposition, "solve_master", resolving)
+        mp.setattr(decomposition, "solve_master", resolving_master(solves))
         return solve_ccpmsp(inst, opts)

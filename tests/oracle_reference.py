@@ -15,7 +15,8 @@ It times the pairs no witness fits with
 batched ones character for character; ``loop_held_karp`` is the plain-loop
 program that one must equal bitwise.
 
-Closing-setup convention, as in ``ccpmsp.oracle``: a strict subset of the
+Closing-setup convention, as in the diagram sweeps that the IIS filter
+(``ccpmsp.diagram.minimal_over_limit``) reads: a strict subset of the
 evaluated universe is timed without the final setup back to the dummy job,
 the full set with it.
 """
@@ -238,13 +239,13 @@ def per_machine_witness(jobs, scenarios) -> tuple[np.ndarray, np.ndarray]:
     return orders[best, w], times[best, w]
 
 
-def loop_held_karp(jobs, scenarios, include_closing: bool = True) -> np.ndarray:
+def loop_held_karp(jobs, scenarios) -> np.ndarray:
     """``ccpmsp.oracle.held_karp_min_times`` with plain loops, one scenario
     and one (set, last job) at a time: f[S, j] is the min over i in S - j
     of (f[S - j, i] + d[i, j]), plus t[j], and the answer the min over j of
-    f[full, j], plus the closing setup when asked.  The additions are those
-    of the batched program in the same order, and a min of finite values
-    is exact in any order, so the two agree bitwise on finite times."""
+    f[full, j] plus the closing setup.  The additions are those of the
+    batched program in the same order, and a min of finite values is exact
+    in any order, so the two agree bitwise on finite times."""
     idx = sorted(jobs)
     k = len(idx)
     out = np.zeros(len(scenarios))
@@ -261,8 +262,7 @@ def loop_held_karp(jobs, scenarios, include_closing: bool = True) -> np.ndarray:
                 if s >> j & 1 and pred:
                     f[s, j] = min(f[pred, i] + d[i][j]
                                   for i in range(k) if pred >> i & 1) + t[j]
-        out[w] = min(f[full, j] + float(sc.setup[idx[j], 0]) if include_closing
-                     else f[full, j] for j in range(k))
+        out[w] = min(f[full, j] + float(sc.setup[idx[j], 0]) for j in range(k))
     return out
 
 

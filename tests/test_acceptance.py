@@ -236,11 +236,9 @@ def test_criterion_6_cut_validity_sweep():
                 opts = SolveOptions(variant=JOBSET, cut_kind=cut_kind,
                                     scenario_relaxation=False, time_budget=60)
                 pools.extend(solve_ccpmsp(inst, opts)[1].cuts)
-            for strategy in (0, 1):
-                opts = SolveOptions(variant=JOBSET, cut_kind="benders",
-                                    benders_strategy=strategy,
-                                    scenario_relaxation=False, time_budget=60)
-                pools.extend(solve_ccpmsp(inst, opts)[1].cuts)
+            opts = SolveOptions(variant=JOBSET, cut_kind="benders",
+                                scenario_relaxation=False, time_budget=60)
+            pools.extend(solve_ccpmsp(inst, opts)[1].cuts)
             if not pools:
                 continue
             pairs = chance_feasible_pairs(inst)

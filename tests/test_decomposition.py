@@ -42,6 +42,7 @@ from conftest import (
     overloaded_b10_x,
     random_scenario,
     regression_configs,
+    resolving_master,
     solve_iteratively,
 )
 from diagram_reference import canonical_remap
@@ -409,7 +410,7 @@ def test_emit_cuts_keep_failure_order_per_kind(uniform_scenario):
     assert failures == [(0, w, (1, 2, 3)) for w in range(3)]
     cuts = emit_cuts(failures, "nogood", inst)
     assert [c.key() for c in cuts] == [("nogood", w, 0b111) for w in range(3)]
-    flow_ctx = netflow.FlowContext(inst, 1)
+    flow_ctx = netflow.FlowContext(inst)
     cuts = emit_cuts(failures, "benders", inst, cand, flow_ctx=flow_ctx)
     want = [flow_ctx.cut_for(inst, cand.x[:, 0], [w], 0b111)[0] for w in range(3)]
     assert [c.key() for c in cuts] == [c.key() for c in want]
@@ -438,7 +439,7 @@ def test_emit_cuts_make_one_flow_pass_per_failing_machine(monkeypatch):
     cand = Candidate(x=x, z=np.ones(4, dtype=np.int8))
     failures = check_candidate(inst, cand, DiagramCache(max_depth=2), JOBSET)
     assert failures == [(m, w, ((1, 3), (2, 4))[m]) for w in range(4) for m in range(2)]
-    flow_ctx = netflow.FlowContext(inst, 1)
+    flow_ctx = netflow.FlowContext(inst)
     passes = []
     cut_for = flow_ctx.cut_for
 
@@ -524,19 +525,6 @@ def test_solve_refuses_every_violation_validate_instance_lists(broken, message):
     assert inst.violations is inst.violations
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         solve_ccpmsp(inst)
-
-
-@pytest.mark.parametrize("dif", [30.0, -3.0])
-@pytest.mark.parametrize("strategy", [-1, 2, 7])
-def test_unknown_benders_strategy_rejected_up_front(dif, strategy):
-    # at dif 30 no check fails, so no cut would ever reach the strategy
-    inst = make_instance(GenConfig(
-        dataset_kind="equal", n_jobs=5, n_machines=2, n_scenarios=4,
-        dif=dif, seed=600, capacity=3,
-    ))
-    opts = SolveOptions(cut_kind="benders", benders_strategy=strategy)
-    with pytest.raises(ConfigurationError, match="benders strategy"):
-        solve_ccpmsp(inst, opts)
 
 
 def test_solve_trivial_instance_assigns_everything():
@@ -747,6 +735,41 @@ def test_fallbacks_count_the_batches_their_own_cuts_did_not_exclude(solve):
     assert flow.optimal
     assert 0 < flow.n_fallbacks <= flow.n_callbacks
     assert sum(c.kind == "nogood" for c in flow.cuts) >= flow.n_fallbacks
+
+
+@pytest.mark.parametrize("search", [resolving_master(), master.solve_master],
+                         ids=["iterative", "callback"])
+@pytest.mark.parametrize("cut", ["iis", "nogood"])
+@pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
+def test_job_set_batches_exclude_their_candidate(monkeypatch, regression_set,
+                                                 search, cut, variant):
+    # the solve tests only flow batches for exclusion: every cut of an IIS
+    # or no-good batch lies in a scenario the candidate claims and inside
+    # the job set of one of its machines, so its row is violated as is; a
+    # candidate the hook accepts must pass the oracle
+    batches = []
+
+    def checking(model, time_budget=None, hook=None):
+        def checked(x, z):
+            cuts = hook(x, z)
+            cand = Candidate(x=x.copy(), z=z.copy())
+            batches.append(len(cuts))
+            if not cuts:
+                assert verify_candidate(inst, cand) == []
+            masks = [jobs_mask(np.flatnonzero(col) + 1) for col in cand.x.T]
+            for c in cuts:
+                assert c.kind == cut and cand.z[c.scenario] == 1
+                assert any(mask & c.jobs == c.jobs for mask in masks)
+            return cuts
+
+        return search(model, time_budget, checked)
+
+    monkeypatch.setattr(decomposition, "solve_master", checking)
+    for inst in regression_set:
+        _, report = solve_ccpmsp(inst, SolveOptions(variant=variant, cut_kind=cut,
+                                                    time_budget=60))
+        assert report.optimal and report.n_fallbacks == 0
+    assert sum(map(bool, batches)) > 100  # cut batches, not only accepted leaves
 
 
 @pytest.mark.parametrize("solve", [solve_iteratively, solve_ccpmsp],

@@ -24,6 +24,15 @@ def uniform_arrays(uniform_scenario):
     return np.concatenate(([0.0], uniform_scenario.exec)), uniform_scenario.setup
 
 
+def basic_payload(x, t, d):
+    """(constant, per-job coefficients) of the plain flow cut of column x
+    in one scenario, from the arc-level reference: each alpha on its job,
+    each beta on the constant and, negated, on every job of U_a."""
+    capd = netflow_reference.build_mdd_cap(len(x))
+    duals = netflow_reference.extract_duals(capd, x, t, d)
+    return netflow_reference.basic_payload(duals, capd)
+
+
 def enumerate_chance_feasible(inst):
     """All (x, z_true) pairs: z_true claims exactly the feasible scenarios."""
     n, m = inst.n_jobs, inst.n_machines
@@ -213,9 +222,7 @@ def test_dual_feasibility_rows_on_enabled_arcs(seed):
 def test_cut_forces_scenario_off_at_incumbent(uniform_scenario):
     t, d = uniform_arrays(uniform_scenario)
     x = np.array([1, 1, 1])
-    duals = flow_duals(x, t, d)
-    cut, = netflow.benders_cuts([duals], [0], 0b111, strategy=0)
-    const, coef = cut.benders_payload
+    const, coef = basic_payload(x, t, d)
     # alpha/beta terms vanish at the incumbent: lhs reduces to pi_root = 14
     lhs = const + coef @ x
     assert lhs == pytest.approx(14.0)
@@ -229,9 +236,8 @@ def test_strategy1_dominates_basic(uniform_scenario):
         sc = random_scenario(rng, k)
         t = np.concatenate(([0.0], sc.exec))
         x = (rng.random(k) < 0.5).astype(np.int8)
-        duals = flow_duals(x, t, sc.setup)
-        (c0, k0), = netflow.basic_payload([duals])
-        (c1, k1), = netflow.strengthen_layers([duals])
+        c0, k0 = basic_payload(x, t, sc.setup)
+        (c1, k1), = netflow.strengthen_layers([flow_duals(x, t, sc.setup)])
         # pointwise: the strengthened row's lhs is >= the basic row's lhs
         for bits in range(2**k):
             xe = np.array([(bits >> j) & 1 for j in range(k)])
@@ -241,9 +247,8 @@ def test_strategy1_dominates_basic(uniform_scenario):
 def test_single_layer_strategy1_equals_basic():
     t = np.array([0.0, 4.0])
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
-    duals = flow_duals(np.array([1]), t, d)
-    (c1, k1), = netflow.strengthen_layers([duals])
-    (c0, k0), = netflow.basic_payload([duals])
+    (c1, k1), = netflow.strengthen_layers([flow_duals(np.array([1]), t, d)])
+    c0, k0 = basic_payload(np.array([1]), t, d)
     assert c1 == c0 and k1.tobytes() == k0.tobytes()
 
 
@@ -261,8 +266,7 @@ def sweep_instances():
     return [make_instance(c) for c in cfgs]
 
 
-@pytest.mark.parametrize("strategy", [0, 1])
-def test_cut_validity_sweep(strategy):
+def test_cut_validity_sweep():
     # no chance-feasible (x, z) may violate any emitted flow cut
     for inst in sweep_instances():
         cuts = []
@@ -275,7 +279,7 @@ def test_cut_validity_sweep(strategy):
                 if x.sum() > inst.capacity:
                     continue
                 duals = flow_duals(x, t, d)
-                cuts += netflow.benders_cuts([duals], [w], 0b1, strategy=strategy)
+                cuts += netflow.benders_cuts([duals], [w], 0b1)
         for x, z in enumerate_chance_feasible(inst):
             for cut in cuts:
                 if z[cut.scenario] == 0:
@@ -394,7 +398,7 @@ def test_vectorised_pass_matches_arc_loops_bitwise(n):
         assert repr(duals.pi_root) == repr(pi_root)
         assert full[1].tobytes() == alpha.tobytes()
         assert full[2].tobytes() == beta.tobytes()
-        for got, want in ((netflow.basic_payload([duals])[0], basic),
+        for got, want in ((basic_payload(x, t, sc.setup), basic),
                           (netflow.strengthen_layers([duals])[0], layered)):
             assert repr(float(got[0])) == repr(float(want[0]))
             assert got[1].tobytes() == want[1].tobytes()
@@ -435,21 +439,21 @@ def test_batched_duals_are_the_single_scenario_duals_bitwise():
                     for name in names:
                         a, b = getattr(got, name), getattr(want, name)
                         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-                for payload in (netflow.basic_payload, netflow.strengthen_layers):
-                    for (c, k), single in zip(payload(batch), singles):
-                        (want_c, want_k), = payload([single])
-                        assert repr(c) == repr(want_c)
-                        assert k.tobytes() == want_k.tobytes()
+                for (c, k), single in zip(netflow.strengthen_layers(batch), singles):
+                    (want_c, want_k), = netflow.strengthen_layers([single])
+                    assert repr(c) == repr(want_c)
+                    assert k.tobytes() == want_k.tobytes()
 
 
-# sha256 of the duals and payloads below, and of the final Benders pools of
-# the re-solve loop, recorded before the arc loops were vectorised: any
-# one-ulp drift fails
+# sha256 of the duals and payloads below, recorded before the arc loops were
+# vectorised, and of the final Benders pools of the re-solve loop, recorded
+# when the layer-strengthened cut became the only one: any one-ulp drift
+# fails
 DUALS_DIGEST = "f74f0fad16aea2b55f673e805ba9e7791ee63367f630b9a69409804561b42dc5"
-POOLS_DIGEST = "6a31141ff7c25c1f794f60e75d488814b82cc0487c4c4e05ad2aa951ef6bbaca"
+POOLS_DIGEST = "423b41e062240ca3b6931dd90deea239612563bbe2eae18aac207ad85d77f3b2"
 # the same pools from one hooked master search each
 CALLBACK_POOLS_DIGEST = (
-    "db23868dbf4d6e5140c0e7636f9866906ce1c5ee82317c204a4d64719bd36435"
+    "4fd236fdc49a5417d5de6205b8707c8b42a4a9847d6488be2d9abe7f987fb208"
 )
 
 
@@ -465,8 +469,8 @@ def test_flow_duals_and_payloads_bitwise_pinned():
                 for arr in netflow_reference.full_arrays(capd, duals, x, t, d):
                     h.update(arr.tobytes())
                 h.update(repr(duals.pi_root).encode())
-                for payload in (netflow.basic_payload, netflow.strengthen_layers):
-                    (const, coef), = payload([duals])
+                for const, coef in (basic_payload(x, t, d),
+                                    netflow.strengthen_layers([duals])[0]):
                     h.update(repr(float(const)).encode())
                     h.update(coef.tobytes())
     assert h.hexdigest() == DUALS_DIGEST
@@ -474,18 +478,15 @@ def test_flow_duals_and_payloads_bitwise_pinned():
 
 def benders_pools_digest(solve):
     h = hashlib.sha256()
-    for strategy in (0, 1):
-        for seed in range(5):
-            inst = make_instance(GenConfig(
-                dataset_kind="equal", n_jobs=5, n_machines=2, n_scenarios=4,
-                dif=-3.0, seed=600 + seed, capacity=3,
-            ))
-            opts = SolveOptions(cut_kind="benders", benders_strategy=strategy,
-                                time_budget=120)
-            _, report = solve(inst, opts)
-            h.update(repr(report.objective).encode())
-            for chunk in pool_bytes(report.cuts):
-                h.update(chunk)
+    for seed in range(5):
+        inst = make_instance(GenConfig(
+            dataset_kind="equal", n_jobs=5, n_machines=2, n_scenarios=4,
+            dif=-3.0, seed=600 + seed, capacity=3,
+        ))
+        _, report = solve(inst, SolveOptions(cut_kind="benders", time_budget=120))
+        h.update(repr(report.objective).encode())
+        for chunk in pool_bytes(report.cuts):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -506,10 +507,8 @@ def test_benders_solve_leaves_numpy_ma_unimported():
         "from ccpmsp.instances import GenConfig, make_instance\n"
         "inst = make_instance(GenConfig(dataset_kind='equal', n_jobs=5, "
         "n_machines=2, n_scenarios=4, dif=-3.0, seed=600, capacity=3))\n"
-        "for strategy in (0, 1):\n"
-        "    _, report = solve_ccpmsp(inst, SolveOptions(cut_kind='benders', "
-        "benders_strategy=strategy))\n"
-        "    assert any(c.kind == 'benders' for c in report.cuts)\n"
+        "_, report = solve_ccpmsp(inst, SolveOptions(cut_kind='benders'))\n"
+        "assert any(c.kind == 'benders' for c in report.cuts)\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )
     src = str(Path(netflow.__file__).resolve().parents[1])

@@ -163,17 +163,16 @@ def sequencing_case(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(sequencing_case(), st.booleans())
-def test_held_karp_matches_brute_force(case, include_closing):
+@given(sequencing_case())
+def test_held_karp_matches_brute_force(case):
     jobs, scenarios = case
-    got = held_karp_min_times(jobs, scenarios, include_closing)
-    want = [brute_min_time(jobs, sc, include_closing) for sc in scenarios]
+    got = held_karp_min_times(jobs, scenarios)
+    want = [brute_min_time(jobs, sc, True) for sc in scenarios]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_held_karp_worked_example_and_edges(uniform_scenario):
     assert held_karp_min_times([1, 2, 3], [uniform_scenario]).tolist() == [14.0]
-    assert held_karp_min_times([3, 1], [uniform_scenario], False).tolist() == [6.0]
     assert held_karp_min_times([], [uniform_scenario] * 2).tolist() == [0.0, 0.0]
     assert held_karp_min_times([1, 2], []).shape == (0,)
     for bad in ([1, 1], [0, 2], [4]):
@@ -202,10 +201,8 @@ def test_held_karp_is_the_plain_loop_bitwise(k):
     for n_scenarios in range(1, 5):
         scenarios = [asymmetric_scenario(rng, k + 2) for _ in range(n_scenarios)]
         jobs = sorted(rng.choice(np.arange(1, k + 3), size=k, replace=False).tolist())
-        for include_closing in (True, False):
-            got = held_karp_min_times(jobs, scenarios, include_closing)
-            want = loop_held_karp(jobs, scenarios, include_closing)
-            assert got.tobytes() == want.tobytes()
+        got = held_karp_min_times(jobs, scenarios)
+        assert got.tobytes() == loop_held_karp(jobs, scenarios).tobytes()
 
 
 def test_held_karp_in_small_chunks_and_blocks_is_the_plain_loop(monkeypatch):
@@ -219,10 +216,8 @@ def test_held_karp_in_small_chunks_and_blocks_is_the_plain_loop(monkeypatch):
                        for sets, members, absent, _ in oracle._hk_plan(k))
         scenarios = [asymmetric_scenario(rng, k + 1) for _ in range(3)]
         jobs = list(range(2, k + 2))
-        for include_closing in (True, False):
-            got = held_karp_min_times(jobs, scenarios, include_closing)
-            want = loop_held_karp(jobs, scenarios, include_closing)
-            assert got.tobytes() == want.tobytes()
+        got = held_karp_min_times(jobs, scenarios)
+        assert got.tobytes() == loop_held_karp(jobs, scenarios).tobytes()
 
 
 def test_held_karp_plan_stays_small():
