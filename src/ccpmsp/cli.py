@@ -196,7 +196,9 @@ def cmd_verify(args) -> int:
         actual = candidate_objective(inst, cand)
     except StructuralError:  # a wrong x shape, already among the problems
         actual = None
-    if None not in (reported, actual) and abs(actual - reported) > 1e-6:
+    # a reported objective that is not a number matches no actual one
+    if None not in (reported, actual) and not (
+            isinstance(reported, (int, float)) and abs(actual - reported) <= 1e-6):
         problems.append(f"objective mismatch: reported {reported}, actual {actual}")
     if problems:
         for p in problems:
@@ -342,7 +344,7 @@ def write_aggregates(runs_path: str, agg_path: str) -> None:
 def cmd_report(args) -> int:
     try:
         write_aggregates(args.runs, args.out)
-    except (OSError, IndexError, KeyError) as exc:
+    except (OSError, IndexError, KeyError, ValueError) as exc:
         print(f"cannot aggregate {args.runs}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"wrote {args.out}")

@@ -39,7 +39,7 @@ from .master import (
     OPTIMAL,
     build_master,
     flow_block,
-    flow_lhs,
+    flow_over,
     solve_master,
 )
 from .model import (
@@ -393,12 +393,8 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
 
 def _flow_batch_excludes(inst: Instance, flow_cuts, cand: Candidate) -> bool:
     """True if some flow cut row of a claimed scenario is violated by the
-    candidate as the search's leaves test it (``flow_lhs`` on each machine
-    that holds jobs)."""
+    candidate as the search's leaves test it (``flow_over``)."""
     claimed = [cut for cut in flow_cuts if cand.z[cut.scenario]]
-    if not claimed:
-        return False
-    _, const, coef = flow_block(claimed, inst.n_jobs)
-    limit = inst.time_limit + TOL
-    return any(np.any(flow_lhs(const, coef, jobs) > limit)
-               for jobs in map(np.flatnonzero, cand.x.T) if len(jobs))
+    masks = [jobs_mask(np.flatnonzero(col) + 1) for col in cand.x.T]
+    over = flow_over(flow_block(claimed, inst.n_jobs), masks, inst.time_limit + TOL)
+    return bool(over.any())

@@ -43,38 +43,15 @@ class GenConfig:
     n_scenarios: int = 100
     dif: float = 0.0
     seed: int = 0
-    exec_mu: Optional[float] = None
-    exec_sigma: Optional[float] = None
-    setup_mu: Optional[float] = None
-    setup_sigma: Optional[float] = None
     capacity: Optional[int] = None
     epsilon: float = 0.05
     region: str = "square"  # or "disc"
 
-    def resolved(self) -> "GenConfig":
-        """Fill distribution parameters from the dataset kind unless overridden."""
-        kind = self.dataset_kind.lower()
-        if kind not in DATASET_PARAMS:
-            raise ConfigurationError(f"unknown dataset kind {self.dataset_kind!r}")
-        em, es, sm, ss = DATASET_PARAMS[kind]
-        return replace(
-            self,
-            dataset_kind=kind,
-            exec_mu=em if self.exec_mu is None else self.exec_mu,
-            exec_sigma=es if self.exec_sigma is None else self.exec_sigma,
-            setup_mu=sm if self.setup_mu is None else self.setup_mu,
-            setup_sigma=ss if self.setup_sigma is None else self.setup_sigma,
-        )
-
     def check(self) -> None:
+        if self.dataset_kind not in DATASET_PARAMS:
+            raise ConfigurationError(f"unknown dataset kind {self.dataset_kind!r}")
         if self.n_jobs < 1 or self.n_machines < 1 or self.n_scenarios < 1:
             raise ConfigurationError("n_jobs, n_machines and n_scenarios must be >= 1")
-        if self.exec_mu is None:
-            raise ConfigurationError("config not resolved")
-        if self.exec_mu <= 0 or self.setup_mu <= 0:
-            raise ConfigurationError("distribution means must be positive")
-        if self.exec_sigma < 0 or self.setup_sigma < 0:
-            raise ConfigurationError("distribution deviations must be >= 0")
         if not 0 < self.epsilon < 1:
             raise ConfigurationError("epsilon must lie in (0, 1)")
         if self.region not in ("square", "disc"):
@@ -96,9 +73,7 @@ def _lognormal_params(mu: float, sigma: float) -> tuple[float, float]:
 
 def gen_execution_times(cfg: GenConfig) -> np.ndarray:
     """Matrix (n_scenarios, n_jobs) of i.i.d. log-normal execution times."""
-    cfg = cfg.resolved()
-    cfg.check()
-    mu_n, sig_n = _lognormal_params(cfg.exec_mu, cfg.exec_sigma)
+    mu_n, sig_n = _lognormal_params(*DATASET_PARAMS[cfg.dataset_kind][:2])
     out = np.empty((cfg.n_scenarios, cfg.n_jobs))
     for w in range(cfg.n_scenarios):
         rng = _stream(cfg.seed, _STREAM_EXEC, w)
@@ -108,9 +83,7 @@ def gen_execution_times(cfg: GenConfig) -> np.ndarray:
 
 def gen_base_points(cfg: GenConfig) -> np.ndarray:
     """n_jobs + 1 points (dummy first) rescaled so the empirical mean pairwise
-    distance equals setup_mu exactly."""
-    cfg = cfg.resolved()
-    cfg.check()
+    distance equals the dataset's setup mean exactly."""
     rng = _stream(cfg.seed, _STREAM_POINTS)
     n_pts = cfg.n_jobs + 1
     if cfg.region == "square":
@@ -122,7 +95,7 @@ def gen_base_points(cfg: GenConfig) -> np.ndarray:
     mean_dist = _mean_pairwise_distance(pts)
     if mean_dist <= 0:
         raise ConfigurationError("degenerate base points (all coincident)")
-    return pts * (cfg.setup_mu / mean_dist)
+    return pts * (DATASET_PARAMS[cfg.dataset_kind][2] / mean_dist)
 
 
 def _mean_pairwise_distance(pts: np.ndarray) -> float:
@@ -138,17 +111,17 @@ def gen_setup_times(cfg: GenConfig) -> np.ndarray:
     """Tensor (n_scenarios, n_jobs+1, n_jobs+1) of setup times.
 
     Per scenario each base point is displaced by a vector whose modulus is
-    half-normal (scale setup_sigma) and whose angle is uniform; entries are
-    the pairwise distances of the displaced points, hence metric.
+    half-normal (scale the dataset's setup deviation) and whose angle is
+    uniform; entries are the pairwise distances of the displaced points,
+    hence metric.
     """
-    cfg = cfg.resolved()
-    cfg.check()
+    setup_sigma = DATASET_PARAMS[cfg.dataset_kind][3]
     base = gen_base_points(cfg)
     n_pts = len(base)
     out = np.empty((cfg.n_scenarios, n_pts, n_pts))
     for w in range(cfg.n_scenarios):
         rng = _stream(cfg.seed, _STREAM_SETUP, w)
-        radii = np.abs(rng.normal(0.0, cfg.setup_sigma, size=n_pts)) if cfg.setup_sigma > 0 else np.zeros(n_pts)
+        radii = np.abs(rng.normal(0.0, setup_sigma, size=n_pts))
         angles = rng.uniform(0.0, 2.0 * np.pi, size=n_pts)
         moved = base + np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
         diff = moved[:, None, :] - moved[None, :, :]
@@ -170,8 +143,9 @@ def compute_time_limit(capacity: int, dif: float) -> float:
 
 
 def make_instance(cfg: GenConfig) -> Instance:
-    """Assemble a full instance; a pure function of (cfg, seed)."""
-    cfg = cfg.resolved()
+    """Assemble a full instance; a pure function of (cfg, seed).  The
+    dataset kind is read case-insensitively."""
+    cfg = replace(cfg, dataset_kind=cfg.dataset_kind.lower())
     cfg.check()
     if cfg.capacity is None:
         if cfg.n_jobs % cfg.n_machines != 0:

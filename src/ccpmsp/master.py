@@ -43,8 +43,8 @@ LIMIT = "limit"
 
 # Entries of each of the search's job-set memos before it is emptied: the
 # fail memo (the scenarios a set forces to zero, its prefixes' rows
-# included) and the relaxation memo's blocks (``LoadBlocks``), both local
-# to one solve.  Instances of 12-22 jobs stay below 1000 entries, but a
+# included) and the relaxation memo's blocks, both held by ``JobSetRows``
+# for one solve.  Instances of 12-22 jobs stay below 1000 entries, but a
 # minute on 30 jobs visits about 500k distinct job sets: unbounded, a memo
 # then held about 130 MB; at this size peak RSS stays below 50 MB.
 FAIL_MEMO_MAX = 1 << 15
@@ -71,11 +71,7 @@ class MasterModel:
     # cheapest outgoing setup (closing to the dummy included), a lower bound
     # on any schedule containing it; None also turns off the full-set
     # successor rows
-    relax_coef: Optional[np.ndarray] = None  # (n_scenarios, n_jobs)
-
-    @property
-    def scenario_relaxation(self) -> bool:
-        return self.relax_coef is not None
+    relax_coef: Optional[np.ndarray] = None  # (n_jobs, n_scenarios)
 
 
 @dataclass
@@ -100,12 +96,12 @@ def build_master(inst: Instance, symmetry: bool = True,
 
 def optimistic_load_coefficients(inst: Instance) -> np.ndarray:
     """t_j plus the cheapest setup from j to another job or to the dummy,
-    at [w, j - 1] for job j in scenario w, from ``Instance.scenario_stack``
-    with j -> j masked."""
+    at [j - 1, w] for job j in scenario w, from ``Instance.scenario_stack``
+    with j -> j masked: one row per job, as the search sums them."""
     exec_, setup = inst.scenario_stack
     d = setup[1:].copy()
     d[np.arange(inst.n_jobs), np.arange(1, inst.n_jobs + 1)] = np.inf
-    return (exec_[1:] + d.min(axis=1)).T
+    return exec_[1:] + d.min(axis=1)
 
 
 def utility_bounds(inst: Instance) -> list[list[float]]:
@@ -167,36 +163,103 @@ def scenario_bits(over: np.ndarray) -> int:
     return int.from_bytes(np.packbits(over, bitorder="little").tobytes(), "little")
 
 
-class LoadBlocks:
-    """The search's relaxation memo, keyed by parent job set.
+def jobs_of(mask: int) -> list[int]:
+    """The 0-based jobs of a job-set mask, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def flow_block(cuts, n_jobs: int):
+    """Flow cuts, in order, as one block: their scenario indices, constants
+    and (rows, n_jobs) coefficient matrix."""
+    scenarios = np.array([cut.scenario for cut in cuts], dtype=np.intp)
+    const = np.array([cut.benders_payload[0] for cut in cuts], dtype=float)
+    coef = np.array([cut.benders_payload[1] for cut in cuts],
+                    dtype=float).reshape(len(cuts), n_jobs)
+    return scenarios, const, coef
+
+
+def flow_lhs(const: np.ndarray, coef: np.ndarray, jobs) -> np.ndarray:
+    """Left-hand side of every flow row of a block on a machine holding
+    ``jobs`` (0-based, ascending, at most 15): const + the jobs'
+    coefficients.
+
+    Each value is bitwise ``const[i] + coef[i, jobs].sum()``.  numpy adds
+    up to 7 terms one at a time in any layout, but 8 to 15 terms of one
+    array as a tree over the first eight, then the rest one at a time,
+    onto the identity 0.0, while a row reduction of a 2-D array adds them
+    all one at a time."""
+    part = coef[:, jobs]
+    if len(jobs) < 8:
+        return const + part.sum(axis=1)
+    pairs = part[:, 0:8:2] + part[:, 1:8:2]
+    quads = pairs[:, 0::2] + pairs[:, 1::2]
+    total = quads[:, 0] + quads[:, 1]
+    for c in range(8, len(jobs)):
+        total += part[:, c]
+    return const + (0.0 + total)
+
+
+def flow_over(flow, masks, limit: float) -> np.ndarray:
+    """Per row of the flow block ``flow`` (``flow_block``), whether some
+    machine of the job-set ``masks`` violates it: its ``flow_lhs`` exceeds
+    ``limit``.  The search's leaves and the cut batch's exclusion test
+    both read it from here."""
+    _, const, coef = flow
+    over = np.zeros(len(const), dtype=bool)
+    for mask in masks:
+        if mask:
+            over |= flow_lhs(const, coef, jobs_of(mask)) > limit
+    return over
+
+
+class JobSetRows:
+    """The master's rows on one machine's job set, for one solve: the
+    scenarios a set forces to zero through its relaxation rows and its
+    job-set cuts (``forced``), and the flow rows the leaves test (``flow``).
 
     Jobs join a set in index order, so a set P can grow into P + j for
     every j from ``P.bit_length()`` on.  The load of P + j is the load of P
-    plus j's row of ``relax`` (one row per job): the running sum of its
-    jobs' rows in index order, which is bitwise what numpy's axis-0 sum of
-    those rows gives whenever there are two or more scenarios.  P + j
-    violates its additive relaxation row in the scenarios where that load
-    exceeds ``limit``.  P's block holds both for all of its children at
-    once, made with one broadcast add, one comparison and one
+    plus j's row of ``relax`` (``MasterModel.relax_coef``): the running sum
+    of its jobs' rows in index order, which is bitwise what numpy's axis-0
+    sum of those rows gives whenever there are two or more scenarios.
+    P + j violates its additive relaxation row in the scenarios where that
+    load exceeds ``limit``.  P's block holds both for all of its children
+    at once, made with one broadcast add, one comparison and one
     ``packbits``: ``(loads, over, own)``, where ``loads[i]`` and bits
     i * n_sc to (i + 1) * n_sc - 1 of the integer ``over`` belong to the
     child of j = P.bit_length() + i.  ``own[i]`` is a slot for that child's
-    own relaxation bits, which the search fills on the child's first
+    own relaxation bits, which ``forced`` fills on the child's first
     fail-memo miss and which outlives the fail memo's clears.
 
     Only blocks are held: a set's load is its row of its parent's block
     or, where that block is gone, its running sum taken afresh with
-    ``cumsum``, so no kept row can pin an evicted block.  The memo is
+    ``cumsum``, so no kept row can pin an evicted block.  ``blocks`` is
     emptied before it would hold more than ``FAIL_MEMO_MAX`` blocks or
     ``LOAD_MEMO_CELLS`` cells, so one block is the most it can exceed the
-    cap by."""
+    cap by.  ``memo``, the fail memo, maps a set to what ``forced`` gave
+    it, and is emptied at ``FAIL_MEMO_MAX`` entries and whenever a job-set
+    cut arrives."""
 
-    def __init__(self, relax: np.ndarray, limit: float):
-        self.relax = relax
-        self.limit = limit
-        self.n_sc = relax.shape[1]
+    def __init__(self, model: MasterModel, max_fail: int):
+        inst = model.inst
+        self.max_fail = max_fail
+        self.capacity = inst.capacity
+        self.limit = inst.time_limit + TOL
+        self.n_sc = inst.n_scenarios
+        self.n_jobs = inst.n_jobs
+        self.relax = model.relax_coef
+        # the costs of a full set's own successors
+        self.succ = successor_costs(inst) if self.relax is not None else None
+        self.memo: dict[int, int] = {}
         self.blocks: dict[int, tuple[np.ndarray, int, list]] = {}
         self.cells = 0
+        # job j -> {mask of a cut job set whose highest job is j: its cuts'
+        # scenario bits}
+        self.cuts_by_last: list[dict[int, int]] = [{} for _ in range(inst.n_jobs)]
+        # job-set cuts in arrival order, (jobmask, scenario)
+        self.job_cuts: list[tuple[int, int]] = []
+        self.flow = flow_block((), inst.n_jobs)
+        self.add_cuts(model.cuts)
 
     def load(self, mask: int) -> np.ndarray:
         """The load of the nonempty set ``mask``."""
@@ -204,8 +267,7 @@ class LoadBlocks:
         parent = mask ^ 1 << j
         block = self.blocks.get(parent)
         if block is None:
-            jobs = [i for i in range(j + 1) if mask >> i & 1]
-            return self.relax[jobs].cumsum(axis=0)[-1]
+            return self.relax[jobs_of(mask)].cumsum(axis=0)[-1]
         return block[0][j - parent.bit_length()]
 
     def block(self, parent: int) -> tuple[np.ndarray, int, list]:
@@ -223,42 +285,83 @@ class LoadBlocks:
         self.cells += cells
         return block
 
-    def additive(self, block: tuple[np.ndarray, int, list], i: int) -> int:
-        """The scenarios whose additive row child i of ``block`` violates,
-        as a bitmask."""
-        return block[1] >> i * self.n_sc & (1 << self.n_sc) - 1
+    def forced(self, mask: int, j: int, parent_bits: int) -> int:
+        """Forced scenarios of ``mask``, whose highest job is j, entered
+        into the fail memo.  ``parent_bits``, the bits of ``mask`` without
+        j, hold every row that set covers, so only ``mask``'s own
+        relaxation rows and the cuts whose highest job is j remain.  A
+        scenario stays forced once forced, as the cuts and the additive
+        relaxation rows only tighten when jobs join.  A set that fills its
+        machine also forces the scenarios its own successors bound above T
+        (``successor_over``); that row is not additive, but the search
+        never grows a full set, so no larger set inherits it.  It is taken
+        on the set's first miss and kept in its slot of its parent's block.
 
+        The rows are taken cheapest first: the parent's bits and the
+        additive row, then the successor row while those bits stay within
+        ``max_fail``, then the cut scan while they still do.  So a memo
+        entry, of either memo, may leave rows out only where the bits it
+        holds with its parent's already exceed ``max_fail``.  Such a set
+        is dead, and stays dead: rows only add bits, and its parent's bits
+        only grow as cuts arrive.  The search never enters a dead set, and
+        sets grow only through sets it entered, so a dead set is never a
+        parent either.  The child test ``(failed | new).bit_count() <=
+        max_fail`` thus decides as it would on the complete bits, and
+        every set the search enters holds complete bits."""
+        bits = parent_bits
+        if self.relax is not None:
+            base = mask ^ 1 << j
+            block = self.blocks.get(base)
+            if block is None:
+                block = self.block(base)
+            i = j - base.bit_length()
+            own = block[2][i]
+            if own is None:
+                n_sc = self.n_sc
+                own = block[1] >> i * n_sc & (1 << n_sc) - 1
+                if (mask.bit_count() == self.capacity
+                        and (parent_bits | own).bit_count() <= self.max_fail):
+                    own |= scenario_bits(successor_over(self.succ, jobs_of(mask),
+                                                        self.limit))
+                block[2][i] = own
+            bits |= own
+        if bits.bit_count() <= self.max_fail:
+            for cmask, wbits in self.cuts_by_last[j].items():
+                if cmask & mask == cmask:
+                    bits |= wbits
+        memo = self.memo
+        if len(memo) >= FAIL_MEMO_MAX:
+            memo.clear()
+        memo[mask] = bits
+        return bits
 
-def flow_block(cuts, n_jobs: int):
-    """Flow cuts, in order, as one block: their scenario indices, constants
-    and (rows, n_jobs) coefficient matrix."""
-    scenarios = np.array([cut.scenario for cut in cuts], dtype=np.intp)
-    const = np.array([cut.benders_payload[0] for cut in cuts], dtype=float)
-    coef = np.array([cut.benders_payload[1] for cut in cuts],
-                    dtype=float).reshape(len(cuts), n_jobs)
-    return scenarios, const, coef
+    def add_cuts(self, cuts) -> None:
+        """Take cuts: a job-set cut joins ``cuts_by_last`` under its
+        highest job and ``job_cuts``, and empties the fail memo, whose
+        entries predate it; flow cuts extend the block of rows the leaves
+        test."""
+        flows = []
+        for cut in cuts:
+            if cut.kind == BENDERS:
+                flows.append(cut)
+                continue
+            cmask = cut.jobs
+            self.job_cuts.append((cmask, cut.scenario))
+            sets = self.cuts_by_last[cmask.bit_length() - 1]
+            sets[cmask] = sets.get(cmask, 0) | 1 << cut.scenario
+            self.memo.clear()
+        if flows:
+            grown = zip(self.flow, flow_block(flows, self.n_jobs))
+            self.flow = tuple(map(np.concatenate, grown))
 
-
-def flow_lhs(const: np.ndarray, coef: np.ndarray, jobs) -> np.ndarray:
-    """Left-hand side of every flow row of a block on a machine holding
-    ``jobs`` (0-based, ascending, at most 15): const + the jobs'
-    coefficients.  A row is violated where it exceeds T + TOL; the leaf
-    test and the cut batch's exclusion test both read it from here.
-
-    Each value is bitwise ``const[i] + coef[i, jobs].sum()``.  numpy adds
-    up to 7 terms one at a time in any layout, but 8 to 15 terms of one
-    array as a tree over the first eight, then the rest one at a time,
-    onto the identity 0.0, while a row reduction of a 2-D array adds them
-    all one at a time."""
-    part = coef[:, jobs]
-    if len(jobs) < 8:
-        return const + part.sum(axis=1)
-    pairs = part[:, 0:8:2] + part[:, 1:8:2]
-    quads = pairs[:, 0::2] + pairs[:, 1::2]
-    total = quads[:, 0] + quads[:, 1]
-    for c in range(8, len(jobs)):
-        total += part[:, c]
-    return const + (0.0 + total)
+    def covered(self, mask: int, since: int) -> int:
+        """The scenario bits of the job-set cuts from ``job_cuts[since]``
+        on whose job set ``mask`` covers."""
+        bits = 0
+        for cmask, w in self.job_cuts[since:]:
+            if cmask & mask == cmask:
+                bits |= 1 << w
+        return bits
 
 
 def solve_master(model: MasterModel, time_budget: Optional[float] = None,
@@ -286,11 +389,11 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
 
     ``hook``, when given, is called with (x, z) at each leaf that meets the
     chance row and returns the cuts (x, z) violates, or nothing to accept
-    it.  Its cuts enter the search as the pool's do: a job-set cut sets its
-    scenario bit on every machine whose job set covers it, from here on,
-    which prunes interior nodes and drops the flag at leaves; flow cuts
-    join one block of rows, which each leaf tests with one gather and row
-    sum per machine that holds jobs (``flow_lhs``).
+    it.  Its cuts enter the search as the pool's do (``JobSetRows``): a
+    job-set cut sets its scenario bit on every machine whose job set covers
+    it, from here on, which prunes interior nodes and drops the flag at
+    leaves; flow cuts join one block of rows, which each leaf tests with
+    one gather and row sum per machine that holds jobs (``flow_over``).
     """
     inst = model.inst
     n, M, B = inst.n_jobs, inst.n_machines, inst.capacity
@@ -298,7 +401,6 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
     f = inst.utilities.tolist()
     p = inst.scenario_prob
     need = 1.0 - inst.epsilon - 1e-12
-    T = inst.time_limit
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     bounds = utility_bounds(inst)
@@ -310,110 +412,13 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
     symmetry = model.symmetry
     full = M * B  # jobs that fill every machine
 
-    # one row of optimistic loads per job; a set's load is the running
-    # sum of its jobs' rows in index order
-    relax = (np.ascontiguousarray(model.relax_coef.T)
-             if model.scenario_relaxation else None)
-    # and the costs of a full set's own successors
-    succ = successor_costs(inst) if relax is not None else None
-    # job-set mask -> bitmask of the scenarios that set forces to zero
-    fail_memo: dict[int, int] = {}
-    # parent job set -> the loads and relaxation bits of every set it may
-    # grow into (``LoadBlocks``)
-    memo = LoadBlocks(relax, T + TOL) if relax is not None else None
-    blocks = memo.blocks if memo is not None else None
-    # job j -> {mask of a cut job set whose highest job is j: its cuts'
-    # scenario bits}
-    cuts_by_last: list[dict[int, int]] = [{} for _ in range(n)]
-
-    def jobs_of(mask: int) -> list[int]:
-        return [i for i in range(n) if mask >> i & 1]
-
-    def fail_of(mask: int, j: int, parent: int) -> int:
-        """Forced scenarios of ``mask``, whose highest job is j.
-        ``parent``, the bits of ``mask`` without j, holds every row that
-        set covers, so only ``mask``'s own relaxation rows and the cuts
-        whose highest job is j remain.  A scenario stays forced once
-        forced, as the cuts and the additive relaxation rows only tighten
-        when jobs join.  A set that fills its machine also forces the
-        scenarios its own successors bound above T (``successor_over``);
-        that row is not additive, but the search never grows a full set,
-        so no larger set inherits it.  It is taken on the set's first miss
-        and kept in its slot of its parent's block (``LoadBlocks``).
-
-        The rows are taken cheapest first: the parent's bits and the
-        additive row, then the successor row while those bits stay within
-        ``max_fail``, then the cut scan while they still do.  So a memo
-        entry, of either memo, may leave rows out only where the bits it
-        holds with its parent's already exceed ``max_fail``.  Such a set
-        is dead, and stays dead: rows only add bits, and its parent's bits
-        only grow as cuts arrive.  The search never enters a dead set, and
-        sets grow only through sets it entered, so a dead set is never a
-        parent either.  The child test ``(failed | new).bit_count() <=
-        max_fail`` thus decides as it would on the complete bits, and
-        every set the search enters holds complete bits."""
-        bits = parent
-        if memo is not None:
-            base = mask ^ 1 << j
-            block = blocks.get(base)
-            if block is None:
-                block = memo.block(base)
-            i = j - base.bit_length()
-            own = block[2][i]
-            if own is None:
-                own = memo.additive(block, i)
-                if (mask.bit_count() == B
-                        and (parent | own).bit_count() <= max_fail):
-                    own |= scenario_bits(successor_over(succ, jobs_of(mask),
-                                                        T + TOL))
-                block[2][i] = own
-            bits |= own
-        if bits.bit_count() <= max_fail:
-            for cmask, wbits in cuts_by_last[j].items():
-                if cmask & mask == cmask:
-                    bits |= wbits
-        if len(fail_memo) >= FAIL_MEMO_MAX:
-            fail_memo.clear()
-        fail_memo[mask] = bits
-        return bits
-
+    # the rows of a machine's job set, the pool's cuts among them; the
+    # search reads them through these bound methods
+    rows = JobSetRows(model, max_fail)
+    memo_get, forced, covered = rows.memo.get, rows.forced, rows.covered
+    job_cuts = rows.job_cuts
     mach_mask = [0] * M
     mach_fail = [0] * M
-
-    # job-set cuts in arrival order, (jobmask, scenario), and the flow
-    # rows as one block (``flow_block``)
-    job_cuts: list[tuple[int, int]] = []
-    flow_w, flow_const, flow_coef = flow_block((), n)
-
-    def add_lazy(new_cuts) -> None:
-        """Enter cuts into the search: the pool before it starts, hook
-        cuts as they come.  A job-set cut joins ``cuts_by_last`` under
-        its highest job and sets its scenario bit on every machine of
-        the current path whose job set covers it, so the path's bits
-        stay exact; the fail memo, whose entries predate the cut, is
-        emptied and refills from them.  Flow cuts extend the block of
-        rows the leaves test."""
-        nonlocal flow_w, flow_const, flow_coef
-        flows = []
-        for cut in new_cuts:
-            if cut.kind == BENDERS:
-                flows.append(cut)
-                continue
-            cmask, wbit = cut.jobs, 1 << cut.scenario
-            job_cuts.append((cmask, cut.scenario))
-            sets = cuts_by_last[cmask.bit_length() - 1]
-            sets[cmask] = sets.get(cmask, 0) | wbit
-            for m, mk in enumerate(mach_mask):
-                if mk & cmask == cmask:
-                    mach_fail[m] |= wbit
-            fail_memo.clear()
-        if flows:
-            w, const, coef = flow_block(flows, n)
-            flow_w = np.concatenate((flow_w, w))
-            flow_const = np.concatenate((flow_const, const))
-            flow_coef = np.concatenate((flow_coef, coef))
-
-    add_lazy(model.cuts)
 
     best_obj = -np.inf
     best_x = None
@@ -431,13 +436,10 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
         for bits in mach_fail:
             failed |= bits
         z = np.array([not failed >> w & 1 for w in range(n_sc)])
-        if len(flow_w):
+        flow = rows.flow
+        if len(flow[0]):
             # a flow row drops its scenario when some machine violates it
-            over = np.zeros(len(flow_w), dtype=bool)
-            for mk in mach_mask:
-                if mk:
-                    over |= flow_lhs(flow_const, flow_coef, jobs_of(mk)) > T + TOL
-            z[flow_w[over]] = False
+            z[flow[0][flow_over(flow, mach_mask, rows.limit)]] = False
         return z
 
     def current_x() -> np.ndarray:
@@ -459,7 +461,12 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
                 if not new_cuts:
                     verified = True
                     break
-                add_lazy(new_cuts)
+                # the path's machines gain the bits of the new job-set
+                # cuts their sets cover, so the path's bits stay exact
+                since = len(job_cuts)
+                rows.add_cuts(new_cuts)
+                for m, mk in enumerate(mach_mask):
+                    mach_fail[m] |= covered(mk, since)
                 z = leaf_z()
                 # a returned cut's scenario is a failing one for this x,
                 # so its flag must drop here even if the cut row itself
@@ -502,9 +509,9 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
                 if mask.bit_count() < B:
                     old = mach_fail[m]
                     grown = mask | bit
-                    new = fail_memo.get(grown)
+                    new = memo_get(grown)
                     if new is None:
-                        new = fail_of(grown, j, old)
+                        new = forced(grown, j, old)
                     path = failed | new
                     if path.bit_count() <= max_fail:
                         mach_mask[m], mach_fail[m] = grown, new
@@ -514,9 +521,7 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
                             # hook cuts that arrived in the subtree: the
                             # restored bits miss those ``mask`` covers,
                             # and ``failed`` those the path covers
-                            for cmask, w in job_cuts[seen:]:
-                                if cmask & mask == cmask:
-                                    mach_fail[m] |= 1 << w
+                            mach_fail[m] |= covered(mask, seen)
                             seen = len(job_cuts)
                             failed = 0
                             for bits in mach_fail:

@@ -53,12 +53,13 @@ def compute_big_m(scenarios: list[Scenario], capacity: int) -> np.ndarray:
 
 def reference_load_coefficients(inst: Instance) -> np.ndarray:
     """``master.optimistic_load_coefficients`` one scenario at a time: each
-    job's time plus its cheapest outgoing setup, j -> j excluded."""
-    coef = np.empty((inst.n_scenarios, inst.n_jobs))
+    job's time plus its cheapest outgoing setup, j -> j excluded, at
+    [j - 1, w]."""
+    coef = np.empty((inst.n_jobs, inst.n_scenarios))
     for w, sc in enumerate(inst.scenarios):
         d = sc.setup[1:, :].copy()
         np.fill_diagonal(d[:, 1:], np.inf)  # exclude j -> j
-        coef[w] = sc.exec + d.min(axis=1)
+        coef[:, w] = sc.exec + d.min(axis=1)
     return coef
 
 
@@ -79,7 +80,7 @@ def reference_utility_bounds(inst: Instance) -> list[list[float]]:
 def running_load(rows: np.ndarray, jobs) -> list[float]:
     """The optimistic load of the 0-based ``jobs`` (ascending) in plain
     Python floats: per scenario, their ``rows`` added one at a time in
-    index order, as ``master.LoadBlocks`` must give it."""
+    index order, as ``master.JobSetRows`` must give it."""
     load = [float(v) for v in rows[jobs[0]]]
     for j in jobs[1:]:
         load = [a + float(b) for a, b in zip(load, rows[j])]
@@ -138,13 +139,13 @@ def iter_rows(model: MasterModel):
                 for k in range(1, j):
                     coefs[xname(k, m)] = coefs.get(xname(k, m), 0.0) - 1.0
                 yield (f"sym_lex_{j}_{m + 1}", coefs, "<=", 0.0)
-    if model.scenario_relaxation:
+    if model.relax_coef is not None:
         T = inst.time_limit
         for w in range(inst.n_scenarios):
             mw = float(big_m[w])
             for m in range(M):
                 coefs = {
-                    xname(j, m): float(model.relax_coef[w, j - 1])
+                    xname(j, m): float(model.relax_coef[j - 1, w])
                     for j in range(1, n + 1)
                 }
                 coefs[zname(w)] = mw

@@ -210,6 +210,22 @@ def test_verify_reports_malformed_candidates(tmp_path, capsys):
         assert any(line.startswith(f"violation: {message}") for line in err)
 
 
+def test_verify_reports_a_non_numeric_objective(tmp_path, capsys):
+    inst_path = tmp_path / "i.json"
+    sol_path = tmp_path / "s.json"
+    run(gen_args(inst_path))
+    assert run(["solve", inst_path, "--budget", 60, "--solution", sol_path]) == 0
+    sol = json.loads(sol_path.read_text())
+    for name, reported in {"text": "abc", "list": [1.0], "nan": float("nan")}.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(dict(sol, objective=reported)))
+        capsys.readouterr()
+        assert run(["verify", inst_path, "--solution", bad]) == EXIT_VERIFY
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"violation: objective mismatch: reported {reported}, "
+                       f"actual {sol['objective']}"]
+
+
 def test_verify_at_capacity_ten(tmp_path, capsys):
     inst_path = tmp_path / "i.json"
     sol_path = tmp_path / "s.json"
@@ -362,3 +378,17 @@ def test_group_gap_inf_propagates(tmp_path):
     line = [l for l in table1.splitlines() if l.startswith("jobset,iis")][0]
     assert line.split(",")[3] == "inf"
     assert line.split(",")[4] == "1"
+
+
+def test_report_rejects_a_non_numeric_field(tmp_path, capsys):
+    out = tmp_path / "runs.csv"
+    out.write_text(
+        "# ccpmsp-csv v1\n"
+        "model,cut,total_time,gap,optimal,n_callbacks,n_cuts,resol_time,"
+        "resol_time_per_cb,create_cut_time,create_sp_time\n"
+        "jobset,iis,abc,0,1,1,0,0,0,0,0\n"
+    )
+    agg = tmp_path / "agg.csv"
+    assert run(["report", out, "--out", agg]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"cannot aggregate {out}: ")
+    assert not agg.exists()

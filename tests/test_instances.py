@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,24 +29,10 @@ def test_execution_times_match_target_moments():
     assert abs(sample.std() - 0.6) < 0.02
 
 
-def test_execution_times_degenerate_sigma():
-    cfg = GenConfig(dataset_kind="ors", n_jobs=50, n_machines=1, n_scenarios=2,
-                    seed=1, exec_sigma=1e-12)
-    sample = gen_execution_times(cfg)
-    assert np.all(np.abs(sample - 2.0) < 1e-6)
-
-
 def test_execution_times_deterministic():
     cfg = GenConfig(dataset_kind="equal", n_jobs=7, n_machines=1, n_scenarios=9,
                     seed=42)
     assert np.array_equal(gen_execution_times(cfg), gen_execution_times(cfg))
-
-
-def test_execution_times_reject_bad_params():
-    cfg = GenConfig(dataset_kind="ors", n_jobs=3, n_machines=1, n_scenarios=1,
-                    exec_mu=-1.0)
-    with pytest.raises(ConfigurationError):
-        gen_execution_times(cfg)
 
 
 def test_base_points_mean_distance_exact():
@@ -67,14 +55,6 @@ def test_setup_times_metric_properties():
         assert np.all(np.diagonal(d) == 0.0)
         through = (d[:, :, None] + d[None, :, :]).min(axis=1)
         assert np.all(d <= through + 1e-12)  # exact Euclidean metric
-
-
-def test_setup_times_zero_sigma_equals_base():
-    cfg = GenConfig(dataset_kind="ors", n_jobs=6, n_machines=1, n_scenarios=4,
-                    seed=9, setup_sigma=0.0)
-    setups = gen_setup_times(cfg)
-    for w in range(1, 4):
-        assert np.array_equal(setups[w], setups[0])
 
 
 def test_disc_region_supported():
@@ -128,6 +108,16 @@ def test_make_instance_divisibility_guard():
                   capacity=4)
     )
     assert ok.capacity == 4
+
+
+def test_make_instance_reads_the_dataset_kind_once():
+    cfg = GenConfig(dataset_kind="VRP", n_jobs=6, n_machines=2, n_scenarios=3, seed=4)
+    upper, lower = make_instance(cfg), make_instance(replace(cfg, dataset_kind="vrp"))
+    assert upper.dataset_kind == "vrp"
+    assert all(np.array_equal(a.exec, b.exec) and np.array_equal(a.setup, b.setup)
+               for a, b in zip(upper.scenarios, lower.scenarios))
+    with pytest.raises(ConfigurationError, match="unknown dataset kind 'rsp'"):
+        make_instance(replace(cfg, dataset_kind="RSP"))
 
 
 def test_make_instance_tiny_smoke():

@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from ccpmsp import decomposition, master, netflow
 from ccpmsp.instances import GenConfig, make_instance
-from ccpmsp.master import build_master, optimistic_load_coefficients, solve_master
+from ccpmsp.master import (
+    build_master,
+    optimistic_load_coefficients,
+    scenario_bits,
+    solve_master,
+)
 from ccpmsp.decomposition import SolveOptions, solve_ccpmsp
 from ccpmsp.diagram import JOBSET, LASTJOB
 from ccpmsp.model import BENDERS, IIS, NOGOOD, Cut, Instance, Scenario, jobs_mask
@@ -160,7 +165,7 @@ def test_setup_tables_are_bitwise_the_reference_loops(inst):
 def test_scenario_relaxation_coefficients(uniform_scenario):
     inst = uniform_instance(uniform_scenario)
     coef = optimistic_load_coefficients(inst)
-    assert np.allclose(coef[0], [3.0, 7.0, 4.0])
+    assert np.allclose(coef[:, 0], [3.0, 7.0, 4.0])
     model = build_master(inst, symmetry=False, scenario_relaxation=True)
     # z = 1 activates the row: job 2 alone (coefficient 7) breaks T = 5
     x = np.zeros((3, 1), dtype=np.int8)
@@ -446,7 +451,7 @@ def test_loads_from_the_smaller_set_are_bitwise_the_row_sum(n_sc, n, data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     coef = rng.random((n_sc, n)) * 10.0 ** rng.integers(-3, 4, (n_sc, n))
-    relax = np.ascontiguousarray(coef.T)  # as ``solve_master`` holds it
+    relax = np.ascontiguousarray(coef.T)  # as ``MasterModel.relax_coef`` holds it
     jobs = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
     load = relax[jobs[0]]
     for j in jobs[1:]:
@@ -474,22 +479,36 @@ def test_block_rows_are_bitwise_the_plain_loop(n_sc, n, max_blocks, data):
     # a limit some set's load meets exactly, or any limit up to the largest
     ends = [v for jobs in map(sorted, sets) for v in running_load(relax, jobs)]
     limit = data.draw(st.sampled_from(ends) | st.floats(0.0, max(ends)))
-    memo = master.LoadBlocks(relax, limit)
+    rows = relaxation_rows(relax, limit)
     with mock.patch.object(master, "FAIL_MEMO_MAX", max_blocks):
         for jobs in map(sorted, sets):
             for r in range(1, len(jobs) + 1):
                 if data.draw(st.booleans()):
-                    memo.blocks.clear()
-                    memo.cells = 0
+                    rows.blocks.clear()
+                    rows.cells = 0
                 parent = jobs_mask(j + 1 for j in jobs[:r - 1])
-                block = memo.blocks.get(parent) or memo.block(parent)
+                block = rows.blocks.get(parent) or rows.block(parent)
                 i = jobs[r - 1] - parent.bit_length()
                 want = running_load(relax, jobs[:r])
+                mask = jobs_mask(j + 1 for j in jobs[:r])
                 assert block[0][i].tobytes() == np.array(want).tobytes()
-                assert memo.additive(block, i) == load_bits(want, limit)
-                assert memo.load(jobs_mask(j + 1 for j in jobs[:r])).tobytes() \
-                    == np.array(want).tobytes()
-                assert len(memo.blocks) <= max_blocks
+                assert rows.forced(mask, jobs[r - 1], 0) == load_bits(want, limit)
+                assert rows.load(mask).tobytes() == np.array(want).tobytes()
+                assert len(rows.blocks) <= max_blocks
+
+
+def relaxation_rows(relax, limit):
+    """A ``JobSetRows`` over the job rows ``relax`` (n_jobs, n_scenarios)
+    that tests its loads against ``limit`` in place of T + TOL, so that a
+    load can meet it exactly.  It holds no cut, and no set fills its
+    machine, so ``forced`` gives a set's additive bits alone."""
+    n, n_sc = relax.shape
+    scenario = Scenario(exec=np.zeros(n), setup=np.zeros((n + 1, n + 1)))
+    inst = Instance(n_jobs=n, n_machines=1, capacity=n + 1, time_limit=limit,
+                    epsilon=0.5, utilities=np.ones(n), scenarios=[scenario] * n_sc)
+    rows = master.JobSetRows(master.MasterModel(inst, relax_coef=relax), n_sc)
+    rows.limit = limit
+    return rows
 
 
 @pytest.mark.parametrize("cells", [master.LOAD_MEMO_CELLS, 1 << 14])
@@ -509,7 +528,7 @@ def test_relaxation_memo_stays_within_its_cells(monkeypatch, cells):
     tables = n * n_sc + (n + 1) * n * n_sc  # relaxation rows, successor costs
     memos, held = [], []
 
-    class Counted(master.LoadBlocks):
+    class Counted(master.JobSetRows):
         def __init__(self, *args):
             super().__init__(*args)
             self.clears = self.most = 0
@@ -529,7 +548,7 @@ def test_relaxation_memo_stays_within_its_cells(monkeypatch, cells):
                     held.append(sum(s.size for s in snap.statistics("filename")))
             return got
 
-    monkeypatch.setattr(master, "LoadBlocks", Counted)
+    monkeypatch.setattr(master, "JobSetRows", Counted)
     tracemalloc.start()
     try:
         _, report = solve_ccpmsp(inst, SolveOptions(time_budget=2.0))
@@ -660,6 +679,69 @@ def test_builtin_reaches_exhaustive_optimum(model):
 
 
 @st.composite
+def cut_rows_case(draw):
+    """A one-machine model with the relaxation rows and a pool of up to
+    eight IIS and no-good cuts, the share of the pool that ``JobSetRows``
+    takes at its start (the rest comes through ``add_cuts``), and a
+    ``max_fail``."""
+    n = draw(st.integers(2, 7))
+    capacity = draw(st.integers(1, n))
+    n_sc = draw(st.integers(1, 6))
+    inst = make_instance(GenConfig(
+        dataset_kind=draw(st.sampled_from(["ors", "vrp", "equal"])),
+        n_jobs=n, n_machines=1, n_scenarios=n_sc,
+        dif=draw(st.sampled_from([-6.0, -4.0, -2.0, 0.0])),
+        seed=draw(st.integers(0, 10**6)), capacity=capacity))
+    model = build_master(inst, symmetry=False)
+    jobs = st.frozensets(st.integers(1, n), min_size=1, max_size=capacity)
+    for _ in range(draw(st.integers(0, 8))):
+        model.cuts.append(Cut(jobs=jobs_mask(draw(jobs)),
+                              scenario=draw(st.integers(0, n_sc - 1)),
+                              kind=draw(st.sampled_from([IIS, NOGOOD]))))
+    return (model, draw(st.integers(0, len(model.cuts))),
+            draw(st.integers(0, n_sc)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut_rows_case())
+@example((successor_example(), 0, 1))
+def test_forced_scenarios_are_the_reference_rows(case):
+    # every job set of up to B jobs, grown one job at a time in index order
+    # as the search grows them, first with the start of the pool, then
+    # after the rest arrives: where a set's bits stay within max_fail,
+    # ``forced`` gives exactly the scenarios that the reference rows force
+    # to zero (its additive rows, its successor row when full, the cuts it
+    # covers); past max_fail it may leave rows out, but the set is dead
+    model, start, max_fail = case
+    inst = model.inst
+    pool = list(model.cuts)
+    del model.cuts[start:]
+    rows = master.JobSetRows(model, max_fail)
+
+    def grow(mask, bits, reference):
+        for j in range(mask.bit_length(), inst.n_jobs):
+            child = mask | 1 << j
+            got = rows.memo.get(child)
+            if got is None:
+                got = rows.forced(child, j, bits)
+            x = np.zeros((inst.n_jobs, 1), dtype=np.int8)
+            x[[i - 1 for i in mask_jobs(child)], 0] = 1
+            z, _ = maximal_z(model, x, reference)
+            want = scenario_bits(z == 0)
+            if want.bit_count() > max_fail:
+                assert got.bit_count() > max_fail
+                continue
+            assert got == want
+            if child.bit_count() < inst.capacity:
+                grow(child, got, reference)
+
+    grow(0, 0, list(iter_rows(model)))
+    model.cuts[:] = pool
+    rows.add_cuts(pool[start:])
+    grow(0, 0, list(iter_rows(model)))
+
+
+@st.composite
 def hooked_master(draw):
     """A ``tiny_master`` with up to four more IIS cuts, and the job-set cuts
     of its pool that the search may learn only from the hook."""
@@ -706,11 +788,11 @@ def test_hook_cuts_reach_the_search_bits_exactly(case):
 
     for memo_max in (master.FAIL_MEMO_MAX, 4):
         partial = build_master(inst, symmetry=model.symmetry,
-                               scenario_relaxation=model.scenario_relaxation)
+                               scenario_relaxation=model.relax_coef is not None)
         partial.cuts.extend(shown)
         held = [c for c in shown if c.kind != BENDERS]
         rows = build_master(inst, symmetry=model.symmetry,
-                            scenario_relaxation=model.scenario_relaxation)
+                            scenario_relaxation=model.relax_coef is not None)
         rows.cuts.extend(shown)
 
         def hook(x, z):
