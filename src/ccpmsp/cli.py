@@ -182,7 +182,7 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read solution {args.solution}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if "x" not in sol or "z" not in sol:
+    if not isinstance(sol, dict) or "x" not in sol or "z" not in sol:
         print("solution file carries no candidate", file=sys.stderr)
         return EXIT_VERIFY
     try:

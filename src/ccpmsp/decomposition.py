@@ -14,9 +14,10 @@ one size filtered together.
 A candidate becomes the answer only after every scenario it claims (z = 1)
 has been verified feasible on all machines, so the returned objective is
 exact whenever the status says optimal.  The solve makes one
-``solve_master`` call with a lazy-cut hook that checks each candidate and
-returns its cuts: the master search calls it at its leaves, and the cuts
-prune the rest of that search (branch and check).
+``solve_master`` call with a lazy-cut hook that checks each candidate once
+and returns its cuts, which name every scenario the check failed: the
+master search calls it at its leaves, keeps a leaf on the scenarios that
+passed, and the cuts prune the rest of that search (branch and check).
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ class SolveReport:
     status: str = "unknown"
     n_callbacks: int = 0  # subproblem checks (check_candidate calls)
     n_cuts: int = 0
-    # cut batches whose own cuts did not exclude their candidate, so that
-    # the failures' no-goods joined them
+    # cut batches whose own cuts did not exclude their candidate or name
+    # every failing scenario, so that the failures' no-goods joined them
     n_fallbacks: int = 0
     subproblem_resolution_time: float = 0.0
     cut_creation_time: float = 0.0
@@ -341,14 +342,18 @@ def solve_ccpmsp(inst: Instance, opts: Optional[SolveOptions] = None):
         return fresh
 
     def cut_batch(failures, cand: Candidate) -> list[Cut]:
-        """Pool the cuts of a failing candidate.  A fresh IIS or no-good
-        batch always excludes it: each failure lies in a claimed scenario,
-        its cuts lie inside the failing machine's job set, and a pooled cut
-        that did too would have zeroed that scenario already.  When a flow
-        batch does not exclude it, the failures' no-goods join the batch;
-        one of them is always new."""
+        """Pool the cuts of a failing candidate: a batch that excludes it
+        and names every scenario it failed in.  A fresh IIS or no-good
+        batch always does: each failure lies in a claimed scenario, its
+        cuts lie inside the failing machine's job set, and a pooled cut
+        that did too would have zeroed that scenario already.  The naming
+        is still tested for every kind, and exclusion for flow batches; a
+        batch that fails either takes the failures' no-goods, all new by
+        the same argument."""
         fresh = pool_cuts(failures, opts.cut_kind, cand)
-        if opts.cut_kind == BENDERS and not _flow_batch_excludes(inst, fresh, cand):
+        names_all = {f[1] for f in failures} <= {cut.scenario for cut in fresh}
+        if not names_all or (opts.cut_kind == BENDERS
+                             and not _flow_batch_excludes(inst, fresh, cand)):
             report.n_fallbacks += 1
             nogoods = pool_cuts(failures, NOGOOD)
             if not nogoods:

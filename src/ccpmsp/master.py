@@ -90,18 +90,10 @@ class BackendSolution:
 
 def build_master(inst: Instance, symmetry: bool = True,
                  scenario_relaxation: bool = True) -> MasterModel:
-    relax_coef = optimistic_load_coefficients(inst) if scenario_relaxation else None
+    # t_j plus j's cheapest outgoing setup, at [j - 1, w]: rounding is
+    # monotone, so the least rounded t_j + d_jk is t_j + min_k d_jk
+    relax_coef = successor_costs(inst).min(axis=0) if scenario_relaxation else None
     return MasterModel(inst=inst, symmetry=symmetry, relax_coef=relax_coef)
-
-
-def optimistic_load_coefficients(inst: Instance) -> np.ndarray:
-    """t_j plus the cheapest setup from j to another job or to the dummy,
-    at [j - 1, w] for job j in scenario w, from ``Instance.scenario_stack``
-    with j -> j masked: one row per job, as the search sums them."""
-    exec_, setup = inst.scenario_stack
-    d = setup[1:].copy()
-    d[np.arange(inst.n_jobs), np.arange(1, inst.n_jobs + 1)] = np.inf
-    return exec_[1:] + d.min(axis=1)
 
 
 def utility_bounds(inst: Instance) -> list[list[float]]:
@@ -387,13 +379,16 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
     ``BackendSolution.n_nodes`` is their number.  z is assigned greedily
     maximal at each leaf, which is optimal since z carries no objective.
 
-    ``hook``, when given, is called with (x, z) at each leaf that meets the
-    chance row and returns the cuts (x, z) violates, or nothing to accept
-    it.  Its cuts enter the search as the pool's do (``JobSetRows``): a
-    job-set cut sets its scenario bit on every machine whose job set covers
-    it, from here on, which prunes interior nodes and drops the flag at
-    leaves; flow cuts join one block of rows, which each leaf tests with
-    one gather and row sum per machine that holds jobs (``flow_over``).
+    ``hook``, when given, is called once with (x, z) at each leaf that
+    meets the chance row.  It returns nothing when every claimed (machine,
+    scenario) pair passed, and otherwise cuts that name every scenario
+    that failed; the leaf then drops exactly those scenarios and stands
+    if it still meets the chance row.  Its cuts enter the search as the
+    pool's do (``JobSetRows``): a job-set cut sets its scenario bit on
+    every machine whose job set covers it, from here on, which prunes
+    interior nodes and drops the flag at leaves; flow cuts join one block
+    of rows, which each leaf tests with one gather and row sum per machine
+    that holds jobs (``flow_over``).
     """
     inst = model.inst
     n, M, B = inst.n_jobs, inst.n_machines, inst.capacity
@@ -454,29 +449,21 @@ def solve_master(model: MasterModel, time_budget: Optional[float] = None,
         if n_sc - z.sum() > max_fail:
             return
         if hook is not None:
-            x = current_x()
-            verified = False
-            for _ in range(n_sc + 2):
-                new_cuts = hook(x, z.astype(np.int8))
-                if not new_cuts:
-                    verified = True
-                    break
+            new_cuts = hook(current_x(), z.astype(np.int8))
+            if new_cuts:
                 # the path's machines gain the bits of the new job-set
                 # cuts their sets cover, so the path's bits stay exact
                 since = len(job_cuts)
                 rows.add_cuts(new_cuts)
                 for m, mk in enumerate(mach_mask):
                     mach_fail[m] |= covered(mk, since)
-                z = leaf_z()
-                # a returned cut's scenario is a failing one for this x,
-                # so its flag must drop here even if the cut row itself
-                # does not bind at this candidate; z shrinks every round
+                # the batch names every scenario the check failed, and
+                # the others passed: the named flags drop here, also where
+                # a cut's row does not bind at this candidate
                 for cut in new_cuts:
                     z[cut.scenario] = False
                 if n_sc - z.sum() > max_fail:
                     return
-            if not verified:
-                return
         if util > best_obj + TOL:
             best_obj = util
             best_x = current_x()

@@ -52,7 +52,7 @@ def compute_big_m(scenarios: list[Scenario], capacity: int) -> np.ndarray:
 
 
 def reference_load_coefficients(inst: Instance) -> np.ndarray:
-    """``master.optimistic_load_coefficients`` one scenario at a time: each
+    """``MasterModel.relax_coef`` one scenario at a time: each
     job's time plus its cheapest outgoing setup, j -> j excluded, at
     [j - 1, w]."""
     coef = np.empty((inst.n_jobs, inst.n_scenarios))

@@ -208,6 +208,14 @@ def test_verify_reports_malformed_candidates(tmp_path, capsys):
         assert run(["verify", inst_path, "--solution", path]) == EXIT_VERIFY
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith(f"violation: {message}") for line in err)
+    # top-level JSON that is no object holds no candidate
+    for name, top in {"number": 5, "null": None, "list": [x], "text": "xz"}.items():
+        path = tmp_path / f"top_{name}.json"
+        path.write_text(json.dumps(top))
+        capsys.readouterr()
+        assert run(["verify", inst_path, "--solution", path]) == EXIT_VERIFY
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["solution file carries no candidate"]
 
 
 def test_verify_reports_a_non_numeric_objective(tmp_path, capsys):
@@ -262,7 +270,14 @@ def test_bench_and_report(tmp_path, capsys):
     runs = read_runs(out)
     assert len(runs) == 12
     assert {r["model"] for r in runs} == {"lastjob", "jobset"}
+    assert all(r["status"] == "optimal" for r in runs)
+    # both variants check the same leaves of the same master search
+    checks = {}
+    for r in runs:
+        checks.setdefault((r["instance"], r["cut"]), set()).add(r["n_callbacks"])
+    assert all(len(v) == 1 for v in checks.values()), checks
     agg = (tmp_path / "runs.agg.csv").read_text()
+    assert all(f"# table{i}:" in agg for i in range(1, 5))
     assert "# table1: summary" in agg
     assert "# table4: by machine count" in agg
     # rerun aggregation through the report command

@@ -27,6 +27,7 @@ from ccpmsp.instances import GenConfig, make_instance
 from ccpmsp.model import (
     Candidate,
     ConfigurationError,
+    Cut,
     Instance,
     Scenario,
     TOL,
@@ -737,29 +738,54 @@ def test_fallbacks_count_the_batches_their_own_cuts_did_not_exclude(solve):
     assert sum(c.kind == "nogood" for c in flow.cuts) >= flow.n_fallbacks
 
 
+def named_dropped(inst, x, z, cuts):
+    """The infeasible pairs ``verify_candidate`` finds in (x, z) once the
+    scenarios the cuts name are dropped from z."""
+    z = z.copy()
+    z[[c.scenario for c in cuts]] = 0
+    return [p for p in verify_candidate(inst, Candidate(x=x, z=z))
+            if "infeasible in scenario" in p]
+
+
 @pytest.mark.parametrize("search", [resolving_master(), master.solve_master],
                          ids=["iterative", "callback"])
-@pytest.mark.parametrize("cut", ["iis", "nogood"])
+@pytest.mark.parametrize("cut", ["iis", "nogood", "benders"])
 @pytest.mark.parametrize("variant", [LASTJOB, JOBSET])
 def test_job_set_batches_exclude_their_candidate(monkeypatch, regression_set,
                                                  search, cut, variant):
-    # the solve tests only flow batches for exclusion: every cut of an IIS
-    # or no-good batch lies in a scenario the candidate claims and inside
-    # the job set of one of its machines, so its row is violated as is; a
-    # candidate the hook accepts must pass the oracle
+    # a cut batch excludes its candidate and names every scenario it failed
+    # in.  Every cut of an IIS or no-good batch lies in a scenario the
+    # candidate claims and inside the job set of one of its machines, so its
+    # row is violated as is; a flow batch either violates a flow row
+    # (``flow_over``) or carries the failures' no-goods.  With the named
+    # scenarios dropped, the oracle passes the candidate, as it passes one
+    # the hook accepts; the master checks each leaf once, so in its search
+    # no x reaches the hook twice in a row
     batches = []
 
     def checking(model, time_budget=None, hook=None):
+        xs = []  # this solve's candidates
+
         def checked(x, z):
             cuts = hook(x, z)
             cand = Candidate(x=x.copy(), z=z.copy())
             batches.append(len(cuts))
+            if search is master.solve_master:
+                assert not xs or not np.array_equal(xs[-1], cand.x)
+            xs.append(cand.x)
             if not cuts:
                 assert verify_candidate(inst, cand) == []
+            assert named_dropped(inst, cand.x, cand.z, cuts) == []
             masks = [jobs_mask(np.flatnonzero(col) + 1) for col in cand.x.T]
+            flows = [c for c in cuts if c.kind == "benders"]
             for c in cuts:
-                assert c.kind == cut and cand.z[c.scenario] == 1
-                assert any(mask & c.jobs == c.jobs for mask in masks)
+                assert c.kind == cut or (cut == "benders" and c.kind == "nogood")
+                assert cand.z[c.scenario] == 1
+                if c.kind != "benders":
+                    assert any(mask & c.jobs == c.jobs for mask in masks)
+            if len(flows) == len(cuts) > 0:
+                flow = master.flow_block(flows, inst.n_jobs)
+                assert master.flow_over(flow, masks, inst.time_limit + TOL).any()
             return cuts
 
         return search(model, time_budget, checked)
@@ -768,8 +794,81 @@ def test_job_set_batches_exclude_their_candidate(monkeypatch, regression_set,
     for inst in regression_set:
         _, report = solve_ccpmsp(inst, SolveOptions(variant=variant, cut_kind=cut,
                                                     time_budget=60))
-        assert report.optimal and report.n_fallbacks == 0
+        assert report.optimal and (cut == "benders" or report.n_fallbacks == 0)
     assert sum(map(bool, batches)) > 100  # cut batches, not only accepted leaves
+
+
+def solve_dropping_named(monkeypatch, cut_kind):
+    """Solve a small instance whose checks fail in several scenarios at
+    once, asserting that every cut batch leaves no infeasible pair once
+    the scenarios it names are dropped, and that the answer is the brute
+    optimum; returns the report and the number of batches that carry
+    no-goods (with IIS or flow cuts, those that fell back)."""
+    inst = make_instance(GenConfig(dataset_kind="ors", n_jobs=8, n_machines=2,
+                                   n_scenarios=10, dif=-1.0, seed=5))
+    with_nogoods = []
+
+    def checking(model, time_budget=None, hook=None):
+        def checked(x, z):
+            cuts = hook(x, z)
+            with_nogoods.append(any(c.kind == "nogood" for c in cuts))
+            assert named_dropped(inst, x, z, cuts) == []
+            return cuts
+
+        return master.solve_master(model, time_budget, checked)
+
+    monkeypatch.setattr(decomposition, "solve_master", checking)
+    cand, report = solve_ccpmsp(inst, SolveOptions(cut_kind=cut_kind,
+                                                   time_budget=60))
+    assert report.optimal
+    assert candidate_objective(inst, cand) == pytest.approx(brute_optimal(inst)[1])
+    return report, sum(with_nogoods)
+
+
+def test_a_flow_batch_missing_a_failing_scenario_falls_back(monkeypatch):
+    # a flow pass whose row is the failure's no-good (const + |S & J| > T
+    # exactly when the machine's jobs J cover S), so its batch excludes the
+    # candidate, but which hands back the first cut it made in place of the
+    # last of a machine's two or more failing scenarios: that one is pooled
+    # already, so the batch no longer names the scenario, and the failures'
+    # no-goods must join it; the master drops only scenarios that failed
+    first = []
+
+    def repeating(self, inst, x_col, scenarios, jobs):
+        members = [j - 1 for j in mask_jobs(jobs)]
+        coef = np.zeros(inst.n_jobs)
+        coef[members] = 1.0
+        const = inst.time_limit + TOL - len(members) + 0.5
+        cuts = [Cut(jobs=jobs, scenario=w, kind="benders",
+                    benders_payload=(const, coef)) for w in scenarios]
+        if first and len(cuts) > 1:
+            cuts[-1] = first[0]
+        first[:] = first or cuts[:1]
+        return cuts
+
+    monkeypatch.setattr(netflow.FlowContext, "cut_for", repeating)
+    report, with_nogoods = solve_dropping_named(monkeypatch, "benders")
+    assert report.n_fallbacks == with_nogoods > 0
+
+
+def test_a_job_set_batch_missing_a_failing_scenario_falls_back(monkeypatch):
+    # IIS rendering that loses every cut of the last failing scenario when
+    # two or more failed: the batch still excludes its candidate but no
+    # longer names that scenario, so the failures' no-goods must join it
+    real = decomposition.emit_cuts
+
+    def losing(failures, cut_kind, inst, cand=None, report=None, flow_ctx=None,
+               keys=None):
+        cuts = real(failures, cut_kind, inst, cand, report, flow_ctx, keys)
+        if cut_kind != "iis" or len({f[1] for f in failures}) < 2:
+            return cuts
+        kept = [i for i, c in enumerate(cuts) if c.scenario != failures[-1][1]]
+        keys[:] = [keys[i] for i in kept]
+        return [cuts[i] for i in kept]
+
+    monkeypatch.setattr(decomposition, "emit_cuts", losing)
+    report, with_nogoods = solve_dropping_named(monkeypatch, "iis")
+    assert report.n_fallbacks == with_nogoods > 0
 
 
 @pytest.mark.parametrize("solve", [solve_iteratively, solve_ccpmsp],
